@@ -937,14 +937,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", help="output directory (overrides out_dir in the config)")
-        p.add_argument(
-            "--seed", type=int, default=42, help="seed for synthetic-fixture generation"
-        )
         p.add_argument("--verbose", action="store_true", help="list every file written")
 
     fixture = sub.add_parser("fixture", help="generate the bundled synthetic input set")
     fixture.add_argument("--out", required=True, help="directory for the fixture files")
-    fixture.add_argument("--seed", type=int, default=42, help="generator seed")
+    fixture.add_argument(
+        "--seed", type=int, default=42, help="seed for synthetic-fixture generation"
+    )
     fixture.add_argument("--verbose", action="store_true")
     return parser
 

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -22,6 +23,11 @@ import numpy as np
 GRID_HEADER = "lat,lon,date,t2m_c"
 POPULATION_HEADER = "lat,lon,epoch,persons"
 MASK_HEADER = "lat,lon,in_region"
+
+# Lines per np.loadtxt call in read_grid_csv: large enough to amortise the
+# call, small enough that one chunk's strings stay a few MB.
+_GRID_CHUNK_LINES = 1 << 16
+_GRID_DTYPE = np.dtype([("lat", "f8"), ("lon", "f8"), ("date", object), ("t2m_c", "f8")])
 
 
 @dataclass
@@ -109,41 +115,123 @@ def _parse_time(text: str, lineno: int):
         raise ValueError(f"line {lineno}: bad date {text!r}") from None
 
 
+def _check_grid_float(text: str, lineno: int, name: str) -> None:
+    from .ingest import _parse_float
+
+    _parse_float(text, lineno, name)
+    # np.loadtxt reads the float grammar without digit-group underscores
+    # or non-ASCII digits, both of which float() accepts.
+    if "_" in text or not text.isascii():
+        raise ValueError(f"line {lineno}: bad {name} value {text!r}")
+
+
+def _raise_first_grid_error(chunk: list[str], first_lineno: int) -> None:
+    """Rescan one chunk row by row and raise the first offending line's error."""
+    for lineno, raw in enumerate(chunk, start=first_lineno):
+        line = raw.removesuffix("\n").removesuffix("\r")
+        if "\r" in line or "\n" in line:
+            raise ValueError(f"line {lineno}: line break inside a row")
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")
+        lat_s, lon_s, time_s, val_s = (f.strip() for f in fields)
+        _check_grid_float(lat_s, lineno, "lat")
+        _check_grid_float(lon_s, lineno, "lon")
+        _parse_time(time_s, lineno)
+        _check_grid_float(val_s, lineno, "t2m_c")
+
+
+class _Codes(dict):
+    """Numbers each new key in order of first lookup."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
 def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     """Read a long-format `lat,lon,date,t2m_c` grid file.
 
     Missing (time, cell) combinations become NaN; duplicates are an error.
     The date column holds either calendar dates (daily grid) or ISO
-    datetimes (hourly grid), never a mixture.
-    """
-    from .ingest import _parse_float, _split_rows
+    datetimes (hourly grid), never a mixture. Blank lines are skipped but
+    counted in error line numbers, and fields are whitespace-trimmed.
 
-    entries: list[tuple[object, float, float, float]] = []
-    for lineno, (lat_s, lon_s, time_s, val_s) in _split_rows(source, GRID_HEADER):
-        lat = _parse_float(lat_s, lineno, "lat")
-        lon = _parse_float(lon_s, lineno, "lon")
-        t = _parse_time(time_s, lineno)
-        val = _parse_float(val_s, lineno, "t2m_c")
-        entries.append((t, lat, lon, val))
-    if not entries:
+    Lines are parsed _GRID_CHUNK_LINES at a time by np.loadtxt into
+    numeric columns plus an integer code per distinct date string. A
+    chunk that fails to parse, or holds a non-finite value or a bad date,
+    is rescanned row by row to name its first offending line.
+    """
+    lines = iter(source)
+    lineno = 0
+    for raw in lines:
+        lineno += 1
+        first = raw.rstrip("\r\n")
+        if first:
+            break
+    else:
+        raise ValueError(f"empty file: expected header {GRID_HEADER!r}")
+    if first.strip() != GRID_HEADER:
+        raise ValueError(f"line {lineno}: expected header {GRID_HEADER!r}, got {first!r}")
+
+    time_codes = _Codes()  # raw date text -> code
+    parsed_times: list = []  # indexed by code
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    while chunk := list(islice(lines, _GRID_CHUNK_LINES)):
+        first_lineno, lineno = lineno + 1, lineno + len(chunk)
+        if not any(raw.rstrip("\r\n") for raw in chunk):
+            continue  # loadtxt warns on input with no rows
+        try:
+            rows = np.loadtxt(
+                chunk, delimiter=",", comments=None, ndmin=1, dtype=_GRID_DTYPE
+            )
+        except ValueError:
+            _raise_first_grid_error(chunk, first_lineno)
+            raise
+        # Copies, so that no view keeps the chunk's date strings alive.
+        lat, lon, val = (rows[name].copy() for name in ("lat", "lon", "t2m_c"))
+        known = len(time_codes)
+        codes = np.fromiter(map(time_codes.__getitem__, rows["date"]), np.intp, len(rows))
+        new = list(islice(time_codes, known, None))
+        try:
+            # The line number is a placeholder: on error the rescan names it.
+            parsed_times.extend(_parse_time(t.strip(), 0) for t in new)
+            if not all(np.isfinite(col).all() for col in (lat, lon, val)):
+                raise ValueError("non-finite value")
+        except ValueError:
+            _raise_first_grid_error(chunk, first_lineno)
+            raise
+        columns.append((lat, lon, codes, val))
+    if not columns:
         raise ValueError("grid file has no data rows")
-    kinds = {isinstance(e[0], datetime) for e in entries}
-    if len(kinds) > 1:
+    if len({isinstance(t, datetime) for t in parsed_times}) > 1:
         raise ValueError("grid file mixes daily and hourly rows")
 
-    lats = _axis(e[1] for e in entries)
-    lons = _axis(e[2] for e in entries)
-    times = sorted({e[0] for e in entries})
+    lat_all, lon_all, code_all, val_all = (np.concatenate(c) for c in zip(*columns))
+    del columns
+    lats, lat_idx = np.unique(lat_all, return_inverse=True)
+    lons, lon_idx = np.unique(lon_all, return_inverse=True)
+    # Distinct texts can parse to one time ("T05:00", " 05:00:00"); the
+    # codes of all of them map to its slot.
+    times = sorted(set(parsed_times))
     t_index = {t: i for i, t in enumerate(times)}
-    lat_index = {v: i for i, v in enumerate(lats)}
-    lon_index = {v: i for i, v in enumerate(lons)}
-
-    values = np.full((len(times), len(lats), len(lons)), np.nan)
-    for t, lat, lon, val in entries:
-        i, j, k = t_index[t], lat_index[lat], lon_index[lon]
-        if not np.isnan(values[i, j, k]):
-            raise ValueError(f"duplicate grid entry for ({lat}, {lon}, {t})")
-        values[i, j, k] = val
+    time_idx = np.array([t_index[t] for t in parsed_times], dtype=np.intp)[code_all]
+    cell = (time_idx * len(lats) + lat_idx) * len(lons) + lon_idx
+    size = len(times) * len(lats) * len(lons)
+    if np.bincount(cell, minlength=size).max() > 1:
+        # Report the duplicate row that comes first in the file.
+        order = np.argsort(cell, kind="stable")
+        ranked = cell[order]
+        row = int(order[1:][ranked[1:] == ranked[:-1]].min())
+        raise ValueError(
+            f"duplicate grid entry for ({float(lat_all[row])}, {float(lon_all[row])}, "
+            f"{parsed_times[code_all[row]]})"
+        )
+    values = np.full(size, np.nan)
+    values[cell] = val_all
+    values = values.reshape(len(times), len(lats), len(lons))
     return TemperatureGrid(lats, lons, times, values)
 
 
@@ -203,6 +291,7 @@ def read_population_csv(source: IO[str] | Iterable[str]) -> PopulationGrid:
     from .ingest import _parse_float, _split_rows
 
     entries = []
+    seen: set[tuple[int, float, float]] = set()
     for lineno, (lat_s, lon_s, epoch_s, persons_s) in _split_rows(
         source, POPULATION_HEADER
     ):
@@ -215,6 +304,11 @@ def read_population_csv(source: IO[str] | Iterable[str]) -> PopulationGrid:
         persons = _parse_float(persons_s, lineno, "persons")
         if persons < 0:
             raise ValueError(f"line {lineno}: negative persons value {persons_s!r}")
+        if (epoch, lat, lon) in seen:
+            raise ValueError(
+                f"line {lineno}: duplicate population entry for ({lat}, {lon}, {epoch})"
+            )
+        seen.add((epoch, lat, lon))
         entries.append((epoch, lat, lon, persons))
     if not entries:
         raise ValueError("population file has no data rows")
@@ -234,11 +328,15 @@ def read_mask_csv(source: IO[str] | Iterable[str]) -> RegionMask:
     from .ingest import _parse_float, _split_rows
 
     entries = []
+    seen: set[tuple[float, float]] = set()
     for lineno, (lat_s, lon_s, flag_s) in _split_rows(source, MASK_HEADER):
         lat = _parse_float(lat_s, lineno, "lat")
         lon = _parse_float(lon_s, lineno, "lon")
         if flag_s not in ("0", "1"):
             raise ValueError(f"line {lineno}: in_region must be 0 or 1, got {flag_s!r}")
+        if (lat, lon) in seen:
+            raise ValueError(f"line {lineno}: duplicate mask entry for ({lat}, {lon})")
+        seen.add((lat, lon))
         entries.append((lat, lon, flag_s == "1"))
     if not entries:
         raise ValueError("mask file has no data rows")

@@ -237,6 +237,11 @@ class TestMainEntry:
             main(["frobnicate", "--config", "x"])
         assert exc_info.value.code == 2
 
+    def test_seed_is_only_a_fixture_flag(self) -> None:
+        with pytest.raises(SystemExit) as exc_info:
+            main(["all", "--config", "x", "--seed", "1"])
+        assert exc_info.value.code == 2
+
     def test_runtime_error_returns_one(self, tmp_path, capsys) -> None:
         missing = tmp_path / "none.conf"
         assert main(["all", "--config", str(missing)]) == 1

@@ -385,6 +385,25 @@ class TestGridIO:
         assert pop.epochs == [2000, 2005]
         assert pop.weights[1, 0, 0] == 150.0
 
+    def test_population_duplicate_errors(self) -> None:
+        rows = [
+            "lat,lon,epoch,persons",
+            "30.0,-98.0,2000,100",
+            "30.0,-97.75,2000,50",
+            "30.0,-98.0,2000,5",
+        ]
+        with pytest.raises(
+            ValueError, match=r"^line 4: duplicate population entry for \(30.0, -98.0, 2000\)$"
+        ):
+            read_population_csv(rows)
+
+    def test_mask_duplicate_errors(self) -> None:
+        rows = ["lat,lon,in_region", "30.0,-98.0,1", "", "30.0,-98.0,0"]
+        with pytest.raises(
+            ValueError, match=r"^line 4: duplicate mask entry for \(30.0, -98.0\)$"
+        ):
+            read_mask_csv(rows)
+
 
 class TestAnnualMeans:
     def test_groups_by_year(self) -> None:
