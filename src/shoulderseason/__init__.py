@@ -16,9 +16,9 @@ from .adequacy import (
 )
 from .ingest import (
     DailyLoadSummary,
-    FuelMixRecord,
-    HourlyLoadRecord,
-    OutageRecord,
+    FuelMix,
+    HourlyLoad,
+    Outages,
     aggregate_daily,
     net_non_thermal,
     parse_fuel_mix,

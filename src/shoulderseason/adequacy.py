@@ -7,26 +7,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ingest import OutageRecord
+from .ingest import Outages
 
 MW_PER_GW = 1000.0
 
-# A period is one (start, end) date pair or several of them pooled; all
-# bounds read as closed intervals.
+# A period is a list of (start, end) date pairs, pooled; all bounds read
+# as closed intervals.
 DateRange = tuple[date, date]
 
 
-def _as_ranges(period: DateRange | Sequence[DateRange]) -> list[DateRange]:
-    if isinstance(period, tuple) and len(period) == 2 and isinstance(period[0], date):
-        return [period]  # type: ignore[list-item]
-    ranges = list(period)  # type: ignore[arg-type]
-    if not ranges:
+def period_mask(times: np.ndarray, period: Sequence[DateRange]) -> np.ndarray:
+    """Rows of a datetime64 column whose day falls in any range of the period."""
+    if not period:
         raise ValueError("period has no date ranges")
-    return ranges
+    mask = np.zeros(len(times), bool)
+    for start, end in period:
+        mask |= (times >= np.datetime64(start, "D")) & (times < np.datetime64(end, "D") + 1)
+    return mask
+
+
+def _span(period: Sequence[DateRange]) -> tuple[date, date]:
+    return min(r[0] for r in period), max(r[1] for r in period)
 
 
 @dataclass(frozen=True)
@@ -67,30 +72,24 @@ class GenerationHistogram:
         return self.headroom_mw == 0.0
 
 
-def _in_period(record: OutageRecord, ranges: Sequence[DateRange]) -> bool:
-    day = record.timestamp.date()
-    return any(start <= day <= end for start, end in ranges)
-
-
 def average_outages(
-    outages: Iterable[OutageRecord],
-    period: DateRange | Sequence[DateRange],
-    label: str = "",
+    outages: Outages, period: Sequence[DateRange], label: str = ""
 ) -> PeriodOutageStat:
     """Mean outage capacity over all records in the period, in GW."""
-    ranges = _as_ranges(period)
-    values = [r.outage_mw for r in outages if _in_period(r, ranges)]
-    start = min(r[0] for r in ranges)
-    end = max(r[1] for r in ranges)
-    if not values:
+    values = outages.outage_mw[period_mask(outages.timestamps, period)]
+    start, end = _span(period)
+    if not len(values):
         raise ValueError(
             f"no outage records between {start.isoformat()} and {end.isoformat()}"
         )
+    # Left to right from 0, bit for bit as sum() adds (np.sum adds pairwise);
+    # adding 0.0 turns an all -0.0 total into sum()'s 0.0.
+    total = float(np.add.accumulate(values)[-1]) + 0.0
     return PeriodOutageStat(
         label=label or f"{start.isoformat()}..{end.isoformat()}",
         start=start,
         end=end,
-        mean_outage_gw=sum(values) / len(values) / MW_PER_GW,
+        mean_outage_gw=total / len(values) / MW_PER_GW,
         n_records=len(values),
     )
 
@@ -110,21 +109,21 @@ def unmet_demand_fraction(
     Supply and demand are treated as unmatched populations: the count is a
     plain exceedance frequency, not an hour-by-hour dispatch balance.
     """
-    demand = list(hourly_demand_mw)
-    if not demand:
+    demand = np.asarray(hourly_demand_mw, dtype=float)
+    if not len(demand):
         raise ValueError("empty demand series")
     if extra_outage_mw < 0:
         raise ValueError("extra_outage_mw must be >= 0")
     if max_output_mw < extra_outage_mw:
         raise ValueError("max_output_mw must be >= extra_outage_mw")
     threshold = max_output_mw - extra_outage_mw
-    exceed = sum(1 for d in demand if d > threshold)
+    exceed = int(np.count_nonzero(demand > threshold))
     return 100.0 * exceed / len(demand)
 
 
 def generation_histogram(
-    outages: Iterable[OutageRecord],
-    period: DateRange | Sequence[DateRange],
+    outages: Outages,
+    period: Sequence[DateRange],
     bin_width_mw: float,
     peak_demand_mw: float,
     label: str = "",
@@ -136,32 +135,27 @@ def generation_histogram(
     """
     if bin_width_mw <= 0:
         raise ValueError("bin_width_mw must be > 0")
-    ranges = _as_ranges(period)
-    values = [
-        r.telemetered_output_mw
-        for r in outages
-        if _in_period(r, ranges) and r.telemetered_output_mw is not None
-    ]
-    if not values:
-        start = min(r[0] for r in ranges)
-        end = max(r[1] for r in ranges)
+    values = outages.telemetered_output_mw[period_mask(outages.timestamps, period)]
+    values = values[~np.isnan(values)]
+    start, end = _span(period)
+    if not len(values):
         raise ValueError(
             f"no telemetered output between {start.isoformat()} and {end.isoformat()}"
         )
-    lo = math.floor(min(values) / bin_width_mw) * bin_width_mw
-    n_bins = max(1, math.ceil((max(values) - lo) / bin_width_mw))
-    if lo + n_bins * bin_width_mw <= max(values):  # top edge must cover the max
+    # The first maximum in record order, as max() picks among 0.0 and -0.0.
+    highest = float(values[values.argmax()])
+    lo = math.floor(float(values.min()) / bin_width_mw) * bin_width_mw
+    n_bins = max(1, math.ceil((highest - lo) / bin_width_mw))
+    if lo + n_bins * bin_width_mw <= highest:  # top edge must cover the max
         n_bins += 1
     edges = [lo + i * bin_width_mw for i in range(n_bins + 1)]
     counts, _ = np.histogram(values, bins=edges)
-    start = min(r[0] for r in ranges)
-    end = max(r[1] for r in ranges)
     return GenerationHistogram(
         label=label or f"{start.isoformat()}..{end.isoformat()}",
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
         peak_demand_mw=peak_demand_mw,
-        max_output_mw=float(max(values)),
+        max_output_mw=highest,
     )
 
 

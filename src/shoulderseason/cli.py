@@ -17,6 +17,8 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import adequacy as adq
 from . import ingest, projection, thermal, trends, windows
 from .config import RunConfig, load_config
@@ -111,18 +113,20 @@ def stage_ingest(cfg: RunConfig, out: Path) -> list[Path]:
     daily = ingest.aggregate_daily(hourly)
     outputs = [_write_atomic(out / F["daily"], _daily_text(daily))]
 
+    mix = None
     if cfg.fuel_mix_csv is not None:
         with open(cfg.fuel_mix_csv, encoding="utf-8") as fh:
             mix = ingest.parse_fuel_mix(fh)
-        if mix:
-            # Netting applies to the span the fuel-mix feed covers.
-            lo = mix[0].timestamp.date()
-            hi = mix[-1].timestamp.date()
-            covered = [r for r in hourly if lo <= r.timestamp.date() <= hi]
-            netted = ingest.net_non_thermal(covered, mix)
-            outputs.append(
-                _write_atomic(out / F["daily_net"], _daily_text(ingest.aggregate_daily(netted)))
-            )
+    if mix is not None and len(mix):
+        # Netting applies to the span the fuel-mix feed covers.
+        lo, hi = mix.timestamps[[0, -1]].astype("datetime64[D]")
+        days = hourly.hours.astype("datetime64[D]")
+        netted = ingest.net_non_thermal(hourly[(days >= lo) & (days <= hi)], mix)
+        outputs.append(
+            _write_atomic(out / F["daily_net"], _daily_text(ingest.aggregate_daily(netted)))
+        )
+    else:  # an optional output this run does not write must not survive it
+        (out / F["daily_net"]).unlink(missing_ok=True)
     return outputs
 
 
@@ -287,6 +291,8 @@ def stage_shoulder(cfg: RunConfig, out: Path) -> list[Path]:
         outputs.append(
             _write_rows(out / F["shoulder_net"], SHOULDER_HEADER, _shoulder_rows_text(net_rows))
         )
+    else:
+        (out / F["shoulder_net"]).unlink(missing_ok=True)
     return outputs
 
 
@@ -417,13 +423,17 @@ def stage_trends(cfg: RunConfig, out: Path) -> list[Path]:
         )
 
     net_path = out / F["shoulder_net"]
-    if net_path.is_file():
-        net_rows = _read_shoulder(net_path)
+    net_rows = _read_shoulder(net_path) if net_path.is_file() else None
+    if net_rows is not None:
         net_lines, _ = _trend_rows(cfg, net_rows)
         outputs.append(_write_rows(out / F["trends_net"], TRENDS_HEADER, net_lines))
-        if dd_rows:
-            corr_lines, _ = _correlation_rows(dd_rows, net_rows)
-            outputs.append(_write_rows(out / F["corr_net"], CORR_HEADER, corr_lines))
+    else:
+        (out / F["trends_net"]).unlink(missing_ok=True)
+    if net_rows is not None and dd_rows:
+        corr_lines, _ = _correlation_rows(dd_rows, net_rows)
+        outputs.append(_write_rows(out / F["corr_net"], CORR_HEADER, corr_lines))
+    else:
+        (out / F["corr_net"]).unlink(missing_ok=True)
     return outputs
 
 
@@ -513,11 +523,14 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
 
     with open(outage_path, encoding="utf-8") as fh:
         outages = ingest.parse_outages(fh)
+    if not len(outages):
+        raise ValueError(f"outage file {outage_path} has no data rows")
     with open(load_path, encoding="utf-8") as fh:
         hourly = ingest.parse_hourly_load(fh)
     shoulder_rows = _read_shoulder(shoulder_path)
 
-    outage_years = sorted({r.timestamp.year for r in outages})
+    years = outages.timestamps.astype("datetime64[Y]").astype(int) + 1970
+    outage_years = np.unique(years).tolist()
     focus_year = cfg.adequacy_year if cfg.adequacy_year is not None else outage_years[-1]
 
     named_periods = [
@@ -563,34 +576,27 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
         summary["incremental_delta_gw"] = delta
 
     # Winter unmet-demand table: December and January of each covered year.
-    demand_by_month: dict[tuple[int, int], list[float]] = {}
-    for r in hourly:
-        key = (r.timestamp.year, r.timestamp.month)
-        demand_by_month.setdefault(key, []).append(r.load_mw)
-    telem_by_month: dict[tuple[int, int], float] = {}
-    for r in outages:
-        if r.telemetered_output_mw is None:
-            continue
-        key = (r.timestamp.year, r.timestamp.month)
-        telem_by_month[key] = max(telem_by_month.get(key, 0.0), r.telemetered_output_mw)
-
+    load_months = hourly.hours.astype("datetime64[M]")
+    outage_months = outages.timestamps.astype("datetime64[M]")
+    telemetered = ~np.isnan(outages.telemetered_output_mw)
     extra_mw = cfg.extra_outage_gw * adq.MW_PER_GW
     unmet_lines = []
     for year in outage_years:
         for month in (1, 12):
-            key = (year, month)
-            if key not in telem_by_month or key not in demand_by_month:
+            key = np.datetime64(date(year, month, 1), "M")
+            telem = outages.telemetered_output_mw[(outage_months == key) & telemetered]
+            demand = hourly.load_mw[load_months == key]
+            if not len(telem) or not len(demand):
                 continue
-            max_output = telem_by_month[key]
+            # The running maximum starts at 0.0; adding 0.0 turns -0.0 into it.
+            max_output = float(telem.max()) + 0.0
             if max_output < extra_mw:
                 continue
             row = adq.AdequacyResult(
                 label=f"{year}-{month:02d}",
                 max_output_gw=max_output / adq.MW_PER_GW,
                 extra_outage_gw=cfg.extra_outage_gw,
-                pct_unmet=adq.unmet_demand_fraction(
-                    demand_by_month[key], max_output, extra_mw
-                ),
+                pct_unmet=adq.unmet_demand_fraction(demand, max_output, extra_mw),
             )
             unmet_lines.append(
                 f"{row.label},{_r(row.max_output_gw)},"
@@ -630,16 +636,14 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
     ]
     hist_files = []
     for label, ranges in hist_specs:
-        demand = [
-            r.load_mw
-            for r in hourly
-            if any(lo <= r.timestamp.date() <= hi for lo, hi in ranges)
-        ]
-        if not demand:
+        demand = hourly.load_mw[adq.period_mask(hourly.hours, ranges)]
+        if not len(demand):
             continue
+        # The first maximum in file order, as max() picks among 0.0 and -0.0.
+        peak = float(demand[demand.argmax()])
         try:
             hist = adq.generation_histogram(
-                outages, ranges, bin_mw, peak_demand_mw=max(demand), label=label
+                outages, ranges, bin_mw, peak_demand_mw=peak, label=label
             )
         except ValueError:
             continue

@@ -3,14 +3,23 @@
 All series use region-local naive timestamps and canonical units of MW,
 MWh, and degrees C. Parsers are strict: a malformed or out-of-order row
 fails the whole file with the offending line number in the message.
+
+The load, fuel-mix and outage feeds are read into column tables (numpy
+arrays of equal length) by `read_csv_chunks`, which parses many lines per
+`np.loadtxt` call and validates whole columns at once.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import dataclasses
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import IO, Callable, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 LOAD_HEADER = "date,hour,load_mw"
 FUEL_MIX_HEADER = "timestamp,wind_mw,solar_mw,hydro_mw,other_mw"
@@ -21,11 +30,47 @@ DAILY_HEADER = "date,total_energy_mwh,peak_demand_mw,hours_present"
 # from window searches downstream.
 DEFAULT_MIN_HOURS = 20
 
+# Lines per np.loadtxt call in read_csv_chunks: large enough to amortise
+# the call, small enough that one chunk's strings stay a few MB.
+CSV_CHUNK_LINES = 1 << 16
 
-@dataclass(frozen=True)
-class HourlyLoadRecord:
-    timestamp: datetime
-    load_mw: float
+_MIX_COLUMNS = ("wind_mw", "solar_mw", "hydro_mw", "other_mw")
+_LOAD_DTYPE = np.dtype([("date", object), ("hour", "i8"), ("load_mw", "f8")])
+_MIX_DTYPE = np.dtype([("timestamp", object)] + [(name, "f8") for name in _MIX_COLUMNS])
+_OUTAGE_DTYPE = np.dtype(
+    [("timestamp", object), ("outage_mw", "f8"), ("telemetered_output_mw", object)]
+)
+_QUARTER_HOUR_US = 15 * 60 * 10**6
+_YEAR_ONE = np.datetime64("0001-01-01", "us")
+
+# Feed timestamps: YYYY-MM-DD, optionally followed by T or a space and
+# HH:MM, HH:MM:SS or HH:MM:SS.f with 1-6 fraction digits. numpy and
+# datetime.fromisoformat read every text of this form the same way.
+_FEED_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[T ][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,6})?)?)?"
+)
+# The same grammar position by position ("0" is any ASCII digit, "T" is
+# T or a space) and the lengths it allows.
+_TIMESTAMP_TEMPLATE = "0000-00-00T00:00:00.000000"
+_TIMESTAMP_LENGTHS = (10, 16, 19, 21, 22, 23, 24, 25, 26)
+
+
+class _Table:
+    """Equal-length columns: len() is the row count; a mask or slice selects rows."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, dataclasses.fields(self)[0].name))
+
+    def __getitem__(self, rows):
+        return type(self)(*(getattr(self, f.name)[rows] for f in dataclasses.fields(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class HourlyLoad(_Table):
+    """Hourly load with strictly increasing `datetime64[h]` hours."""
+
+    hours: np.ndarray
+    load_mw: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -36,24 +81,30 @@ class DailyLoadSummary:
     hours_present: int
 
 
-@dataclass(frozen=True)
-class FuelMixRecord:
-    timestamp: datetime
-    wind_mw: float
-    solar_mw: float
-    hydro_mw: float
-    other_mw: float
+@dataclass(frozen=True, eq=False)
+class FuelMix(_Table):
+    """Fuel-mix samples with strictly increasing `datetime64[us]` timestamps
+    on 15-minute boundaries, MW per source."""
+
+    timestamps: np.ndarray
+    wind_mw: np.ndarray
+    solar_mw: np.ndarray
+    hydro_mw: np.ndarray
+    other_mw: np.ndarray
 
     @property
-    def non_thermal_mw(self) -> float:
+    def non_thermal_mw(self) -> np.ndarray:
         return self.wind_mw + self.solar_mw + self.hydro_mw
 
 
-@dataclass(frozen=True)
-class OutageRecord:
-    timestamp: datetime
-    outage_mw: float
-    telemetered_output_mw: float | None = None
+@dataclass(frozen=True, eq=False)
+class Outages(_Table):
+    """Outage samples with strictly increasing `datetime64[us]` timestamps on
+    15-minute boundaries; telemetered output is NaN where the field is empty."""
+
+    timestamps: np.ndarray
+    outage_mw: np.ndarray
+    telemetered_output_mw: np.ndarray
 
 
 def _lines(source: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -84,6 +135,72 @@ def _split_rows(
         yield lineno, [f.strip() for f in fields]
 
 
+T = TypeVar("T")
+
+
+def read_csv_chunks(
+    source: IO[str] | Iterable[str],
+    header: str,
+    dtype: np.dtype,
+    convert: Callable[[np.ndarray], T],
+    check_row: Callable[[int, list[str]], object],
+) -> list[T]:
+    """Read a CSV stream with one header line, CSV_CHUNK_LINES lines at a time.
+
+    Each chunk's rows are parsed by one `np.loadtxt` call into the
+    structured `dtype` (one field per column) and handed to `convert`,
+    whose results are returned in file order. Blank lines are skipped
+    but count in line numbers. When loadtxt or `convert` raises
+    ValueError, the chunk is rescanned row by row: each row is split
+    and its fields trimmed, and `check_row(lineno, fields)` must raise
+    the error of the first offending row. `convert` and `check_row` see
+    the chunks in file order, so state they share (such as the last
+    timestamp read) carries across chunk boundaries.
+    """
+    lines = iter(source)
+    lineno = 0
+    for raw in lines:
+        lineno += 1
+        first = raw.rstrip("\r\n")
+        if first:
+            break
+    else:
+        raise ValueError(f"empty file: expected header {header!r}")
+    if first.strip() != header:
+        raise ValueError(f"line {lineno}: expected header {header!r}, got {first!r}")
+
+    results = []
+    while chunk := list(islice(lines, CSV_CHUNK_LINES)):
+        first_lineno, lineno = lineno + 1, lineno + len(chunk)
+        if not any(raw.rstrip("\r\n") for raw in chunk):
+            continue  # loadtxt warns on input with no rows
+        try:
+            rows = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+            results.append(convert(rows))
+        except ValueError:
+            _raise_first_row_error(chunk, first_lineno, len(dtype.names), check_row)
+            raise
+    return results
+
+
+def _raise_first_row_error(
+    chunk: list[str],
+    first_lineno: int,
+    n_fields: int,
+    check_row: Callable[[int, list[str]], object],
+) -> None:
+    for lineno, raw in enumerate(chunk, start=first_lineno):
+        line = raw.removesuffix("\n").removesuffix("\r")
+        if "\r" in line or "\n" in line:
+            raise ValueError(f"line {lineno}: line break inside a row")
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != n_fields:
+            raise ValueError(f"line {lineno}: expected {n_fields} fields, got {len(fields)}")
+        check_row(lineno, [f.strip() for f in fields])
+
+
 def _parse_float(text: str, lineno: int, name: str) -> float:
     try:
         value = float(text)
@@ -91,6 +208,18 @@ def _parse_float(text: str, lineno: int, name: str) -> float:
         raise ValueError(f"line {lineno}: bad {name} value {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"line {lineno}: non-finite {name} value {text!r}")
+    return value
+
+
+def parse_loadtxt_float(text: str, lineno: int, name: str) -> float:
+    """A finite float in the grammar np.loadtxt reads.
+
+    That is float()'s grammar without digit-group underscores (`1_0`)
+    and non-ASCII digits, which float() accepts.
+    """
+    value = _parse_float(text, lineno, name)
+    if "_" in text or not text.isascii():
+        raise ValueError(f"line {lineno}: bad {name} value {text!r}")
     return value
 
 
@@ -120,132 +249,249 @@ def _check_increasing(ts: datetime, prev: datetime | None, lineno: int) -> None:
         )
 
 
-def parse_hourly_load(source: IO[str] | Iterable[str]) -> list[HourlyLoadRecord]:
-    """Parse a `date,hour,load_mw` stream into sorted hourly records.
+# -- row validators: the rescan of a rejected chunk ---------------------------
+
+
+def _parse_hour(text: str, lineno: int) -> int:
+    try:
+        if "_" in text or not text.isascii():
+            raise ValueError
+        hour = int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad hour {text!r}") from None
+    if not 0 <= hour <= 23:
+        raise ValueError(f"line {lineno}: hour {hour} out of range 0-23")
+    return hour
+
+
+def _parse_quarter_hour(text: str, lineno: int) -> datetime:
+    if not _FEED_TIMESTAMP.fullmatch(text):
+        raise ValueError(f"line {lineno}: bad timestamp {text!r}")
+    ts = _parse_timestamp(text, lineno)
+    if ts.minute % 15 or ts.second or ts.microsecond:
+        raise ValueError(f"line {lineno}: timestamp {text!r} not on a 15-minute boundary")
+    return ts
+
+
+def _parse_mw(text: str, lineno: int, name: str) -> float:
+    value = parse_loadtxt_float(text, lineno, name)
+    if value < 0:
+        raise ValueError(f"line {lineno}: negative {name} value {text!r}")
+    return value
+
+
+# -- column validators: any failure sends the chunk to the rescan ------------
+
+
+def _check_mw(values: np.ndarray) -> np.ndarray:
+    """Copy of a column that must be finite and non-negative."""
+    if not ((values >= 0) & (values < np.inf)).all():
+        raise ValueError("negative or non-finite value")
+    return values.copy()
+
+
+def _quarter_hours(column: np.ndarray) -> np.ndarray:
+    """Feed timestamp texts, as loadtxt leaves them, to `datetime64[us]`."""
+    texts = [t.strip() for t in column]
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    if not np.isin(lengths, _TIMESTAMP_LENGTHS).all():
+        raise ValueError("bad timestamp")
+    codes = np.array(texts).view(np.uint32).reshape(len(texts), -1)
+    for pos, (expected, code) in enumerate(zip(_TIMESTAMP_TEMPLATE, codes.T)):
+        if expected == "0":
+            good = code - ord("0") < 10  # unsigned: codes below "0" wrap
+        elif expected == "T":
+            good = (code == ord("T")) | (code == ord(" "))
+        else:
+            good = code == ord(expected)
+        if not (good | (lengths <= pos)).all():
+            raise ValueError("bad timestamp")
+    times = np.array(texts, dtype="datetime64[us]")
+    if not (times >= _YEAR_ONE).all() or (times.view(np.int64) % _QUARTER_HOUR_US).any():
+        raise ValueError("bad timestamp")
+    return times
+
+
+def _read_timed_feed(
+    table: type[T],
+    source: IO[str] | Iterable[str],
+    header: str,
+    dtype: np.dtype,
+    convert: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    check_row: Callable[[int, list[str]], datetime],
+) -> T:
+    """read_csv_chunks for a feed whose first column is a strictly increasing time.
+
+    `convert` returns a chunk's columns for `table`, times first, and
+    `check_row` validates one row and returns its time.
+    """
+    last: datetime | None = None  # time of the last row accepted so far
+
+    def accept(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        nonlocal last
+        columns = convert(rows)
+        times = columns[0]
+        if (times[1:] <= times[:-1]).any() or (
+            last is not None and times[0] <= np.datetime64(last)
+        ):
+            raise ValueError("timestamps not increasing")
+        last = times[-1].item()
+        return columns
+
+    def check(lineno: int, fields: list[str]) -> None:
+        nonlocal last
+        ts = check_row(lineno, fields)
+        _check_increasing(ts, last, lineno)
+        last = ts
+
+    chunks = read_csv_chunks(source, header, dtype, accept, check)
+    if not chunks:  # no data rows: zero-length columns
+        time_unit = "h" if table is HourlyLoad else "us"
+        n_values = len(dataclasses.fields(table)) - 1
+        chunks = [(np.empty(0, f"datetime64[{time_unit}]"), *[np.empty(0)] * n_values)]
+    return table(*(np.concatenate(parts) for parts in zip(*chunks)))
+
+
+def parse_hourly_load(source: IO[str] | Iterable[str]) -> HourlyLoad:
+    """Parse a `date,hour,load_mw` stream into hourly load columns.
 
     Timestamps must be strictly increasing; loads must be finite and
     non-negative. Raises ValueError naming the offending line otherwise.
     """
-    records: list[HourlyLoadRecord] = []
-    prev: datetime | None = None
-    for lineno, (day_s, hour_s, load_s) in _split_rows(source, LOAD_HEADER):
+
+    def convert(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        load = _check_mw(rows["load_mw"])
+        hour = rows["hour"]
+        if ((hour < 0) | (hour > 23)).any():
+            raise ValueError("hour out of range")
+        # Each run of one date text is parsed once, by the same function
+        # the row validator uses (numpy misreads `20200101` as a year).
+        texts = rows["date"]
+        starts, run = _runs(texts)
+        run_days = [date.fromisoformat(texts[i].strip()).toordinal() for i in starts]
+        day = np.array(run_days, np.int64)[run] - date(1970, 1, 1).toordinal()
+        hours = day * 24 + hour
+        return hours.view("datetime64[h]"), load
+
+    def check_row(lineno: int, fields: list[str]) -> datetime:
+        day_s, hour_s, load_s = fields
         day = _parse_date(day_s, lineno)
-        try:
-            hour = int(hour_s)
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad hour {hour_s!r}") from None
-        if not 0 <= hour <= 23:
-            raise ValueError(f"line {lineno}: hour {hour} out of range 0-23")
-        load = _parse_float(load_s, lineno, "load_mw")
-        if load < 0:
+        hour = _parse_hour(hour_s, lineno)
+        if parse_loadtxt_float(load_s, lineno, "load_mw") < 0:
             raise ValueError(f"line {lineno}: negative load {load_s!r}")
-        ts = datetime(day.year, day.month, day.day, hour)
-        _check_increasing(ts, prev, lineno)
-        records.append(HourlyLoadRecord(ts, load))
-        prev = ts
-    return records
+        return datetime(day.year, day.month, day.day, hour)
+
+    return _read_timed_feed(HourlyLoad, source, LOAD_HEADER, _LOAD_DTYPE, convert, check_row)
 
 
-def parse_fuel_mix(source: IO[str] | Iterable[str]) -> list[FuelMixRecord]:
+def parse_fuel_mix(source: IO[str] | Iterable[str]) -> FuelMix:
     """Parse a fuel-mix stream (15-minute ISO timestamps, MW per source)."""
-    records: list[FuelMixRecord] = []
-    prev: datetime | None = None
-    for lineno, fields in _split_rows(source, FUEL_MIX_HEADER):
-        ts = _parse_timestamp(fields[0], lineno)
-        if ts.minute % 15 or ts.second or ts.microsecond:
-            raise ValueError(
-                f"line {lineno}: timestamp {fields[0]!r} not on a 15-minute boundary"
-            )
-        values = []
-        for name, text in zip(("wind_mw", "solar_mw", "hydro_mw", "other_mw"), fields[1:]):
-            value = _parse_float(text, lineno, name)
-            if value < 0:
-                raise ValueError(f"line {lineno}: negative {name} value {text!r}")
-            values.append(value)
-        _check_increasing(ts, prev, lineno)
-        records.append(FuelMixRecord(ts, *values))
-        prev = ts
-    return records
+
+    def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (
+            _quarter_hours(rows["timestamp"]),
+            *(_check_mw(rows[name]) for name in _MIX_COLUMNS),
+        )
+
+    def check_row(lineno: int, fields: list[str]) -> datetime:
+        ts = _parse_quarter_hour(fields[0], lineno)
+        for name, text in zip(_MIX_COLUMNS, fields[1:]):
+            _parse_mw(text, lineno, name)
+        return ts
+
+    return _read_timed_feed(FuelMix, source, FUEL_MIX_HEADER, _MIX_DTYPE, convert, check_row)
 
 
-def parse_outages(source: IO[str] | Iterable[str]) -> list[OutageRecord]:
-    """Parse a generation-outage stream at 15-minute resolution."""
-    records: list[OutageRecord] = []
-    prev: datetime | None = None
-    for lineno, (ts_s, outage_s, telem_s) in _split_rows(source, OUTAGE_HEADER):
-        ts = _parse_timestamp(ts_s, lineno)
-        if ts.minute % 15 or ts.second or ts.microsecond:
-            raise ValueError(
-                f"line {lineno}: timestamp {ts_s!r} not on a 15-minute boundary"
-            )
-        outage = _parse_float(outage_s, lineno, "outage_mw")
-        if outage < 0:
-            raise ValueError(f"line {lineno}: negative outage_mw value {outage_s!r}")
-        telem: float | None = None
-        if telem_s:
-            telem = _parse_float(telem_s, lineno, "telemetered_output_mw")
-            if telem < 0:
-                raise ValueError(
-                    f"line {lineno}: negative telemetered_output_mw value {telem_s!r}"
+def parse_outages(source: IO[str] | Iterable[str]) -> Outages:
+    """Parse a generation-outage stream at 15-minute resolution.
+
+    An empty telemetered_output_mw field reads as NaN.
+    """
+
+    def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        texts = [t.strip() for t in rows["telemetered_output_mw"]]
+        present = np.fromiter(map(bool, texts), bool, len(texts))
+        telem = np.full(len(texts), np.nan)
+        if present.any():
+            telem[present] = _check_mw(
+                np.loadtxt(
+                    [t for t in texts if t], delimiter=",", comments=None, ndmin=1, dtype="f8"
                 )
-        _check_increasing(ts, prev, lineno)
-        records.append(OutageRecord(ts, outage, telem))
-        prev = ts
-    return records
+            )
+        return _quarter_hours(rows["timestamp"]), _check_mw(rows["outage_mw"]), telem
+
+    def check_row(lineno: int, fields: list[str]) -> datetime:
+        ts_s, outage_s, telem_s = fields
+        ts = _parse_quarter_hour(ts_s, lineno)
+        _parse_mw(outage_s, lineno, "outage_mw")
+        if telem_s:
+            _parse_mw(telem_s, lineno, "telemetered_output_mw")
+        return ts
+
+    return _read_timed_feed(Outages, source, OUTAGE_HEADER, _OUTAGE_DTYPE, convert, check_row)
 
 
-def aggregate_daily(hourly: Sequence[HourlyLoadRecord]) -> list[DailyLoadSummary]:
-    """Collapse sorted hourly records into per-day energy/peak summaries.
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each run of equal keys, run number of each row)."""
+    new = np.ones(len(keys), bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _sum_slots(run: np.ndarray, slot: np.ndarray, values: np.ndarray, n_slots: int):
+    """Per-run sums of values added left to right in slot order, as sum() would.
+
+    np.sum adds pairwise and can change the last bits. Empty slots add
+    0.0, which changes no partial sum: a sum started at 0.0 is never -0.0.
+    """
+    dense = np.zeros((run[-1] + 1 if len(run) else 0, n_slots))
+    dense[run, slot] = values
+    totals = np.zeros(len(dense))
+    for column in dense.T:
+        totals += column
+    return totals, dense
+
+
+def aggregate_daily(hourly: HourlyLoad) -> list[DailyLoadSummary]:
+    """Collapse sorted hourly load into per-day energy/peak summaries.
 
     total_energy_mwh is the plain sum of hourly MW values (1-hour steps);
     peak_demand_mw is the maximum hourly value. Partial days are kept and
     reported through hours_present; exclusion policy is the caller's.
     """
-    summaries: list[DailyLoadSummary] = []
-    current: date | None = None
-    total = 0.0
-    peak = 0.0
-    hours = 0
-
-    def flush() -> None:
-        if current is not None:
-            summaries.append(DailyLoadSummary(current, total, peak, hours))
-
-    for rec in hourly:
-        day = rec.timestamp.date()
-        if day != current:
-            flush()
-            current, total, peak, hours = day, 0.0, 0.0, 0
-        total += rec.load_mw
-        peak = max(peak, rec.load_mw)
-        hours += 1
-    flush()
-    return summaries
+    days = hourly.hours.astype("datetime64[D]")
+    starts, run = _runs(days)
+    hour_of_day = (hourly.hours - days).astype(np.int64)
+    totals, dense = _sum_slots(run, hour_of_day, hourly.load_mw, 24)
+    # Missing hours read 0.0, the peak's starting value; adding 0.0 turns
+    # a -0.0 maximum into that 0.0.
+    peaks = dense.max(axis=1) + 0.0
+    counts = np.diff(np.r_[starts, len(days)])
+    return [
+        DailyLoadSummary(*row)
+        for row in zip(days[starts].tolist(), totals.tolist(), peaks.tolist(), counts.tolist())
+    ]
 
 
-def net_non_thermal(
-    hourly: Sequence[HourlyLoadRecord], mix: Sequence[FuelMixRecord]
-) -> list[HourlyLoadRecord]:
+def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
     """Remove wind/solar/hydro output from each hourly load, floored at 0.
 
     Sub-hourly mix samples are averaged (not summed) to an hourly MW rate.
     Every load hour must be covered by at least one mix sample.
     """
-    by_hour: dict[datetime, list[float]] = {}
-    for rec in mix:
-        key = rec.timestamp.replace(minute=0)
-        by_hour.setdefault(key, []).append(rec.non_thermal_mw)
+    mix_hours = mix.timestamps.astype("datetime64[h]")
+    starts, run = _runs(mix_hours)
+    quarter = (mix.timestamps - mix_hours) // np.timedelta64(15, "m")
+    totals, _ = _sum_slots(run, quarter, mix.non_thermal_mw, 4)
+    means = totals / np.diff(np.r_[starts, len(mix_hours)])
+    covered_hours = mix_hours[starts]
 
-    netted: list[HourlyLoadRecord] = []
-    for rec in hourly:
-        samples = by_hour.get(rec.timestamp)
-        if not samples:
-            raise ValueError(
-                f"missing fuel-mix coverage for load hour {rec.timestamp.isoformat()}"
-            )
-        non_thermal = sum(samples) / len(samples)
-        netted.append(HourlyLoadRecord(rec.timestamp, max(rec.load_mw - non_thermal, 0.0)))
-    return netted
+    uncovered = ~np.isin(hourly.hours, covered_hours)
+    if uncovered.any():
+        hour = hourly.hours[uncovered.argmax()].item()
+        raise ValueError(f"missing fuel-mix coverage for load hour {hour.isoformat()}")
+    netted = hourly.load_mw - means[np.searchsorted(covered_hours, hourly.hours)]
+    return HourlyLoad(hourly.hours, np.where(netted < 0.0, 0.0, netted))
 
 
 # Canonical serialization. Floats are written with repr so a write/parse
@@ -256,35 +502,28 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_hourly_load(records: Iterable[HourlyLoadRecord], stream: IO[str]) -> None:
+def write_hourly_load(hourly: HourlyLoad, stream: IO[str]) -> None:
     stream.write(LOAD_HEADER + "\n")
-    for rec in records:
-        ts = rec.timestamp
-        stream.write(f"{ts.date().isoformat()},{ts.hour},{_fmt(rec.load_mw)}\n")
+    for ts, load in zip(hourly.hours.tolist(), hourly.load_mw.tolist()):
+        stream.write(f"{ts.date().isoformat()},{ts.hour},{_fmt(load)}\n")
 
 
-def write_fuel_mix(records: Iterable[FuelMixRecord], stream: IO[str]) -> None:
+def write_fuel_mix(mix: FuelMix, stream: IO[str]) -> None:
     stream.write(FUEL_MIX_HEADER + "\n")
-    for rec in records:
-        stream.write(
-            ",".join(
-                [
-                    rec.timestamp.isoformat(),
-                    _fmt(rec.wind_mw),
-                    _fmt(rec.solar_mw),
-                    _fmt(rec.hydro_mw),
-                    _fmt(rec.other_mw),
-                ]
-            )
-            + "\n"
-        )
+    columns = [getattr(mix, name).tolist() for name in _MIX_COLUMNS]
+    for ts, *values in zip(mix.timestamps.tolist(), *columns):
+        stream.write(",".join([ts.isoformat(), *map(_fmt, values)]) + "\n")
 
 
-def write_outages(records: Iterable[OutageRecord], stream: IO[str]) -> None:
+def write_outages(outages: Outages, stream: IO[str]) -> None:
     stream.write(OUTAGE_HEADER + "\n")
-    for rec in records:
-        telem = "" if rec.telemetered_output_mw is None else _fmt(rec.telemetered_output_mw)
-        stream.write(f"{rec.timestamp.isoformat()},{_fmt(rec.outage_mw)},{telem}\n")
+    for ts, outage, telem in zip(
+        outages.timestamps.tolist(),
+        outages.outage_mw.tolist(),
+        outages.telemetered_output_mw.tolist(),
+    ):
+        telem_s = "" if math.isnan(telem) else _fmt(telem)
+        stream.write(f"{ts.isoformat()},{_fmt(outage)},{telem_s}\n")
 
 
 def write_daily_summaries(summaries: Iterable[DailyLoadSummary], stream: IO[str]) -> None:

@@ -20,13 +20,12 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .ingest import parse_loadtxt_float, read_csv_chunks
+
 GRID_HEADER = "lat,lon,date,t2m_c"
 POPULATION_HEADER = "lat,lon,epoch,persons"
 MASK_HEADER = "lat,lon,in_region"
 
-# Lines per np.loadtxt call in read_grid_csv: large enough to amortise the
-# call, small enough that one chunk's strings stay a few MB.
-_GRID_CHUNK_LINES = 1 << 16
 _GRID_DTYPE = np.dtype([("lat", "f8"), ("lon", "f8"), ("date", object), ("t2m_c", "f8")])
 
 
@@ -115,32 +114,12 @@ def _parse_time(text: str, lineno: int):
         raise ValueError(f"line {lineno}: bad date {text!r}") from None
 
 
-def _check_grid_float(text: str, lineno: int, name: str) -> None:
-    from .ingest import _parse_float
-
-    _parse_float(text, lineno, name)
-    # np.loadtxt reads the float grammar without digit-group underscores
-    # or non-ASCII digits, both of which float() accepts.
-    if "_" in text or not text.isascii():
-        raise ValueError(f"line {lineno}: bad {name} value {text!r}")
-
-
-def _raise_first_grid_error(chunk: list[str], first_lineno: int) -> None:
-    """Rescan one chunk row by row and raise the first offending line's error."""
-    for lineno, raw in enumerate(chunk, start=first_lineno):
-        line = raw.removesuffix("\n").removesuffix("\r")
-        if "\r" in line or "\n" in line:
-            raise ValueError(f"line {lineno}: line break inside a row")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")
-        lat_s, lon_s, time_s, val_s = (f.strip() for f in fields)
-        _check_grid_float(lat_s, lineno, "lat")
-        _check_grid_float(lon_s, lineno, "lon")
-        _parse_time(time_s, lineno)
-        _check_grid_float(val_s, lineno, "t2m_c")
+def _check_grid_row(lineno: int, fields: list[str]) -> None:
+    lat_s, lon_s, time_s, val_s = fields
+    parse_loadtxt_float(lat_s, lineno, "lat")
+    parse_loadtxt_float(lon_s, lineno, "lon")
+    _parse_time(time_s, lineno)
+    parse_loadtxt_float(val_s, lineno, "t2m_c")
 
 
 class _Codes(dict):
@@ -159,51 +138,26 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     datetimes (hourly grid), never a mixture. Blank lines are skipped but
     counted in error line numbers, and fields are whitespace-trimmed.
 
-    Lines are parsed _GRID_CHUNK_LINES at a time by np.loadtxt into
-    numeric columns plus an integer code per distinct date string. A
-    chunk that fails to parse, or holds a non-finite value or a bad date,
-    is rescanned row by row to name its first offending line.
+    Lines are parsed in chunks by `ingest.read_csv_chunks` into numeric
+    columns plus an integer code per distinct date string. A chunk that
+    fails to parse, or holds a non-finite value or a bad date, is
+    rescanned row by row to name its first offending line.
     """
-    lines = iter(source)
-    lineno = 0
-    for raw in lines:
-        lineno += 1
-        first = raw.rstrip("\r\n")
-        if first:
-            break
-    else:
-        raise ValueError(f"empty file: expected header {GRID_HEADER!r}")
-    if first.strip() != GRID_HEADER:
-        raise ValueError(f"line {lineno}: expected header {GRID_HEADER!r}, got {first!r}")
-
     time_codes = _Codes()  # raw date text -> code
     parsed_times: list = []  # indexed by code
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    while chunk := list(islice(lines, _GRID_CHUNK_LINES)):
-        first_lineno, lineno = lineno + 1, lineno + len(chunk)
-        if not any(raw.rstrip("\r\n") for raw in chunk):
-            continue  # loadtxt warns on input with no rows
-        try:
-            rows = np.loadtxt(
-                chunk, delimiter=",", comments=None, ndmin=1, dtype=_GRID_DTYPE
-            )
-        except ValueError:
-            _raise_first_grid_error(chunk, first_lineno)
-            raise
+
+    def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
         # Copies, so that no view keeps the chunk's date strings alive.
         lat, lon, val = (rows[name].copy() for name in ("lat", "lon", "t2m_c"))
         known = len(time_codes)
         codes = np.fromiter(map(time_codes.__getitem__, rows["date"]), np.intp, len(rows))
-        new = list(islice(time_codes, known, None))
-        try:
-            # The line number is a placeholder: on error the rescan names it.
-            parsed_times.extend(_parse_time(t.strip(), 0) for t in new)
-            if not all(np.isfinite(col).all() for col in (lat, lon, val)):
-                raise ValueError("non-finite value")
-        except ValueError:
-            _raise_first_grid_error(chunk, first_lineno)
-            raise
-        columns.append((lat, lon, codes, val))
+        # The line number is a placeholder: on error the rescan names it.
+        parsed_times.extend(_parse_time(t.strip(), 0) for t in islice(time_codes, known, None))
+        if not all(np.isfinite(col).all() for col in (lat, lon, val)):
+            raise ValueError("non-finite value")
+        return lat, lon, codes, val
+
+    columns = read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row)
     if not columns:
         raise ValueError("grid file has no data rows")
     if len({isinstance(t, datetime) for t in parsed_times}) > 1:

@@ -4,14 +4,20 @@ The window oracle rebuilds the search from its definition: lay the series
 out on a dense day axis, then scan every candidate onset and take each
 window's mean directly. No prefix sums, no shared code with the library.
 
-The grid CSV reference is the row-by-row reader the library used before
-its chunked one. It shares the library's row validators, so the two
-readers' error messages agree by construction.
+The grid CSV reference and the feed references (load, fuel mix,
+outages, daily aggregation, netting, outage-period means and generation
+histograms) are the row-by-row code the library used before its columnar
+one: one record per row, one Python comparison per record and period.
+They share the library's wide row validators (`float()`, `int()`,
+`datetime.fromisoformat`), so where the grammars overlap the error
+messages agree by construction.
 """
 
 from __future__ import annotations
 
-from datetime import date, timedelta
+import math
+from datetime import date, datetime, timedelta
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,3 +100,229 @@ def reference_read_grid_csv(source):
             raise ValueError(f"duplicate grid entry for ({lat}, {lon}, {t})")
         values[i, j, k] = val
     return TemperatureGrid(lats, lons, times, values)
+
+
+# NamedTuples, not dataclasses: the benchmark loads this file without
+# registering it in sys.modules, where a dataclass cannot be built.
+class HourlyLoadRecord(NamedTuple):
+    timestamp: datetime
+    load_mw: float
+
+
+class FuelMixRecord(NamedTuple):
+    timestamp: datetime
+    wind_mw: float
+    solar_mw: float
+    hydro_mw: float
+    other_mw: float
+
+    @property
+    def non_thermal_mw(self) -> float:
+        return self.wind_mw + self.solar_mw + self.hydro_mw
+
+
+class OutageRecord(NamedTuple):
+    timestamp: datetime
+    outage_mw: float
+    telemetered_output_mw: float | None = None
+
+
+def _sum(values) -> float:
+    """Left to right from 0, as sum() adds floats before Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def reference_parse_hourly_load(source) -> list[HourlyLoadRecord]:
+    from shoulderseason.ingest import (
+        LOAD_HEADER,
+        _check_increasing,
+        _parse_date,
+        _parse_float,
+        _split_rows,
+    )
+
+    records: list[HourlyLoadRecord] = []
+    prev: datetime | None = None
+    for lineno, (day_s, hour_s, load_s) in _split_rows(source, LOAD_HEADER):
+        day = _parse_date(day_s, lineno)
+        try:
+            hour = int(hour_s)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad hour {hour_s!r}") from None
+        if not 0 <= hour <= 23:
+            raise ValueError(f"line {lineno}: hour {hour} out of range 0-23")
+        load = _parse_float(load_s, lineno, "load_mw")
+        if load < 0:
+            raise ValueError(f"line {lineno}: negative load {load_s!r}")
+        ts = datetime(day.year, day.month, day.day, hour)
+        _check_increasing(ts, prev, lineno)
+        records.append(HourlyLoadRecord(ts, load))
+        prev = ts
+    return records
+
+
+def reference_parse_fuel_mix(source) -> list[FuelMixRecord]:
+    from shoulderseason.ingest import (
+        FUEL_MIX_HEADER,
+        _check_increasing,
+        _parse_float,
+        _parse_timestamp,
+        _split_rows,
+    )
+
+    records: list[FuelMixRecord] = []
+    prev: datetime | None = None
+    for lineno, fields in _split_rows(source, FUEL_MIX_HEADER):
+        ts = _parse_timestamp(fields[0], lineno)
+        if ts.minute % 15 or ts.second or ts.microsecond:
+            raise ValueError(
+                f"line {lineno}: timestamp {fields[0]!r} not on a 15-minute boundary"
+            )
+        values = []
+        for name, text in zip(("wind_mw", "solar_mw", "hydro_mw", "other_mw"), fields[1:]):
+            value = _parse_float(text, lineno, name)
+            if value < 0:
+                raise ValueError(f"line {lineno}: negative {name} value {text!r}")
+            values.append(value)
+        _check_increasing(ts, prev, lineno)
+        records.append(FuelMixRecord(ts, *values))
+        prev = ts
+    return records
+
+
+def reference_parse_outages(source) -> list[OutageRecord]:
+    from shoulderseason.ingest import (
+        OUTAGE_HEADER,
+        _check_increasing,
+        _parse_float,
+        _parse_timestamp,
+        _split_rows,
+    )
+
+    records: list[OutageRecord] = []
+    prev: datetime | None = None
+    for lineno, (ts_s, outage_s, telem_s) in _split_rows(source, OUTAGE_HEADER):
+        ts = _parse_timestamp(ts_s, lineno)
+        if ts.minute % 15 or ts.second or ts.microsecond:
+            raise ValueError(
+                f"line {lineno}: timestamp {ts_s!r} not on a 15-minute boundary"
+            )
+        outage = _parse_float(outage_s, lineno, "outage_mw")
+        if outage < 0:
+            raise ValueError(f"line {lineno}: negative outage_mw value {outage_s!r}")
+        telem: float | None = None
+        if telem_s:
+            telem = _parse_float(telem_s, lineno, "telemetered_output_mw")
+            if telem < 0:
+                raise ValueError(
+                    f"line {lineno}: negative telemetered_output_mw value {telem_s!r}"
+                )
+        _check_increasing(ts, prev, lineno)
+        records.append(OutageRecord(ts, outage, telem))
+        prev = ts
+    return records
+
+
+def reference_aggregate_daily(hourly: Sequence[HourlyLoadRecord]):
+    from shoulderseason.ingest import DailyLoadSummary
+
+    summaries = []
+    current: date | None = None
+    total = 0.0
+    peak = 0.0
+    hours = 0
+
+    def flush() -> None:
+        if current is not None:
+            summaries.append(DailyLoadSummary(current, total, peak, hours))
+
+    for rec in hourly:
+        day = rec.timestamp.date()
+        if day != current:
+            flush()
+            current, total, peak, hours = day, 0.0, 0.0, 0
+        total += rec.load_mw
+        peak = max(peak, rec.load_mw)
+        hours += 1
+    flush()
+    return summaries
+
+
+def reference_net_non_thermal(
+    hourly: Sequence[HourlyLoadRecord], mix: Sequence[FuelMixRecord]
+) -> list[HourlyLoadRecord]:
+    by_hour: dict[datetime, list[float]] = {}
+    for rec in mix:
+        key = rec.timestamp.replace(minute=0)
+        by_hour.setdefault(key, []).append(rec.non_thermal_mw)
+
+    netted: list[HourlyLoadRecord] = []
+    for rec in hourly:
+        samples = by_hour.get(rec.timestamp)
+        if not samples:
+            raise ValueError(
+                f"missing fuel-mix coverage for load hour {rec.timestamp.isoformat()}"
+            )
+        non_thermal = _sum(samples) / len(samples)
+        netted.append(HourlyLoadRecord(rec.timestamp, max(rec.load_mw - non_thermal, 0.0)))
+    return netted
+
+
+def _in_period(record: OutageRecord, ranges) -> bool:
+    day = record.timestamp.date()
+    return any(start <= day <= end for start, end in ranges)
+
+
+def reference_average_outages(outages: Sequence[OutageRecord], ranges, label: str = ""):
+    from shoulderseason.adequacy import MW_PER_GW, PeriodOutageStat
+
+    values = [r.outage_mw for r in outages if _in_period(r, ranges)]
+    start = min(r[0] for r in ranges)
+    end = max(r[1] for r in ranges)
+    if not values:
+        raise ValueError(
+            f"no outage records between {start.isoformat()} and {end.isoformat()}"
+        )
+    return PeriodOutageStat(
+        label=label or f"{start.isoformat()}..{end.isoformat()}",
+        start=start,
+        end=end,
+        mean_outage_gw=_sum(values) / len(values) / MW_PER_GW,
+        n_records=len(values),
+    )
+
+
+def reference_generation_histogram(
+    outages: Sequence[OutageRecord], ranges, bin_width_mw: float, peak_demand_mw: float
+):
+    from shoulderseason.adequacy import GenerationHistogram
+
+    if bin_width_mw <= 0:
+        raise ValueError("bin_width_mw must be > 0")
+    values = [
+        r.telemetered_output_mw
+        for r in outages
+        if _in_period(r, ranges) and r.telemetered_output_mw is not None
+    ]
+    start = min(r[0] for r in ranges)
+    end = max(r[1] for r in ranges)
+    if not values:
+        raise ValueError(
+            f"no telemetered output between {start.isoformat()} and {end.isoformat()}"
+        )
+    lo = math.floor(min(values) / bin_width_mw) * bin_width_mw
+    n_bins = max(1, math.ceil((max(values) - lo) / bin_width_mw))
+    if lo + n_bins * bin_width_mw <= max(values):
+        n_bins += 1
+    edges = [lo + i * bin_width_mw for i in range(n_bins + 1)]
+    counts, _ = np.histogram(values, bins=edges)
+    return GenerationHistogram(
+        label=f"{start.isoformat()}..{end.isoformat()}",
+        bin_edges=tuple(float(e) for e in edges),
+        counts=tuple(int(c) for c in counts),
+        peak_demand_mw=peak_demand_mw,
+        max_output_mw=float(max(values)),
+    )

@@ -13,10 +13,18 @@ from shoulderseason.adequacy import (
     incremental_maintenance_delta,
     unmet_demand_fraction,
 )
-from shoulderseason.ingest import OutageRecord
+from shoulderseason.ingest import Outages
 
 
-def _records(start: date, days: int, outage_mw, telem_mw=None) -> list[OutageRecord]:
+def _outages(rows: list[tuple[datetime, float, float | None]]) -> Outages:
+    return Outages(
+        np.array([ts for ts, _, _ in rows], dtype="datetime64[us]"),
+        np.array([o for _, o, _ in rows], dtype=float),
+        np.array([np.nan if t is None else t for _, _, t in rows], dtype=float),
+    )
+
+
+def _records(start: date, days: int, outage_mw, telem_mw=None) -> Outages:
     out = []
     for d in range(days):
         day = start + timedelta(days=d)
@@ -25,35 +33,35 @@ def _records(start: date, days: int, outage_mw, telem_mw=None) -> list[OutageRec
                 ts = datetime(day.year, day.month, day.day, h, q)
                 o = outage_mw(ts) if callable(outage_mw) else outage_mw
                 t = telem_mw(ts) if callable(telem_mw) else telem_mw
-                out.append(OutageRecord(ts, o, t))
-    return out
+                out.append((ts, o, t))
+    return _outages(out)
 
 
 class TestAverageOutages:
     def test_constant_outages(self) -> None:
         records = _records(date(2022, 3, 15), 5, 5000.0)
-        stat = average_outages(records, (date(2022, 3, 15), date(2022, 3, 19)), "test")
+        stat = average_outages(records, [(date(2022, 3, 15), date(2022, 3, 19))], "test")
         assert stat.mean_outage_gw == pytest.approx(5.0)
         assert stat.n_records == 5 * 96
 
     def test_period_bounds_inclusive(self) -> None:
         records = _records(date(2022, 3, 1), 10, lambda ts: float(ts.day))
-        stat = average_outages(records, (date(2022, 3, 3), date(2022, 3, 5)))
+        stat = average_outages(records, [(date(2022, 3, 3), date(2022, 3, 5))])
         assert stat.mean_outage_gw == pytest.approx(4.0 / 1000.0)
         assert stat.n_records == 3 * 96
 
     def test_empty_coverage_errors(self) -> None:
         records = _records(date(2022, 3, 1), 2, 5000.0)
         with pytest.raises(ValueError, match="no outage records"):
-            average_outages(records, (date(2023, 1, 1), date(2023, 1, 31)))
+            average_outages(records, [(date(2023, 1, 1), date(2023, 1, 31))])
 
     def test_reordering_invariance(self) -> None:
         rng = random.Random(3)
         records = _records(date(2022, 1, 1), 4, lambda ts: rng.uniform(0, 30000))
-        base = average_outages(records, (date(2022, 1, 1), date(2022, 1, 4)))
-        shuffled = records[:]
-        rng.shuffle(shuffled)
-        again = average_outages(shuffled, (date(2022, 1, 1), date(2022, 1, 4)))
+        base = average_outages(records, [(date(2022, 1, 1), date(2022, 1, 4))])
+        order = list(range(len(records)))
+        rng.shuffle(order)
+        again = average_outages(records[order], [(date(2022, 1, 1), date(2022, 1, 4))])
         assert again.mean_outage_gw == pytest.approx(base.mean_outage_gw, abs=1e-12)
 
     def test_pooled_disjoint_ranges(self) -> None:
@@ -123,7 +131,7 @@ class TestGenerationHistogram:
     def test_constant_output_single_bin(self) -> None:
         records = _records(date(2022, 1, 1), 2, 1000.0, 50000.0)
         hist = generation_histogram(
-            records, (date(2022, 1, 1), date(2022, 1, 2)), 1000.0, peak_demand_mw=48000.0
+            records, [(date(2022, 1, 1), date(2022, 1, 2))], 1000.0, peak_demand_mw=48000.0
         )
         assert sum(1 for c in hist.counts if c > 0) == 1
         assert sum(hist.counts) == len(records)
@@ -132,11 +140,13 @@ class TestGenerationHistogram:
         # Output spanning 40-60 GW with a 55 GW peak demand: 5 GW headroom.
         values = np.linspace(40000.0, 60000.0, 96)
         day = date(2022, 1, 1)
-        records = [
-            OutageRecord(datetime(2022, 1, 1, i // 4, (i % 4) * 15), 0.0, float(v))
-            for i, v in enumerate(values)
-        ]
-        hist = generation_histogram(records, (day, day), 1000.0, peak_demand_mw=55000.0)
+        records = _outages(
+            [
+                (datetime(2022, 1, 1, i // 4, (i % 4) * 15), 0.0, float(v))
+                for i, v in enumerate(values)
+            ]
+        )
+        hist = generation_histogram(records, [(day, day)], 1000.0, peak_demand_mw=55000.0)
         assert hist.max_output_mw == pytest.approx(60000.0)
         assert hist.headroom_mw == pytest.approx(5000.0)
         assert not hist.balanced
@@ -144,7 +154,7 @@ class TestGenerationHistogram:
     def test_balanced_flag_at_zero_headroom(self) -> None:
         records = _records(date(2022, 1, 1), 1, 0.0, 50000.0)
         hist = generation_histogram(
-            records, (date(2022, 1, 1), date(2022, 1, 1)), 500.0, peak_demand_mw=50000.0
+            records, [(date(2022, 1, 1), date(2022, 1, 1))], 500.0, peak_demand_mw=50000.0
         )
         assert hist.headroom_mw == 0.0
         assert hist.balanced
@@ -155,14 +165,14 @@ class TestGenerationHistogram:
             date(2022, 1, 1), 3, 0.0, lambda ts: float(rng.uniform(40000, 70000))
         )
         hist = generation_histogram(
-            records, (date(2022, 1, 2), date(2022, 1, 2)), 2000.0, peak_demand_mw=60000.0
+            records, [(date(2022, 1, 2), date(2022, 1, 2))], 2000.0, peak_demand_mw=60000.0
         )
         assert sum(hist.counts) == 96
 
     def test_bin_edges_cover_extremes(self) -> None:
         records = _records(date(2022, 1, 1), 1, 0.0, 49999.0)
         hist = generation_histogram(
-            records, (date(2022, 1, 1), date(2022, 1, 1)), 1000.0, peak_demand_mw=1.0
+            records, [(date(2022, 1, 1), date(2022, 1, 1))], 1000.0, peak_demand_mw=1.0
         )
         assert hist.bin_edges[0] <= 49999.0 <= hist.bin_edges[-1]
 
@@ -170,7 +180,7 @@ class TestGenerationHistogram:
         records = _records(date(2022, 1, 1), 1, 0.0, None)
         with pytest.raises(ValueError, match="no telemetered output"):
             generation_histogram(
-                records, (date(2022, 1, 1), date(2022, 1, 1)), 1000.0, peak_demand_mw=1.0
+                records, [(date(2022, 1, 1), date(2022, 1, 1))], 1000.0, peak_demand_mw=1.0
             )
 
 

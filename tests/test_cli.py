@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import shutil
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shoulderseason.cli import (
@@ -20,6 +22,22 @@ from shoulderseason.windows import ShoulderWindow
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
+
+
+def _config_variant(fixture_dir: Path, path: Path, **overrides: str | None) -> Path:
+    """Write the fixture config to path with keys replaced; None drops a key."""
+    lines = []
+    for line in (fixture_dir / "fixture.conf").read_text().splitlines():
+        key, sep, value = line.partition(" = ")
+        if key in overrides:
+            if overrides[key] is None:
+                continue
+            value = overrides[key]
+        elif value.startswith("fixture_"):
+            value = str(fixture_dir / value)
+        lines.append(f"{key}{sep}{value}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestFixtureGeneration:
@@ -149,6 +167,30 @@ class TestPipeline:
             pct = float(line.rsplit(",", 1)[1])
             assert 0.0 <= pct <= 100.0
 
+    def test_rerun_without_fuel_mix_drops_netted_outputs(
+        self, fixture_dir, full_run, tmp_path
+    ) -> None:
+        conf = _config_variant(fixture_dir, tmp_path / "no_mix.conf", fuel_mix_csv=None)
+        cfg = load_config(conf)
+        cfg.out_dir = tmp_path / "fresh"
+        run_pipeline(cfg, _stages_for_all(cfg))
+        cfg.out_dir = tmp_path / "rerun"
+        shutil.copytree(full_run, cfg.out_dir)
+        run_pipeline(cfg, _stages_for_all(cfg))
+        assert not (cfg.out_dir / F["daily_net"]).exists()
+        assert _tree_bytes(cfg.out_dir) == _tree_bytes(tmp_path / "fresh")
+
+    def test_header_only_outage_file_is_named(
+        self, fixture_dir, full_run, tmp_path, capsys
+    ) -> None:
+        outages = tmp_path / "outages.csv"
+        outages.write_text("timestamp,outage_mw,telemetered_output_mw\n")
+        conf = _config_variant(fixture_dir, tmp_path / "x.conf", outage_csv=str(outages))
+        out = tmp_path / "out"
+        shutil.copytree(full_run, out)
+        assert main(["adequacy", "--config", str(conf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: outage file {outages} has no data rows\n"
+
     def test_netted_outputs_present(self, full_run) -> None:
         assert (full_run / F["shoulder_net"]).is_file()
         assert (full_run / F["trends_net"]).is_file()
@@ -201,16 +243,11 @@ class TestPipelineCrossChecks:
             outages = parse_outages(fh)
         with open(fixture_dir / "fixture_load.csv", encoding="utf-8") as fh:
             hourly = parse_hourly_load(fh)
-        max_output = max(
-            r.telemetered_output_mw
-            for r in outages
-            if r.timestamp.year == 2022 and r.timestamp.month == 1
-        )
-        demand = [
-            r.load_mw
-            for r in hourly
-            if r.timestamp.year == 2022 and r.timestamp.month == 1
-        ]
+        january = np.datetime64("2022-01")
+        max_output = outages.telemetered_output_mw[
+            outages.timestamps.astype("datetime64[M]") == january
+        ].max()
+        demand = hourly.load_mw[hourly.hours.astype("datetime64[M]") == january]
         expected = unmet_demand_fraction(demand, max_output, 5500.0)
 
         for line in (full_run / F["unmet"]).read_text().splitlines()[1:]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_read_grid_csv
-from shoulderseason import thermal
+from shoulderseason import ingest
 from shoulderseason.thermal import read_grid_csv
 
 HEADER = "lat,lon,date,t2m_c"
@@ -92,7 +92,7 @@ def grid_files(draw):
 def test_matches_reference_reader(text: str, chunk_lines: int) -> None:
     want = _outcome(reference_read_grid_csv, text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(thermal, "_GRID_CHUNK_LINES", chunk_lines)
+        mp.setattr(ingest, "CSV_CHUNK_LINES", chunk_lines)
         got = _outcome(read_grid_csv, text)
     if isinstance(want, str):
         assert got == want
@@ -112,7 +112,7 @@ def test_large_file_matches_reference() -> None:
     ]
     rng.shuffle(rows)
     text = "\n".join([HEADER, *rows]) + "\n"
-    assert len(rows) > thermal._GRID_CHUNK_LINES
+    assert len(rows) > ingest.CSV_CHUNK_LINES
     want = reference_read_grid_csv(io.StringIO(text))
     _assert_same_grid(read_grid_csv(io.StringIO(text)), want)
 
@@ -199,7 +199,7 @@ def test_error_matches_reference(case: str, eol: str, monkeypatch) -> None:
     with pytest.raises(ValueError) as ref:
         reference_read_grid_csv(io.StringIO(text))
     assert str(ref.value) == message
-    monkeypatch.setattr(thermal, "_GRID_CHUNK_LINES", 4)
+    monkeypatch.setattr(ingest, "CSV_CHUNK_LINES", 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as got:

@@ -4,13 +4,14 @@ import io
 import random
 from datetime import date, datetime
 
+import numpy as np
 import pytest
 
 from shoulderseason.ingest import (
     DailyLoadSummary,
-    FuelMixRecord,
-    HourlyLoadRecord,
-    OutageRecord,
+    FuelMix,
+    HourlyLoad,
+    Outages,
     aggregate_daily,
     net_non_thermal,
     parse_fuel_mix,
@@ -28,14 +29,36 @@ def _load_csv(rows: list[str]) -> list[str]:
     return ["date,hour,load_mw"] + rows
 
 
+def _hourly(rows: list[tuple[datetime, float]]) -> HourlyLoad:
+    return HourlyLoad(
+        np.array([t for t, _ in rows], dtype="datetime64[h]"),
+        np.array([v for _, v in rows], dtype=float),
+    )
+
+
+def _mix(rows: list[tuple[datetime, float, float, float, float]]) -> FuelMix:
+    columns = list(zip(*rows)) or [[]] * 5
+    return FuelMix(
+        np.array(columns[0], dtype="datetime64[us]"),
+        *(np.array(c, dtype=float) for c in columns[1:]),
+    )
+
+
+def _assert_same_table(got, want) -> None:
+    assert type(got) is type(want)
+    for name in vars(want):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestParseHourlyLoad:
     def test_three_rows_in_order(self) -> None:
         records = parse_hourly_load(
             _load_csv(["2020-01-01,0,100", "2020-01-01,1,110.5", "2020-01-01,2,95"])
         )
-        assert [r.load_mw for r in records] == [100.0, 110.5, 95.0]
-        assert records[0].timestamp == datetime(2020, 1, 1, 0)
-        assert records[2].timestamp == datetime(2020, 1, 1, 2)
+        assert records.load_mw.tolist() == [100.0, 110.5, 95.0]
+        assert records.hours[0].item() == datetime(2020, 1, 1, 0)
+        assert records.hours[2].item() == datetime(2020, 1, 1, 2)
 
     def test_negative_load_names_row(self) -> None:
         with pytest.raises(ValueError, match="line 3: negative load '-5'"):
@@ -72,31 +95,28 @@ class TestParseHourlyLoad:
 
 class TestAggregateDaily:
     def test_full_constant_day(self) -> None:
-        hourly = [
-            HourlyLoadRecord(datetime(2020, 3, 1, h), 1.0) for h in range(24)
-        ]
+        hourly = _hourly([(datetime(2020, 3, 1, h), 1.0) for h in range(24)])
         (summary,) = aggregate_daily(hourly)
         assert summary == DailyLoadSummary(date(2020, 3, 1), 24.0, 1.0, 24)
 
     def test_partial_day_hand_sum(self) -> None:
-        hourly = [
-            HourlyLoadRecord(datetime(2020, 3, 1, 4), 2.0),
-            HourlyLoadRecord(datetime(2020, 3, 1, 5), 5.0),
-            HourlyLoadRecord(datetime(2020, 3, 1, 6), 3.0),
-        ]
+        hourly = _hourly(
+            [
+                (datetime(2020, 3, 1, 4), 2.0),
+                (datetime(2020, 3, 1, 5), 5.0),
+                (datetime(2020, 3, 1, 6), 3.0),
+            ]
+        )
         (summary,) = aggregate_daily(hourly)
         assert summary.total_energy_mwh == 10.0
         assert summary.peak_demand_mw == 5.0
         assert summary.hours_present == 3
 
     def test_empty_input(self) -> None:
-        assert aggregate_daily([]) == []
+        assert aggregate_daily(_hourly([])) == []
 
     def test_multiple_days_split(self) -> None:
-        hourly = [
-            HourlyLoadRecord(datetime(2020, 3, 1, 23), 4.0),
-            HourlyLoadRecord(datetime(2020, 3, 2, 0), 6.0),
-        ]
+        hourly = _hourly([(datetime(2020, 3, 1, 23), 4.0), (datetime(2020, 3, 2, 0), 6.0)])
         days = aggregate_daily(hourly)
         assert [s.day for s in days] == [date(2020, 3, 1), date(2020, 3, 2)]
         assert [s.peak_demand_mw for s in days] == [4.0, 6.0]
@@ -104,73 +124,71 @@ class TestAggregateDaily:
     def test_sorting_shuffled_input_matches(self) -> None:
         rng = random.Random(7)
         for _ in range(20):
-            hourly = [
-                HourlyLoadRecord(datetime(2021, 5, 1 + d, h), rng.uniform(0, 100))
+            rows = [
+                (datetime(2021, 5, 1 + d, h), rng.uniform(0, 100))
                 for d in range(3)
                 for h in range(24)
             ]
-            expected = aggregate_daily(hourly)
-            shuffled = hourly[:]
+            expected = aggregate_daily(_hourly(rows))
+            shuffled = rows[:]
             rng.shuffle(shuffled)
-            shuffled.sort(key=lambda r: r.timestamp)
-            assert aggregate_daily(shuffled) == expected
+            shuffled.sort(key=lambda r: r[0])
+            assert aggregate_daily(_hourly(shuffled)) == expected
 
     def test_mean_below_peak_property(self) -> None:
         rng = random.Random(11)
-        hourly = [
-            HourlyLoadRecord(datetime(2021, 5, 1, h), rng.uniform(0, 100))
-            for h in range(24)
-        ]
+        hourly = _hourly([(datetime(2021, 5, 1, h), rng.uniform(0, 100)) for h in range(24)])
         (summary,) = aggregate_daily(hourly)
         assert summary.total_energy_mwh / summary.hours_present <= summary.peak_demand_mw
 
 
 class TestNetNonThermal:
     @staticmethod
-    def _mix(ts: datetime, total: float) -> FuelMixRecord:
-        return FuelMixRecord(ts, wind_mw=total / 2, solar_mw=total / 4, hydro_mw=total / 4, other_mw=40.0)
+    def _mix(samples: list[tuple[datetime, float]]) -> FuelMix:
+        return _mix([(ts, total / 2, total / 4, total / 4, 40.0) for ts, total in samples])
 
     def test_simple_subtraction(self) -> None:
-        load = [HourlyLoadRecord(datetime(2022, 6, 1, 0), 50_000.0)]
-        mix = [self._mix(datetime(2022, 6, 1, 0), 20_000.0)]
-        (out,) = net_non_thermal(load, mix)
-        assert out.load_mw == pytest.approx(30_000.0)
+        load = _hourly([(datetime(2022, 6, 1, 0), 50_000.0)])
+        mix = self._mix([(datetime(2022, 6, 1, 0), 20_000.0)])
+        (out,) = net_non_thermal(load, mix).load_mw
+        assert out == pytest.approx(30_000.0)
 
     def test_floored_at_zero(self) -> None:
-        load = [HourlyLoadRecord(datetime(2022, 6, 1, 0), 10_000.0)]
-        mix = [self._mix(datetime(2022, 6, 1, 0), 25_000.0)]
-        (out,) = net_non_thermal(load, mix)
-        assert out.load_mw == 0.0
+        load = _hourly([(datetime(2022, 6, 1, 0), 10_000.0)])
+        mix = self._mix([(datetime(2022, 6, 1, 0), 25_000.0)])
+        (out,) = net_non_thermal(load, mix).load_mw
+        assert out == 0.0
 
     def test_quarter_hours_averaged(self) -> None:
-        load = [HourlyLoadRecord(datetime(2022, 6, 1, 0), 100.0)]
-        mix = [
-            self._mix(datetime(2022, 6, 1, 0, q), total)
-            for q, total in zip((0, 15, 30, 45), (10.0, 20.0, 30.0, 40.0))
-        ]
-        (out,) = net_non_thermal(load, mix)
-        assert out.load_mw == pytest.approx(100.0 - 25.0)
+        load = _hourly([(datetime(2022, 6, 1, 0), 100.0)])
+        mix = self._mix(
+            [
+                (datetime(2022, 6, 1, 0, q), total)
+                for q, total in zip((0, 15, 30, 45), (10.0, 20.0, 30.0, 40.0))
+            ]
+        )
+        (out,) = net_non_thermal(load, mix).load_mw
+        assert out == pytest.approx(100.0 - 25.0)
 
     def test_missing_coverage(self) -> None:
-        load = [HourlyLoadRecord(datetime(2022, 6, 1, 3), 100.0)]
-        mix = [self._mix(datetime(2022, 6, 1, 0), 10.0)]
+        load = _hourly([(datetime(2022, 6, 1, 3), 100.0)])
+        mix = self._mix([(datetime(2022, 6, 1, 0), 10.0)])
         with pytest.raises(ValueError, match="missing fuel-mix coverage"):
             net_non_thermal(load, mix)
 
     def test_never_exceeds_input_never_negative(self) -> None:
         rng = random.Random(3)
-        load = [
-            HourlyLoadRecord(datetime(2022, 6, 1, h), rng.uniform(0, 60_000))
-            for h in range(24)
-        ]
-        mix = [
-            self._mix(datetime(2022, 6, 1, h, q), rng.uniform(0, 70_000))
-            for h in range(24)
-            for q in (0, 15, 30, 45)
-        ]
-        for before, after in zip(load, net_non_thermal(load, mix)):
-            assert 0.0 <= after.load_mw <= before.load_mw
-            assert after.timestamp == before.timestamp
+        load = _hourly([(datetime(2022, 6, 1, h), rng.uniform(0, 60_000)) for h in range(24)])
+        mix = self._mix(
+            [
+                (datetime(2022, 6, 1, h, q), rng.uniform(0, 70_000))
+                for h in range(24)
+                for q in (0, 15, 30, 45)
+            ]
+        )
+        netted = net_non_thermal(load, mix)
+        assert ((0.0 <= netted.load_mw) & (netted.load_mw <= load.load_mw)).all()
+        assert (netted.hours == load.hours).all()
 
 
 class TestParseOutages:
@@ -180,9 +198,9 @@ class TestParseOutages:
         ]
         records = parse_outages(rows)
         assert len(records) == 4
-        assert records[1].timestamp == datetime(2022, 1, 1, 0, 15)
-        assert records[0].outage_mw == 5000.0
-        assert records[0].telemetered_output_mw == 60000.0
+        assert records.timestamps[1].item() == datetime(2022, 1, 1, 0, 15)
+        assert records.outage_mw[0] == 5000.0
+        assert records.telemetered_output_mw[0] == 60000.0
 
     def test_misaligned_timestamp(self) -> None:
         rows = ["timestamp,outage_mw,telemetered_output_mw", "2022-01-01T00:07,5000,"]
@@ -196,8 +214,8 @@ class TestParseOutages:
 
     def test_optional_telemetered(self) -> None:
         rows = ["timestamp,outage_mw,telemetered_output_mw", "2022-01-01T00:00,5000,"]
-        (record,) = parse_outages(rows)
-        assert record.telemetered_output_mw is None
+        (telem,) = parse_outages(rows).telemetered_output_mw
+        assert np.isnan(telem)
 
 
 class TestParseFuelMix:
@@ -209,7 +227,7 @@ class TestParseFuelMix:
         ]
         records = parse_fuel_mix(rows)
         assert len(records) == 2
-        assert records[0].non_thermal_mw == pytest.approx(9300.0)
+        assert records.non_thermal_mw[0] == pytest.approx(9300.0)
 
     def test_negative_entry(self) -> None:
         rows = ["timestamp,wind_mw,solar_mw,hydro_mw,other_mw", "2022-01-01T00:00,-1,0,0,0"]
@@ -225,43 +243,49 @@ class TestParseFuelMix:
 class TestRoundTrips:
     def test_hourly_load_round_trip(self) -> None:
         rng = random.Random(19)
-        records = [
-            HourlyLoadRecord(datetime(2020, 2, 1 + d, h), rng.uniform(0, 80_000))
-            for d in range(2)
-            for h in range(24)
-        ]
+        records = _hourly(
+            [
+                (datetime(2020, 2, 1 + d, h), rng.uniform(0, 80_000))
+                for d in range(2)
+                for h in range(24)
+            ]
+        )
         buf = io.StringIO()
         write_hourly_load(records, buf)
         buf.seek(0)
-        assert parse_hourly_load(buf) == records
+        _assert_same_table(parse_hourly_load(buf), records)
 
     def test_fuel_mix_round_trip(self) -> None:
         rng = random.Random(23)
-        records = [
-            FuelMixRecord(
-                datetime(2022, 1, 1, h, q),
-                rng.uniform(0, 20_000),
-                rng.uniform(0, 8_000),
-                rng.uniform(0, 500),
-                rng.uniform(0, 500),
-            )
-            for h in range(6)
-            for q in (0, 15, 30, 45)
-        ]
+        records = _mix(
+            [
+                (
+                    datetime(2022, 1, 1, h, q),
+                    rng.uniform(0, 20_000),
+                    rng.uniform(0, 8_000),
+                    rng.uniform(0, 500),
+                    rng.uniform(0, 500),
+                )
+                for h in range(6)
+                for q in (0, 15, 30, 45)
+            ]
+        )
         buf = io.StringIO()
         write_fuel_mix(records, buf)
         buf.seek(0)
-        assert parse_fuel_mix(buf) == records
+        _assert_same_table(parse_fuel_mix(buf), records)
 
     def test_outages_round_trip(self) -> None:
-        records = [
-            OutageRecord(datetime(2022, 1, 1, 0, 0), 5000.25, 61234.5),
-            OutageRecord(datetime(2022, 1, 1, 0, 15), 5010.0, None),
-        ]
+        records = Outages(
+            np.array([datetime(2022, 1, 1, 0, 0), datetime(2022, 1, 1, 0, 15)], "datetime64[us]"),
+            np.array([5000.25, 5010.0]),
+            np.array([61234.5, np.nan]),
+        )
         buf = io.StringIO()
         write_outages(records, buf)
+        assert buf.getvalue().endswith(",5010.0,\n")
         buf.seek(0)
-        assert parse_outages(buf) == records
+        _assert_same_table(parse_outages(buf), records)
 
     def test_daily_summary_round_trip(self) -> None:
         summaries = [
