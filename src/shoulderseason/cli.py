@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,12 +22,26 @@ from . import adequacy as adq
 from . import ingest, projection, thermal, trends, windows
 from .config import RunConfig, load_config
 from .fixtures import generate_fixture
+from .tables import (
+    atomic_open,
+    parse_date,
+    parse_float,
+    parse_int,
+    parse_text,
+    read_table,
+    write_atomic,
+    write_table,
+)
 
 STAGES = ("ingest", "thermal", "shoulder", "trends", "project", "adequacy", "report")
 
 SPRING_CUTOFF = date(2000, 2, 14)
 FALL_CUTOFF = date(2000, 11, 25)
 MOVING_AVERAGE_YEARS = 5
+
+HIST_LABELS = (
+    "january", "december", "operator_spring", "operator_fall", "min_peak_spring", "min_peak_fall"
+)
 
 F = {
     "daily": "daily_load.csv",
@@ -56,7 +69,37 @@ F = {
     "unmet": "unmet_demand.csv",
     "adequacy_summary": "adequacy_summary.json",
     "report": "report.txt",
+    **{f"hist_{label}": f"generation_hist_{label}.csv" for label in HIST_LABELS},
 }
+
+# The files (keys of F) each stage owns. A stage deletes the owned files
+# it did not write this time, and `all` deletes those of the stages it
+# does not run, so no output of an earlier configuration outlives a rerun.
+OUTPUTS = {
+    "ingest": ("daily", "daily_net"),
+    "thermal": ("temp_daily", "temp_annual", "cubic", "dd", "thermal_summary"),
+    "shoulder": ("shoulder", "shoulder_net"),
+    "trends": ("trends", "trends_net", "movavg", "fitlines", "corr", "corr_net", "corr_points"),
+    "project": ("temp_path", "onset_temp", "proj", "proj_summary", "merge"),
+    "adequacy": (
+        "periods", "unmet", "adequacy_summary", *(f"hist_{label}" for label in HIST_LABELS)
+    ),
+    "report": ("report",),
+}
+
+# Headers and column converters of the tables that are read back.
+DD_HEADER = "date,dd_c"
+ANNUAL_HEADER = "year,t_mean_c"
+SHOULDER_HEADER = "year,season,metric,onset_date,onset_doy,window_mean,days_used"
+SHOULDER_COLUMNS = (parse_int, parse_text, parse_text, parse_date, parse_int, parse_float, parse_int)
+TRENDS_HEADER = "metric,season,slope_days_per_decade,stderr,shift_probability,n,excluded"
+TRENDS_COLUMNS = (parse_text, parse_text, parse_float, parse_float, parse_float, parse_int, parse_text)
+CORR_HEADER = "season,x_metric,y_metric,r,n_used,excluded_count,cutoff"
+CORR_COLUMNS = (parse_text, parse_text, parse_text, parse_float, parse_int, parse_int, parse_text)
+PERIODS_HEADER = "label,start,end,mean_outage_gw,n_records"
+PERIODS_COLUMNS = (parse_text, parse_date, parse_date, parse_float, parse_int)
+UNMET_HEADER = "month,max_output_gw,extra_outage_gw,pct_unmet"
+UNMET_COLUMNS = (parse_text, parse_float, parse_float, parse_float)
 
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
@@ -65,23 +108,8 @@ def _monthday(d: date) -> str:
     return f"{_MONTHS[d.month - 1]} {d.day:02d}"
 
 
-def _write_atomic(path: Path, text: str) -> Path:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
-def _write_rows(path: Path, header: str, rows: Iterable[str]) -> Path:
-    return _write_atomic(path, "\n".join([header, *rows]) + "\n")
-
-
 def _write_json(path: Path, obj) -> Path:
-    return _write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-
-def _r(value: float) -> str:
-    return repr(float(value))
+    return write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _need_config(cfg: RunConfig, key: str, stage: str) -> Path:
@@ -98,9 +126,12 @@ def _need_cached(out: Path, name: str, producer: str) -> Path:
     return path
 
 
-def _read_csv(path: Path, header: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [fields for _, fields in ingest._split_rows(fh, header)]
+def _remove_outputs(out: Path, stages: Sequence[str], keep: Sequence[Path] = ()) -> None:
+    """Delete the files the stages own, except those in keep."""
+    for stage in stages:
+        for key in OUTPUTS[stage]:
+            if out / F[key] not in keep:
+                (out / F[key]).unlink(missing_ok=True)
 
 
 # -- stages -------------------------------------------------------------------
@@ -110,32 +141,19 @@ def stage_ingest(cfg: RunConfig, out: Path) -> list[Path]:
     load_path = _need_config(cfg, "load_csv", "ingest")
     with open(load_path, encoding="utf-8") as fh:
         hourly = ingest.parse_hourly_load(fh)
-    daily = ingest.aggregate_daily(hourly)
-    outputs = [_write_atomic(out / F["daily"], _daily_text(daily))]
-
-    mix = None
+    loads = {F["daily"]: hourly}
     if cfg.fuel_mix_csv is not None:
         with open(cfg.fuel_mix_csv, encoding="utf-8") as fh:
             mix = ingest.parse_fuel_mix(fh)
-    if mix is not None and len(mix):
-        # Netting applies to the span the fuel-mix feed covers.
-        lo, hi = mix.timestamps[[0, -1]].astype("datetime64[D]")
-        days = hourly.hours.astype("datetime64[D]")
-        netted = ingest.net_non_thermal(hourly[(days >= lo) & (days <= hi)], mix)
-        outputs.append(
-            _write_atomic(out / F["daily_net"], _daily_text(ingest.aggregate_daily(netted)))
-        )
-    else:  # an optional output this run does not write must not survive it
-        (out / F["daily_net"]).unlink(missing_ok=True)
-    return outputs
-
-
-def _daily_text(summaries: Sequence[ingest.DailyLoadSummary]) -> str:
-    import io
-
-    buf = io.StringIO()
-    ingest.write_daily_summaries(summaries, buf)
-    return buf.getvalue()
+        if len(mix):
+            # Netting applies to the span the fuel-mix feed covers.
+            lo, hi = mix.timestamps[[0, -1]].astype("datetime64[D]")
+            days = hourly.hours.astype("datetime64[D]")
+            loads[F["daily_net"]] = ingest.net_non_thermal(hourly[(days >= lo) & (days <= hi)], mix)
+    for name, load in loads.items():
+        with atomic_open(out / name) as fh:
+            ingest.write_daily_summaries(ingest.aggregate_daily(load), fh)
+    return [out / name for name in loads]
 
 
 def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
@@ -192,34 +210,19 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
     dd = thermal.degree_day_series(temps_weighted, t0_global)
     spatial_std = thermal.spatial_temp_stddev(grid)
 
-    outputs = [
-        _write_rows(
-            out / F["temp_daily"],
-            "date,t_avg_c",
-            (f"{t.day.isoformat()},{_r(t.t_avg_c)}" for t in temps_weighted),
+    return [
+        write_table(
+            out / F["temp_daily"], "date,t_avg_c", ((t.day, t.t_avg_c) for t in temps_weighted)
         ),
-        _write_rows(
-            out / F["temp_annual"],
-            "year,t_mean_c",
-            (
-                f"{year},{_r(mean)}"
-                for year, mean in thermal.annual_means(temps_unweighted).items()
-            ),
+        write_table(
+            out / F["temp_annual"], ANNUAL_HEADER, thermal.annual_means(temps_unweighted).items()
         ),
-        _write_rows(
+        write_table(
             out / F["cubic"],
             "year,a1,a2,a3,a4,t0,t_min,t_max",
-            (
-                f"{f.year},{_r(f.a1)},{_r(f.a2)},{_r(f.a3)},{_r(f.a4)},"
-                f"{_r(f.t0)},{_r(f.fit_range[0])},{_r(f.fit_range[1])}"
-                for f in fits
-            ),
+            ((f.year, f.a1, f.a2, f.a3, f.a4, f.t0, *f.fit_range) for f in fits),
         ),
-        _write_rows(
-            out / F["dd"],
-            "date,dd_c",
-            (f"{v.day.isoformat()},{_r(v.dd_c)}" for v in dd),
-        ),
+        write_table(out / F["dd"], DD_HEADER, ((v.day, v.dd_c) for v in dd)),
         _write_json(
             out / F["thermal_summary"],
             {
@@ -232,79 +235,57 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
             },
         ),
     ]
-    return outputs
-
-
-def _read_dd(out: Path) -> dict[date, float]:
-    rows = _read_csv(out / F["dd"], "date,dd_c")
-    return {date.fromisoformat(d): float(v) for d, v in rows}
-
-
-def _read_daily_cached(path: Path) -> list[ingest.DailyLoadSummary]:
-    with open(path, encoding="utf-8") as fh:
-        return ingest.read_daily_summaries(fh)
-
-
-def _shoulder_rows_text(rows: Sequence[windows.ShoulderWindow]) -> list[str]:
-    return [
-        f"{w.year},{w.season},{w.metric},{w.onset.isoformat()},{w.onset_doy},"
-        f"{_r(w.window_mean)},{w.days_used}"
-        for w in rows
-    ]
-
-
-SHOULDER_HEADER = "year,season,metric,onset_date,onset_doy,window_mean,days_used"
 
 
 def stage_shoulder(cfg: RunConfig, out: Path) -> list[Path]:
     dd: dict[date, float] | None = None
     summaries: list[ingest.DailyLoadSummary] | None = None
     if cfg.temperature_grid is not None:
-        _need_cached(out, F["dd"], "thermal")
-        dd = _read_dd(out)
+        dd_path = _need_cached(out, F["dd"], "thermal")
+        dd = dict(read_table(dd_path, DD_HEADER, parse_date, parse_float))
     if cfg.load_csv is not None:
-        summaries = _read_daily_cached(_need_cached(out, F["daily"], "ingest"))
+        with open(_need_cached(out, F["daily"], "ingest"), encoding="utf-8") as fh:
+            summaries = ingest.read_daily_summaries(fh)
     if dd is None and summaries is None:
         raise ValueError(
             "shoulder stage needs a temperature grid or load data; "
             "configure temperature_grid and/or load_csv"
         )
-    rows = windows.shoulder_table(
-        degree_day_series=dd,
-        load_summaries=summaries,
-        window_len=cfg.window_len,
-        max_missing=cfg.max_missing_days,
-        allow_year_wrap=cfg.allow_year_wrap,
-        min_hours=cfg.min_hours,
-    )
-    outputs = [_write_rows(out / F["shoulder"], SHOULDER_HEADER, _shoulder_rows_text(rows))]
-
-    net_path = out / F["daily_net"]
-    if net_path.is_file():
-        net_rows = windows.shoulder_table(
-            load_summaries=_read_daily_cached(net_path),
+    searches = {F["shoulder"]: (dd, summaries)}
+    if (out / F["daily_net"]).is_file():
+        with open(out / F["daily_net"], encoding="utf-8") as fh:
+            searches[F["shoulder_net"]] = (None, ingest.read_daily_summaries(fh))
+    outputs = []
+    for name, (series, load) in searches.items():
+        rows = windows.shoulder_table(
+            degree_day_series=series,
+            load_summaries=load,
             window_len=cfg.window_len,
             max_missing=cfg.max_missing_days,
             allow_year_wrap=cfg.allow_year_wrap,
             min_hours=cfg.min_hours,
         )
         outputs.append(
-            _write_rows(out / F["shoulder_net"], SHOULDER_HEADER, _shoulder_rows_text(net_rows))
+            write_table(
+                out / name,
+                SHOULDER_HEADER,
+                (
+                    (w.year, w.season, w.metric, w.onset, w.onset_doy, w.window_mean, w.days_used)
+                    for w in rows
+                ),
+            )
         )
-    else:
-        (out / F["shoulder_net"]).unlink(missing_ok=True)
     return outputs
 
 
-def _read_shoulder(path: Path) -> list[windows.ShoulderWindow]:
-    rows = []
-    for year, season, metric, onset, _doy, mean, used in _read_csv(path, SHOULDER_HEADER):
-        rows.append(
-            windows.ShoulderWindow(
-                int(year), season, metric, date.fromisoformat(onset), float(mean), int(used)
-            )
+def _windows(path: Path) -> list[windows.ShoulderWindow]:
+    """The shoulder windows of a cached shoulder table."""
+    return [
+        windows.ShoulderWindow(year, season, metric, onset, mean, days_used)
+        for year, season, metric, onset, _, mean, days_used in read_table(
+            path, SHOULDER_HEADER, *SHOULDER_COLUMNS
         )
-    return rows
+    ]
 
 
 def _onsets_by_year(
@@ -315,16 +296,16 @@ def _onsets_by_year(
 
 def _trend_rows(
     cfg: RunConfig, rows: Sequence[windows.ShoulderWindow]
-) -> tuple[list[str], list[dict]]:
-    lines = []
-    records = []
-    metrics = sorted({w.metric for w in rows})
-    for metric in metrics:
+) -> tuple[list[tuple], list[tuple]]:
+    """Trend table rows, and (metric, season, onset day by year, trend) per row."""
+    table = []
+    fits = []
+    for metric in sorted({w.metric for w in rows}):
         for season in ("spring", "fall"):
             onsets = _onsets_by_year(rows, metric, season)
             if len(onsets) < 3:
                 continue
-            points = {y: float(d.timetuple().tm_yday) for y, d in onsets.items()}
+            points = {year: float(trends.day_of_year(d)) for year, d in onsets.items()}
             auto = (
                 cfg.outlier_policy == "auto"
                 and metric == "degree_days"
@@ -333,107 +314,97 @@ def _trend_rows(
             direction = "earlier" if season == "spring" else "later"
             result = trends.linear_trend(points, direction=direction, auto_exclude=auto)
             excluded = ";".join(str(int(x)) for x, _ in result.excluded_points)
-            lines.append(
-                f"{metric},{season},{_r(result.slope_per_decade)},"
-                f"{_r(result.stderr_per_decade)},{_r(result.shift_probability)},"
-                f"{result.n},{excluded}"
+            table.append(
+                (
+                    metric,
+                    season,
+                    result.slope_per_decade,
+                    result.stderr_per_decade,
+                    result.shift_probability,
+                    result.n,
+                    excluded,
+                )
             )
-            records.append(
-                {
-                    "metric": metric,
-                    "season": season,
-                    "direction": direction,
-                    "result": result,
-                    "points": points,
-                }
-            )
-    return lines, records
-
-
-TRENDS_HEADER = "metric,season,slope_days_per_decade,stderr,shift_probability,n,excluded"
-CORR_HEADER = "season,x_metric,y_metric,r,n_used,excluded_count,cutoff"
+            fits.append((metric, season, points, result))
+    return table, fits
 
 
 def _correlation_rows(
     dd_rows: Sequence[windows.ShoulderWindow],
     load_rows: Sequence[windows.ShoulderWindow],
-) -> tuple[list[str], list[str]]:
-    corr_lines = []
-    point_lines = []
+) -> tuple[list[tuple], list[tuple]]:
+    corr_rows = []
+    point_rows = []
     for season, cutoff in (("spring", SPRING_CUTOFF), ("fall", FALL_CUTOFF)):
         x = _onsets_by_year(dd_rows, "degree_days", season)
         for y_metric in ("total_energy", "peak_demand"):
             y = _onsets_by_year(load_rows, y_metric, season)
-            common = sorted(set(x) & set(y))
-            for year in common:
-                cmp = trends._compare_to_cutoff(x[year], cutoff)
-                included = not ((cmp < 0) if season == "spring" else (cmp > 0))
-                point_lines.append(
-                    f"{season},{y_metric},{year},{x[year].timetuple().tm_yday},"
-                    f"{y[year].timetuple().tm_yday},{int(included)}"
+            for year in sorted(set(x) & set(y)):
+                point_rows.append(
+                    (
+                        season,
+                        y_metric,
+                        year,
+                        trends.day_of_year(x[year]),
+                        trends.day_of_year(y[year]),
+                        int(trends.within_cutoff(x[year], season, cutoff)),
+                    )
                 )
             try:
                 result = trends.pearson_with_cutoff(x, y, season, cutoff)
             except ValueError:
                 continue  # too few pairs; points are still emitted
-            corr_lines.append(
-                f"{season},degree_days,{y_metric},{_r(result.r)},{result.n_used},"
-                f"{result.excluded_count},{_monthday(cutoff)}"
+            corr_rows.append(
+                (
+                    season,
+                    "degree_days",
+                    y_metric,
+                    result.r,
+                    result.n_used,
+                    result.excluded_count,
+                    _monthday(cutoff),
+                )
             )
-    return corr_lines, point_lines
+    return corr_rows, point_rows
 
 
 def stage_trends(cfg: RunConfig, out: Path) -> list[Path]:
-    rows = _read_shoulder(_need_cached(out, F["shoulder"], "shoulder"))
-    trend_lines, records = _trend_rows(cfg, rows)
-    outputs = [_write_rows(out / F["trends"], TRENDS_HEADER, trend_lines)]
-
-    movavg_lines = []
-    fit_lines = []
-    for rec in records:
-        points, result = rec["points"], rec["result"]
+    rows = _windows(_need_cached(out, F["shoulder"], "shoulder"))
+    trend_rows, fits = _trend_rows(cfg, rows)
+    movavg_rows = []
+    fit_rows = []
+    for metric, season, points, result in fits:
         smoothed = dict(trends.moving_average(points, k=MOVING_AVERAGE_YEARS))
         for year in sorted(points):
-            movavg_lines.append(
-                f"{rec['metric']},{rec['season']},{year},{_r(points[year])},"
-                f"{_r(smoothed[year])}"
-            )
+            movavg_rows.append((metric, season, year, points[year], smoothed[year]))
         for year, fit, lo, hi in trends.confidence_band(result, sorted(points)):
-            fit_lines.append(
-                f"{rec['metric']},{rec['season']},{int(year)},{_r(fit)},{_r(lo)},{_r(hi)}"
-            )
-    outputs.append(
-        _write_rows(out / F["movavg"], "metric,season,year,onset_doy,smoothed_doy", movavg_lines)
-    )
-    outputs.append(
-        _write_rows(out / F["fitlines"], "metric,season,year,fit_doy,ci_low,ci_high", fit_lines)
-    )
+            fit_rows.append((metric, season, int(year), fit, lo, hi))
+    outputs = [
+        write_table(out / F["trends"], TRENDS_HEADER, trend_rows),
+        write_table(out / F["movavg"], "metric,season,year,onset_doy,smoothed_doy", movavg_rows),
+        write_table(out / F["fitlines"], "metric,season,year,fit_doy,ci_low,ci_high", fit_rows),
+    ]
 
     dd_rows = [w for w in rows if w.metric == "degree_days"]
     load_rows = [w for w in rows if w.metric != "degree_days"]
     if dd_rows and load_rows:
-        corr_lines, point_lines = _correlation_rows(dd_rows, load_rows)
-        outputs.append(_write_rows(out / F["corr"], CORR_HEADER, corr_lines))
+        corr_rows, point_rows = _correlation_rows(dd_rows, load_rows)
+        outputs.append(write_table(out / F["corr"], CORR_HEADER, corr_rows))
         outputs.append(
-            _write_rows(
+            write_table(
                 out / F["corr_points"],
                 "season,y_metric,year,x_onset_doy,y_onset_doy,included",
-                point_lines,
+                point_rows,
             )
         )
 
     net_path = out / F["shoulder_net"]
-    net_rows = _read_shoulder(net_path) if net_path.is_file() else None
-    if net_rows is not None:
-        net_lines, _ = _trend_rows(cfg, net_rows)
-        outputs.append(_write_rows(out / F["trends_net"], TRENDS_HEADER, net_lines))
-    else:
-        (out / F["trends_net"]).unlink(missing_ok=True)
-    if net_rows is not None and dd_rows:
-        corr_lines, _ = _correlation_rows(dd_rows, net_rows)
-        outputs.append(_write_rows(out / F["corr_net"], CORR_HEADER, corr_lines))
-    else:
-        (out / F["corr_net"]).unlink(missing_ok=True)
+    if net_path.is_file():
+        net_rows = _windows(net_path)
+        outputs.append(write_table(out / F["trends_net"], TRENDS_HEADER, _trend_rows(cfg, net_rows)[0]))
+        if dd_rows:
+            corr_rows, _ = _correlation_rows(dd_rows, net_rows)
+            outputs.append(write_table(out / F["corr_net"], CORR_HEADER, corr_rows))
     return outputs
 
 
@@ -442,13 +413,10 @@ def stage_project(cfg: RunConfig, out: Path) -> list[Path]:
     annual_path = _need_cached(out, F["temp_annual"], "thermal")
     shoulder_path = _need_cached(out, F["shoulder"], "shoulder")
 
-    annual = {
-        int(y): float(t) for y, t in _read_csv(annual_path, "year,t_mean_c")
-    }
-    rows = _read_shoulder(shoulder_path)
-    spring_onsets = _onsets_by_year(rows, "degree_days", "spring")
-    fall_onsets = _onsets_by_year(rows, "degree_days", "fall")
-    if not spring_onsets or not fall_onsets:
+    annual = dict(read_table(annual_path, ANNUAL_HEADER, parse_int, parse_float))
+    rows = _windows(shoulder_path)
+    onsets = {s: _onsets_by_year(rows, "degree_days", s) for s in ("spring", "fall")}
+    if not onsets["spring"] or not onsets["fall"]:
         raise ValueError(
             "project stage needs degree-day shoulder windows; "
             "run thermal and shoulder with a temperature grid"
@@ -462,50 +430,40 @@ def stage_project(cfg: RunConfig, out: Path) -> list[Path]:
         for e in stats
     ]
 
-    spring_line = projection.onset_vs_temperature(annual, spring_onsets, "spring")
-    fall_line = projection.onset_vs_temperature(annual, fall_onsets, "fall")
-    spring_proj, fall_proj = projection.project_onsets(spring_line, fall_line, path)
+    lines = {s: projection.onset_vs_temperature(annual, onsets[s], s) for s in onsets}
+    spring_proj, fall_proj = projection.project_onsets(lines["spring"], lines["fall"], path)
     merged = projection.merge_year(spring_proj, fall_proj, persistence=cfg.persistence)
 
-    path_lines = [f"{year},observed,{_r(t)},," for year, t in sorted(annual.items())]
+    path_rows = [(year, "observed", t, None, None) for year, t in sorted(annual.items())]
     for e, (_, corrected, sigma) in zip(stats, path):
-        path_lines.append(f"{e.year},ensemble_raw,{_r(e.ensemble_mean_c)},,")
-        path_lines.append(
-            f"{e.year},ensemble_corrected,{_r(corrected)},"
-            f"{_r(corrected - 2 * sigma)},{_r(corrected + 2 * sigma)}"
+        path_rows.append((e.year, "ensemble_raw", e.ensemble_mean_c, None, None))
+        path_rows.append(
+            (e.year, "ensemble_corrected", corrected, corrected - 2 * sigma, corrected + 2 * sigma)
         )
-
-    onset_temp_lines = []
-    for season, onsets in (("spring", spring_onsets), ("fall", fall_onsets)):
-        for year in sorted(set(onsets) & set(annual)):
-            onset_temp_lines.append(
-                f"{season},{year},{_r(annual[year])},{onsets[year].timetuple().tm_yday}"
-            )
-
-    proj_lines = []
-    for season, seq in (("spring", spring_proj), ("fall", fall_proj)):
-        for p in seq:
-            proj_lines.append(
-                f"{p.year},{season},{_r(p.predicted_onset)},{_r(p.ci_low)},{_r(p.ci_high)}"
-            )
-
-    merge_text = f"merge_year,{merged if merged is not None else 'none'}\n"
+    onset_temp_rows = [
+        (season, year, annual[year], trends.day_of_year(by_year[year]))
+        for season, by_year in onsets.items()
+        for year in sorted(set(by_year) & set(annual))
+    ]
+    proj_rows = [
+        (p.year, season, p.predicted_onset, p.ci_low, p.ci_high)
+        for season, seq in (("spring", spring_proj), ("fall", fall_proj))
+        for p in seq
+    ]
     summary = {
         "bias_gain": correction.gain,
         "bias_offset": correction.offset,
         "merge_year": merged,
         "persistence": cfg.persistence,
         "n_ensemble_years": len(stats),
-        "spring_slope_days_per_c": spring_line.slope,
-        "fall_slope_days_per_c": fall_line.slope,
+        "spring_slope_days_per_c": lines["spring"].slope,
+        "fall_slope_days_per_c": lines["fall"].slope,
     }
     return [
-        _write_rows(out / F["temp_path"], "year,source,t_c,lo,hi", path_lines),
-        _write_rows(out / F["onset_temp"], "season,year,t_c,onset_doy", onset_temp_lines),
-        _write_rows(
-            out / F["proj"], "year,season,predicted_onset_doy,ci_low,ci_high", proj_lines
-        ),
-        _write_atomic(out / F["merge"], merge_text),
+        write_table(out / F["temp_path"], "year,source,t_c,lo,hi", path_rows),
+        write_table(out / F["onset_temp"], "season,year,t_c,onset_doy", onset_temp_rows),
+        write_table(out / F["proj"], "year,season,predicted_onset_doy,ci_low,ci_high", proj_rows),
+        write_atomic(out / F["merge"], f"merge_year,{merged if merged is not None else 'none'}\n"),
         _write_json(out / F["proj_summary"], summary),
     ]
 
@@ -527,7 +485,7 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
         raise ValueError(f"outage file {outage_path} has no data rows")
     with open(load_path, encoding="utf-8") as fh:
         hourly = ingest.parse_hourly_load(fh)
-    shoulder_rows = _read_shoulder(shoulder_path)
+    shoulder_rows = _windows(shoulder_path)
 
     years = outages.timestamps.astype("datetime64[Y]").astype(int) + 1970
     outage_years = np.unique(years).tolist()
@@ -552,7 +510,7 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
         ),
         ("winter_combined", [_month_range(focus_year, 1), _month_range(focus_year, 12)]),
     ]
-    period_lines = []
+    period_rows = []
     period_stats: dict[str, adq.PeriodOutageStat] = {}
     for label, ranges in named_periods:
         try:
@@ -560,10 +518,7 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
         except ValueError:
             continue
         period_stats[label] = stat
-        period_lines.append(
-            f"{label},{stat.start.isoformat()},{stat.end.isoformat()},"
-            f"{_r(stat.mean_outage_gw)},{stat.n_records}"
-        )
+        period_rows.append((label, stat.start, stat.end, stat.mean_outage_gw, stat.n_records))
 
     summary: dict[str, object] = {"focus_year": focus_year}
     if "shoulder_combined" in period_stats and "winter_combined" in period_stats:
@@ -580,7 +535,7 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
     outage_months = outages.timestamps.astype("datetime64[M]")
     telemetered = ~np.isnan(outages.telemetered_output_mw)
     extra_mw = cfg.extra_outage_gw * adq.MW_PER_GW
-    unmet_lines = []
+    unmet_rows = []
     for year in outage_years:
         for month in (1, 12):
             key = np.datetime64(date(year, month, 1), "M")
@@ -595,13 +550,10 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
             row = adq.AdequacyResult(
                 label=f"{year}-{month:02d}",
                 max_output_gw=max_output / adq.MW_PER_GW,
-                extra_outage_gw=cfg.extra_outage_gw,
+                extra_outage_gw=float(cfg.extra_outage_gw),
                 pct_unmet=adq.unmet_demand_fraction(demand, max_output, extra_mw),
             )
-            unmet_lines.append(
-                f"{row.label},{_r(row.max_output_gw)},"
-                f"{_r(row.extra_outage_gw)},{_r(row.pct_unmet)}"
-            )
+            unmet_rows.append((row.label, row.max_output_gw, row.extra_outage_gw, row.pct_unmet))
 
     # Pooled generation histograms across all outage years.
     hist_specs: list[tuple[str, list[tuple[date, date]]]] = [
@@ -627,14 +579,9 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
 
     bin_mw = cfg.adequacy_bin_gw * adq.MW_PER_GW
     outputs = [
-        _write_rows(
-            out / F["periods"], "label,start,end,mean_outage_gw,n_records", period_lines
-        ),
-        _write_rows(
-            out / F["unmet"], "month,max_output_gw,extra_outage_gw,pct_unmet", unmet_lines
-        ),
+        write_table(out / F["periods"], PERIODS_HEADER, period_rows),
+        write_table(out / F["unmet"], UNMET_HEADER, unmet_rows),
     ]
-    hist_files = []
     for label, ranges in hist_specs:
         demand = hourly.load_mw[adq.period_mask(hourly.hours, ranges)]
         if not len(demand):
@@ -647,19 +594,14 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
             )
         except ValueError:
             continue
-        lines = [
+        header = (
             f"# peak_demand_gw={adq.format_gw(hist.peak_demand_mw / adq.MW_PER_GW)} "
             f"max_output_gw={adq.format_gw(hist.max_output_mw / adq.MW_PER_GW)} "
             f"headroom_gw={adq.format_gw(hist.headroom_mw / adq.MW_PER_GW)} "
-            f"balanced={int(hist.balanced)}",
-            "bin_low,bin_high,count",
-        ]
-        for i, count in enumerate(hist.counts):
-            lines.append(f"{_r(hist.bin_edges[i])},{_r(hist.bin_edges[i + 1])},{count}")
-        hist_files.append(
-            _write_atomic(out / f"generation_hist_{label}.csv", "\n".join(lines) + "\n")
+            f"balanced={int(hist.balanced)}\nbin_low,bin_high,count"
         )
-    outputs.extend(hist_files)
+        rows = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
+        outputs.append(write_table(out / F[f"hist_{label}"], header, rows))
     outputs.append(_write_json(out / F["adequacy_summary"], summary))
     return outputs
 
@@ -668,7 +610,10 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def emit_report(results: Mapping[str, object]) -> str:
-    """Render a plain-text digest of whichever stage results are present."""
+    """Render a plain-text digest of whichever stage results are present.
+
+    Table results are typed rows in the column order of their files.
+    """
     lines: list[str] = ["shoulder-season analysis report"]
     region = results.get("region")
     if region:
@@ -700,15 +645,11 @@ def emit_report(results: Mapping[str, object]) -> str:
     if trend_rows:
         has_content = True
         lines.append("[onset trends]")
-        for row in trend_rows:
-            direction = "earlier" if row["season"] == "spring" else "later"
-            excluded = row.get("excluded") or "none"
+        for metric, season, slope, stderr, probability, n, excluded in trend_rows:
+            direction = "earlier" if season == "spring" else "later"
             lines.append(
-                f"{row['metric']} {row['season']}: "
-                f"{float(row['slope_days_per_decade']):+.2f} d/decade "
-                f"(se {float(row['stderr']):.2f}), "
-                f"P({direction}) = {float(row['shift_probability']):.2f}, "
-                f"n = {row['n']}, excluded: {excluded}"
+                f"{metric} {season}: {slope:+.2f} d/decade (se {stderr:.2f}), "
+                f"P({direction}) = {probability:.2f}, n = {n}, excluded: {excluded or 'none'}"
             )
         lines.append("")
 
@@ -716,11 +657,10 @@ def emit_report(results: Mapping[str, object]) -> str:
     if corr_rows:
         has_content = True
         lines.append("[onset correlations, cutoff-filtered]")
-        for row in corr_rows:
+        for season, x_metric, y_metric, r, n_used, excluded_count, cutoff in corr_rows:
             lines.append(
-                f"{row['season']} {row['x_metric']} vs {row['y_metric']}: "
-                f"r = {float(row['r']):.2f} (n = {row['n_used']}, "
-                f"excluded {row['excluded_count']}, cutoff {row['cutoff']})"
+                f"{season} {x_metric} vs {y_metric}: r = {r:.2f} (n = {n_used}, "
+                f"excluded {excluded_count}, cutoff {cutoff})"
             )
         lines.append("")
 
@@ -749,23 +689,21 @@ def emit_report(results: Mapping[str, object]) -> str:
     if adequacy_data:
         has_content = True
         lines.append("[maintenance adequacy]")
-        for row in adequacy_data.get("periods", []):
-            lines.append(
-                f"{row['label']}: mean outages {adq.format_gw(float(row['mean_outage_gw']))} GW"
-            )
+        for label, _, _, mean_outage_gw, _ in adequacy_data.get("periods", []):
+            lines.append(f"{label}: mean outages {adq.format_gw(mean_outage_gw)} GW")
         summary = adequacy_data.get("summary", {})
         if "incremental_delta_gw" in summary:
             lines.append(
                 "incremental shoulder maintenance: "
-                f"{adq.format_gw(float(summary['incremental_delta_gw']))} GW "
-                f"(shoulder {adq.format_gw(float(summary['shoulder_mean_gw']))} GW "
-                f"vs winter {adq.format_gw(float(summary['winter_mean_gw']))} GW)"
+                f"{adq.format_gw(summary['incremental_delta_gw'])} GW "
+                f"(shoulder {adq.format_gw(summary['shoulder_mean_gw'])} GW "
+                f"vs winter {adq.format_gw(summary['winter_mean_gw'])} GW)"
             )
-        for row in adequacy_data.get("unmet", []):
+        for month, max_output_gw, extra_outage_gw, pct_unmet in adequacy_data.get("unmet", []):
             lines.append(
-                f"unmet demand {row['month']}: {float(row['pct_unmet']):.2f}% "
-                f"(max output {adq.format_gw(float(row['max_output_gw']))} GW, "
-                f"extra outages {adq.format_gw(float(row['extra_outage_gw']))} GW)"
+                f"unmet demand {month}: {pct_unmet:.2f}% "
+                f"(max output {adq.format_gw(max_output_gw)} GW, "
+                f"extra outages {adq.format_gw(extra_outage_gw)} GW)"
             )
         lines.append("")
 
@@ -777,72 +715,31 @@ def emit_report(results: Mapping[str, object]) -> str:
 
 def _collect_report_inputs(cfg: RunConfig, out: Path) -> dict[str, object]:
     results: dict[str, object] = {"region": cfg.region_label}
-    shoulder_path = out / F["shoulder"]
-    if shoulder_path.is_file():
-        results["shoulder"] = _read_shoulder(shoulder_path)
-    trends_path = out / F["trends"]
-    if trends_path.is_file():
-        rows = []
-        for fields in _read_csv(trends_path, TRENDS_HEADER):
-            rows.append(
-                dict(
-                    zip(
-                        (
-                            "metric",
-                            "season",
-                            "slope_days_per_decade",
-                            "stderr",
-                            "shift_probability",
-                            "n",
-                            "excluded",
-                        ),
-                        fields,
-                    )
-                )
-            )
-        results["trends"] = rows
-    corr_path = out / F["corr"]
-    if corr_path.is_file():
-        rows = []
-        for fields in _read_csv(corr_path, CORR_HEADER):
-            rows.append(
-                dict(
-                    zip(
-                        ("season", "x_metric", "y_metric", "r", "n_used", "excluded_count", "cutoff"),
-                        fields,
-                    )
-                )
-            )
-        results["correlations"] = rows
-    proj_path = out / F["proj_summary"]
-    if proj_path.is_file():
-        results["projection"] = json.loads(proj_path.read_text(encoding="utf-8"))
-    periods_path = out / F["periods"]
-    if periods_path.is_file():
-        periods = [
-            dict(zip(("label", "start", "end", "mean_outage_gw", "n_records"), fields))
-            for fields in _read_csv(periods_path, "label,start,end,mean_outage_gw,n_records")
-        ]
+    if (out / F["shoulder"]).is_file():
+        results["shoulder"] = _windows(out / F["shoulder"])
+    if (out / F["trends"]).is_file():
+        results["trends"] = read_table(out / F["trends"], TRENDS_HEADER, *TRENDS_COLUMNS)
+    if (out / F["corr"]).is_file():
+        results["correlations"] = read_table(out / F["corr"], CORR_HEADER, *CORR_COLUMNS)
+    if (out / F["proj_summary"]).is_file():
+        results["projection"] = json.loads((out / F["proj_summary"]).read_text(encoding="utf-8"))
+    if (out / F["periods"]).is_file():
         unmet = []
-        unmet_path = out / F["unmet"]
-        if unmet_path.is_file():
-            unmet = [
-                dict(zip(("month", "max_output_gw", "extra_outage_gw", "pct_unmet"), fields))
-                for fields in _read_csv(
-                    unmet_path, "month,max_output_gw,extra_outage_gw,pct_unmet"
-                )
-            ]
+        if (out / F["unmet"]).is_file():
+            unmet = read_table(out / F["unmet"], UNMET_HEADER, *UNMET_COLUMNS)
         summary = {}
-        summary_path = out / F["adequacy_summary"]
-        if summary_path.is_file():
-            summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        results["adequacy"] = {"periods": periods, "unmet": unmet, "summary": summary}
+        if (out / F["adequacy_summary"]).is_file():
+            summary = json.loads((out / F["adequacy_summary"]).read_text(encoding="utf-8"))
+        results["adequacy"] = {
+            "periods": read_table(out / F["periods"], PERIODS_HEADER, *PERIODS_COLUMNS),
+            "unmet": unmet,
+            "summary": summary,
+        }
     return results
 
 
 def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
-    results = _collect_report_inputs(cfg, out)
-    return [_write_atomic(out / F["report"], emit_report(results))]
+    return [write_atomic(out / F["report"], emit_report(_collect_report_inputs(cfg, out)))]
 
 
 _STAGE_FUNCS = {
@@ -884,6 +781,7 @@ def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]
     for stage in STAGES:
         if stage in stages:
             written[stage] = _STAGE_FUNCS[stage](cfg, out)
+            _remove_outputs(out, [stage], keep=written[stage])
     return written
 
 
@@ -968,7 +866,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.out:
             cfg.out_dir = Path(args.out)
-        stages = _stages_for_all(cfg) if args.command == "all" else [args.command]
+        stages = [args.command]
+        if args.command == "all":
+            stages = _stages_for_all(cfg)
+            _remove_outputs(Path(cfg.out_dir), [s for s in STAGES if s not in stages])
         written = run_pipeline(cfg, stages)
         for stage in STAGES:
             if stage not in written:

@@ -62,6 +62,8 @@ class RunConfig:
             raise ValueError("config key extra_outage_gw: must be >= 0")
         if self.adequacy_bin_gw <= 0:
             raise ValueError("config key adequacy_bin_gw: must be > 0")
+        if self.out_dir is None:
+            raise ValueError("config key out_dir: must not be empty")
         for key in _PATH_KEYS:
             path = getattr(self, key)
             if path is not None and not Path(path).is_file():

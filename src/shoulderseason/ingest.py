@@ -17,9 +17,11 @@ import dataclasses
 from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, TypeVar
 
 import numpy as np
+
+from .tables import format_table, parse_date, parse_float, parse_int, read_header, read_rows
 
 LOAD_HEADER = "date,hour,load_mw"
 FUEL_MIX_HEADER = "timestamp,wind_mw,solar_mw,hydro_mw,other_mw"
@@ -107,34 +109,6 @@ class Outages(_Table):
     telemetered_output_mw: np.ndarray
 
 
-def _lines(source: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\r\n")
-        if line:
-            yield lineno, line
-
-
-def _split_rows(
-    source: IO[str] | Iterable[str], header: str
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield (lineno, fields) for data rows after validating the header."""
-    n_fields = header.count(",") + 1
-    it = _lines(source)
-    try:
-        lineno, first = next(it)
-    except StopIteration:
-        raise ValueError(f"empty file: expected header {header!r}") from None
-    if first.strip() != header:
-        raise ValueError(f"line {lineno}: expected header {header!r}, got {first!r}")
-    for lineno, line in it:
-        fields = line.split(",")
-        if len(fields) != n_fields:
-            raise ValueError(
-                f"line {lineno}: expected {n_fields} fields, got {len(fields)}"
-            )
-        yield lineno, [f.strip() for f in fields]
-
-
 T = TypeVar("T")
 
 
@@ -158,17 +132,7 @@ def read_csv_chunks(
     timestamp read) carries across chunk boundaries.
     """
     lines = iter(source)
-    lineno = 0
-    for raw in lines:
-        lineno += 1
-        first = raw.rstrip("\r\n")
-        if first:
-            break
-    else:
-        raise ValueError(f"empty file: expected header {header!r}")
-    if first.strip() != header:
-        raise ValueError(f"line {lineno}: expected header {header!r}, got {first!r}")
-
+    lineno = read_header(lines, header)
     results = []
     while chunk := list(islice(lines, CSV_CHUNK_LINES)):
         first_lineno, lineno = lineno + 1, lineno + len(chunk)
@@ -201,33 +165,16 @@ def _raise_first_row_error(
         check_row(lineno, [f.strip() for f in fields])
 
 
-def _parse_float(text: str, lineno: int, name: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad {name} value {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"line {lineno}: non-finite {name} value {text!r}")
-    return value
-
-
 def parse_loadtxt_float(text: str, lineno: int, name: str) -> float:
     """A finite float in the grammar np.loadtxt reads.
 
     That is float()'s grammar without digit-group underscores (`1_0`)
     and non-ASCII digits, which float() accepts.
     """
-    value = _parse_float(text, lineno, name)
+    value = parse_float(text, lineno, name)
     if "_" in text or not text.isascii():
         raise ValueError(f"line {lineno}: bad {name} value {text!r}")
     return value
-
-
-def _parse_date(text: str, lineno: int) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad date {text!r}") from None
 
 
 def _parse_timestamp(text: str, lineno: int) -> datetime:
@@ -375,7 +322,7 @@ def parse_hourly_load(source: IO[str] | Iterable[str]) -> HourlyLoad:
 
     def check_row(lineno: int, fields: list[str]) -> datetime:
         day_s, hour_s, load_s = fields
-        day = _parse_date(day_s, lineno)
+        day = parse_date(day_s, lineno, "date")
         hour = _parse_hour(hour_s, lineno)
         if parse_loadtxt_float(load_s, lineno, "load_mw") < 0:
             raise ValueError(f"line {lineno}: negative load {load_s!r}")
@@ -494,58 +441,46 @@ def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
     return HourlyLoad(hourly.hours, np.where(netted < 0.0, 0.0, netted))
 
 
-# Canonical serialization. Floats are written with repr so a write/parse
-# round trip reproduces the series bit for bit.
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# Canonical serialization, in the format of `tables`: a write/parse round
+# trip reproduces the series bit for bit.
 
 
 def write_hourly_load(hourly: HourlyLoad, stream: IO[str]) -> None:
-    stream.write(LOAD_HEADER + "\n")
-    for ts, load in zip(hourly.hours.tolist(), hourly.load_mw.tolist()):
-        stream.write(f"{ts.date().isoformat()},{ts.hour},{_fmt(load)}\n")
+    rows = zip(hourly.hours.tolist(), hourly.load_mw.tolist())
+    stream.write(format_table(LOAD_HEADER, ((ts.date(), ts.hour, load) for ts, load in rows)))
 
 
 def write_fuel_mix(mix: FuelMix, stream: IO[str]) -> None:
-    stream.write(FUEL_MIX_HEADER + "\n")
     columns = [getattr(mix, name).tolist() for name in _MIX_COLUMNS]
-    for ts, *values in zip(mix.timestamps.tolist(), *columns):
-        stream.write(",".join([ts.isoformat(), *map(_fmt, values)]) + "\n")
+    stream.write(format_table(FUEL_MIX_HEADER, zip(mix.timestamps.tolist(), *columns)))
 
 
 def write_outages(outages: Outages, stream: IO[str]) -> None:
-    stream.write(OUTAGE_HEADER + "\n")
-    for ts, outage, telem in zip(
-        outages.timestamps.tolist(),
-        outages.outage_mw.tolist(),
-        outages.telemetered_output_mw.tolist(),
-    ):
-        telem_s = "" if math.isnan(telem) else _fmt(telem)
-        stream.write(f"{ts.isoformat()},{_fmt(outage)},{telem_s}\n")
+    rows = (
+        (ts, outage, None if math.isnan(telem) else telem)
+        for ts, outage, telem in zip(
+            outages.timestamps.tolist(),
+            outages.outage_mw.tolist(),
+            outages.telemetered_output_mw.tolist(),
+        )
+    )
+    stream.write(format_table(OUTAGE_HEADER, rows))
 
 
 def write_daily_summaries(summaries: Iterable[DailyLoadSummary], stream: IO[str]) -> None:
-    stream.write(DAILY_HEADER + "\n")
-    for s in summaries:
-        stream.write(
-            f"{s.day.isoformat()},{_fmt(s.total_energy_mwh)},"
-            f"{_fmt(s.peak_demand_mw)},{s.hours_present}\n"
-        )
+    rows = ((s.day, s.total_energy_mwh, s.peak_demand_mw, s.hours_present) for s in summaries)
+    stream.write(format_table(DAILY_HEADER, rows))
+
+
+def _parse_hours_present(text: str, lineno: int, name: str) -> int:
+    hours = parse_int(text, lineno, name)
+    if not 0 <= hours <= 24:
+        raise ValueError(f"line {lineno}: {name} {hours} out of range 0-24")
+    return hours
 
 
 def read_daily_summaries(source: IO[str] | Iterable[str]) -> list[DailyLoadSummary]:
-    summaries: list[DailyLoadSummary] = []
-    for lineno, (day_s, total_s, peak_s, hours_s) in _split_rows(source, DAILY_HEADER):
-        day = _parse_date(day_s, lineno)
-        total = _parse_float(total_s, lineno, "total_energy_mwh")
-        peak = _parse_float(peak_s, lineno, "peak_demand_mw")
-        try:
-            hours = int(hours_s)
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad hours_present {hours_s!r}") from None
-        if not 0 <= hours <= 24:
-            raise ValueError(f"line {lineno}: hours_present {hours} out of range 0-24")
-        summaries.append(DailyLoadSummary(day, total, peak, hours))
-    return summaries
+    rows = read_rows(
+        source, DAILY_HEADER, parse_date, parse_float, parse_float, _parse_hours_present
+    )
+    return [DailyLoadSummary(*row) for row in rows]

@@ -12,13 +12,13 @@ from __future__ import annotations
 import calendar
 import math
 from dataclasses import dataclass
-from datetime import date
 from statistics import NormalDist
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .trends import TrendResult, linear_trend
+from .tables import parse_float, split_rows
+from .trends import TrendResult, day_of_year, linear_trend
 
 ENSEMBLE_HEADER = "member,year,month,t2m_c"
 
@@ -60,11 +60,9 @@ class OnsetProjection:
 
 def parse_ensemble_csv(source: IO[str] | Iterable[str]) -> list[tuple[str, int, int, float]]:
     """Parse `member,year,month,t2m_c` rows of monthly ensemble means."""
-    from .ingest import _parse_float, _split_rows
-
     rows: list[tuple[str, int, int, float]] = []
     seen: set[tuple[str, int, int]] = set()
-    for lineno, (member, year_s, month_s, temp_s) in _split_rows(source, ENSEMBLE_HEADER):
+    for lineno, (member, year_s, month_s, temp_s) in split_rows(source, ENSEMBLE_HEADER):
         try:
             year = int(year_s)
             month = int(month_s)
@@ -72,7 +70,7 @@ def parse_ensemble_csv(source: IO[str] | Iterable[str]) -> list[tuple[str, int, 
             raise ValueError(f"line {lineno}: bad year/month {year_s!r},{month_s!r}") from None
         if not 1 <= month <= 12:
             raise ValueError(f"line {lineno}: month {month} out of range 1-12")
-        temp = _parse_float(temp_s, lineno, "t2m_c")
+        temp = parse_float(temp_s, lineno, "t2m_c")
         key = (member, year, month)
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate entry for {key}")
@@ -144,12 +142,6 @@ def fit_bias_correction(
     return BiasCorrection(gain=gain, offset=offset)
 
 
-def onset_doy(value) -> float:
-    if isinstance(value, date):
-        return float(value.timetuple().tm_yday)
-    return float(value)
-
-
 def onset_vs_temperature(
     annual_temps: Mapping[int, float],
     onsets: Mapping[int, object],
@@ -159,7 +151,7 @@ def onset_vs_temperature(
     if season not in ("spring", "fall"):
         raise ValueError(f"season must be 'spring' or 'fall', got {season!r}")
     years = sorted(set(annual_temps) & set(onsets))
-    points = [(annual_temps[y], onset_doy(onsets[y])) for y in years]
+    points = [(annual_temps[y], day_of_year(onsets[y])) for y in years]
     direction = "earlier" if season == "spring" else "later"
     return linear_trend(points, direction=direction)
 

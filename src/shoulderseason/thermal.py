@@ -21,6 +21,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .ingest import parse_loadtxt_float, read_csv_chunks
+from .tables import parse_float, parse_int, split_rows
 
 GRID_HEADER = "lat,lon,date,t2m_c"
 POPULATION_HEADER = "lat,lon,epoch,persons"
@@ -242,20 +243,13 @@ def load_temperature_grid(path: Path | str) -> TemperatureGrid:
 
 
 def read_population_csv(source: IO[str] | Iterable[str]) -> PopulationGrid:
-    from .ingest import _parse_float, _split_rows
-
     entries = []
     seen: set[tuple[int, float, float]] = set()
-    for lineno, (lat_s, lon_s, epoch_s, persons_s) in _split_rows(
-        source, POPULATION_HEADER
-    ):
-        lat = _parse_float(lat_s, lineno, "lat")
-        lon = _parse_float(lon_s, lineno, "lon")
-        try:
-            epoch = int(epoch_s)
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad epoch {epoch_s!r}") from None
-        persons = _parse_float(persons_s, lineno, "persons")
+    for lineno, (lat_s, lon_s, epoch_s, persons_s) in split_rows(source, POPULATION_HEADER):
+        lat = parse_float(lat_s, lineno, "lat")
+        lon = parse_float(lon_s, lineno, "lon")
+        epoch = parse_int(epoch_s, lineno, "epoch")
+        persons = parse_float(persons_s, lineno, "persons")
         if persons < 0:
             raise ValueError(f"line {lineno}: negative persons value {persons_s!r}")
         if (epoch, lat, lon) in seen:
@@ -279,13 +273,11 @@ def read_population_csv(source: IO[str] | Iterable[str]) -> PopulationGrid:
 
 
 def read_mask_csv(source: IO[str] | Iterable[str]) -> RegionMask:
-    from .ingest import _parse_float, _split_rows
-
     entries = []
     seen: set[tuple[float, float]] = set()
-    for lineno, (lat_s, lon_s, flag_s) in _split_rows(source, MASK_HEADER):
-        lat = _parse_float(lat_s, lineno, "lat")
-        lon = _parse_float(lon_s, lineno, "lon")
+    for lineno, (lat_s, lon_s, flag_s) in split_rows(source, MASK_HEADER):
+        lat = parse_float(lat_s, lineno, "lat")
+        lon = parse_float(lon_s, lineno, "lon")
         if flag_s not in ("0", "1"):
             raise ValueError(f"line {lineno}: in_region must be 0 or 1, got {flag_s!r}")
         if (lat, lon) in seen:

@@ -195,20 +195,25 @@ def moving_average(
     return out
 
 
-def _as_day_value(value) -> float:
-    if isinstance(value, date):
-        return float(value.timetuple().tm_yday)
-    return float(value)
+def day_of_year(onset: date | float) -> int | float:
+    """Day of year of a date (January 1 is 1); a number is taken as one already."""
+    return onset.timetuple().tm_yday if isinstance(onset, date) else onset
 
 
-def _compare_to_cutoff(value, cutoff) -> int:
-    if isinstance(value, date) and isinstance(cutoff, date):
-        a, b = (value.month, value.day), (cutoff.month, cutoff.day)
-    elif isinstance(value, date) or isinstance(cutoff, date):
+def within_cutoff(x_onset: date | float, season: str, cutoff: date | float) -> bool:
+    """Whether a pair with this x onset counts in a cutoff-filtered correlation.
+
+    Spring onsets before the cutoff and fall onsets after it are left
+    out. Dates compare by month and day only, so the cutoff year is
+    irrelevant; onsets and cutoff must both be dates or both numbers.
+    """
+    if isinstance(x_onset, date) and isinstance(cutoff, date):
+        a, b = (x_onset.month, x_onset.day), (cutoff.month, cutoff.day)
+    elif isinstance(x_onset, date) or isinstance(cutoff, date):
         raise TypeError("onsets and cutoff must both be dates or both be numbers")
     else:
-        a, b = value, cutoff
-    return (a > b) - (a < b)
+        a, b = x_onset, cutoff
+    return a >= b if season == "spring" else a <= b
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -241,13 +246,11 @@ def pearson_with_cutoff(
     kept_y: list[float] = []
     excluded_years: list[int] = []
     for year in years:
-        xv = x_onsets[year]
-        cmp = _compare_to_cutoff(xv, cutoff)
-        if (cmp < 0) if season == "spring" else (cmp > 0):
+        if not within_cutoff(x_onsets[year], season, cutoff):
             excluded_years.append(year)
             continue
-        kept_x.append(_as_day_value(xv))
-        kept_y.append(_as_day_value(y_onsets[year]))
+        kept_x.append(day_of_year(x_onsets[year]))
+        kept_y.append(day_of_year(y_onsets[year]))
     if len(kept_x) < 3:
         raise ValueError(
             f"only {len(kept_x)} pairs remain after the cutoff; need at least 3"

@@ -70,15 +70,15 @@ def reference_read_grid_csv(source):
     """
     from datetime import datetime
 
-    from shoulderseason.ingest import _parse_float, _split_rows
+    from shoulderseason.tables import parse_float, split_rows
     from shoulderseason.thermal import GRID_HEADER, TemperatureGrid, _parse_time
 
     entries = []
-    for lineno, (lat_s, lon_s, time_s, val_s) in _split_rows(source, GRID_HEADER):
-        lat = _parse_float(lat_s, lineno, "lat")
-        lon = _parse_float(lon_s, lineno, "lon")
+    for lineno, (lat_s, lon_s, time_s, val_s) in split_rows(source, GRID_HEADER):
+        lat = parse_float(lat_s, lineno, "lat")
+        lon = parse_float(lon_s, lineno, "lon")
         t = _parse_time(time_s, lineno)
-        val = _parse_float(val_s, lineno, "t2m_c")
+        val = parse_float(val_s, lineno, "t2m_c")
         entries.append((t, lat, lon, val))
     if not entries:
         raise ValueError("grid file has no data rows")
@@ -136,25 +136,20 @@ def _sum(values) -> float:
 
 
 def reference_parse_hourly_load(source) -> list[HourlyLoadRecord]:
-    from shoulderseason.ingest import (
-        LOAD_HEADER,
-        _check_increasing,
-        _parse_date,
-        _parse_float,
-        _split_rows,
-    )
+    from shoulderseason.ingest import LOAD_HEADER, _check_increasing
+    from shoulderseason.tables import parse_date, parse_float, split_rows
 
     records: list[HourlyLoadRecord] = []
     prev: datetime | None = None
-    for lineno, (day_s, hour_s, load_s) in _split_rows(source, LOAD_HEADER):
-        day = _parse_date(day_s, lineno)
+    for lineno, (day_s, hour_s, load_s) in split_rows(source, LOAD_HEADER):
+        day = parse_date(day_s, lineno, "date")
         try:
             hour = int(hour_s)
         except ValueError:
             raise ValueError(f"line {lineno}: bad hour {hour_s!r}") from None
         if not 0 <= hour <= 23:
             raise ValueError(f"line {lineno}: hour {hour} out of range 0-23")
-        load = _parse_float(load_s, lineno, "load_mw")
+        load = parse_float(load_s, lineno, "load_mw")
         if load < 0:
             raise ValueError(f"line {lineno}: negative load {load_s!r}")
         ts = datetime(day.year, day.month, day.day, hour)
@@ -165,17 +160,12 @@ def reference_parse_hourly_load(source) -> list[HourlyLoadRecord]:
 
 
 def reference_parse_fuel_mix(source) -> list[FuelMixRecord]:
-    from shoulderseason.ingest import (
-        FUEL_MIX_HEADER,
-        _check_increasing,
-        _parse_float,
-        _parse_timestamp,
-        _split_rows,
-    )
+    from shoulderseason.ingest import FUEL_MIX_HEADER, _check_increasing, _parse_timestamp
+    from shoulderseason.tables import parse_float, split_rows
 
     records: list[FuelMixRecord] = []
     prev: datetime | None = None
-    for lineno, fields in _split_rows(source, FUEL_MIX_HEADER):
+    for lineno, fields in split_rows(source, FUEL_MIX_HEADER):
         ts = _parse_timestamp(fields[0], lineno)
         if ts.minute % 15 or ts.second or ts.microsecond:
             raise ValueError(
@@ -183,7 +173,7 @@ def reference_parse_fuel_mix(source) -> list[FuelMixRecord]:
             )
         values = []
         for name, text in zip(("wind_mw", "solar_mw", "hydro_mw", "other_mw"), fields[1:]):
-            value = _parse_float(text, lineno, name)
+            value = parse_float(text, lineno, name)
             if value < 0:
                 raise ValueError(f"line {lineno}: negative {name} value {text!r}")
             values.append(value)
@@ -194,28 +184,23 @@ def reference_parse_fuel_mix(source) -> list[FuelMixRecord]:
 
 
 def reference_parse_outages(source) -> list[OutageRecord]:
-    from shoulderseason.ingest import (
-        OUTAGE_HEADER,
-        _check_increasing,
-        _parse_float,
-        _parse_timestamp,
-        _split_rows,
-    )
+    from shoulderseason.ingest import OUTAGE_HEADER, _check_increasing, _parse_timestamp
+    from shoulderseason.tables import parse_float, split_rows
 
     records: list[OutageRecord] = []
     prev: datetime | None = None
-    for lineno, (ts_s, outage_s, telem_s) in _split_rows(source, OUTAGE_HEADER):
+    for lineno, (ts_s, outage_s, telem_s) in split_rows(source, OUTAGE_HEADER):
         ts = _parse_timestamp(ts_s, lineno)
         if ts.minute % 15 or ts.second or ts.microsecond:
             raise ValueError(
                 f"line {lineno}: timestamp {ts_s!r} not on a 15-minute boundary"
             )
-        outage = _parse_float(outage_s, lineno, "outage_mw")
+        outage = parse_float(outage_s, lineno, "outage_mw")
         if outage < 0:
             raise ValueError(f"line {lineno}: negative outage_mw value {outage_s!r}")
         telem: float | None = None
         if telem_s:
-            telem = _parse_float(telem_s, lineno, "telemetered_output_mw")
+            telem = parse_float(telem_s, lineno, "telemetered_output_mw")
             if telem < 0:
                 raise ValueError(
                     f"line {lineno}: negative telemetered_output_mw value {telem_s!r}"

@@ -10,6 +10,7 @@ import pytest
 
 from shoulderseason.cli import (
     F,
+    OUTPUTS,
     emit_report,
     main,
     run_pipeline,
@@ -80,6 +81,14 @@ class TestConfig:
         path.write_text("window_len = 0\n")
         with pytest.raises(ValueError, match="config key window_len"):
             load_config(path)
+
+    def test_empty_out_dir_named(self, tmp_path, capsys) -> None:
+        path = tmp_path / "bad.conf"
+        path.write_text("out_dir =\n")
+        with pytest.raises(ValueError, match="config key out_dir: must not be empty"):
+            load_config(path)
+        assert main(["all", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config key out_dir: must not be empty\n"
 
     def test_bad_outlier_policy(self, tmp_path) -> None:
         path = tmp_path / "bad.conf"
@@ -179,6 +188,41 @@ class TestPipeline:
         run_pipeline(cfg, _stages_for_all(cfg))
         assert not (cfg.out_dir / F["daily_net"]).exists()
         assert _tree_bytes(cfg.out_dir) == _tree_bytes(tmp_path / "fresh")
+
+    def test_rerun_without_grid_and_ensemble_equals_fresh_run(
+        self, fixture_dir, full_run, tmp_path
+    ) -> None:
+        conf = _config_variant(
+            fixture_dir,
+            tmp_path / "load_only.conf",
+            temperature_grid=None,
+            mask_csv=None,
+            population_csv=None,
+            ensemble_csv=None,
+        )
+        fresh = tmp_path / "fresh"
+        assert main(["all", "--config", str(conf), "--out", str(fresh)]) == 0
+        rerun = tmp_path / "rerun"
+        shutil.copytree(full_run, rerun)
+        assert main(["all", "--config", str(conf), "--out", str(rerun)]) == 0
+        assert _tree_bytes(rerun) == _tree_bytes(fresh)
+        report = (rerun / F["report"]).read_text()
+        assert "[onset correlations" not in report and "[projection]" not in report
+
+    def test_every_output_is_owned_by_one_stage(self, full_run) -> None:
+        owned = [F[key] for keys in OUTPUTS.values() for key in keys]
+        assert len(owned) == len(set(owned))
+        assert {p.name for p in full_run.iterdir()} <= set(owned)
+
+    def test_day_of_year_columns_keep_their_types(self, full_run) -> None:
+        def column(name: str, header: str) -> list[str]:
+            lines = (full_run / F[name]).read_text().splitlines()
+            index = lines[0].split(",").index(header)
+            return [line.split(",")[index] for line in lines[1:]]
+
+        for name, header in (("corr_points", "x_onset_doy"), ("onset_temp", "onset_doy")):
+            assert all(v.isdigit() for v in column(name, header)), name
+        assert all(v.endswith(".0") for v in column("movavg", "onset_doy"))
 
     def test_header_only_outage_file_is_named(
         self, fixture_dir, full_run, tmp_path, capsys
@@ -294,17 +338,9 @@ class TestEmitReport:
         text = emit_report(
             {
                 "region": "demo",
-                "trends": [
-                    {
-                        "metric": "degree_days",
-                        "season": "spring",
-                        "slope_days_per_decade": "-2.4",
-                        "stderr": "0.8",
-                        "shift_probability": "0.99",
-                        "n": "64",
-                        "excluded": "",
-                    }
-                ],
+                # metric, season, slope_days_per_decade, stderr,
+                # shift_probability, n, excluded
+                "trends": [("degree_days", "spring", -2.4, 0.8, 0.99, 64, "")],
             }
         )
         assert "-2.40 d/decade" in text
