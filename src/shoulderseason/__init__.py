@@ -15,7 +15,8 @@ from .adequacy import (
     unmet_demand_fraction,
 )
 from .ingest import (
-    DailyLoadSummary,
+    DailyLoad,
+    DailySeries,
     FuelMix,
     HourlyLoad,
     Outages,
@@ -37,8 +38,6 @@ from .projection import (
 )
 from .thermal import (
     CubicDemandFit,
-    DailyRegionTemp,
-    DegreeDayValue,
     PopulationGrid,
     RegionMask,
     TemperatureGrid,

@@ -172,25 +172,22 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
     temps_weighted = thermal.population_weighted_daily_temp(grid, pop)
     temps_unweighted = thermal.population_weighted_daily_temp(grid, None)
     with open(daily_path, encoding="utf-8") as fh:
-        daily = ingest.read_daily_summaries(fh)
+        peaks = ingest.read_daily_summaries(fh).series("peak_demand", cfg.min_hours)
 
-    temp_by_day = {t.day: t.t_avg_c for t in temps_weighted}
-    pairs_by_year: dict[int, list[tuple[float, float]]] = {}
-    for s in daily:
-        if s.hours_present < cfg.min_hours or s.day not in temp_by_day:
-            continue
-        pairs_by_year.setdefault(s.day.year, []).append(
-            (temp_by_day[s.day], s.peak_demand_mw)
-        )
+    # (temperature, peak demand) of each load day with a regional temperature
+    temps = temps_weighted.window(peaks.first, len(peaks))
+    paired = ~np.isnan(peaks.values) & ~np.isnan(temps)
+    years = peaks.days[paired].astype("datetime64[Y]").astype(int) + 1970
+    temps, peak_mw = temps[paired], peaks.values[paired]
 
     fits: list[thermal.CubicDemandFit] = []
     skipped: list[int] = []
-    for year in sorted(pairs_by_year):
-        pairs = pairs_by_year[year]
-        if len({t for t, _ in pairs}) < 4:
+    for year in np.unique(years).tolist():
+        t, d = temps[years == year], peak_mw[years == year]
+        if np.unique(t).size < 4:
             skipped.append(year)
             continue
-        fit = thermal.fit_demand_temperature_cubic(pairs, year=year)
+        fit = thermal.fit_demand_temperature_cubic(zip(t.tolist(), d.tolist()), year=year)
         try:
             t0 = thermal.reference_temperature(fit)
         except ValueError:
@@ -204,16 +201,14 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
     if not fits:
         raise ValueError(
             "no year produced a demand-temperature cubic with an interior "
-            f"minimum (years considered: {sorted(pairs_by_year)})"
+            f"minimum (years considered: {np.unique(years).tolist()})"
         )
     t0_global = thermal.global_t0([f.t0 for f in fits])
     dd = thermal.degree_day_series(temps_weighted, t0_global)
     spatial_std = thermal.spatial_temp_stddev(grid)
 
     return [
-        write_table(
-            out / F["temp_daily"], "date,t_avg_c", ((t.day, t.t_avg_c) for t in temps_weighted)
-        ),
+        write_atomic(out / F["temp_daily"], temps_weighted.format("date,t_avg_c")),
         write_table(
             out / F["temp_annual"], ANNUAL_HEADER, thermal.annual_means(temps_unweighted).items()
         ),
@@ -222,7 +217,7 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
             "year,a1,a2,a3,a4,t0,t_min,t_max",
             ((f.year, f.a1, f.a2, f.a3, f.a4, f.t0, *f.fit_range) for f in fits),
         ),
-        write_table(out / F["dd"], DD_HEADER, ((v.day, v.dd_c) for v in dd)),
+        write_atomic(out / F["dd"], dd.format(DD_HEADER)),
         _write_json(
             out / F["thermal_summary"],
             {
@@ -238,11 +233,11 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def stage_shoulder(cfg: RunConfig, out: Path) -> list[Path]:
-    dd: dict[date, float] | None = None
-    summaries: list[ingest.DailyLoadSummary] | None = None
+    dd: ingest.DailySeries | None = None
+    summaries: ingest.DailyLoad | None = None
     if cfg.temperature_grid is not None:
-        dd_path = _need_cached(out, F["dd"], "thermal")
-        dd = dict(read_table(dd_path, DD_HEADER, parse_date, parse_float))
+        with open(_need_cached(out, F["dd"], "thermal"), encoding="utf-8") as fh:
+            dd = ingest.read_daily_series(fh, DD_HEADER)
     if cfg.load_csv is not None:
         with open(_need_cached(out, F["daily"], "ingest"), encoding="utf-8") as fh:
             summaries = ingest.read_daily_summaries(fh)

@@ -15,13 +15,13 @@ import math
 import re
 import dataclasses
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 from itertools import islice
-from typing import IO, Callable, Iterable, TypeVar
+from typing import IO, Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
-from .tables import format_table, parse_date, parse_float, parse_int, read_header, read_rows
+from .tables import format_columns, format_table, parse_date, parse_float, parse_int, read_header
 
 LOAD_HEADER = "date,hour,load_mw"
 FUEL_MIX_HEADER = "timestamp,wind_mw,solar_mw,hydro_mw,other_mw"
@@ -33,8 +33,10 @@ DAILY_HEADER = "date,total_energy_mwh,peak_demand_mw,hours_present"
 DEFAULT_MIN_HOURS = 20
 
 # Lines per np.loadtxt call in read_csv_chunks: large enough to amortise
-# the call, small enough that one chunk's strings stay a few MB.
-CSV_CHUNK_LINES = 1 << 16
+# the call, small enough that one chunk's strings stay a few MB. At 1 << 16
+# the heap the chunks left behind raised the peak RSS of a process running
+# `all` again and again by ~17 MB over 12 runs of a paper-scale world.
+CSV_CHUNK_LINES = 1 << 14
 
 _MIX_COLUMNS = ("wind_mw", "solar_mw", "hydro_mw", "other_mw")
 _LOAD_DTYPE = np.dtype([("date", object), ("hour", "i8"), ("load_mw", "f8")])
@@ -75,14 +77,6 @@ class HourlyLoad(_Table):
     load_mw: np.ndarray
 
 
-@dataclass(frozen=True)
-class DailyLoadSummary:
-    day: date
-    total_energy_mwh: float
-    peak_demand_mw: float
-    hours_present: int
-
-
 @dataclass(frozen=True, eq=False)
 class FuelMix(_Table):
     """Fuel-mix samples with strictly increasing `datetime64[us]` timestamps
@@ -107,6 +101,98 @@ class Outages(_Table):
     timestamps: np.ndarray
     outage_mw: np.ndarray
     telemetered_output_mw: np.ndarray
+
+
+def to_days(dates: Iterable[date]) -> np.ndarray:
+    """Dates as `datetime64[D]`; through ordinals, many times faster than np.array."""
+    ordinals = np.fromiter(map(date.toordinal, dates), np.int64)
+    return (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+
+
+@dataclass(frozen=True, eq=False)
+class _DayTable:
+    """Columns on a dense day axis: row i holds day `first` + i.
+
+    A day without data is NaN in the float columns and 0 in an integer
+    column, so the NaNs of the first column mark the missing days.
+    """
+
+    first: date
+
+    @classmethod
+    def from_days(cls, days: np.ndarray, *columns: np.ndarray):
+        """Rows on strictly increasing `datetime64[D]` days, spread over the axis."""
+        if (days[1:] <= days[:-1]).any():
+            raise ValueError("days not increasing")
+        offsets = (days - days[:1]).astype(np.int64)
+        n = int(offsets[-1]) + 1 if len(days) else 0
+        dense = [np.full(n, np.nan if c.dtype.kind == "f" else 0, c.dtype) for c in columns]
+        for out, column in zip(dense, columns):
+            out[offsets] = column
+        return cls(days[0].item() if len(days) else date.min, *dense)
+
+    @property
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in dataclasses.fields(self)[1:]]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @property
+    def present(self) -> np.ndarray:
+        return ~np.isnan(self.columns[0])
+
+    @property
+    def days(self) -> np.ndarray:
+        return np.datetime64(self.first, "D") + np.arange(len(self))
+
+    def format(self, header: str) -> str:
+        """The table text: a row per day with data, each value as `repr` gives it."""
+        rows = self.present
+        cells = [self.days[rows].astype(str).tolist()]
+        return format_columns(header, cells + [map(repr, c[rows].tolist()) for c in self.columns])
+
+
+@dataclass(frozen=True, eq=False)
+class DailySeries(_DayTable):
+    """One value per day; NaN marks a day without a value."""
+
+    values: np.ndarray
+
+    @classmethod
+    def from_mapping(cls, series: Mapping[date, float]) -> DailySeries:
+        """The axis spans the mapping's days; a non-finite value reads as missing."""
+        days = sorted(series)
+        values = np.array([series[d] for d in days], dtype=float)
+        return cls.from_days(to_days(days), np.where(np.isfinite(values), values, np.nan))
+
+    def window(self, start: date, n_days: int) -> np.ndarray:
+        """Values of the n_days days from start; NaN off the axis."""
+        lo = (start - self.first).days
+        src = self.values[max(lo, 0) : max(lo + n_days, 0)]
+        out = np.full(n_days, np.nan)
+        out[max(-lo, 0) : max(-lo, 0) + len(src)] = src
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class DailyLoad(_DayTable):
+    """Daily energy (MWh, the sum of hourly MW), peak (MW) and hours present."""
+
+    total_energy_mwh: np.ndarray
+    peak_demand_mw: np.ndarray
+    hours_present: np.ndarray
+
+    def series(self, metric: str, min_hours: int = DEFAULT_MIN_HOURS) -> DailySeries:
+        """One metric, on the axis cut to the days that have it; a day with
+        fewer than min_hours hours has none."""
+        columns = {"total_energy": self.total_energy_mwh, "peak_demand": self.peak_demand_mw}
+        if metric not in columns:
+            raise ValueError(f"unknown load metric {metric!r}")
+        values = np.where(self.hours_present >= min_hours, columns[metric], np.nan)
+        kept = np.flatnonzero(~np.isnan(values))
+        lo, hi = (int(kept[0]), int(kept[-1]) + 1) if len(kept) else (0, 0)
+        return DailySeries(self.first + timedelta(days=lo), values[lo:hi])
 
 
 T = TypeVar("T")
@@ -243,7 +329,8 @@ def _quarter_hours(column: np.ndarray) -> np.ndarray:
     lengths = np.fromiter(map(len, texts), np.intp, len(texts))
     if not np.isin(lengths, _TIMESTAMP_LENGTHS).all():
         raise ValueError("bad timestamp")
-    codes = np.array(texts).view(np.uint32).reshape(len(texts), -1)
+    width = len(_TIMESTAMP_TEMPLATE)
+    codes = np.array(texts, f"U{width}").view(np.uint32).reshape(len(texts), width)
     for pos, (expected, code) in enumerate(zip(_TIMESTAMP_TEMPLATE, codes.T)):
         if expected == "0":
             good = code - ord("0") < 10  # unsigned: codes below "0" wrap
@@ -260,14 +347,14 @@ def _quarter_hours(column: np.ndarray) -> np.ndarray:
 
 
 def _read_timed_feed(
-    table: type[T],
+    table: Callable[..., T],
     source: IO[str] | Iterable[str],
     header: str,
     dtype: np.dtype,
     convert: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    check_row: Callable[[int, list[str]], datetime],
+    check_row: Callable[[int, list[str]], datetime | date],
 ) -> T:
-    """read_csv_chunks for a feed whose first column is a strictly increasing time.
+    """read_csv_chunks for a table whose first column is a strictly increasing time.
 
     `convert` returns a chunk's columns for `table`, times first, and
     `check_row` validates one row and returns its time.
@@ -291,11 +378,8 @@ def _read_timed_feed(
         _check_increasing(ts, last, lineno)
         last = ts
 
-    chunks = read_csv_chunks(source, header, dtype, accept, check)
-    if not chunks:  # no data rows: zero-length columns
-        time_unit = "h" if table is HourlyLoad else "us"
-        n_values = len(dataclasses.fields(table)) - 1
-        chunks = [(np.empty(0, f"datetime64[{time_unit}]"), *[np.empty(0)] * n_values)]
+    # No data rows: the zero-length columns of an empty chunk.
+    chunks = read_csv_chunks(source, header, dtype, accept, check) or [convert(np.empty(0, dtype))]
     return table(*(np.concatenate(parts) for parts in zip(*chunks)))
 
 
@@ -399,7 +483,7 @@ def _sum_slots(run: np.ndarray, slot: np.ndarray, values: np.ndarray, n_slots: i
     return totals, dense
 
 
-def aggregate_daily(hourly: HourlyLoad) -> list[DailyLoadSummary]:
+def aggregate_daily(hourly: HourlyLoad) -> DailyLoad:
     """Collapse sorted hourly load into per-day energy/peak summaries.
 
     total_energy_mwh is the plain sum of hourly MW values (1-hour steps);
@@ -414,10 +498,7 @@ def aggregate_daily(hourly: HourlyLoad) -> list[DailyLoadSummary]:
     # a -0.0 maximum into that 0.0.
     peaks = dense.max(axis=1) + 0.0
     counts = np.diff(np.r_[starts, len(days)])
-    return [
-        DailyLoadSummary(*row)
-        for row in zip(days[starts].tolist(), totals.tolist(), peaks.tolist(), counts.tolist())
-    ]
+    return DailyLoad.from_days(days[starts], totals, peaks, counts)
 
 
 def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
@@ -467,20 +548,48 @@ def write_outages(outages: Outages, stream: IO[str]) -> None:
     stream.write(format_table(OUTAGE_HEADER, rows))
 
 
-def write_daily_summaries(summaries: Iterable[DailyLoadSummary], stream: IO[str]) -> None:
-    rows = ((s.day, s.total_energy_mwh, s.peak_demand_mw, s.hours_present) for s in summaries)
-    stream.write(format_table(DAILY_HEADER, rows))
+def write_daily_summaries(daily: DailyLoad, stream: IO[str]) -> None:
+    stream.write(daily.format(DAILY_HEADER))
 
 
 def _parse_hours_present(text: str, lineno: int, name: str) -> int:
     hours = parse_int(text, lineno, name)
+    if "_" in text or not text.isascii():
+        raise ValueError(f"line {lineno}: bad {name} {text!r}")
     if not 0 <= hours <= 24:
         raise ValueError(f"line {lineno}: {name} {hours} out of range 0-24")
     return hours
 
 
-def read_daily_summaries(source: IO[str] | Iterable[str]) -> list[DailyLoadSummary]:
-    rows = read_rows(
-        source, DAILY_HEADER, parse_date, parse_float, parse_float, _parse_hours_present
-    )
-    return [DailyLoadSummary(*row) for row in rows]
+# Value column kinds of the daily tables: (loadtxt type, row parser, column check).
+_FINITE = ("f8", parse_loadtxt_float, np.isfinite)
+_HOURS = ("i8", _parse_hours_present, lambda hours: (hours >= 0) & (hours <= 24))
+
+
+def _read_days(table: type[T], source: IO[str] | Iterable[str], header: str, *kinds) -> T:
+    """Read a `date,...` table of strictly increasing days into its dense form."""
+    names = header.split(",")
+    dtype = np.dtype([("date", object), *((n, kind[0]) for n, kind in zip(names[1:], kinds))])
+
+    def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        columns = [rows[name].copy() for name in names[1:]]
+        if not all(kind[2](c).all() for kind, c in zip(kinds, columns)):
+            raise ValueError("bad value")
+        return to_days(date.fromisoformat(t.strip()) for t in rows["date"]), *columns
+
+    def check_row(lineno: int, fields: list[str]) -> date:
+        day = parse_date(fields[0], lineno, names[0])
+        for text, name, kind in zip(fields[1:], names[1:], kinds):
+            kind[1](text, lineno, name)
+        return day
+
+    return _read_timed_feed(table.from_days, source, header, dtype, convert, check_row)
+
+
+def read_daily_summaries(source: IO[str] | Iterable[str]) -> DailyLoad:
+    return _read_days(DailyLoad, source, DAILY_HEADER, _FINITE, _FINITE, _HOURS)
+
+
+def read_daily_series(source: IO[str] | Iterable[str], header: str) -> DailySeries:
+    """Read a `date,<value>` table, such as `degree_days.csv`."""
+    return _read_days(DailySeries, source, header, _FINITE)

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .tables import parse_float, split_rows
-from .trends import TrendResult, day_of_year, linear_trend
+from .trends import TrendResult, day_of_year, left_sum, linear_trend
 
 ENSEMBLE_HEADER = "member,year,month,t2m_c"
 
@@ -102,7 +102,7 @@ def ensemble_annual_stats(
             )
         days = [calendar.monthrange(year, m)[1] for m in range(1, 13)]
         total_days = sum(days)
-        mean = sum(months[m] * days[m - 1] for m in range(1, 13)) / total_days
+        mean = left_sum(months[m] * days[m - 1] for m in range(1, 13)) / total_days
         annual.setdefault(year, []).append(mean)
 
     out = []

@@ -103,6 +103,11 @@ def format_table(header: str, rows: Iterable[Iterable[object]]) -> str:
     return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
+def format_columns(header: str, columns: Iterable[list[str]]) -> str:
+    """The text of a table given the formatted cells of each column."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
 @contextlib.contextmanager
 def atomic_open(path: Path) -> Iterator[IO[str]]:
     """A text stream that replaces path, through a rename, when the block ends.

@@ -13,21 +13,26 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .ingest import parse_loadtxt_float, read_csv_chunks
+from .ingest import DailySeries, parse_loadtxt_float, read_csv_chunks, to_days
 from .tables import parse_float, parse_int, split_rows
+from .trends import left_sum
 
 GRID_HEADER = "lat,lon,date,t2m_c"
 POPULATION_HEADER = "lat,lon,epoch,persons"
 MASK_HEADER = "lat,lon,in_region"
 
 _GRID_DTYPE = np.dtype([("lat", "f8"), ("lon", "f8"), ("date", object), ("t2m_c", "f8")])
+
+# Days per block of the regional reductions: bounds the masked copy
+# (block days x region cells) each one makes of the raster.
+_BLOCK_DAYS = 256
 
 
 @dataclass
@@ -68,12 +73,6 @@ class RegionMask:
 
 
 @dataclass(frozen=True)
-class DailyRegionTemp:
-    day: date
-    t_avg_c: float
-
-
-@dataclass(frozen=True)
 class CubicDemandFit:
     """Coefficients of D = a1*T^3 + a2*T^2 + a3*T + a4 for one year.
 
@@ -91,12 +90,6 @@ class CubicDemandFit:
 
     def demand(self, t: float) -> float:
         return ((self.a1 * t + self.a2) * t + self.a3) * t + self.a4
-
-
-@dataclass(frozen=True)
-class DegreeDayValue:
-    day: date
-    dd_c: float
 
 
 # -- grid and mask file I/O --------------------------------------------------
@@ -322,99 +315,101 @@ def daily_cell_means(grid: TemperatureGrid) -> tuple[list[date], np.ndarray]:
     return days, np.stack(chunks)
 
 
-def _epoch_row(pop: PopulationGrid, year: int) -> np.ndarray:
-    # Piecewise-constant, nearest-previous epoch; years before the first
-    # epoch fall back to it.
-    eligible = [e for e in pop.epochs if e <= year]
-    epoch = max(eligible) if eligible else min(pop.epochs)
-    return pop.weights[pop.epochs.index(epoch)]
+def _region_blocks(grid: TemperatureGrid) -> tuple[np.ndarray, np.ndarray, Iterator[tuple]]:
+    """The grid's days (`datetime64[D]`), the region mask, and per block of
+    days (index of its first day, block, whether each day has a NaN cell).
 
-
-def population_weighted_daily_temp(
-    grid: TemperatureGrid,
-    pop: PopulationGrid | None = None,
-    start: date | None = None,
-    end: date | None = None,
-) -> list[DailyRegionTemp]:
-    """Reduce a gridded temperature field to one regional value per day.
-
-    Each day's value is the weighted mean over masked-in cells, with
-    weights taken from the population epoch in force on that date. With
-    pop=None the mean is unweighted. Hourly grids are first averaged to
-    daily values per cell. Requesting a date range that the grid does not
-    fully cover is an error, as is a zero total weight inside the mask.
+    A block holds the masked-in cells of up to _BLOCK_DAYS days, one row
+    per day, copied to C order: a row then reduces with the same pairwise
+    sums as the 1-D array of that day's cells, which the F-ordered
+    `values[:, mask]` does not.
     """
     days, values = daily_cell_means(grid)
     mask = grid.mask if grid.mask is not None else np.ones(values.shape[1:], dtype=bool)
     if not mask.any():
         raise ValueError("region mask selects no cells")
-    if pop is not None and (
-        not np.array_equal(grid.lats, pop.lats) or not np.array_equal(grid.lons, pop.lons)
-    ):
-        raise ValueError("population grid is not co-registered with the temperature grid")
 
-    available = {d: i for i, d in enumerate(days)}
-    if start is None and end is None:
-        selected = days
+    def blocks() -> Iterator[tuple]:
+        for i0 in range(0, len(days), _BLOCK_DAYS):
+            block = np.ascontiguousarray(values[i0 : i0 + _BLOCK_DAYS][:, mask])
+            yield i0, block, np.isnan(block).any(axis=1)
+
+    return to_days(days), mask, blocks()
+
+
+def _raise_first(day_axis: np.ndarray, i0: int, nan_rows: np.ndarray, zero_rows=False) -> None:
+    """Raise the error of the block's first bad day, checking NaN cells first."""
+    i = int(np.argmax(nan_rows | zero_rows))
+    day = day_axis[i0 + i].item()
+    if nan_rows[i]:
+        raise ValueError(f"missing temperature inside region on {day.isoformat()}")
+    raise ValueError(f"population weights sum to zero inside region for {day.year}")
+
+
+def _epoch_index(epochs: list[int], year: int) -> int:
+    # Piecewise-constant, nearest-previous epoch; years before the first
+    # epoch fall back to it.
+    eligible = [e for e in epochs if e <= year]
+    return epochs.index(max(eligible) if eligible else min(epochs))
+
+
+def population_weighted_daily_temp(
+    grid: TemperatureGrid, pop: PopulationGrid | None = None
+) -> DailySeries:
+    """Reduce a gridded temperature field to one regional value per day.
+
+    Each day's value is the weighted mean over masked-in cells, with
+    weights taken from the population epoch in force on that date. With
+    pop=None the mean is unweighted. Hourly grids are first averaged to
+    daily values per cell. A NaN cell or a zero total weight inside the
+    mask is an error; a day missing from the grid is missing from the series.
+    """
+    day_axis, mask, blocks = _region_blocks(grid)
+    if pop is None:
+        # One epoch of unit weights: x * 1.0 is x, so the bits are the plain mean's.
+        rows, day_epoch = np.ones((1, int(mask.sum()))), np.zeros(len(day_axis), np.intp)
     else:
-        lo = start or days[0]
-        hi = end or days[-1]
-        selected = []
-        d = lo
-        while d <= hi:
-            if d not in available:
-                raise ValueError(f"missing date in grid: {d.isoformat()}")
-            selected.append(d)
-            d += timedelta(days=1)
+        if not np.array_equal(grid.lats, pop.lats) or not np.array_equal(grid.lons, pop.lons):
+            raise ValueError("population grid is not co-registered with the temperature grid")
+        # One row of masked weights per epoch, and each day's epoch.
+        rows = np.ascontiguousarray(pop.weights[:, mask])
+        years, year_of_day = np.unique(
+            day_axis.astype("datetime64[Y]").astype(int) + 1970, return_inverse=True
+        )
+        epochs = [_epoch_index(pop.epochs, year) for year in years.tolist()]
+        day_epoch = np.array(epochs, dtype=np.intp)[year_of_day]
+    totals = rows.sum(axis=1)
 
-    out: list[DailyRegionTemp] = []
-    for d in selected:
-        cells = values[available[d]][mask]
-        if np.isnan(cells).any():
-            raise ValueError(f"missing temperature inside region on {d.isoformat()}")
-        if pop is None:
-            t_avg = float(cells.mean())
-        else:
-            w = _epoch_row(pop, d.year)[mask]
-            total = float(w.sum())
-            if total <= 0:
-                raise ValueError(
-                    f"population weights sum to zero inside region for {d.year}"
-                )
-            t_avg = float((w * cells).sum() / total)
-        out.append(DailyRegionTemp(d, t_avg))
-    return out
+    out = np.empty(len(day_axis))
+    for i0, block, nan_rows in blocks:
+        epoch = day_epoch[i0 : i0 + len(block)]
+        zero_rows = totals[epoch] <= 0
+        if nan_rows.any() or zero_rows.any():
+            _raise_first(day_axis, i0, nan_rows, zero_rows)
+        out[i0 : i0 + len(block)] = (rows[epoch] * block).sum(axis=1) / totals[epoch]
+    return DailySeries.from_days(day_axis, out)
 
 
-def spatial_temp_stddev(
-    grid: TemperatureGrid, start: date | None = None, end: date | None = None
-) -> float:
+def spatial_temp_stddev(grid: TemperatureGrid) -> float:
     """Mean over days of the across-cell standard deviation of daily means.
 
     Uses the unweighted population standard deviation over masked-in
     cells. A single-cell mask returns 0 with a warning.
     """
-    days, values = daily_cell_means(grid)
-    mask = grid.mask if grid.mask is not None else np.ones(values.shape[1:], dtype=bool)
-    n_cells = int(mask.sum())
-    if n_cells == 0:
-        raise ValueError("region mask selects no cells")
-    if n_cells == 1:
+    day_axis, mask, blocks = _region_blocks(grid)
+    if mask.sum() == 1:
         warnings.warn(
             "single-cell region mask: spatial standard deviation is 0 by convention"
         )
         return 0.0
     stds = []
-    for i, d in enumerate(days):
-        if (start is not None and d < start) or (end is not None and d > end):
-            continue
-        cells = values[i][mask]
-        if np.isnan(cells).any():
-            raise ValueError(f"missing temperature inside region on {d.isoformat()}")
-        stds.append(float(cells.std()))
+    for i0, block, nan_rows in blocks:
+        if nan_rows.any():
+            _raise_first(day_axis, i0, nan_rows)
+        stds.append(block.std(axis=1))
     if not stds:
-        raise ValueError("no grid days inside the requested range")
-    return float(np.mean(stds))
+        raise ValueError("temperature grid has no days")
+    return float(np.mean(np.concatenate(stds)))
 
 
 # -- demand-temperature cubic and reference temperature ----------------------
@@ -488,7 +483,7 @@ def global_t0(t0_values: Iterable[float]) -> float:
     values = list(t0_values)
     if not values:
         raise ValueError("no yearly reference temperatures to average")
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 def degree_days(t_avg: float, t0: float) -> float:
@@ -498,15 +493,17 @@ def degree_days(t_avg: float, t0: float) -> float:
     return t0 - t_avg
 
 
-def degree_day_series(
-    temps: Iterable[DailyRegionTemp], t0: float
-) -> list[DegreeDayValue]:
-    return [DegreeDayValue(t.day, degree_days(t.t_avg_c, t0)) for t in temps]
+def degree_day_series(temps: DailySeries, t0: float) -> DailySeries:
+    """degree_days of each day, missing days kept missing."""
+    v = temps.values
+    return DailySeries(temps.first, np.where(v >= t0, v - t0, t0 - v))
 
 
-def annual_means(temps: Iterable[DailyRegionTemp]) -> dict[int, float]:
+def annual_means(temps: DailySeries) -> dict[int, float]:
     """Per-year mean of a daily regional temperature series."""
-    buckets: dict[int, list[float]] = {}
-    for t in temps:
-        buckets.setdefault(t.day.year, []).append(t.t_avg_c)
-    return {year: sum(v) / len(v) for year, v in sorted(buckets.items())}
+    years = temps.days[temps.present].astype("datetime64[Y]").astype(int) + 1970
+    values = temps.values[temps.present]
+    return {
+        year: left_sum(values[years == year].tolist()) / int((years == year).sum())
+        for year in np.unique(years).tolist()
+    }

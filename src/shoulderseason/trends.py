@@ -4,8 +4,10 @@ moving averages, and Pearson correlations with seasonal cutoffs."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date
+from functools import reduce
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
@@ -191,8 +193,14 @@ def moving_average(
     out = []
     for year, _ in items:
         vals = [v for y, v in items if abs(y - year) <= half]
-        out.append((year, sum(vals) / len(vals)))
+        out.append((year, left_sum(vals) / len(vals)))
     return out
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum added left to right from 0.0, as sum() adds floats before Python
+    3.12; from 3.12 sum() compensates, and np.sum adds pairwise."""
+    return reduce(operator.add, values, 0.0)
 
 
 def day_of_year(onset: date | float) -> int | float:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .ingest import DEFAULT_MIN_HOURS, DailyLoadSummary
+from .ingest import DEFAULT_MIN_HOURS, DailyLoad, DailySeries
 
 DEFAULT_WINDOW_LEN = 45
 # A candidate window tolerates up to this many absent days; its mean is
@@ -46,7 +46,7 @@ class ShoulderWindow:
 
 
 def min_window(
-    series: Mapping[date, float],
+    series: DailySeries | Mapping[date, float],
     year: int,
     half: str,
     window_len: int = DEFAULT_WINDOW_LEN,
@@ -59,20 +59,23 @@ def min_window(
     Candidate onsets are every day of the half. A window is admissible
     when it ends inside the data domain and at least window_len -
     max_missing of its days are present. The domain ends on Dec 31 unless
-    allow_year_wrap is set and the series carries next-year days, in
-    which case it ends on the last such day. Ties resolve to the earliest
-    onset. Raises ValueError when no candidate window is admissible.
+    allow_year_wrap is set and the series' day axis reaches into the next
+    year, in which case it ends on the axis' last day. Ties resolve to
+    the earliest onset. Raises ValueError when no candidate window is
+    admissible. A mapping is laid out on a day axis first.
     """
     if half not in _HALVES:
         raise ValueError(f"half must be 'first' or 'second', got {half!r}")
     if window_len < 1:
         raise ValueError("window_len must be >= 1")
+    if not isinstance(series, DailySeries):
+        series = DailySeries.from_mapping(series)
     (m0, d0), (m1, d1), season = _HALVES[half]
     half_start = date(year, m0, d0)
     half_end = date(year, m1, d1)
     year_end = date(year, 12, 31)
 
-    last_day = max(series) if series else half_start
+    last_day = series.first + timedelta(days=len(series) - 1) if len(series) else half_start
     domain_end = last_day if (allow_year_wrap and last_day > year_end) else year_end
     span_end = min(domain_end, half_end + timedelta(days=window_len - 1))
     n_days = (span_end - half_start).days + 1
@@ -81,31 +84,23 @@ def min_window(
             f"no room for a {window_len}-day window in the {half} half of {year}"
         )
 
-    values = np.full(n_days, np.nan)
-    base = half_start.toordinal()
-    for day, value in series.items():
-        i = day.toordinal() - base
-        if 0 <= i < n_days and value is not None and math.isfinite(value):
-            values[i] = value
+    values = series.window(half_start, n_days)
     present = np.isfinite(values)
-
-    # Prefix sums give every window mean in one pass.
+    # Prefix sums from half_start give every window mean in one pass; sums
+    # from the series' first day would change the means' last bits.
     csum = np.concatenate(([0.0], np.cumsum(np.where(present, values, 0.0))))
     ccount = np.concatenate(([0], np.cumsum(present)))
 
     n_onsets = min((half_end - half_start).days + 1, n_days - window_len + 1)
-    best_i = -1
-    best_mean = math.inf
-    best_count = 0
+    counts = ccount[window_len : window_len + n_onsets] - ccount[:n_onsets]
+    sums = csum[window_len : window_len + n_onsets] - csum[:n_onsets]
     min_present = max(window_len - max_missing, 1)
-    for i in range(n_onsets):
-        count = int(ccount[i + window_len] - ccount[i])
-        if count < min_present:
-            continue
-        mean = (csum[i + window_len] - csum[i]) / count
-        if mean < best_mean:
-            best_i, best_mean, best_count = i, mean, count
-    if best_i < 0:
+    means = sums / np.maximum(counts, 1)  # an empty window is no candidate anyway
+    # Other onsets read +inf, so the first minimum is the earliest best onset;
+    # a NaN or +inf mean (from overflowing sums) is never a candidate.
+    candidate = (counts >= min_present) & (means < math.inf)
+    best = int(np.argmin(np.where(candidate, means, math.inf)))
+    if not candidate[best]:
         raise ValueError(
             f"no admissible {window_len}-day window in the {half} half of {year} "
             f"(need >= {min_present} present days per window)"
@@ -114,31 +109,15 @@ def min_window(
         year=year,
         season=season,
         metric=metric,
-        onset=date.fromordinal(base + best_i),
-        window_mean=float(best_mean),
-        days_used=best_count,
+        onset=half_start + timedelta(days=best),
+        window_mean=float(means[best]),
+        days_used=int(counts[best]),
     )
 
 
-def load_metric_series(
-    summaries: Iterable[DailyLoadSummary],
-    metric: str,
-    min_hours: int = DEFAULT_MIN_HOURS,
-) -> dict[date, float]:
-    """Daily series for one load metric; partial days become missing."""
-    if metric == "total_energy":
-        pick = lambda s: s.total_energy_mwh
-    elif metric == "peak_demand":
-        pick = lambda s: s.peak_demand_mw
-    else:
-        raise ValueError(f"unknown load metric {metric!r}")
-    return {s.day: pick(s) for s in summaries if s.hours_present >= min_hours}
-
-
 def shoulder_table(
-    degree_day_series: Mapping[date, float] | None = None,
-    load_summaries: Sequence[DailyLoadSummary] | None = None,
-    years: Iterable[int] | None = None,
+    degree_day_series: DailySeries | None = None,
+    load_summaries: DailyLoad | None = None,
     window_len: int = DEFAULT_WINDOW_LEN,
     max_missing: int = DEFAULT_MAX_MISSING,
     allow_year_wrap: bool = True,
@@ -149,37 +128,33 @@ def shoulder_table(
     Years absent from a series are skipped, as is a half-year with no
     data at all; a half that has data but no admissible window raises.
     Rows are ordered by year, then season (spring first), then metric.
+    A load day with fewer than min_hours hours counts as absent.
     """
-    by_metric: dict[str, Mapping[date, float]] = {}
+    by_metric: dict[str, DailySeries] = {}
     if degree_day_series is not None:
         by_metric["degree_days"] = degree_day_series
     if load_summaries is not None:
         for metric in ("total_energy", "peak_demand"):
-            by_metric[metric] = load_metric_series(load_summaries, metric, min_hours)
+            by_metric[metric] = load_summaries.series(metric, min_hours)
 
     rows: list[ShoulderWindow] = []
     for metric, series in by_metric.items():
-        data_years = {d.year for d in series}
-        wanted = sorted(set(years) if years is not None else data_years)
-        for year in wanted:
-            if year not in data_years:
-                continue
-            for half in ("first", "second"):
-                (m0, d0), (m1, d1), _ = _HALVES[half]
-                lo, hi = date(year, m0, d0), date(year, m1, d1)
-                if not any(lo <= d <= hi for d in series):
-                    continue
-                rows.append(
-                    min_window(
-                        series,
-                        year,
-                        half,
-                        window_len=window_len,
-                        max_missing=max_missing,
-                        allow_year_wrap=allow_year_wrap,
-                        metric=metric,
-                    )
+        days = series.days[series.present]
+        months = days.astype("datetime64[M]").astype(int)
+        # (year, 0 for the first half or 1 for the second) of each day with data
+        halves = set(zip((months // 12 + 1970).tolist(), (months % 12 >= 6).tolist()))
+        for year, second in sorted(halves):
+            rows.append(
+                min_window(
+                    series,
+                    year,
+                    "second" if second else "first",
+                    window_len=window_len,
+                    max_missing=max_missing,
+                    allow_year_wrap=allow_year_wrap,
+                    metric=metric,
                 )
+            )
     season_order = {"spring": 0, "fall": 1}
     rows.sort(key=lambda w: (w.year, season_order[w.season], w.metric))
     return rows

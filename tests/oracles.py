@@ -4,6 +4,11 @@ The window oracle rebuilds the search from its definition: lay the series
 out on a dense day axis, then scan every candidate onset and take each
 window's mean directly. No prefix sums, no shared code with the library.
 
+The regional temperature references (population-weighted daily means
+and the spatial standard deviation) and the window search reference are
+the per-day code the library used before its dense day-axis one: one
+1-D reduction per day, and one Python comparison per candidate onset.
+
 The grid CSV reference and the feed references (load, fuel mix,
 outages, daily aggregation, netting, outage-period means and generation
 histograms) are the row-by-row code the library used before its columnar
@@ -211,9 +216,14 @@ def reference_parse_outages(source) -> list[OutageRecord]:
     return records
 
 
-def reference_aggregate_daily(hourly: Sequence[HourlyLoadRecord]):
-    from shoulderseason.ingest import DailyLoadSummary
+class DailyLoadRecord(NamedTuple):
+    day: date
+    total_energy_mwh: float
+    peak_demand_mw: float
+    hours_present: int
 
+
+def reference_aggregate_daily(hourly: Sequence[HourlyLoadRecord]) -> list[DailyLoadRecord]:
     summaries = []
     current: date | None = None
     total = 0.0
@@ -222,7 +232,7 @@ def reference_aggregate_daily(hourly: Sequence[HourlyLoadRecord]):
 
     def flush() -> None:
         if current is not None:
-            summaries.append(DailyLoadSummary(current, total, peak, hours))
+            summaries.append(DailyLoadRecord(current, total, peak, hours))
 
     for rec in hourly:
         day = rec.timestamp.date()
@@ -311,3 +321,115 @@ def reference_generation_histogram(
         peak_demand_mw=peak_demand_mw,
         max_output_mw=float(max(values)),
     )
+
+
+# -- per-day regional temperatures and window search --------------------------
+
+
+def _reference_region(grid):
+    from shoulderseason.thermal import daily_cell_means
+
+    days, values = daily_cell_means(grid)
+    mask = grid.mask if grid.mask is not None else np.ones(values.shape[1:], dtype=bool)
+    if not mask.any():
+        raise ValueError("region mask selects no cells")
+    return days, values, mask
+
+
+def reference_population_weighted_daily_temp(grid, pop=None) -> list[tuple[date, float]]:
+    """(day, regional temperature) per grid day, reduced one day at a time."""
+    days, values, mask = _reference_region(grid)
+    if pop is not None and (
+        not np.array_equal(grid.lats, pop.lats) or not np.array_equal(grid.lons, pop.lons)
+    ):
+        raise ValueError("population grid is not co-registered with the temperature grid")
+    out = []
+    for i, d in enumerate(days):
+        cells = values[i][mask]
+        if np.isnan(cells).any():
+            raise ValueError(f"missing temperature inside region on {d.isoformat()}")
+        if pop is None:
+            t_avg = float(cells.mean())
+        else:
+            # Piecewise-constant, nearest-previous epoch; years before the
+            # first epoch fall back to it.
+            eligible = [e for e in pop.epochs if e <= d.year]
+            epoch = max(eligible) if eligible else min(pop.epochs)
+            w = pop.weights[pop.epochs.index(epoch)][mask]
+            total = float(w.sum())
+            if total <= 0:
+                raise ValueError(f"population weights sum to zero inside region for {d.year}")
+            t_avg = float((w * cells).sum() / total)
+        out.append((d, t_avg))
+    return out
+
+
+def reference_spatial_temp_stddev(grid) -> float:
+    import warnings
+
+    days, values, mask = _reference_region(grid)
+    if int(mask.sum()) == 1:
+        warnings.warn("single-cell region mask: spatial standard deviation is 0 by convention")
+        return 0.0
+    stds = []
+    for i, d in enumerate(days):
+        cells = values[i][mask]
+        if np.isnan(cells).any():
+            raise ValueError(f"missing temperature inside region on {d.isoformat()}")
+        stds.append(float(cells.std()))
+    return float(np.mean(stds))
+
+
+def reference_min_window(
+    series: dict[date, float],
+    year: int,
+    half: str,
+    window_len: int = 45,
+    max_missing: int = 3,
+    allow_year_wrap: bool = True,
+):
+    """(onset, window mean, days used), or the error text, by a loop over onsets.
+
+    The window means come from prefix sums taken from the half's first day,
+    as in the library, so they match it bit for bit.
+    """
+    if half == "first":
+        half_start, half_end = date(year, 1, 1), date(year, 6, 30)
+    else:
+        half_start, half_end = date(year, 7, 1), date(year, 12, 31)
+    year_end = date(year, 12, 31)
+    last_day = max(series) if series else half_start
+    domain_end = last_day if (allow_year_wrap and last_day > year_end) else year_end
+    span_end = min(domain_end, half_end + timedelta(days=window_len - 1))
+    n_days = (span_end - half_start).days + 1
+    if n_days < window_len:
+        return f"no room for a {window_len}-day window in the {half} half of {year}"
+
+    values = np.full(n_days, np.nan)
+    base = half_start.toordinal()
+    for day, value in series.items():
+        i = day.toordinal() - base
+        if 0 <= i < n_days and value is not None and math.isfinite(value):
+            values[i] = value
+    present = np.isfinite(values)
+    csum = np.concatenate(([0.0], np.cumsum(np.where(present, values, 0.0))))
+    ccount = np.concatenate(([0], np.cumsum(present)))
+
+    n_onsets = min((half_end - half_start).days + 1, n_days - window_len + 1)
+    best_i = -1
+    best_mean = math.inf
+    best_count = 0
+    min_present = max(window_len - max_missing, 1)
+    for i in range(n_onsets):
+        count = int(ccount[i + window_len] - ccount[i])
+        if count < min_present:
+            continue
+        mean = (csum[i + window_len] - csum[i]) / count
+        if mean < best_mean:
+            best_i, best_mean, best_count = i, mean, count
+    if best_i < 0:
+        return (
+            f"no admissible {window_len}-day window in the {half} half of {year} "
+            f"(need >= {min_present} present days per window)"
+        )
+    return date.fromordinal(base + best_i), float(best_mean), best_count

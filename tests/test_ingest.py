@@ -7,8 +7,10 @@ from datetime import date, datetime
 import numpy as np
 import pytest
 
+from oracles import DailyLoadRecord
 from shoulderseason.ingest import (
-    DailyLoadSummary,
+    DAILY_HEADER,
+    DailyLoad,
     FuelMix,
     HourlyLoad,
     Outages,
@@ -42,6 +44,13 @@ def _mix(rows: list[tuple[datetime, float, float, float, float]]) -> FuelMix:
         np.array(columns[0], dtype="datetime64[us]"),
         *(np.array(c, dtype=float) for c in columns[1:]),
     )
+
+
+def _summaries(daily: DailyLoad) -> list[DailyLoadRecord]:
+    """The days with data, one record each."""
+    p = daily.present
+    columns = (c[p].tolist() for c in daily.columns)
+    return [DailyLoadRecord(*row) for row in zip(daily.days[p].tolist(), *columns)]
 
 
 def _assert_same_table(got, want) -> None:
@@ -96,8 +105,8 @@ class TestParseHourlyLoad:
 class TestAggregateDaily:
     def test_full_constant_day(self) -> None:
         hourly = _hourly([(datetime(2020, 3, 1, h), 1.0) for h in range(24)])
-        (summary,) = aggregate_daily(hourly)
-        assert summary == DailyLoadSummary(date(2020, 3, 1), 24.0, 1.0, 24)
+        (summary,) = _summaries(aggregate_daily(hourly))
+        assert summary == DailyLoadRecord(date(2020, 3, 1), 24.0, 1.0, 24)
 
     def test_partial_day_hand_sum(self) -> None:
         hourly = _hourly(
@@ -107,19 +116,26 @@ class TestAggregateDaily:
                 (datetime(2020, 3, 1, 6), 3.0),
             ]
         )
-        (summary,) = aggregate_daily(hourly)
+        (summary,) = _summaries(aggregate_daily(hourly))
         assert summary.total_energy_mwh == 10.0
         assert summary.peak_demand_mw == 5.0
         assert summary.hours_present == 3
 
     def test_empty_input(self) -> None:
-        assert aggregate_daily(_hourly([])) == []
+        assert _summaries(aggregate_daily(_hourly([]))) == []
 
     def test_multiple_days_split(self) -> None:
         hourly = _hourly([(datetime(2020, 3, 1, 23), 4.0), (datetime(2020, 3, 2, 0), 6.0)])
-        days = aggregate_daily(hourly)
+        days = _summaries(aggregate_daily(hourly))
         assert [s.day for s in days] == [date(2020, 3, 1), date(2020, 3, 2)]
         assert [s.peak_demand_mw for s in days] == [4.0, 6.0]
+
+    def test_day_without_hours_is_missing(self) -> None:
+        hourly = _hourly([(datetime(2020, 3, 1, 23), 4.0), (datetime(2020, 3, 3, 0), 6.0)])
+        daily = aggregate_daily(hourly)
+        assert daily.first == date(2020, 3, 1)
+        assert daily.present.tolist() == [True, False, True]
+        assert daily.hours_present.tolist() == [1, 0, 1]
 
     def test_sorting_shuffled_input_matches(self) -> None:
         rng = random.Random(7)
@@ -129,16 +145,16 @@ class TestAggregateDaily:
                 for d in range(3)
                 for h in range(24)
             ]
-            expected = aggregate_daily(_hourly(rows))
+            expected = _summaries(aggregate_daily(_hourly(rows)))
             shuffled = rows[:]
             rng.shuffle(shuffled)
             shuffled.sort(key=lambda r: r[0])
-            assert aggregate_daily(_hourly(shuffled)) == expected
+            assert _summaries(aggregate_daily(_hourly(shuffled))) == expected
 
     def test_mean_below_peak_property(self) -> None:
         rng = random.Random(11)
         hourly = _hourly([(datetime(2021, 5, 1, h), rng.uniform(0, 100)) for h in range(24)])
-        (summary,) = aggregate_daily(hourly)
+        (summary,) = _summaries(aggregate_daily(hourly))
         assert summary.total_energy_mwh / summary.hours_present <= summary.peak_demand_mw
 
 
@@ -289,10 +305,20 @@ class TestRoundTrips:
 
     def test_daily_summary_round_trip(self) -> None:
         summaries = [
-            DailyLoadSummary(date(2020, 1, 1), 912345.678, 51234.5, 24),
-            DailyLoadSummary(date(2020, 1, 2), 887766.0, 49887.25, 23),
+            DailyLoadRecord(date(2020, 1, 1), 912345.678, 51234.5, 24),
+            DailyLoadRecord(date(2020, 1, 2), 887766.0, 49887.25, 23),
+            DailyLoadRecord(date(2020, 1, 5), 1.0, 0.5, 0),
         ]
+        days, *columns = map(np.array, zip(*summaries))
         buf = io.StringIO()
-        write_daily_summaries(summaries, buf)
+        write_daily_summaries(DailyLoad.from_days(days.astype("datetime64[D]"), *columns), buf)
+        assert buf.getvalue().splitlines()[-1] == "2020-01-05,1.0,0.5,0"
         buf.seek(0)
-        assert read_daily_summaries(buf) == summaries
+        assert _summaries(read_daily_summaries(buf)) == summaries
+
+    def test_daily_summary_days_must_increase(self) -> None:
+        rows = [DAILY_HEADER, "2020-01-02,1.0,1.0,24", "2020-01-01,1.0,1.0,24"]
+        with pytest.raises(
+            ValueError, match=r"^line 3: timestamps not increasing \(2020-01-01 after 2020-01-02\)$"
+        ):
+            read_daily_summaries(rows)

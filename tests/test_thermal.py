@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from golden_cubics import GOLDEN_CUBIC_ROWS, GOLDEN_T0_MEAN
+from shoulderseason.ingest import DailySeries
 from shoulderseason.thermal import (
     CubicDemandFit,
     PopulationGrid,
@@ -52,18 +53,18 @@ class TestPopulationWeightedTemp:
     def test_uniform_weights_equal_plain_mean(self) -> None:
         grid = _grid_2x2()
         pop = _pop_grid([[1, 1], [1, 1]])
-        weighted = population_weighted_daily_temp(grid, pop)
-        unweighted = population_weighted_daily_temp(grid, None)
+        weighted = population_weighted_daily_temp(grid, pop).values
+        unweighted = population_weighted_daily_temp(grid, None).values
         for w, u in zip(weighted, unweighted):
-            assert w.t_avg_c == pytest.approx(u.t_avg_c)
-        assert unweighted[0].t_avg_c == pytest.approx(11.5)
+            assert w == pytest.approx(u)
+        assert unweighted[0] == pytest.approx(11.5)
 
     def test_all_weight_in_one_cell(self) -> None:
         grid = _grid_2x2()
         pop = _pop_grid([[0, 0], [0, 5]])
-        temps = population_weighted_daily_temp(grid, pop)
-        assert temps[0].t_avg_c == pytest.approx(13.0)
-        assert temps[2].t_avg_c == pytest.approx(15.0)
+        temps = population_weighted_daily_temp(grid, pop).values
+        assert temps[0] == pytest.approx(13.0)
+        assert temps[2] == pytest.approx(15.0)
 
     def test_two_cell_hand_computation(self) -> None:
         # weights (1, 3) on temps (10, 20) -> 17.5
@@ -73,24 +74,24 @@ class TestPopulationWeightedTemp:
             lats, lons, [date(2020, 1, 1)], np.array([[[10.0, 20.0]]])
         )
         pop = PopulationGrid(lats, lons, [2000], np.array([[[1.0, 3.0]]]))
-        (temp,) = population_weighted_daily_temp(grid, pop)
-        assert temp.t_avg_c == pytest.approx(17.5)
+        (temp,) = population_weighted_daily_temp(grid, pop).values
+        assert temp == pytest.approx(17.5)
 
     def test_weight_scale_invariance(self) -> None:
         grid = _grid_2x2()
         pop_a = _pop_grid([[1, 2], [3, 4]])
         pop_b = _pop_grid([[7, 14], [21, 28]])
         for a, b in zip(
-            population_weighted_daily_temp(grid, pop_a),
-            population_weighted_daily_temp(grid, pop_b),
+            population_weighted_daily_temp(grid, pop_a).values,
+            population_weighted_daily_temp(grid, pop_b).values,
         ):
-            assert a.t_avg_c == pytest.approx(b.t_avg_c, rel=1e-12)
+            assert a == pytest.approx(b, rel=1e-12)
 
     def test_mask_restricts_cells(self) -> None:
         grid = _grid_2x2()
         grid.mask = np.array([[True, False], [False, False]])
-        (first, *_rest) = population_weighted_daily_temp(grid, None)
-        assert first.t_avg_c == pytest.approx(10.0)
+        (first, *_rest) = population_weighted_daily_temp(grid, None).values
+        assert first == pytest.approx(10.0)
 
     def test_hourly_grid_averaged_per_day(self) -> None:
         lats = np.array([30.0])
@@ -99,8 +100,9 @@ class TestPopulationWeightedTemp:
         values = np.array([[[3.0]], [[6.0]], [[9.0]], [[20.0]]])
         grid = TemperatureGrid(lats, lons, times, values)
         temps = population_weighted_daily_temp(grid, None)
-        assert temps[0].t_avg_c == pytest.approx(6.0)
-        assert temps[1].t_avg_c == pytest.approx(20.0)
+        assert temps.first == date(2020, 1, 1)
+        assert temps.values[0] == pytest.approx(6.0)
+        assert temps.values[1] == pytest.approx(20.0)
 
     def test_epoch_selection_nearest_previous(self) -> None:
         lats = np.array([30.0])
@@ -113,7 +115,9 @@ class TestPopulationWeightedTemp:
             [[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
         )
         pop = PopulationGrid(lats, lons, [2000, 2010, 2020], weights)
-        temps = {t.day.year: t.t_avg_c for t in population_weighted_daily_temp(grid, pop)}
+        series = population_weighted_daily_temp(grid, pop)
+        days = series.days[series.present].astype("datetime64[Y]").astype(int) + 1970
+        temps = dict(zip(days.tolist(), series.values[series.present].tolist()))
         assert temps[1980] == pytest.approx(10.0)  # before first epoch -> 2000
         assert temps[2003] == pytest.approx(10.0)  # 2003 -> 2000
         assert temps[2012] == pytest.approx(20.0)  # 2012 -> 2010
@@ -125,11 +129,6 @@ class TestPopulationWeightedTemp:
         pop = _pop_grid([[0, 0], [5, 5]])
         with pytest.raises(ValueError, match="sum to zero"):
             population_weighted_daily_temp(grid, pop)
-
-    def test_missing_date_errors(self) -> None:
-        grid = _grid_2x2(days=3)
-        with pytest.raises(ValueError, match="missing date in grid: 2020-01-04"):
-            population_weighted_daily_temp(grid, None, end=date(2020, 1, 5))
 
     def test_not_coregistered_errors(self) -> None:
         grid = _grid_2x2()
@@ -241,11 +240,9 @@ class TestDegreeDays:
             assert degree_days(t0 + x, t0) == pytest.approx(degree_days(t0 - x, t0))
 
     def test_series_helper(self) -> None:
-        from shoulderseason.thermal import DailyRegionTemp
-
-        series = degree_day_series([DailyRegionTemp(date(2020, 1, 1), 12.0)], 15.0)
-        assert series[0].day == date(2020, 1, 1)
-        assert series[0].dd_c == pytest.approx(3.0)
+        series = degree_day_series(DailySeries.from_mapping({date(2020, 1, 1): 12.0}), 15.0)
+        assert series.first == date(2020, 1, 1)
+        assert series.values[0] == pytest.approx(3.0)
 
 
 class TestGlobalT0:
@@ -407,11 +404,7 @@ class TestGridIO:
 
 class TestAnnualMeans:
     def test_groups_by_year(self) -> None:
-        from shoulderseason.thermal import DailyRegionTemp
-
-        temps = [
-            DailyRegionTemp(date(2020, 1, 1), 10.0),
-            DailyRegionTemp(date(2020, 1, 2), 20.0),
-            DailyRegionTemp(date(2021, 1, 1), 30.0),
-        ]
+        temps = DailySeries.from_mapping(
+            {date(2020, 1, 1): 10.0, date(2020, 1, 2): 20.0, date(2021, 1, 1): 30.0}
+        )
         assert annual_means(temps) == {2020: 15.0, 2021: 30.0}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import exhaustive_min_window
-from shoulderseason.ingest import DailyLoadSummary
+from shoulderseason.ingest import DailyLoad, DailySeries
 from shoulderseason.windows import ShoulderWindow, min_window, shoulder_table
 
 
@@ -173,20 +173,23 @@ class TestShoulderTable:
             d: min(abs((d - spring_min).days), abs((d - fall_min).days)) * 1.0
             for d in days
         }
-        summaries = [
-            DailyLoadSummary(d, 24 * (1000 + dd[d] * 10), 1100 + dd[d] * 12, 24)
-            for d in days
-        ]
-        rows = shoulder_table(degree_day_series=dd, load_summaries=summaries)
+        energy = {d: 24 * (1000 + dd[d] * 10) for d in days}
+        peak = {d: 1100 + dd[d] * 12 for d in days}
+        summaries = DailyLoad.from_days(
+            np.array(days, dtype="datetime64[D]"),
+            np.array([energy[d] for d in days]),
+            np.array([peak[d] for d in days]),
+            np.full(len(days), 24),
+        )
+        rows = shoulder_table(degree_day_series=DailySeries.from_mapping(dd), load_summaries=summaries)
         assert len(rows) == 6  # 1 year x 2 seasons x 3 metrics
         for row in rows:
             target = spring_min if row.season == "spring" else fall_min
             assert row.onset == target - timedelta(days=22), row
             oracle = exhaustive_min_window(
-                dd if row.metric == "degree_days" else {
-                    s.day: (s.total_energy_mwh if row.metric == "total_energy" else s.peak_demand_mw)
-                    for s in summaries
-                },
+                dd if row.metric == "degree_days" else (
+                    energy if row.metric == "total_energy" else peak
+                ),
                 year,
                 "first" if row.season == "spring" else "second",
             )
@@ -195,20 +198,21 @@ class TestShoulderTable:
     def test_absent_year_skipped(self) -> None:
         rng = np.random.default_rng(2)
         dd = {**_full_year(2000, rng), **_full_year(2002, rng)}
-        rows = shoulder_table(degree_day_series=dd, years=[2000, 2001, 2002])
+        rows = shoulder_table(degree_day_series=DailySeries.from_mapping(dd))
         assert {r.year for r in rows} == {2000, 2002}
 
     def test_partial_days_excluded_by_min_hours(self) -> None:
         year = 2020
         days = [date(year, 1, 1) + timedelta(days=i) for i in range(366)]
-        summaries = []
         low_day = date(year, 2, 15)
-        for d in days:
-            if d == low_day:
-                # Deep artificial minimum on a partial day: 2 hours only.
-                summaries.append(DailyLoadSummary(d, 2.0, 1.0, 2))
-            else:
-                summaries.append(DailyLoadSummary(d, 24000.0, 1000.0, 24))
+        # Deep artificial minimum on a partial day: 2 hours only.
+        low = np.array([d == low_day for d in days])
+        summaries = DailyLoad.from_days(
+            np.array(days, dtype="datetime64[D]"),
+            np.where(low, 2.0, 24000.0),
+            np.where(low, 1.0, 1000.0),
+            np.where(low, 2, 24),
+        )
         rows = shoulder_table(load_summaries=summaries, min_hours=20)
         spring_energy = next(
             r for r in rows if r.season == "spring" and r.metric == "total_energy"
@@ -219,7 +223,7 @@ class TestShoulderTable:
     def test_row_ordering(self) -> None:
         rng = np.random.default_rng(9)
         dd = {**_full_year(2001, rng), **_full_year(2000, rng)}
-        rows = shoulder_table(degree_day_series=dd)
+        rows = shoulder_table(degree_day_series=DailySeries.from_mapping(dd))
         keys = [(r.year, r.season, r.metric) for r in rows]
         assert keys == [
             (2000, "spring", "degree_days"),
