@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .tables import (
     write_atomic,
     write_table,
 )
-
-STAGES = ("ingest", "thermal", "shoulder", "trends", "project", "adequacy", "report")
 
 SPRING_CUTOFF = date(2000, 2, 14)
 FALL_CUTOFF = date(2000, 11, 25)
@@ -72,21 +71,6 @@ F = {
     **{f"hist_{label}": f"generation_hist_{label}.csv" for label in HIST_LABELS},
 }
 
-# The files (keys of F) each stage owns. A stage deletes the owned files
-# it did not write this time, and `all` deletes those of the stages it
-# does not run, so no output of an earlier configuration outlives a rerun.
-OUTPUTS = {
-    "ingest": ("daily", "daily_net"),
-    "thermal": ("temp_daily", "temp_annual", "cubic", "dd", "thermal_summary"),
-    "shoulder": ("shoulder", "shoulder_net"),
-    "trends": ("trends", "trends_net", "movavg", "fitlines", "corr", "corr_net", "corr_points"),
-    "project": ("temp_path", "onset_temp", "proj", "proj_summary", "merge"),
-    "adequacy": (
-        "periods", "unmet", "adequacy_summary", *(f"hist_{label}" for label in HIST_LABELS)
-    ),
-    "report": ("report",),
-}
-
 # Headers and column converters of the tables that are read back.
 DD_HEADER = "date,dd_c"
 ANNUAL_HEADER = "year,t_mean_c"
@@ -112,34 +96,14 @@ def _write_json(path: Path, obj) -> Path:
     return write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _need_config(cfg: RunConfig, key: str, stage: str) -> Path:
-    value = getattr(cfg, key)
-    if value is None:
-        raise ValueError(f"config key {key}: required for the {stage} stage")
-    return Path(value)
-
-
-def _need_cached(out: Path, name: str, producer: str) -> Path:
-    path = out / name
-    if not path.is_file():
-        raise ValueError(f"missing {name}; run the {producer} stage first")
-    return path
-
-
-def _remove_outputs(out: Path, stages: Sequence[str], keep: Sequence[Path] = ()) -> None:
-    """Delete the files the stages own, except those in keep."""
-    for stage in stages:
-        for key in OUTPUTS[stage]:
-            if out / F[key] not in keep:
-                (out / F[key]).unlink(missing_ok=True)
-
-
 # -- stages -------------------------------------------------------------------
+#
+# Each stage takes the config, the output directory and the paths of its
+# cached inputs (keys of F), checked by run_pipeline against STAGES.
 
 
-def stage_ingest(cfg: RunConfig, out: Path) -> list[Path]:
-    load_path = _need_config(cfg, "load_csv", "ingest")
-    with open(load_path, encoding="utf-8") as fh:
+def stage_ingest(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
+    with open(cfg.load_csv, encoding="utf-8") as fh:
         hourly = ingest.parse_hourly_load(fh)
     loads = {F["daily"]: hourly}
     if cfg.fuel_mix_csv is not None:
@@ -156,13 +120,11 @@ def stage_ingest(cfg: RunConfig, out: Path) -> list[Path]:
     return [out / name for name in loads]
 
 
-def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
-    grid_path = _need_config(cfg, "temperature_grid", "thermal")
-    mask_path = _need_config(cfg, "mask_csv", "thermal")
-    daily_path = _need_cached(out, F["daily"], "ingest")
-
-    grid = thermal.load_temperature_grid(grid_path)
-    with open(mask_path, encoding="utf-8") as fh:
+def stage_thermal(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
+    grid = thermal.load_temperature_grid(cfg.temperature_grid)
+    # An hourly grid collapses to daily cell means once, for every reduction below.
+    grid.times, grid.values = thermal.daily_cell_means(grid)
+    with open(cfg.mask_csv, encoding="utf-8") as fh:
         grid = thermal.attach_mask(grid, thermal.read_mask_csv(fh))
     pop = None
     if cfg.population_csv is not None:
@@ -171,7 +133,7 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
 
     temps_weighted = thermal.population_weighted_daily_temp(grid, pop)
     temps_unweighted = thermal.population_weighted_daily_temp(grid, None)
-    with open(daily_path, encoding="utf-8") as fh:
+    with open(inputs["daily"], encoding="utf-8") as fh:
         peaks = ingest.read_daily_summaries(fh).series("peak_demand", cfg.min_hours)
 
     # (temperature, peak demand) of each load day with a regional temperature
@@ -184,20 +146,13 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
     skipped: list[int] = []
     for year in np.unique(years).tolist():
         t, d = temps[years == year], peak_mw[years == year]
-        if np.unique(t).size < 4:
-            skipped.append(year)
-            continue
-        fit = thermal.fit_demand_temperature_cubic(zip(t.tolist(), d.tolist()), year=year)
+        # A year is skipped when its cubic cannot be fitted (fewer than 4
+        # distinct temperatures) or has no minimum inside its range.
         try:
-            t0 = thermal.reference_temperature(fit)
+            fit = thermal.fit_demand_temperature_cubic(zip(t.tolist(), d.tolist()), year=year)
+            fits.append(replace(fit, t0=thermal.reference_temperature(fit)))
         except ValueError:
             skipped.append(year)
-            continue
-        fits.append(
-            thermal.CubicDemandFit(
-                fit.year, fit.a1, fit.a2, fit.a3, fit.a4, fit.fit_range, t0
-            )
-        )
     if not fits:
         raise ValueError(
             "no year produced a demand-temperature cubic with an interior "
@@ -232,20 +187,15 @@ def stage_thermal(cfg: RunConfig, out: Path) -> list[Path]:
     ]
 
 
-def stage_shoulder(cfg: RunConfig, out: Path) -> list[Path]:
+def stage_shoulder(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
     dd: ingest.DailySeries | None = None
     summaries: ingest.DailyLoad | None = None
-    if cfg.temperature_grid is not None:
-        with open(_need_cached(out, F["dd"], "thermal"), encoding="utf-8") as fh:
+    if "dd" in inputs:
+        with open(inputs["dd"], encoding="utf-8") as fh:
             dd = ingest.read_daily_series(fh, DD_HEADER)
-    if cfg.load_csv is not None:
-        with open(_need_cached(out, F["daily"], "ingest"), encoding="utf-8") as fh:
+    if "daily" in inputs:
+        with open(inputs["daily"], encoding="utf-8") as fh:
             summaries = ingest.read_daily_summaries(fh)
-    if dd is None and summaries is None:
-        raise ValueError(
-            "shoulder stage needs a temperature grid or load data; "
-            "configure temperature_grid and/or load_csv"
-        )
     searches = {F["shoulder"]: (dd, summaries)}
     if (out / F["daily_net"]).is_file():
         with open(out / F["daily_net"], encoding="utf-8") as fh:
@@ -265,7 +215,8 @@ def stage_shoulder(cfg: RunConfig, out: Path) -> list[Path]:
                 out / name,
                 SHOULDER_HEADER,
                 (
-                    (w.year, w.season, w.metric, w.onset, w.onset_doy, w.window_mean, w.days_used)
+                    (w.year, w.season, w.metric, w.onset, trends.day_of_year(w.onset))
+                    + (w.window_mean, w.days_used)
                     for w in rows
                 ),
             )
@@ -301,11 +252,7 @@ def _trend_rows(
             if len(onsets) < 3:
                 continue
             points = {year: float(trends.day_of_year(d)) for year, d in onsets.items()}
-            auto = (
-                cfg.outlier_policy == "auto"
-                and metric == "degree_days"
-                and season == "fall"
-            )
+            auto = cfg.outlier_policy == "auto" and (metric, season) == ("degree_days", "fall")
             direction = "earlier" if season == "spring" else "later"
             result = trends.linear_trend(points, direction=direction, auto_exclude=auto)
             excluded = ";".join(str(int(x)) for x, _ in result.excluded_points)
@@ -363,8 +310,8 @@ def _correlation_rows(
     return corr_rows, point_rows
 
 
-def stage_trends(cfg: RunConfig, out: Path) -> list[Path]:
-    rows = _windows(_need_cached(out, F["shoulder"], "shoulder"))
+def stage_trends(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
+    rows = _windows(inputs["shoulder"])
     trend_rows, fits = _trend_rows(cfg, rows)
     movavg_rows = []
     fit_rows = []
@@ -403,13 +350,9 @@ def stage_trends(cfg: RunConfig, out: Path) -> list[Path]:
     return outputs
 
 
-def stage_project(cfg: RunConfig, out: Path) -> list[Path]:
-    ensemble_path = _need_config(cfg, "ensemble_csv", "project")
-    annual_path = _need_cached(out, F["temp_annual"], "thermal")
-    shoulder_path = _need_cached(out, F["shoulder"], "shoulder")
-
-    annual = dict(read_table(annual_path, ANNUAL_HEADER, parse_int, parse_float))
-    rows = _windows(shoulder_path)
+def stage_project(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
+    annual = dict(read_table(inputs["temp_annual"], ANNUAL_HEADER, parse_int, parse_float))
+    rows = _windows(inputs["shoulder"])
     onsets = {s: _onsets_by_year(rows, "degree_days", s) for s in ("spring", "fall")}
     if not onsets["spring"] or not onsets["fall"]:
         raise ValueError(
@@ -417,7 +360,7 @@ def stage_project(cfg: RunConfig, out: Path) -> list[Path]:
             "run thermal and shoulder with a temperature grid"
         )
 
-    with open(ensemble_path, encoding="utf-8") as fh:
+    with open(cfg.ensemble_csv, encoding="utf-8") as fh:
         stats = projection.ensemble_annual_stats(projection.parse_ensemble_csv(fh))
     correction = projection.fit_bias_correction(annual, stats)
     path = [
@@ -463,51 +406,40 @@ def stage_project(cfg: RunConfig, out: Path) -> list[Path]:
     ]
 
 
-def _month_range(year: int, month: int) -> tuple[date, date]:
-    import calendar
+def _periods(year: int) -> dict[str, list[tuple[date, date]]]:
+    """The named date ranges of one year that outages are averaged over."""
+    january = (date(year, 1, 1), date(year, 1, 31))
+    spring = (date(year, 3, 15), date(year, 5, 1))
+    fall = (date(year, 10, 15), date(year, 11, 30))
+    december = (date(year, 12, 1), date(year, 12, 31))
+    return {
+        "january": [january],
+        "march2_april15": [(date(year, 3, 2), date(year, 4, 15))],
+        "operator_spring": [spring],
+        "operator_fall": [fall],
+        "december": [december],
+        "winter_span": [(date(year, 12, 31), date(year + 1, 2, 13))],
+        "shoulder_combined": [spring, fall],
+        "winter_combined": [january, december],
+    }
 
-    return date(year, month, 1), date(year, month, calendar.monthrange(year, month)[1])
 
-
-def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
-    outage_path = _need_config(cfg, "outage_csv", "adequacy")
-    load_path = _need_config(cfg, "load_csv", "adequacy")
-    shoulder_path = _need_cached(out, F["shoulder"], "shoulder")
-
-    with open(outage_path, encoding="utf-8") as fh:
+def stage_adequacy(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
+    with open(cfg.outage_csv, encoding="utf-8") as fh:
         outages = ingest.parse_outages(fh)
     if not len(outages):
-        raise ValueError(f"outage file {outage_path} has no data rows")
-    with open(load_path, encoding="utf-8") as fh:
+        raise ValueError(f"outage file {cfg.outage_csv} has no data rows")
+    with open(cfg.load_csv, encoding="utf-8") as fh:
         hourly = ingest.parse_hourly_load(fh)
-    shoulder_rows = _windows(shoulder_path)
+    shoulder_rows = _windows(inputs["shoulder"])
 
     years = outages.timestamps.astype("datetime64[Y]").astype(int) + 1970
     outage_years = np.unique(years).tolist()
     focus_year = cfg.adequacy_year if cfg.adequacy_year is not None else outage_years[-1]
 
-    named_periods = [
-        ("january", [_month_range(focus_year, 1)]),
-        ("march2_april15", [(date(focus_year, 3, 2), date(focus_year, 4, 15))]),
-        ("operator_spring", [(date(focus_year, 3, 15), date(focus_year, 5, 1))]),
-        ("operator_fall", [(date(focus_year, 10, 15), date(focus_year, 11, 30))]),
-        ("december", [_month_range(focus_year, 12)]),
-        (
-            "winter_span",
-            [(date(focus_year, 12, 31), date(focus_year + 1, 2, 13))],
-        ),
-        (
-            "shoulder_combined",
-            [
-                (date(focus_year, 3, 15), date(focus_year, 5, 1)),
-                (date(focus_year, 10, 15), date(focus_year, 11, 30)),
-            ],
-        ),
-        ("winter_combined", [_month_range(focus_year, 1), _month_range(focus_year, 12)]),
-    ]
     period_rows = []
     period_stats: dict[str, adq.PeriodOutageStat] = {}
-    for label, ranges in named_periods:
+    for label, ranges in _periods(focus_year).items():
         try:
             stat = adq.average_outages(outages, ranges, label=label)
         except ValueError:
@@ -517,13 +449,9 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
 
     summary: dict[str, object] = {"focus_year": focus_year}
     if "shoulder_combined" in period_stats and "winter_combined" in period_stats:
-        delta = adq.incremental_maintenance_delta(
-            period_stats["shoulder_combined"].mean_outage_gw,
-            period_stats["winter_combined"].mean_outage_gw,
-        )
-        summary["shoulder_mean_gw"] = period_stats["shoulder_combined"].mean_outage_gw
-        summary["winter_mean_gw"] = period_stats["winter_combined"].mean_outage_gw
-        summary["incremental_delta_gw"] = delta
+        shoulder = summary["shoulder_mean_gw"] = period_stats["shoulder_combined"].mean_outage_gw
+        winter = summary["winter_mean_gw"] = period_stats["winter_combined"].mean_outage_gw
+        summary["incremental_delta_gw"] = adq.incremental_maintenance_delta(shoulder, winter)
 
     # Winter unmet-demand table: December and January of each covered year.
     load_months = hourly.hours.astype("datetime64[M]")
@@ -551,17 +479,9 @@ def stage_adequacy(cfg: RunConfig, out: Path) -> list[Path]:
             unmet_rows.append((row.label, row.max_output_gw, row.extra_outage_gw, row.pct_unmet))
 
     # Pooled generation histograms across all outage years.
-    hist_specs: list[tuple[str, list[tuple[date, date]]]] = [
-        ("january", [_month_range(y, 1) for y in outage_years]),
-        ("december", [_month_range(y, 12) for y in outage_years]),
-        (
-            "operator_spring",
-            [(date(y, 3, 15), date(y, 5, 1)) for y in outage_years],
-        ),
-        (
-            "operator_fall",
-            [(date(y, 10, 15), date(y, 11, 30)) for y in outage_years],
-        ),
+    hist_specs = [
+        (label, [r for y in outage_years for r in _periods(y)[label]])
+        for label in ("january", "december", "operator_spring", "operator_fall")
     ]
     for season in ("spring", "fall"):
         ranges = [
@@ -614,15 +534,12 @@ def emit_report(results: Mapping[str, object]) -> str:
     if region:
         lines.append(f"region: {region}")
     lines.append("")
-
-    has_content = False
+    n_header = len(lines)
 
     shoulder_rows = results.get("shoulder") or []
     if shoulder_rows:
-        has_content = True
         lines.append("[shoulder windows]")
-        metrics = sorted({w.metric for w in shoulder_rows})
-        for metric in metrics:
+        for metric in sorted({w.metric for w in shoulder_rows}):
             for season in ("spring", "fall"):
                 rows = [w for w in shoulder_rows if w.metric == metric and w.season == season]
                 if not rows:
@@ -638,7 +555,6 @@ def emit_report(results: Mapping[str, object]) -> str:
 
     trend_rows = results.get("trends") or []
     if trend_rows:
-        has_content = True
         lines.append("[onset trends]")
         for metric, season, slope, stderr, probability, n, excluded in trend_rows:
             direction = "earlier" if season == "spring" else "later"
@@ -650,7 +566,6 @@ def emit_report(results: Mapping[str, object]) -> str:
 
     corr_rows = results.get("correlations") or []
     if corr_rows:
-        has_content = True
         lines.append("[onset correlations, cutoff-filtered]")
         for season, x_metric, y_metric, r, n_used, excluded_count, cutoff in corr_rows:
             lines.append(
@@ -661,7 +576,6 @@ def emit_report(results: Mapping[str, object]) -> str:
 
     proj = results.get("projection")
     if proj:
-        has_content = True
         lines.append("[projection]")
         lines.append(
             f"bias correction: gain {proj['bias_gain']:.3f}, "
@@ -672,17 +586,12 @@ def emit_report(results: Mapping[str, object]) -> str:
             f"fall {proj['fall_slope_days_per_c']:+.2f} d/C"
         )
         merged = proj.get("merge_year")
-        if merged is None:
-            lines.append(
-                f"merge year: none within horizon (persistence {proj['persistence']})"
-            )
-        else:
-            lines.append(f"merge year: {merged} (persistence {proj['persistence']})")
+        merged_text = "none within horizon" if merged is None else merged
+        lines.append(f"merge year: {merged_text} (persistence {proj['persistence']})")
         lines.append("")
 
     adequacy_data = results.get("adequacy")
     if adequacy_data:
-        has_content = True
         lines.append("[maintenance adequacy]")
         for label, _, _, mean_outage_gw, _ in adequacy_data.get("periods", []):
             lines.append(f"{label}: mean outages {adq.format_gw(mean_outage_gw)} GW")
@@ -702,7 +611,7 @@ def emit_report(results: Mapping[str, object]) -> str:
             )
         lines.append("")
 
-    if not has_content:
+    if len(lines) == n_header:
         lines.append("no stages run")
         lines.append("")
     return "\n".join(lines)
@@ -719,64 +628,160 @@ def _collect_report_inputs(cfg: RunConfig, out: Path) -> dict[str, object]:
     if (out / F["proj_summary"]).is_file():
         results["projection"] = json.loads((out / F["proj_summary"]).read_text(encoding="utf-8"))
     if (out / F["periods"]).is_file():
-        unmet = []
-        if (out / F["unmet"]).is_file():
-            unmet = read_table(out / F["unmet"], UNMET_HEADER, *UNMET_COLUMNS)
-        summary = {}
-        if (out / F["adequacy_summary"]).is_file():
-            summary = json.loads((out / F["adequacy_summary"]).read_text(encoding="utf-8"))
+        # The adequacy stage writes these three files together.
         results["adequacy"] = {
             "periods": read_table(out / F["periods"], PERIODS_HEADER, *PERIODS_COLUMNS),
-            "unmet": unmet,
-            "summary": summary,
+            "unmet": read_table(out / F["unmet"], UNMET_HEADER, *UNMET_COLUMNS),
+            "summary": json.loads((out / F["adequacy_summary"]).read_text(encoding="utf-8")),
         }
     return results
 
 
-def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
+def stage_report(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
     return [write_atomic(out / F["report"], emit_report(_collect_report_inputs(cfg, out)))]
 
 
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "thermal": stage_thermal,
-    "shoulder": stage_shoulder,
-    "trends": stage_trends,
-    "project": stage_project,
-    "adequacy": stage_adequacy,
-    "report": stage_report,
+# -- the stage table -----------------------------------------------------------
+
+
+class Stage(NamedTuple):
+    """What a stage runs, what it needs from the config and the cache, and what it writes."""
+
+    help: str
+    run: Callable[[RunConfig, Path, Mapping[str, Path]], list[Path]]
+    needs: tuple[str, ...] = ()  # config keys it requires
+    reads: tuple[str, ...] = ()  # optional config keys it reads
+    # Keys of F it reads, from the stages that own them. Files read only when
+    # present (the netted tables, and whatever the report finds) are not listed.
+    inputs: tuple[str, ...] = ()
+    # Keys of F it writes. A stage deletes the owned files it did not write
+    # this time, and `all` deletes those of the stages it does not run, so no
+    # output of an earlier configuration outlives a rerun.
+    owns: tuple[str, ...] = ()
+
+
+# The pipeline, in run order.
+STAGES: dict[str, Stage] = {
+    "ingest": Stage(
+        "parse raw load/fuel-mix files and cache daily summaries",
+        stage_ingest,
+        needs=("load_csv",),
+        reads=("fuel_mix_csv",),
+        owns=("daily", "daily_net"),
+    ),
+    "thermal": Stage(
+        "regional temperatures, demand cubics, reference temperature, degree days",
+        stage_thermal,
+        needs=("temperature_grid", "mask_csv"),
+        reads=("population_csv",),
+        inputs=("daily",),
+        owns=("temp_daily", "temp_annual", "cubic", "dd", "thermal_summary"),
+    ),
+    "shoulder": Stage(
+        "lowest-average window onsets per year, season, and metric",
+        stage_shoulder,
+        inputs=("daily", "dd"),
+        owns=("shoulder", "shoulder_net"),
+    ),
+    "trends": Stage(
+        "onset drift regressions, moving averages, and correlations",
+        stage_trends,
+        inputs=("shoulder",),
+        owns=("trends", "trends_net", "movavg", "fitlines", "corr", "corr_net", "corr_points"),
+    ),
+    "project": Stage(
+        "ensemble bias correction and onset projection with merge year",
+        stage_project,
+        needs=("ensemble_csv",),
+        inputs=("temp_annual", "shoulder"),
+        owns=("temp_path", "onset_temp", "proj", "proj_summary", "merge"),
+    ),
+    "adequacy": Stage(
+        "outage averages, unmet-demand table, generation histograms",
+        stage_adequacy,
+        needs=("outage_csv", "load_csv"),
+        inputs=("shoulder",),
+        owns=("periods", "unmet", "adequacy_summary", *(f"hist_{x}" for x in HIST_LABELS)),
+    ),
+    "report": Stage("plain-text digest of available stage outputs", stage_report, owns=("report",)),
 }
 
 
+# The stage that owns each file (key of F).
+_PRODUCER = {key: name for name, stage in STAGES.items() for key in stage.owns}
+
+
+def _selection(cfg: RunConfig) -> dict[str, str | None]:
+    """Per stage in run order: None if the config selects it, else a key that would.
+
+    A stage with required keys is selected when one of its own keys is
+    set: a key it needs or reads that no earlier stage declares (adequacy
+    needs load_csv, but that key selects ingest). A stage without keys is
+    selected when a stage it reads is, and the report always is.
+    """
+    selection: dict[str, str | None] = {}
+    declared: set[str] = set()
+    for name, stage in STAGES.items():
+        own = {*stage.needs, *stage.reads} - declared
+        declared |= own
+        if stage.needs:
+            selected = any(getattr(cfg, key) is not None for key in own)
+            selection[name] = None if selected else stage.needs[0]
+        else:
+            upstream = [selection[_PRODUCER[key]] for key in stage.inputs]
+            selected = not upstream or None in upstream
+            selection[name] = None if selected else " or ".join(dict.fromkeys(upstream))
+    return selection
+
+
+def _check_config(cfg: RunConfig, name: str, selection: Mapping[str, str | None]) -> None:
+    """Raise unless the config gives the stage its keys and the stages it reads."""
+    stage = STAGES[name]
+    unset = [key for key in stage.needs if getattr(cfg, key) is None]
+    # A stage with required keys reads every stage it lists; one without
+    # reads those of them that are selected, and needs one.
+    unset += [selection[_PRODUCER[k]] for k in stage.inputs] if stage.needs else [selection[name]]
+    key = next(filter(None, unset), None)
+    if key is not None:
+        raise ValueError(f"config key {key}: required for the {name} stage")
+
+
 def _stages_for_all(cfg: RunConfig) -> list[str]:
-    selected = []
-    if cfg.load_csv is not None:
-        selected.append("ingest")
-    if cfg.temperature_grid is not None and cfg.mask_csv is not None:
-        selected.append("thermal")
-    if selected:
-        selected.append("shoulder")
-        selected.append("trends")
-    if cfg.ensemble_csv is not None and "thermal" in selected:
-        selected.append("project")
-    if cfg.outage_csv is not None and cfg.load_csv is not None:
-        selected.append("adequacy")
-    selected.append("report")
+    """The stages `all` runs; raises, before any runs, if one of them cannot."""
+    selection = _selection(cfg)
+    selected = [name for name, key in selection.items() if key is None]
+    for name in selected:
+        _check_config(cfg, name, selection)
     return selected
 
 
+def _remove_outputs(out: Path, stages: Sequence[str], keep: Sequence[Path] = ()) -> None:
+    """Delete the files the stages own, except those in keep."""
+    for stage in stages:
+        for key in STAGES[stage].owns:
+            if out / F[key] not in keep:
+                (out / F[key]).unlink(missing_ok=True)
+
+
 def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]:
-    """Run the requested stages in canonical order; returns written files."""
+    """Run the requested stages in run order, checking each against STAGES first."""
     unknown = [s for s in stages if s not in STAGES]
     if unknown:
         raise ValueError(f"unknown stage(s): {', '.join(unknown)}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    selection = _selection(cfg)
     written: dict[str, list[Path]] = {}
-    for stage in STAGES:
-        if stage in stages:
-            written[stage] = _STAGE_FUNCS[stage](cfg, out)
-            _remove_outputs(out, [stage], keep=written[stage])
+    for name, stage in STAGES.items():
+        if name not in stages:
+            continue
+        _check_config(cfg, name, selection)
+        inputs = {key: out / F[key] for key in stage.inputs if selection[_PRODUCER[key]] is None}
+        for key, path in inputs.items():
+            if not path.is_file():
+                raise ValueError(f"missing {F[key]}; run the {_PRODUCER[key]} stage first")
+        written[name] = stage.run(cfg, out, inputs)
+        _remove_outputs(out, [name], keep=written[name])
     return written
 
 
@@ -820,16 +825,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    stage_help = {
-        "ingest": "parse raw load/fuel-mix files and cache daily summaries",
-        "thermal": "regional temperatures, demand cubics, reference temperature, degree days",
-        "shoulder": "lowest-average window onsets per year, season, and metric",
-        "trends": "onset drift regressions, moving averages, and correlations",
-        "project": "ensemble bias correction and onset projection with merge year",
-        "adequacy": "outage averages, unmet-demand table, generation histograms",
-        "report": "plain-text digest of available stage outputs",
-        "all": "every stage with configured inputs, in order",
-    }
+    stage_help = {name: stage.help for name, stage in STAGES.items()}
+    stage_help["all"] = "every stage with configured inputs, in order"
     for name, text in stage_help.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to a key = value config file")
@@ -865,14 +862,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "all":
             stages = _stages_for_all(cfg)
             _remove_outputs(Path(cfg.out_dir), [s for s in STAGES if s not in stages])
-        written = run_pipeline(cfg, stages)
-        for stage in STAGES:
-            if stage not in written:
-                continue
+        for stage, paths in run_pipeline(cfg, stages).items():
             if args.verbose:
-                for p in written[stage]:
+                for p in paths:
                     print(p)
-            print(f"{stage}: wrote {len(written[stage])} files")
+            print(f"{stage}: wrote {len(paths)} files")
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

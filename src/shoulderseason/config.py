@@ -10,16 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-_PATH_KEYS = (
-    "load_csv",
-    "fuel_mix_csv",
-    "outage_csv",
-    "temperature_grid",
-    "population_csv",
-    "mask_csv",
-    "ensemble_csv",
-)
-
 _OUTLIER_POLICIES = ("none", "auto")
 
 
@@ -64,10 +54,10 @@ class RunConfig:
             raise ValueError("config key adequacy_bin_gw: must be > 0")
         if self.out_dir is None:
             raise ValueError("config key out_dir: must not be empty")
-        for key in _PATH_KEYS:
-            path = getattr(self, key)
-            if path is not None and not Path(path).is_file():
-                raise ValueError(f"config key {key}: file not found: {path}")
+        for f in fields(self):
+            path = getattr(self, f.name)
+            if f.type == "Path | None" and path is not None and not Path(path).is_file():
+                raise ValueError(f"config key {f.name}: file not found: {path}")
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -79,10 +69,15 @@ def _parse_bool(text: str, key: str) -> bool:
     raise ValueError(f"config key {key}: expected a boolean, got {text!r}")
 
 
+# Numeric field types, with the noun their parse error uses.
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
+
+
 def load_config(path: Path | str) -> RunConfig:
+    """Read a config file, converting each value by the type of its RunConfig field."""
     path = Path(path)
     cfg = RunConfig()
-    known = {f.name: f for f in fields(RunConfig)}
+    known = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -94,23 +89,17 @@ def load_config(path: Path | str) -> RunConfig:
         value = value.strip()
         if key not in known:
             raise ValueError(f"{path.name} line {lineno}: unknown config key {key!r}")
-        if key in _PATH_KEYS or key == "out_dir":
-            resolved = (path.parent / value).resolve() if value else None
-            setattr(cfg, key, resolved)
-        elif key in ("window_len", "min_hours", "max_missing_days", "persistence", "adequacy_year"):
+        kind = known[key]
+        if kind == "Path":
+            setattr(cfg, key, (path.parent / value).resolve() if value else None)
+        elif kind in _NUMBERS:
+            number, noun = _NUMBERS[kind]
             try:
-                setattr(cfg, key, int(value))
+                setattr(cfg, key, number(value))
             except ValueError:
-                raise ValueError(
-                    f"config key {key}: expected an integer, got {value!r}"
-                ) from None
-        elif key in ("extra_outage_gw", "adequacy_bin_gw"):
-            try:
-                setattr(cfg, key, float(value))
-            except ValueError:
-                raise ValueError(f"config key {key}: expected a number, got {value!r}") from None
-        elif key == "allow_year_wrap":
-            cfg.allow_year_wrap = _parse_bool(value, key)
+                raise ValueError(f"config key {key}: expected {noun}, got {value!r}") from None
+        elif kind == "bool":
+            setattr(cfg, key, _parse_bool(value, key))
         else:
             setattr(cfg, key, value)
     cfg.validate()

@@ -95,10 +95,6 @@ class CubicDemandFit:
 # -- grid and mask file I/O --------------------------------------------------
 
 
-def _axis(values: Iterable[float]) -> np.ndarray:
-    return np.array(sorted(set(values)), dtype=float)
-
-
 def _parse_time(text: str, lineno: int):
     try:
         if "T" in text or " " in text or ":" in text:
@@ -235,9 +231,20 @@ def load_temperature_grid(path: Path | str) -> TemperatureGrid:
         return read_grid_csv(fh)
 
 
+def _scatter(entries: dict[tuple, object], what: str, dtype) -> tuple[list[np.ndarray], np.ndarray]:
+    """The sorted axis of each key column of the entries, and an array on
+    those axes holding each entry's value (0 where there is none)."""
+    if not entries:
+        raise ValueError(f"{what} file has no data rows")
+    keys = [np.array(column) for column in zip(*entries)]
+    axes = [np.unique(column) for column in keys]
+    values = np.zeros([len(axis) for axis in axes], dtype=dtype)
+    values[tuple(np.searchsorted(a, k) for a, k in zip(axes, keys))] = list(entries.values())
+    return axes, values
+
+
 def read_population_csv(source: IO[str] | Iterable[str]) -> PopulationGrid:
-    entries = []
-    seen: set[tuple[int, float, float]] = set()
+    entries: dict[tuple[int, float, float], float] = {}
     for lineno, (lat_s, lon_s, epoch_s, persons_s) in split_rows(source, POPULATION_HEADER):
         lat = parse_float(lat_s, lineno, "lat")
         lon = parse_float(lon_s, lineno, "lon")
@@ -245,47 +252,26 @@ def read_population_csv(source: IO[str] | Iterable[str]) -> PopulationGrid:
         persons = parse_float(persons_s, lineno, "persons")
         if persons < 0:
             raise ValueError(f"line {lineno}: negative persons value {persons_s!r}")
-        if (epoch, lat, lon) in seen:
+        if (epoch, lat, lon) in entries:
             raise ValueError(
                 f"line {lineno}: duplicate population entry for ({lat}, {lon}, {epoch})"
             )
-        seen.add((epoch, lat, lon))
-        entries.append((epoch, lat, lon, persons))
-    if not entries:
-        raise ValueError("population file has no data rows")
-    lats = _axis(e[1] for e in entries)
-    lons = _axis(e[2] for e in entries)
-    epochs = sorted({e[0] for e in entries})
-    weights = np.zeros((len(epochs), len(lats), len(lons)))
-    e_index = {v: i for i, v in enumerate(epochs)}
-    lat_index = {v: i for i, v in enumerate(lats)}
-    lon_index = {v: i for i, v in enumerate(lons)}
-    for epoch, lat, lon, persons in entries:
-        weights[e_index[epoch], lat_index[lat], lon_index[lon]] = persons
-    return PopulationGrid(lats, lons, epochs, weights)
+        entries[epoch, lat, lon] = persons
+    (epochs, lats, lons), weights = _scatter(entries, "population", float)
+    return PopulationGrid(lats, lons, epochs.tolist(), weights)
 
 
 def read_mask_csv(source: IO[str] | Iterable[str]) -> RegionMask:
-    entries = []
-    seen: set[tuple[float, float]] = set()
+    entries: dict[tuple[float, float], bool] = {}
     for lineno, (lat_s, lon_s, flag_s) in split_rows(source, MASK_HEADER):
         lat = parse_float(lat_s, lineno, "lat")
         lon = parse_float(lon_s, lineno, "lon")
         if flag_s not in ("0", "1"):
             raise ValueError(f"line {lineno}: in_region must be 0 or 1, got {flag_s!r}")
-        if (lat, lon) in seen:
+        if (lat, lon) in entries:
             raise ValueError(f"line {lineno}: duplicate mask entry for ({lat}, {lon})")
-        seen.add((lat, lon))
-        entries.append((lat, lon, flag_s == "1"))
-    if not entries:
-        raise ValueError("mask file has no data rows")
-    lats = _axis(e[0] for e in entries)
-    lons = _axis(e[1] for e in entries)
-    mask = np.zeros((len(lats), len(lons)), dtype=bool)
-    lat_index = {v: i for i, v in enumerate(lats)}
-    lon_index = {v: i for i, v in enumerate(lons)}
-    for lat, lon, flag in entries:
-        mask[lat_index[lat], lon_index[lon]] = flag
+        entries[lat, lon] = flag_s == "1"
+    (lats, lons), mask = _scatter(entries, "mask", bool)
     return RegionMask(lats, lons, mask)
 
 

@@ -40,10 +40,6 @@ class ShoulderWindow:
     window_mean: float
     days_used: int
 
-    @property
-    def onset_doy(self) -> int:
-        return self.onset.timetuple().tm_yday
-
 
 def min_window(
     series: DailySeries | Mapping[date, float],

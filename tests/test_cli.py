@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from datetime import date
@@ -10,7 +11,7 @@ import pytest
 
 from shoulderseason.cli import (
     F,
-    OUTPUTS,
+    STAGES,
     emit_report,
     main,
     run_pipeline,
@@ -41,20 +42,35 @@ def _config_variant(fixture_dir: Path, path: Path, **overrides: str | None) -> P
     return path
 
 
-class TestFixtureGeneration:
-    def test_same_seed_is_byte_identical(self, tmp_path) -> None:
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        generate_fixture(a, seed=7)
-        generate_fixture(b, seed=7)
-        assert _tree_bytes(a) == _tree_bytes(b)
+# sha256 of each file of the seed-42 fixture, which the committed golden
+# and the acceptance criteria are computed from.
+SEED_42_SHA256 = {
+    "fixture.conf": "f2fabfceefef4a9a6102d53984984628c15494e1a775d9c74fef1de878ca0770",
+    "fixture_ensemble.csv": "16ee29697ce0a77a6af52181340a6bae04d0ecae32d566104c36ec01b2126107",
+    "fixture_fuel_mix.csv": "38d93b17154782b6073bde8b80c51e02f2110add22f3bf8a74c06667d23b6724",
+    "fixture_load.csv": "bc5f6554c7d1481d911e1bd82483ae48d3fe0a2034df5ef3a9048011a66b9c91",
+    "fixture_mask.csv": "9a537e0221c1028aa46d8eaca7e9b69f7cc7df73eb729ef0876cb7b143fe7e4e",
+    "fixture_outages.csv": "3b189e1eeba77ef70c13e2ea64fdcd39c4a622c32f2f4977371639dcac48c41a",
+    "fixture_population.csv": "8fb0456ecc144c30df07fba443bd384af2d33c6025b02fe0d4f81aa5dcd78df8",
+    "fixture_temperature.csv": "e329c0b0d336b59feae72f535f7519881e630eab7d507d217a8167c84e126554",
+}
 
-    def test_different_seed_differs(self, tmp_path) -> None:
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        generate_fixture(a, seed=1)
-        generate_fixture(b, seed=2)
-        assert _tree_bytes(a) != _tree_bytes(b)
+
+class TestFixtureGeneration:
+    def test_seed_42_files_are_pinned(self, fixture_dir) -> None:
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in _tree_bytes(fixture_dir).items()
+        }
+        assert digests == SEED_42_SHA256
+
+    def test_same_seed_is_byte_identical(self, fixture_dir, tmp_path) -> None:
+        generate_fixture(tmp_path, seed=42)
+        assert _tree_bytes(tmp_path) == _tree_bytes(fixture_dir)
+
+    def test_different_seed_differs(self, fixture_dir, tmp_path) -> None:
+        generate_fixture(tmp_path, seed=1)
+        assert _tree_bytes(tmp_path) != _tree_bytes(fixture_dir)
 
 
 class TestConfig:
@@ -210,7 +226,7 @@ class TestPipeline:
         assert "[onset correlations" not in report and "[projection]" not in report
 
     def test_every_output_is_owned_by_one_stage(self, full_run) -> None:
-        owned = [F[key] for keys in OUTPUTS.values() for key in keys]
+        owned = [F[key] for stage in STAGES.values() for key in stage.owns]
         assert len(owned) == len(set(owned))
         assert {p.name for p in full_run.iterdir()} <= set(owned)
 
@@ -241,6 +257,68 @@ class TestPipeline:
         net_lines = (full_run / F["shoulder_net"]).read_text().splitlines()[1:]
         years = {int(line.split(",")[0]) for line in net_lines}
         assert years == {2019, 2020, 2021, 2022}
+
+
+class TestStageSelection:
+    """Which stages `all` runs, and the config checks made before any runs."""
+
+    @pytest.mark.parametrize(
+        ("keys", "stages"),
+        [
+            ({}, ["report"]),
+            ({"load_csv"}, ["ingest", "shoulder", "trends", "report"]),
+            (
+                {"load_csv", "temperature_grid", "mask_csv", "ensemble_csv"},
+                ["ingest", "thermal", "shoulder", "trends", "project", "report"],
+            ),
+            ({"load_csv", "outage_csv"}, ["ingest", "shoulder", "trends", "adequacy", "report"]),
+        ],
+    )
+    def test_all_runs_the_configured_stages(self, tmp_path, keys, stages) -> None:
+        cfg = RunConfig(**{key: tmp_path / key for key in keys})
+        assert _stages_for_all(cfg) == stages
+
+    @pytest.mark.parametrize(
+        ("dropped", "message"),
+        [
+            (["mask_csv"], "config key mask_csv: required for the thermal stage"),
+            (["load_csv"], "config key load_csv: required for the ingest stage"),
+            (["temperature_grid"], "config key temperature_grid: required for the thermal stage"),
+            (
+                ["load_csv", "temperature_grid", "population_csv", "mask_csv", "ensemble_csv"],
+                "config key load_csv: required for the ingest stage",
+            ),
+        ],
+        ids=["no-mask", "no-load", "no-grid", "feeds-only"],
+    )
+    def test_all_fails_before_any_stage_runs(
+        self, fixture_dir, full_run, tmp_path, capsys, dropped, message
+    ) -> None:
+        conf = _config_variant(fixture_dir, tmp_path / "x.conf", **dict.fromkeys(dropped))
+        out = tmp_path / "out"
+        shutil.copytree(full_run, out)
+        assert main(["all", "--config", str(conf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _tree_bytes(out) == _tree_bytes(full_run)
+
+    def test_all_needs_the_stages_a_selected_stage_reads(self, tmp_path) -> None:
+        cfg = RunConfig(load_csv=tmp_path / "load.csv", ensemble_csv=tmp_path / "ens.csv")
+        with pytest.raises(ValueError, match="config key temperature_grid: required for the project"):
+            _stages_for_all(cfg)
+
+    @pytest.mark.parametrize(
+        ("stage", "message"),
+        [
+            ("thermal", "config key temperature_grid: required for the thermal stage"),
+            ("shoulder", "config key load_csv or temperature_grid: required for the shoulder stage"),
+            ("trends", "config key load_csv or temperature_grid: required for the trends stage"),
+            ("adequacy", "config key outage_csv: required for the adequacy stage"),
+        ],
+    )
+    def test_single_stage_names_the_missing_key(self, tmp_path, stage, message) -> None:
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(RunConfig(out_dir=tmp_path), [stage])
+        assert not any(tmp_path.iterdir())
 
 
 class TestPipelineCrossChecks:

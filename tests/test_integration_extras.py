@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from shoulderseason import thermal
 from shoulderseason.cli import F, run_pipeline
 from shoulderseason.config import RunConfig, load_config
 from shoulderseason.projection import OnsetProjection, merge_year
@@ -65,6 +66,19 @@ class TestHourlyGridPipeline:
         # mean over h of (15.0 + 0.1h) is 15.0 + 0.1 * 11.5; cells offset 0 and +2
         expected = 15.0 + 0.1 * 11.5 + 1.0
         assert float(value) == pytest.approx(expected, abs=1e-9)
+
+    def test_thermal_stage_collapses_hours_once(self, hourly_world, monkeypatch) -> None:
+        collapse = thermal.daily_cell_means
+        hourly_calls = []
+
+        def counted(grid):
+            if grid.is_hourly:
+                hourly_calls.append(len(grid.times))
+            return collapse(grid)
+
+        monkeypatch.setattr(thermal, "daily_cell_means", counted)
+        run_pipeline(hourly_world, ["ingest", "thermal"])
+        assert hourly_calls == [120 * 24]
 
     def test_degree_days_emitted_for_every_grid_day(self, hourly_world) -> None:
         run_pipeline(hourly_world, ["ingest", "thermal"])

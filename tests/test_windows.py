@@ -7,6 +7,7 @@ import pytest
 
 from oracles import exhaustive_min_window
 from shoulderseason.ingest import DailyLoad, DailySeries
+from shoulderseason.trends import day_of_year
 from shoulderseason.windows import ShoulderWindow, min_window, shoulder_table
 
 
@@ -234,4 +235,4 @@ class TestShoulderTable:
 
     def test_onset_doy_counts_leap_day(self) -> None:
         w = ShoulderWindow(2020, "spring", "degree_days", date(2020, 3, 1), 1.0, 45)
-        assert w.onset_doy == 61  # Feb 29 counted
+        assert day_of_year(w.onset) == 61  # Feb 29 counted
