@@ -289,7 +289,7 @@ def attach_mask(grid: TemperatureGrid, mask: RegionMask) -> TemperatureGrid:
 def daily_cell_means(grid: TemperatureGrid) -> tuple[list[date], np.ndarray]:
     """Collapse an hourly grid to per-cell daily means; pass daily through."""
     if not grid.is_hourly:
-        return list(grid.times), grid.values
+        return grid.times, grid.values
     days: list[date] = []
     chunks: list[np.ndarray] = []
     start = 0
