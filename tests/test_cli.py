@@ -23,7 +23,12 @@ from shoulderseason.windows import ShoulderWindow
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
+    """Every file under root, in subdirectories too, by its path relative to root."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
 
 
 def _config_variant(fixture_dir: Path, path: Path, **overrides: str | None) -> Path:
