@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, timedelta
 from typing import Sequence
 
 import numpy as np
@@ -21,12 +21,17 @@ DateRange = tuple[date, date]
 
 
 def period_mask(times: np.ndarray, period: Sequence[DateRange]) -> np.ndarray:
-    """Rows of a datetime64 column whose day falls in any range of the period."""
+    """Rows of a datetime64 column whose day falls in any range of the period.
+
+    The column must strictly increase, as the time column of every parsed
+    feed does: the rows of a range are then one slice, found by binary search.
+    """
     if not period:
         raise ValueError("period has no date ranges")
+    bounds = np.array([(start, end + timedelta(days=1)) for start, end in period], "datetime64[D]")
     mask = np.zeros(len(times), bool)
-    for start, end in period:
-        mask |= (times >= np.datetime64(start, "D")) & (times < np.datetime64(end, "D") + 1)
+    for lo, hi in np.searchsorted(times, bounds).tolist():
+        mask[lo:hi] = True
     return mask
 
 

@@ -1,10 +1,10 @@
 """Pipeline orchestration and command-line entry point.
 
-Stages read raw inputs and each other's cached outputs from the output
-directory, in the fixed order ingest -> thermal -> shoulder ->
-trends/project/adequacy -> report. Every file is written atomically and
-byte-stable: rerunning with identical inputs and config reproduces
-identical outputs.
+Stages run in the fixed order ingest -> thermal -> shoulder ->
+trends/project/adequacy -> report. In one run they hand each other typed
+tables; a stage run alone reads them from the output directory. Every
+file is written atomically and byte-stable: rerunning with identical
+inputs and config reproduces identical outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,12 +24,11 @@ from . import ingest, projection, thermal, trends, windows
 from .config import RunConfig, load_config
 from .fixtures import generate_fixture
 from .tables import (
-    atomic_open,
     parse_date,
     parse_float,
     parse_int,
     parse_text,
-    read_table,
+    read_rows,
     write_atomic,
     write_table,
 )
@@ -98,14 +97,13 @@ def _write_json(path: Path, obj) -> Path:
 
 # -- stages -------------------------------------------------------------------
 #
-# Each stage takes the config, the output directory and the paths of its
-# cached inputs (keys of F), checked by run_pipeline against STAGES.
+# Each stage takes the config, the output directory and the run's Tables,
+# which hold its inputs (checked by run_pipeline against STAGES) and take its results.
 
 
-def stage_ingest(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
-    with open(cfg.load_csv, encoding="utf-8") as fh:
-        hourly = ingest.parse_hourly_load(fh)
-    loads = {F["daily"]: hourly}
+def stage_ingest(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+    hourly = tables["hourly"]
+    loads = {"daily": hourly}
     if cfg.fuel_mix_csv is not None:
         with open(cfg.fuel_mix_csv, encoding="utf-8") as fh:
             mix = ingest.parse_fuel_mix(fh)
@@ -113,14 +111,13 @@ def stage_ingest(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[
             # Netting applies to the span the fuel-mix feed covers.
             lo, hi = mix.timestamps[[0, -1]].astype("datetime64[D]")
             days = hourly.hours.astype("datetime64[D]")
-            loads[F["daily_net"]] = ingest.net_non_thermal(hourly[(days >= lo) & (days <= hi)], mix)
-    for name, load in loads.items():
-        with atomic_open(out / name) as fh:
-            ingest.write_daily_summaries(ingest.aggregate_daily(load), fh)
-    return [out / name for name in loads]
+            loads["daily_net"] = ingest.net_non_thermal(hourly[(days >= lo) & (days <= hi)], mix)
+    for key, load in loads.items():
+        tables[key] = ingest.aggregate_daily(load)
+    return [write_atomic(out / F[key], tables[key].format(ingest.DAILY_HEADER)) for key in loads]
 
 
-def stage_thermal(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
+def stage_thermal(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
     grid = thermal.load_temperature_grid(cfg.temperature_grid)
     # An hourly grid collapses to daily cell means once, for every reduction below.
     grid.times, grid.values = thermal.daily_cell_means(grid)
@@ -133,8 +130,7 @@ def stage_thermal(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list
 
     temps_weighted = thermal.population_weighted_daily_temp(grid, pop)
     temps_unweighted = thermal.population_weighted_daily_temp(grid, None)
-    with open(inputs["daily"], encoding="utf-8") as fh:
-        peaks = ingest.read_daily_summaries(fh).series("peak_demand", cfg.min_hours)
+    peaks = tables["daily"].series("peak_demand", cfg.min_hours)
 
     # (temperature, peak demand) of each load day with a regional temperature
     temps = temps_weighted.window(peaks.first, len(peaks))
@@ -159,14 +155,13 @@ def stage_thermal(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list
             f"minimum (years considered: {np.unique(years).tolist()})"
         )
     t0_global = thermal.global_t0([f.t0 for f in fits])
-    dd = thermal.degree_day_series(temps_weighted, t0_global)
+    dd = tables["dd"] = thermal.degree_day_series(temps_weighted, t0_global)
+    annual = tables["temp_annual"] = thermal.annual_means(temps_unweighted)
     spatial_std = thermal.spatial_temp_stddev(grid)
 
     return [
         write_atomic(out / F["temp_daily"], temps_weighted.format("date,t_avg_c")),
-        write_table(
-            out / F["temp_annual"], ANNUAL_HEADER, thermal.annual_means(temps_unweighted).items()
-        ),
+        write_table(out / F["temp_annual"], ANNUAL_HEADER, annual.items()),
         write_table(
             out / F["cubic"],
             "year,a1,a2,a3,a4,t0,t_min,t_max",
@@ -187,22 +182,12 @@ def stage_thermal(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list
     ]
 
 
-def stage_shoulder(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
-    dd: ingest.DailySeries | None = None
-    summaries: ingest.DailyLoad | None = None
-    if "dd" in inputs:
-        with open(inputs["dd"], encoding="utf-8") as fh:
-            dd = ingest.read_daily_series(fh, DD_HEADER)
-    if "daily" in inputs:
-        with open(inputs["daily"], encoding="utf-8") as fh:
-            summaries = ingest.read_daily_summaries(fh)
-    searches = {F["shoulder"]: (dd, summaries)}
-    if (out / F["daily_net"]).is_file():
-        with open(out / F["daily_net"], encoding="utf-8") as fh:
-            searches[F["shoulder_net"]] = (None, ingest.read_daily_summaries(fh))
-    outputs = []
-    for name, (series, load) in searches.items():
-        rows = windows.shoulder_table(
+def stage_shoulder(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+    searches = {"shoulder": (tables.get("dd"), tables.get("daily"))}
+    if "daily_net" in tables:
+        searches["shoulder_net"] = (None, tables["daily_net"])
+    for key, (series, load) in searches.items():
+        tables[key] = windows.shoulder_table(
             degree_day_series=series,
             load_summaries=load,
             window_len=cfg.window_len,
@@ -210,27 +195,17 @@ def stage_shoulder(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> lis
             allow_year_wrap=cfg.allow_year_wrap,
             min_hours=cfg.min_hours,
         )
-        outputs.append(
-            write_table(
-                out / name,
-                SHOULDER_HEADER,
-                (
-                    (w.year, w.season, w.metric, w.onset, trends.day_of_year(w.onset))
-                    + (w.window_mean, w.days_used)
-                    for w in rows
-                ),
-            )
-        )
-    return outputs
-
-
-def _windows(path: Path) -> list[windows.ShoulderWindow]:
-    """The shoulder windows of a cached shoulder table."""
     return [
-        windows.ShoulderWindow(year, season, metric, onset, mean, days_used)
-        for year, season, metric, onset, _, mean, days_used in read_table(
-            path, SHOULDER_HEADER, *SHOULDER_COLUMNS
+        write_table(
+            out / F[key],
+            SHOULDER_HEADER,
+            (
+                (w.year, w.season, w.metric, w.onset, trends.day_of_year(w.onset))
+                + (w.window_mean, w.days_used)
+                for w in tables[key]
+            ),
         )
+        for key in searches
     ]
 
 
@@ -310,8 +285,8 @@ def _correlation_rows(
     return corr_rows, point_rows
 
 
-def stage_trends(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
-    rows = _windows(inputs["shoulder"])
+def stage_trends(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+    rows = tables["shoulder"]
     trend_rows, fits = _trend_rows(cfg, rows)
     movavg_rows = []
     fit_rows = []
@@ -340,9 +315,8 @@ def stage_trends(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[
             )
         )
 
-    net_path = out / F["shoulder_net"]
-    if net_path.is_file():
-        net_rows = _windows(net_path)
+    if "shoulder_net" in tables:
+        net_rows = tables["shoulder_net"]
         outputs.append(write_table(out / F["trends_net"], TRENDS_HEADER, _trend_rows(cfg, net_rows)[0]))
         if dd_rows:
             corr_rows, _ = _correlation_rows(dd_rows, net_rows)
@@ -350,9 +324,8 @@ def stage_trends(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[
     return outputs
 
 
-def stage_project(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
-    annual = dict(read_table(inputs["temp_annual"], ANNUAL_HEADER, parse_int, parse_float))
-    rows = _windows(inputs["shoulder"])
+def stage_project(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+    annual, rows = tables["temp_annual"], tables["shoulder"]
     onsets = {s: _onsets_by_year(rows, "degree_days", s) for s in ("spring", "fall")}
     if not onsets["spring"] or not onsets["fall"]:
         raise ValueError(
@@ -424,14 +397,12 @@ def _periods(year: int) -> dict[str, list[tuple[date, date]]]:
     }
 
 
-def stage_adequacy(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
+def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
     with open(cfg.outage_csv, encoding="utf-8") as fh:
         outages = ingest.parse_outages(fh)
     if not len(outages):
         raise ValueError(f"outage file {cfg.outage_csv} has no data rows")
-    with open(cfg.load_csv, encoding="utf-8") as fh:
-        hourly = ingest.parse_hourly_load(fh)
-    shoulder_rows = _windows(inputs["shoulder"])
+    hourly, shoulder_rows = tables["hourly"], tables["shoulder"]
 
     years = outages.timestamps.astype("datetime64[Y]").astype(int) + 1970
     outage_years = np.unique(years).tolist()
@@ -454,16 +425,14 @@ def stage_adequacy(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> lis
         summary["incremental_delta_gw"] = adq.incremental_maintenance_delta(shoulder, winter)
 
     # Winter unmet-demand table: December and January of each covered year.
-    load_months = hourly.hours.astype("datetime64[M]")
-    outage_months = outages.timestamps.astype("datetime64[M]")
-    telemetered = ~np.isnan(outages.telemetered_output_mw)
     extra_mw = cfg.extra_outage_gw * adq.MW_PER_GW
     unmet_rows = []
     for year in outage_years:
         for month in (1, 12):
-            key = np.datetime64(date(year, month, 1), "M")
-            telem = outages.telemetered_output_mw[(outage_months == key) & telemetered]
-            demand = hourly.load_mw[load_months == key]
+            days = [(date(year, month, 1), date(year, month, 31))]
+            telem = outages.telemetered_output_mw[adq.period_mask(outages.timestamps, days)]
+            telem = telem[~np.isnan(telem)]
+            demand = hourly.load_mw[adq.period_mask(hourly.hours, days)]
             if not len(telem) or not len(demand):
                 continue
             # The running maximum starts at 0.0; adding 0.0 turns -0.0 into it.
@@ -525,9 +494,9 @@ def stage_adequacy(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> lis
 
 
 def emit_report(results: Mapping[str, object]) -> str:
-    """Render a plain-text digest of whichever stage results are present.
+    """Render a plain-text digest of the stage results present, keyed as in F.
 
-    Table results are typed rows in the column order of their files.
+    A table is its typed rows in file column order; a summary, its JSON object.
     """
     lines: list[str] = ["shoulder-season analysis report"]
     region = results.get("region")
@@ -564,7 +533,7 @@ def emit_report(results: Mapping[str, object]) -> str:
             )
         lines.append("")
 
-    corr_rows = results.get("correlations") or []
+    corr_rows = results.get("corr") or []
     if corr_rows:
         lines.append("[onset correlations, cutoff-filtered]")
         for season, x_metric, y_metric, r, n_used, excluded_count, cutoff in corr_rows:
@@ -574,7 +543,7 @@ def emit_report(results: Mapping[str, object]) -> str:
             )
         lines.append("")
 
-    proj = results.get("projection")
+    proj = results.get("proj_summary")
     if proj:
         lines.append("[projection]")
         lines.append(
@@ -590,12 +559,11 @@ def emit_report(results: Mapping[str, object]) -> str:
         lines.append(f"merge year: {merged_text} (persistence {proj['persistence']})")
         lines.append("")
 
-    adequacy_data = results.get("adequacy")
-    if adequacy_data:
+    if "periods" in results:  # the adequacy stage writes its three files together
         lines.append("[maintenance adequacy]")
-        for label, _, _, mean_outage_gw, _ in adequacy_data.get("periods", []):
+        for label, _, _, mean_outage_gw, _ in results["periods"]:
             lines.append(f"{label}: mean outages {adq.format_gw(mean_outage_gw)} GW")
-        summary = adequacy_data.get("summary", {})
+        summary = results.get("adequacy_summary", {})
         if "incremental_delta_gw" in summary:
             lines.append(
                 "incremental shoulder maintenance: "
@@ -603,7 +571,7 @@ def emit_report(results: Mapping[str, object]) -> str:
                 f"(shoulder {adq.format_gw(summary['shoulder_mean_gw'])} GW "
                 f"vs winter {adq.format_gw(summary['winter_mean_gw'])} GW)"
             )
-        for month, max_output_gw, extra_outage_gw, pct_unmet in adequacy_data.get("unmet", []):
+        for month, max_output_gw, extra_outage_gw, pct_unmet in results.get("unmet", []):
             lines.append(
                 f"unmet demand {month}: {pct_unmet:.2f}% "
                 f"(max output {adq.format_gw(max_output_gw)} GW, "
@@ -617,28 +585,56 @@ def emit_report(results: Mapping[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _collect_report_inputs(cfg: RunConfig, out: Path) -> dict[str, object]:
-    results: dict[str, object] = {"region": cfg.region_label}
-    if (out / F["shoulder"]).is_file():
-        results["shoulder"] = _windows(out / F["shoulder"])
-    if (out / F["trends"]).is_file():
-        results["trends"] = read_table(out / F["trends"], TRENDS_HEADER, *TRENDS_COLUMNS)
-    if (out / F["corr"]).is_file():
-        results["correlations"] = read_table(out / F["corr"], CORR_HEADER, *CORR_COLUMNS)
-    if (out / F["proj_summary"]).is_file():
-        results["projection"] = json.loads((out / F["proj_summary"]).read_text(encoding="utf-8"))
-    if (out / F["periods"]).is_file():
-        # The adequacy stage writes these three files together.
-        results["adequacy"] = {
-            "periods": read_table(out / F["periods"], PERIODS_HEADER, *PERIODS_COLUMNS),
-            "unmet": read_table(out / F["unmet"], UNMET_HEADER, *UNMET_COLUMNS),
-            "summary": json.loads((out / F["adequacy_summary"]).read_text(encoding="utf-8")),
-        }
-    return results
+def stage_report(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+    # The tables it digests that a stage wrote, in this run or an earlier one.
+    reported = ("shoulder", "trends", "corr", "proj_summary", "periods", "unmet", "adequacy_summary")
+    results = {key: tables[key] for key in reported if (out / F[key]).is_file()}
+    return [write_atomic(out / F["report"], emit_report({"region": cfg.region_label, **results}))]
 
 
-def stage_report(cfg: RunConfig, out: Path, inputs: Mapping[str, Path]) -> list[Path]:
-    return [write_atomic(out / F["report"], emit_report(_collect_report_inputs(cfg, out)))]
+def _windows(source: IO[str]) -> list[windows.ShoulderWindow]:
+    """The shoulder windows of a shoulder table (all but its onset_doy column)."""
+    rows = read_rows(source, SHOULDER_HEADER, *SHOULDER_COLUMNS)
+    return [windows.ShoulderWindow(*row[:4], *row[5:]) for row in rows]
+
+
+# One reader per table a stage takes from another; each looks its parser up when called.
+_READERS: dict[str, Callable[[IO[str]], object]] = {
+    "hourly": lambda fh: ingest.parse_hourly_load(fh),
+    "daily": lambda fh: ingest.read_daily_summaries(fh),
+    "daily_net": lambda fh: ingest.read_daily_summaries(fh),
+    "dd": lambda fh: ingest.read_daily_series(fh, DD_HEADER),
+    "temp_annual": lambda fh: dict(read_rows(fh, ANNUAL_HEADER, parse_int, parse_float)),
+    "shoulder": lambda fh: _windows(fh),
+    "shoulder_net": lambda fh: _windows(fh),
+    "trends": lambda fh: read_rows(fh, TRENDS_HEADER, *TRENDS_COLUMNS),
+    "corr": lambda fh: read_rows(fh, CORR_HEADER, *CORR_COLUMNS),
+    "proj_summary": lambda fh: json.load(fh),
+    "periods": lambda fh: read_rows(fh, PERIODS_HEADER, *PERIODS_COLUMNS),
+    "unmet": lambda fh: read_rows(fh, UNMET_HEADER, *UNMET_COLUMNS),
+    "adequacy_summary": lambda fh: json.load(fh),
+}
+
+
+class Tables(dict):
+    """The typed tables of one run_pipeline call, by key of _READERS.
+
+    A stage stores each table it writes that a later stage reads. One not
+    stored is read on first use: "hourly" (the parsed load feed) from
+    load_csv, the others from their files, which round-trip every value.
+    """
+
+    def __init__(self, cfg: RunConfig, out: Path) -> None:
+        super().__init__()
+        self.cfg, self.out = cfg, out
+
+    def __missing__(self, key: str):
+        path = self.cfg.load_csv if key == "hourly" else self.out / F[key]
+        if key != "hourly" and not path.is_file():
+            raise ValueError(f"missing {F[key]}; run the {_PRODUCER[key]} stage first")
+        with open(path, encoding="utf-8") as fh:
+            value = self[key] = _READERS[key](fh)
+        return value
 
 
 # -- the stage table -----------------------------------------------------------
@@ -648,12 +644,13 @@ class Stage(NamedTuple):
     """What a stage runs, what it needs from the config and the cache, and what it writes."""
 
     help: str
-    run: Callable[[RunConfig, Path, Mapping[str, Path]], list[Path]]
+    run: Callable[[RunConfig, Path, Tables], list[Path]]
     needs: tuple[str, ...] = ()  # config keys it requires
     reads: tuple[str, ...] = ()  # optional config keys it reads
-    # Keys of F it reads, from the stages that own them. Files read only when
-    # present (the netted tables, and whatever the report finds) are not listed.
+    # Keys of F it reads, from the stages that own them. The tables the report
+    # finds are not listed.
     inputs: tuple[str, ...] = ()
+    netted: tuple[str, ...] = ()  # keys of F it reads when fuel_mix_csv is set, if written
     # Keys of F it writes. A stage deletes the owned files it did not write
     # this time, and `all` deletes those of the stages it does not run, so no
     # output of an earlier configuration outlives a rerun.
@@ -681,12 +678,14 @@ STAGES: dict[str, Stage] = {
         "lowest-average window onsets per year, season, and metric",
         stage_shoulder,
         inputs=("daily", "dd"),
+        netted=("daily_net",),
         owns=("shoulder", "shoulder_net"),
     ),
     "trends": Stage(
         "onset drift regressions, moving averages, and correlations",
         stage_trends,
         inputs=("shoulder",),
+        netted=("shoulder_net",),
         owns=("trends", "trends_net", "movavg", "fitlines", "corr", "corr_net", "corr_points"),
     ),
     "project": Stage(
@@ -771,16 +770,18 @@ def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     selection = _selection(cfg)
+    tables = Tables(cfg, out)
     written: dict[str, list[Path]] = {}
     for name, stage in STAGES.items():
         if name not in stages:
             continue
         _check_config(cfg, name, selection)
-        inputs = {key: out / F[key] for key in stage.inputs if selection[_PRODUCER[key]] is None}
-        for key, path in inputs.items():
-            if not path.is_file():
-                raise ValueError(f"missing {F[key]}; run the {_PRODUCER[key]} stage first")
-        written[name] = stage.run(cfg, out, inputs)
+        inputs = [key for key in stage.inputs if selection[_PRODUCER[key]] is None]
+        if cfg.fuel_mix_csv is not None:
+            inputs += [key for key in stage.netted if key in tables or (out / F[key]).is_file()]
+        # Read before the stage writes anything; it finds an input it may lack with get().
+        tables.update({key: tables[key] for key in inputs})
+        written[name] = stage.run(cfg, out, tables)
         _remove_outputs(out, [name], keep=written[name])
     return written
 

@@ -548,10 +548,6 @@ def write_outages(outages: Outages, stream: IO[str]) -> None:
     stream.write(format_table(OUTAGE_HEADER, rows))
 
 
-def write_daily_summaries(daily: DailyLoad, stream: IO[str]) -> None:
-    stream.write(daily.format(DAILY_HEADER))
-
-
 def _parse_hours_present(text: str, lineno: int, name: str) -> int:
     hours = parse_int(text, lineno, name)
     if "_" in text or not text.isascii():

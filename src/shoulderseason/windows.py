@@ -28,9 +28,6 @@ _HALVES = {
     "second": ((7, 1), (12, 31), "fall"),
 }
 
-METRICS = ("degree_days", "total_energy", "peak_demand")
-
-
 @dataclass(frozen=True)
 class ShoulderWindow:
     year: int

@@ -13,6 +13,8 @@ The grid CSV reference and the feed references (load, fuel mix,
 outages, daily aggregation, netting, outage-period means and generation
 histograms) are the row-by-row code the library used before its columnar
 one: one record per row, one Python comparison per record and period.
+The period mask reference is the full-column comparison the library used
+before it searched its sorted time columns.
 They share the library's wide row validators (`float()`, `int()`,
 `datetime.fromisoformat`), so where the grammars overlap the error
 messages agree by construction.
@@ -264,6 +266,17 @@ def reference_net_non_thermal(
         non_thermal = _sum(samples) / len(samples)
         netted.append(HourlyLoadRecord(rec.timestamp, max(rec.load_mw - non_thermal, 0.0)))
     return netted
+
+
+def reference_period_mask(times: np.ndarray, ranges) -> np.ndarray:
+    """The library's full-column comparison mask, from before its binary
+    search: correct on a column in any order."""
+    if not ranges:
+        raise ValueError("period has no date ranges")
+    mask = np.zeros(len(times), bool)
+    for start, end in ranges:
+        mask |= (times >= np.datetime64(start, "D")) & (times < np.datetime64(end, "D") + 1)
+    return mask
 
 
 def _in_period(record: OutageRecord, ranges) -> bool:

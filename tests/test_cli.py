@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shoulderseason import cli, ingest
 from shoulderseason.cli import (
     F,
     STAGES,
@@ -32,19 +34,37 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 def _config_variant(fixture_dir: Path, path: Path, **overrides: str | None) -> Path:
-    """Write the fixture config to path with keys replaced; None drops a key."""
+    """Write the fixture config to path with keys replaced or added; None drops a key."""
     lines = []
+    added = dict(overrides)
     for line in (fixture_dir / "fixture.conf").read_text().splitlines():
         key, sep, value = line.partition(" = ")
         if key in overrides:
-            if overrides[key] is None:
+            if added.pop(key) is None:
                 continue
             value = overrides[key]
         elif value.startswith("fixture_"):
             value = str(fixture_dir / value)
         lines.append(f"{key}{sep}{value}")
+    lines += [f"{key} = {value}" for key, value in added.items() if value is not None]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# Fixture config variants, each run both ways: `all` in one call, which hands
+# tables on in memory, and one call per stage, which reads them back.
+VARIANTS = {
+    "window30": {"window_len": "30"},
+    "window60": {"window_len": "60"},
+    "outlier-auto": {"outlier_policy": "auto"},
+    "no-fuel-mix": {"fuel_mix_csv": None},
+    "no-grid-chain": dict.fromkeys(
+        ["temperature_grid", "mask_csv", "population_csv", "ensemble_csv"]
+    ),
+    "no-population": {"population_csv": None},
+    "no-outages": {"outage_csv": None},
+    "adequacy-2021": {"adequacy_year": "2021", "extra_outage_gw": "5"},
+}
 
 
 # sha256 of each file of the seed-42 fixture, which the committed golden
@@ -147,6 +167,59 @@ class TestPipeline:
         for stage in ("ingest", "thermal", "shoulder", "trends", "project", "adequacy", "report"):
             run_pipeline(cfg, [stage])
         assert _tree_bytes(cfg.out_dir) == _tree_bytes(full_run)
+
+    @pytest.mark.parametrize("overrides", VARIANTS.values(), ids=VARIANTS.keys())
+    def test_stage_isolation_matches_full_run_of_variant(
+        self, fixture_dir, tmp_path, overrides
+    ) -> None:
+        cfg = load_config(_config_variant(fixture_dir, tmp_path / "x.conf", **overrides))
+        stages = _stages_for_all(cfg)
+        cfg.out_dir = tmp_path / "all"
+        run_pipeline(cfg, stages)
+        cfg.out_dir = tmp_path / "staged"
+        for stage in stages:
+            run_pipeline(cfg, [stage])
+        assert _tree_bytes(tmp_path / "staged") == _tree_bytes(tmp_path / "all")
+
+    def test_all_parses_each_input_once(self, fixture_dir, tmp_path, monkeypatch) -> None:
+        calls: Counter[str] = Counter()
+        for module, name in (
+            (ingest, "parse_hourly_load"),
+            (ingest, "read_daily_summaries"),
+            (ingest, "read_daily_series"),
+            (cli, "_windows"),
+        ):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        conf = str(fixture_dir / "fixture.conf")
+        assert main(["all", "--config", conf, "--out", str(tmp_path)]) == 0
+        assert calls == {"parse_hourly_load": 1}
+        # A stage run on its own reads its inputs from the cached files.
+        calls.clear()
+        for stage in ("shoulder", "adequacy"):
+            assert main([stage, "--config", conf, "--out", str(tmp_path)]) == 0
+        assert calls == {
+            "parse_hourly_load": 1,
+            "read_daily_summaries": 2,
+            "read_daily_series": 1,
+            "_windows": 1,
+        }
+
+    def test_single_stages_without_fuel_mix_read_no_netted_table(
+        self, fixture_dir, full_run, tmp_path
+    ) -> None:
+        conf = str(_config_variant(fixture_dir, tmp_path / "no_mix.conf", fuel_mix_csv=None))
+        assert main(["all", "--config", conf, "--out", str(tmp_path / "fresh")]) == 0
+        out = tmp_path / "out"
+        shutil.copytree(full_run, out)
+        for stage in ("shoulder", "trends"):
+            assert main([stage, "--config", conf, "--out", str(out)]) == 0
+        got, want = _tree_bytes(out), _tree_bytes(tmp_path / "fresh")
+        for key in STAGES["shoulder"].owns + STAGES["trends"].owns:
+            assert got.get(F[key]) == want.get(F[key]), F[key]
 
     def test_downstream_stage_without_cache_errors(self, fixture_dir, tmp_path) -> None:
         cfg = load_config(fixture_dir / "fixture.conf")

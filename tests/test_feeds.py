@@ -315,8 +315,6 @@ def test_adequacy_matches_reference(data) -> None:
         _mw_column(rng, len(steps), zeros),
         np.where(rng.random(len(steps)) < 0.3, np.nan, _mw_column(rng, len(steps), zeros)),
     )
-    if data.draw(st.booleans()):
-        outages = outages[rng.permutation(len(outages))]
     records = [
         oracles.OutageRecord(ts, outage, None if math.isnan(telem) else telem)
         for ts, outage, telem in zip(
@@ -346,6 +344,26 @@ def test_adequacy_matches_reference(data) -> None:
         assert got.label == want.label and got.counts == want.counts
         assert list(map(_bits, got.bin_edges)) == list(map(_bits, want.bin_edges))
         assert _bits(got.max_output_mw) == _bits(want.max_output_mw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), unit=st.sampled_from(["h", "us"]))
+def test_period_mask_matches_reference(data, unit: str) -> None:
+    # Strictly increasing times around the year end after _DAY0, on steps of
+    # an hour, or of 1 us to 1 day; either way some fall on midnight.
+    micros = [1, 15 * 60 * 10**6, 3600 * 10**6, 86400 * 10**6, 7_777_777_777]
+    step = np.timedelta64(1 if unit == "h" else data.draw(st.sampled_from(micros)), unit)
+    offsets = sorted(data.draw(st.sets(st.integers(-200, 600), max_size=60)))
+    times = np.datetime64(_DAY0, unit) + np.array(offsets, np.int64) * step
+    period = data.draw(_periods())
+    got = adequacy.period_mask(times, period)
+    assert got.dtype == bool
+    assert got.tolist() == oracles.reference_period_mask(times, period).tolist()
+
+
+def test_period_mask_needs_a_range() -> None:
+    with pytest.raises(ValueError, match="period has no date ranges"):
+        adequacy.period_mask(np.array([], "datetime64[h]"), [])
 
 
 # -- malformed input --------------------------------------------------------------

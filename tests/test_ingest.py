@@ -20,7 +20,6 @@ from shoulderseason.ingest import (
     parse_hourly_load,
     parse_outages,
     read_daily_summaries,
-    write_daily_summaries,
     write_fuel_mix,
     write_hourly_load,
     write_outages,
@@ -311,7 +310,7 @@ class TestRoundTrips:
         ]
         days, *columns = map(np.array, zip(*summaries))
         buf = io.StringIO()
-        write_daily_summaries(DailyLoad.from_days(days.astype("datetime64[D]"), *columns), buf)
+        buf.write(DailyLoad.from_days(days.astype("datetime64[D]"), *columns).format(DAILY_HEADER))
         assert buf.getvalue().splitlines()[-1] == "2020-01-05,1.0,0.5,0"
         buf.seek(0)
         assert _summaries(read_daily_summaries(buf)) == summaries
