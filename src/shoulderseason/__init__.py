@@ -6,7 +6,6 @@ ensemble warming paths, and sizes the winter maintenance deficit.
 """
 
 from .adequacy import (
-    AdequacyResult,
     GenerationHistogram,
     PeriodOutageStat,
     average_outages,

@@ -49,18 +49,6 @@ class PeriodOutageStat:
 
 
 @dataclass(frozen=True)
-class AdequacyResult:
-    label: str
-    max_output_gw: float
-    extra_outage_gw: float
-    pct_unmet: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.pct_unmet <= 100.0:
-            raise ValueError(f"pct_unmet out of range: {self.pct_unmet}")
-
-
-@dataclass(frozen=True)
 class GenerationHistogram:
     label: str
     bin_edges: tuple[float, ...]  # MW, len = len(counts) + 1

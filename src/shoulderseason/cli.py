@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
@@ -425,7 +425,8 @@ def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
         summary["incremental_delta_gw"] = adq.incremental_maintenance_delta(shoulder, winter)
 
     # Winter unmet-demand table: December and January of each covered year.
-    extra_mw = cfg.extra_outage_gw * adq.MW_PER_GW
+    extra_gw = float(cfg.extra_outage_gw)
+    extra_mw = extra_gw * adq.MW_PER_GW
     unmet_rows = []
     for year in outage_years:
         for month in (1, 12):
@@ -439,13 +440,9 @@ def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
             max_output = float(telem.max()) + 0.0
             if max_output < extra_mw:
                 continue
-            row = adq.AdequacyResult(
-                label=f"{year}-{month:02d}",
-                max_output_gw=max_output / adq.MW_PER_GW,
-                extra_outage_gw=float(cfg.extra_outage_gw),
-                pct_unmet=adq.unmet_demand_fraction(demand, max_output, extra_mw),
-            )
-            unmet_rows.append((row.label, row.max_output_gw, row.extra_outage_gw, row.pct_unmet))
+            max_output_gw = max_output / adq.MW_PER_GW
+            pct_unmet = adq.unmet_demand_fraction(demand, max_output, extra_mw)
+            unmet_rows.append((f"{year}-{month:02d}", max_output_gw, extra_gw, pct_unmet))
 
     # Pooled generation histograms across all outage years.
     hist_specs = [
@@ -783,34 +780,26 @@ def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]
         tables.update({key: tables[key] for key in inputs})
         written[name] = stage.run(cfg, out, tables)
         _remove_outputs(out, [name], keep=written[name])
+        if name == "adequacy" or "adequacy" not in stages:
+            tables.pop("hourly", None)  # the parsed load feed; only adequacy reads it later
     return written
 
 
 # -- command line ---------------------------------------------------------------
 
 
-_CONFIG_HELP = """\
-config file keys (one `key = value` per line, # for comments, paths
-relative to the config file; defaults in parentheses):
-  region_label (region)        label used in summaries
-  load_csv                     hourly load: date,hour,load_mw
-  fuel_mix_csv                 15-min mix: timestamp,wind_mw,solar_mw,hydro_mw,other_mw
-  outage_csv                   15-min outages: timestamp,outage_mw,telemetered_output_mw
-  temperature_grid             lat,lon,date,t2m_c long CSV or .npy raster + .json sidecar
-  population_csv               lat,lon,epoch,persons (omit for unweighted temperatures)
-  mask_csv                     lat,lon,in_region with 0/1 flags
-  ensemble_csv                 member,year,month,t2m_c monthly ensemble means
-  window_len (45)              shoulder window length in days
-  min_hours (20)               days with fewer hours are excluded from window search
-  max_missing_days (3)         absent days tolerated inside a candidate window
-  allow_year_wrap (true)       let fall windows reach into the next January
-  outlier_policy (none)        none | auto (trim fall degree-day outliers)
-  persistence (3)              consecutive overlap years defining the merge
-  extra_outage_gw (5.5)        planned-outage increment for the winter deficit table
-  adequacy_bin_gw (1.0)        histogram bin width
-  adequacy_year (latest)       focus year for outage period averages
-  out_dir (out)                output directory
-"""
+def _config_help() -> str:
+    """The config key reference of `--help`, one line per RunConfig field."""
+    lines = [
+        "config file keys (one `key = value` per line, # for comments, paths",
+        "relative to the config file; defaults in parentheses):",
+    ]
+    for f in fields(RunConfig):
+        # The default as a config file spells it: `true`, `45`, `out`.
+        default = str(f.default).lower() if isinstance(f.default, bool) else f.default
+        key = f.name if f.default is None else f"{f.name} ({default})"
+        lines.append(f"  {key:<28} {f.metadata['help']}")
+    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -821,7 +810,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "series, quantify their drift, project their merge under warming, "
             "and size winter maintenance headroom."
         ),
-        epilog=_CONFIG_HELP,
+        epilog=_config_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)

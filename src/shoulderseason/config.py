@@ -7,32 +7,52 @@ offending key named.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+from .ingest import DEFAULT_MIN_HOURS, FUEL_MIX_HEADER, LOAD_HEADER, OUTAGE_HEADER
+from .projection import DEFAULT_PERSISTENCE, ENSEMBLE_HEADER
+from .thermal import GRID_HEADER, MASK_HEADER, POPULATION_HEADER
+from .windows import DEFAULT_MAX_MISSING, DEFAULT_WINDOW_LEN
 
 _OUTLIER_POLICIES = ("none", "auto")
 
 
+def _key(default, help: str):
+    """A config key: its default and its line in the `--help` key reference."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    region_label: str = "region"
-    load_csv: Path | None = None
-    fuel_mix_csv: Path | None = None
-    outage_csv: Path | None = None
-    temperature_grid: Path | None = None
-    population_csv: Path | None = None
-    mask_csv: Path | None = None
-    ensemble_csv: Path | None = None
-    window_len: int = 45
-    min_hours: int = 20
-    max_missing_days: int = 3
-    allow_year_wrap: bool = True
-    outlier_policy: str = "none"
-    persistence: int = 3
-    extra_outage_gw: float = 5.5
-    adequacy_bin_gw: float = 1.0
-    adequacy_year: int | None = None
-    out_dir: Path = Path("out")
+    region_label: str = _key("region", "label used in summaries")
+    load_csv: Path | None = _key(None, f"hourly load: {LOAD_HEADER}")
+    fuel_mix_csv: Path | None = _key(None, f"15-min mix: {FUEL_MIX_HEADER}")
+    outage_csv: Path | None = _key(None, f"15-min outages: {OUTAGE_HEADER}")
+    temperature_grid: Path | None = _key(
+        None, f"{GRID_HEADER} long CSV or .npy raster + .json sidecar"
+    )
+    population_csv: Path | None = _key(
+        None, f"{POPULATION_HEADER} (omit for unweighted temperatures)"
+    )
+    mask_csv: Path | None = _key(None, f"{MASK_HEADER} with 0/1 flags")
+    ensemble_csv: Path | None = _key(None, f"{ENSEMBLE_HEADER} monthly ensemble means")
+    window_len: int = _key(DEFAULT_WINDOW_LEN, "shoulder window length in days")
+    min_hours: int = _key(
+        DEFAULT_MIN_HOURS, "days with fewer hours are excluded from window search"
+    )
+    max_missing_days: int = _key(
+        DEFAULT_MAX_MISSING, "absent days tolerated inside a candidate window"
+    )
+    allow_year_wrap: bool = _key(True, "let fall windows reach into the next January")
+    outlier_policy: str = _key("none", "none | auto (trim fall degree-day outliers)")
+    persistence: int = _key(DEFAULT_PERSISTENCE, "consecutive overlap years defining the merge")
+    extra_outage_gw: float = _key(5.5, "planned-outage increment for the winter deficit table")
+    adequacy_bin_gw: float = _key(1.0, "histogram bin width")
+    adequacy_year: int | None = _key(
+        None, "focus year for outage period averages (unset: the latest outage year)"
+    )
+    out_dir: Path = _key(Path("out"), "output directory")
 
     def validate(self) -> None:
         if self.window_len < 1:

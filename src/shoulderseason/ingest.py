@@ -12,7 +12,6 @@ arrays of equal length) by `read_csv_chunks`, which parses many lines per
 from __future__ import annotations
 
 import math
-import re
 import dataclasses
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -50,11 +49,8 @@ _YEAR_ONE = np.datetime64("0001-01-01", "us")
 # Feed timestamps: YYYY-MM-DD, optionally followed by T or a space and
 # HH:MM, HH:MM:SS or HH:MM:SS.f with 1-6 fraction digits. numpy and
 # datetime.fromisoformat read every text of this form the same way.
-_FEED_TIMESTAMP = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[T ][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,6})?)?)?"
-)
-# The same grammar position by position ("0" is any ASCII digit, "T" is
-# T or a space) and the lengths it allows.
+# The template gives the grammar position by position ("0" is any ASCII
+# digit, "T" is T or a space), and the lengths list the lengths it allows.
 _TIMESTAMP_TEMPLATE = "0000-00-00T00:00:00.000000"
 _TIMESTAMP_LENGTHS = (10, 16, 19, 21, 22, 23, 24, 25, 26)
 
@@ -285,20 +281,19 @@ def _check_increasing(ts: datetime, prev: datetime | None, lineno: int) -> None:
 # -- row validators: the rescan of a rejected chunk ---------------------------
 
 
-def _parse_hour(text: str, lineno: int) -> int:
-    try:
-        if "_" in text or not text.isascii():
-            raise ValueError
-        hour = int(text)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad hour {text!r}") from None
-    if not 0 <= hour <= 23:
-        raise ValueError(f"line {lineno}: hour {hour} out of range 0-23")
-    return hour
+def _parse_hours(text: str, lineno: int, name: str, top: int = 24) -> int:
+    """A count of hours in 0..top, in int()'s grammar without the
+    digit-group underscores and non-ASCII digits that np.loadtxt rejects."""
+    hours = parse_int(text, lineno, name)
+    if "_" in text or not text.isascii():
+        raise ValueError(f"line {lineno}: bad {name} {text!r}")
+    if not 0 <= hours <= top:
+        raise ValueError(f"line {lineno}: {name} {hours} out of range 0-{top}")
+    return hours
 
 
 def _parse_quarter_hour(text: str, lineno: int) -> datetime:
-    if not _FEED_TIMESTAMP.fullmatch(text):
+    if not _in_timestamp_grammar([text]):
         raise ValueError(f"line {lineno}: bad timestamp {text!r}")
     ts = _parse_timestamp(text, lineno)
     if ts.minute % 15 or ts.second or ts.microsecond:
@@ -323,12 +318,11 @@ def _check_mw(values: np.ndarray) -> np.ndarray:
     return values.copy()
 
 
-def _quarter_hours(column: np.ndarray) -> np.ndarray:
-    """Feed timestamp texts, as loadtxt leaves them, to `datetime64[us]`."""
-    texts = [t.strip() for t in column]
+def _in_timestamp_grammar(texts: list[str]) -> bool:
+    """Whether every text is a feed timestamp (see _TIMESTAMP_TEMPLATE)."""
     lengths = np.fromiter(map(len, texts), np.intp, len(texts))
     if not np.isin(lengths, _TIMESTAMP_LENGTHS).all():
-        raise ValueError("bad timestamp")
+        return False
     width = len(_TIMESTAMP_TEMPLATE)
     codes = np.array(texts, f"U{width}").view(np.uint32).reshape(len(texts), width)
     for pos, (expected, code) in enumerate(zip(_TIMESTAMP_TEMPLATE, codes.T)):
@@ -339,7 +333,15 @@ def _quarter_hours(column: np.ndarray) -> np.ndarray:
         else:
             good = code == ord(expected)
         if not (good | (lengths <= pos)).all():
-            raise ValueError("bad timestamp")
+            return False
+    return True
+
+
+def _quarter_hours(column: np.ndarray) -> np.ndarray:
+    """Feed timestamp texts, as loadtxt leaves them, to `datetime64[us]`."""
+    texts = [t.strip() for t in column]
+    if not _in_timestamp_grammar(texts):
+        raise ValueError("bad timestamp")
     times = np.array(texts, dtype="datetime64[us]")
     if not (times >= _YEAR_ONE).all() or (times.view(np.int64) % _QUARTER_HOUR_US).any():
         raise ValueError("bad timestamp")
@@ -407,7 +409,7 @@ def parse_hourly_load(source: IO[str] | Iterable[str]) -> HourlyLoad:
     def check_row(lineno: int, fields: list[str]) -> datetime:
         day_s, hour_s, load_s = fields
         day = parse_date(day_s, lineno, "date")
-        hour = _parse_hour(hour_s, lineno)
+        hour = _parse_hours(hour_s, lineno, "hour", top=23)
         if parse_loadtxt_float(load_s, lineno, "load_mw") < 0:
             raise ValueError(f"line {lineno}: negative load {load_s!r}")
         return datetime(day.year, day.month, day.day, hour)
@@ -548,18 +550,9 @@ def write_outages(outages: Outages, stream: IO[str]) -> None:
     stream.write(format_table(OUTAGE_HEADER, rows))
 
 
-def _parse_hours_present(text: str, lineno: int, name: str) -> int:
-    hours = parse_int(text, lineno, name)
-    if "_" in text or not text.isascii():
-        raise ValueError(f"line {lineno}: bad {name} {text!r}")
-    if not 0 <= hours <= 24:
-        raise ValueError(f"line {lineno}: {name} {hours} out of range 0-24")
-    return hours
-
-
 # Value column kinds of the daily tables: (loadtxt type, row parser, column check).
 _FINITE = ("f8", parse_loadtxt_float, np.isfinite)
-_HOURS = ("i8", _parse_hours_present, lambda hours: (hours >= 0) & (hours <= 24))
+_HOURS = ("i8", _parse_hours, lambda hours: (hours >= 0) & (hours <= 24))
 
 
 def _read_days(table: type[T], source: IO[str] | Iterable[str], header: str, *kinds) -> T:

@@ -11,7 +11,6 @@ skipped but counted in the line numbers of error messages.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import os
@@ -108,21 +107,12 @@ def format_columns(header: str, columns: Iterable[list[str]]) -> str:
     return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
-@contextlib.contextmanager
-def atomic_open(path: Path) -> Iterator[IO[str]]:
-    """A text stream that replaces path, through a rename, when the block ends.
-
-    Readers of path never see half a file.
-    """
+def write_atomic(path: Path, text: str) -> Path:
+    """Replace path with text through a rename, so readers never see half a file."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        yield fh
-    os.replace(tmp, path)
-
-
-def write_atomic(path: Path, text: str) -> Path:
-    with atomic_open(path) as fh:
         fh.write(text)
+    os.replace(tmp, path)
     return path
 
 
@@ -142,7 +132,3 @@ def read_rows(
         for lineno, fields in split_rows(source, header)
     ]
 
-
-def read_table(path: Path, header: str, *converters: Converter) -> list[tuple]:
-    with open(path, encoding="utf-8") as fh:
-        return read_rows(fh, header, *converters)

@@ -179,33 +179,6 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     return TemperatureGrid(lats, lons, times, values)
 
 
-def write_grid_csv(grid: TemperatureGrid, stream: IO[str]) -> None:
-    stream.write(GRID_HEADER + "\n")
-    for i, t in enumerate(grid.times):
-        t_s = t.isoformat()
-        for j, lat in enumerate(grid.lats):
-            for k, lon in enumerate(grid.lons):
-                v = grid.values[i, j, k]
-                if np.isnan(v):
-                    continue
-                stream.write(f"{float(lat)!r},{float(lon)!r},{t_s},{float(v)!r}\n")
-
-
-def save_grid_raster(grid: TemperatureGrid, path: Path | str) -> None:
-    """Write values as .npy plus a JSON sidecar declaring the axes."""
-    path = Path(path)
-    np.save(path, grid.values)
-    sidecar = {
-        "lats": [float(v) for v in grid.lats],
-        "lons": [float(v) for v in grid.lons],
-        "times": [t.isoformat() for t in grid.times],
-        "hourly": grid.is_hourly,
-    }
-    path.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=1) + "\n", encoding="utf-8"
-    )
-
-
 def load_grid_raster(path: Path | str) -> TemperatureGrid:
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 from collections import Counter
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -137,6 +139,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="config key outlier_policy"):
             load_config(path)
 
+    def test_help_shows_every_key_and_a_default_that_loads(
+        self, tmp_path, monkeypatch, capsys
+    ) -> None:
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        epilog = capsys.readouterr().out.partition("config file keys")[2]
+        # "  key (default)   help", or "  key   help" for a key without a default
+        key_lines = epilog.splitlines()[2:]
+        matches = [re.match(r"  (\w+)(?: \((.*?)\))? +\S", line) for line in key_lines]
+        shown = {m[1]: m[2] for m in matches}
+        assert list(shown) == [f.name for f in fields(RunConfig)]
+        spelled = [shown[key] for key in ("allow_year_wrap", "window_len", "out_dir")]
+        assert spelled == ["true", "45", "out"]
+        # With the config file in the working directory, a path resolves to
+        # the same directory as the default's relative path.
+        monkeypatch.chdir(tmp_path)
+        default = RunConfig()
+        for name, text in shown.items():
+            want = getattr(default, name)
+            if text is None:
+                assert want is None, name
+                continue
+            Path("x.conf").write_text(f"{name} = {text}\n")
+            got = getattr(load_config("x.conf"), name)
+            if isinstance(want, Path):
+                got, want = got.resolve(), want.resolve()
+            assert (got, type(got)) == (want, type(want)), name
+
 
 class TestPipeline:
     def test_shoulder_matches_committed_golden(self, full_run) -> None:
@@ -207,6 +237,24 @@ class TestPipeline:
             "read_daily_series": 1,
             "_windows": 1,
         }
+
+    def test_hourly_load_is_kept_only_for_adequacy(
+        self, fixture_dir, tmp_path, monkeypatch
+    ) -> None:
+        seen = []
+        thermal = STAGES["thermal"]
+
+        def spy(cfg, out, tables):
+            seen.append("hourly" in tables)
+            return thermal.run(cfg, out, tables)
+
+        monkeypatch.setitem(STAGES, "thermal", thermal._replace(run=spy))
+        for name, overrides in (("full", {}), ("no_outages", {"outage_csv": None})):
+            conf = _config_variant(fixture_dir, tmp_path / f"{name}.conf", **overrides)
+            out = str(tmp_path / name)
+            assert main(["all", "--config", str(conf), "--out", out]) == 0
+        # With an outage feed the adequacy stage, still to run, reads it.
+        assert seen == [True, False]
 
     def test_single_stages_without_fuel_mix_read_no_netted_table(
         self, fixture_dir, full_run, tmp_path

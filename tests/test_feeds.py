@@ -544,6 +544,12 @@ ERROR_CASES = {
         "line 2: bad timestamp 'noon'",
     ),
     "outages empty timestamp": ("outages", [OUTAGE_HEADER, " ,1,"], "line 2: bad timestamp ''"),
+    # datetime.fromisoformat rejects non-ASCII digits too, so the reference agrees.
+    "outages non-ASCII digits": (
+        "outages",
+        [OUTAGE_HEADER, "2022-01-01T00:\u0661\u0665,1,"],
+        "line 2: bad timestamp '2022-01-01T00:\u0661\u0665'",
+    ),
     "outages bad outage": (
         "outages",
         [OUTAGE_HEADER, "2022-01-01T00:00,x,1"],
@@ -621,6 +627,19 @@ def test_error_matches_reference(case: str, eol: str, monkeypatch) -> None:
         ("fuel_mix", "2022-01-01T0015,1,0,0,0", "line 3: bad timestamp '2022-01-01T0015'"),
         ("fuel_mix", "2022-01-01x00:15,1,0,0,0", "line 3: bad timestamp '2022-01-01x00:15'"),
         ("fuel_mix", "2022-01-01T00:15,1,0_0,0,0", "line 3: bad solar_mw value '0_0'"),
+        # The row check accepts a space separator, so the solar field is named.
+        ("fuel_mix", "2022-01-01 00:15,1,0_0,0,0", "line 3: bad solar_mw value '0_0'"),
+        # Another space, such as a no-break space, is not.
+        (
+            "fuel_mix",
+            "2022-01-01\u00a000:15,1,0,0,0",
+            "line 3: bad timestamp '2022-01-01\\xa000:15'",
+        ),
+        (
+            "outages",
+            "2022-01-01T00:15:00.0000000,1,",
+            "line 3: bad timestamp '2022-01-01T00:15:00.0000000'",
+        ),
         ("outages", "2022-01-01T00:15+00:00,1,", "line 3: bad timestamp '2022-01-01T00:15+00:00'"),
         ("outages", "2022-01-01T00:15Z,1,", "line 3: bad timestamp '2022-01-01T00:15Z'"),
         ("outages", "2022-01-01T01,1,", "line 3: bad timestamp '2022-01-01T01'"),

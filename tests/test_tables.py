@@ -20,7 +20,6 @@ from shoulderseason.tables import (
     parse_int,
     parse_text,
     read_rows,
-    read_table,
     write_table,
 )
 
@@ -60,7 +59,8 @@ def _same_bits(a: float, b: float) -> bool:
 @given(rows=rows)
 def test_write_then_read_is_bit_exact(rows, tmp_path_factory) -> None:
     path = write_table(tmp_path_factory.mktemp("t") / "t.csv", HEADER, rows)
-    got = read_table(path, HEADER, *CONVERTERS)
+    with open(path, encoding="utf-8") as fh:
+        got = read_rows(fh, HEADER, *CONVERTERS)
     assert len(got) == len(rows)
     for (day, label, count, value, maybe), want in zip(got, rows):
         assert (day, label, count) == want[:3]

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import io
+import json
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -26,9 +26,7 @@ from shoulderseason.thermal import (
     read_mask_csv,
     read_population_csv,
     reference_temperature,
-    save_grid_raster,
     spatial_temp_stddev,
-    write_grid_csv,
 )
 
 
@@ -295,41 +293,29 @@ class TestSpatialStd:
 
 
 class TestGridIO:
-    def test_csv_round_trip_bit_exact(self) -> None:
-        rng = np.random.default_rng(31)
-        grid = _grid_2x2()
-        grid.values += rng.standard_normal(grid.values.shape) * 1e-7
-        buf = io.StringIO()
-        write_grid_csv(grid, buf)
-        buf.seek(0)
-        back = read_grid_csv(buf)
-        assert np.array_equal(back.lats, grid.lats)
-        assert np.array_equal(back.lons, grid.lons)
-        assert back.times == grid.times
-        assert np.array_equal(back.values, grid.values)
-
-    def test_csv_round_trip_hourly(self) -> None:
-        lats = np.array([30.0])
-        lons = np.array([-98.0])
-        times = [datetime(2020, 1, 1, h) for h in range(3)]
-        grid = TemperatureGrid(lats, lons, times, np.array([[[1.25]], [[2.5]], [[3.75]]]))
-        buf = io.StringIO()
-        write_grid_csv(grid, buf)
-        buf.seek(0)
-        back = read_grid_csv(buf)
-        assert back.is_hourly
-        assert back.times == times
-        assert np.array_equal(back.values, grid.values)
-
     def test_raster_round_trip_bit_exact(self, tmp_path) -> None:
+        # The .npy values and a JSON sidecar of the axes, written here the
+        # way perfbench/world.py writes them.
         grid = _grid_2x2()
         grid.values *= np.pi
-        path = tmp_path / "grid.npy"
-        save_grid_raster(grid, path)
-        back = load_grid_raster(path)
-        assert np.array_equal(back.values, grid.values)
-        assert back.times == grid.times
-        assert np.array_equal(back.lats, grid.lats)
+        for hourly in (False, True):
+            if hourly:
+                grid.times = [datetime(2020, 1, 1, h) for h in range(len(grid.times))]
+            path = tmp_path / f"grid_{int(hourly)}.npy"
+            np.save(path, grid.values)
+            sidecar = {
+                "lats": grid.lats.tolist(),
+                "lons": grid.lons.tolist(),
+                "times": [t.isoformat() for t in grid.times],
+                "hourly": hourly,
+            }
+            path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
+            back = load_grid_raster(path)
+            assert back.values.tobytes() == grid.values.tobytes()
+            assert back.times == grid.times
+            assert back.is_hourly == hourly
+            assert np.array_equal(back.lats, grid.lats)
+            assert np.array_equal(back.lons, grid.lons)
 
     def test_duplicate_cell_errors(self) -> None:
         rows = [
