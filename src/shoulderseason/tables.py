@@ -131,4 +131,3 @@ def read_rows(
         tuple(convert(text, lineno, name) for convert, text, name in zip(converters, fields, names))
         for lineno, fields in split_rows(source, header)
     ]
-
