@@ -1,10 +1,10 @@
 """Pipeline orchestration and command-line entry point.
 
 Stages run in the fixed order ingest -> thermal -> shoulder ->
-trends/project/adequacy -> report. In one run they hand each other typed
-tables; a stage run alone reads them from the output directory. Every
-file is written atomically and byte-stable: rerunning with identical
-inputs and config reproduces identical outputs.
+trends/project/adequacy -> report. Each returns its outputs; run_pipeline
+writes them, each atomically, and hands later stages the typed tables they
+read, which a stage run alone reads from the output directory. Rerunning
+with identical inputs and config reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
@@ -24,13 +24,13 @@ from . import ingest, projection, thermal, trends, windows
 from .config import RunConfig, load_config
 from .fixtures import generate_fixture
 from .tables import (
+    format_table,
     parse_date,
     parse_float,
     parse_int,
     parse_text,
     read_rows,
     write_atomic,
-    write_table,
 )
 
 SPRING_CUTOFF = date(2000, 2, 14)
@@ -41,48 +41,76 @@ HIST_LABELS = (
     "january", "december", "operator_spring", "operator_fall", "min_peak_spring", "min_peak_fall"
 )
 
-F = {
-    "daily": "daily_load.csv",
-    "daily_net": "daily_load_net.csv",
-    "temp_daily": "region_temp_daily.csv",
-    "temp_annual": "annual_temp_unweighted.csv",
-    "cubic": "cubic_fits.csv",
-    "dd": "degree_days.csv",
-    "thermal_summary": "thermal_summary.json",
-    "shoulder": "shoulder_windows.csv",
-    "shoulder_net": "shoulder_windows_net.csv",
-    "trends": "onset_trends.csv",
-    "trends_net": "onset_trends_net.csv",
-    "movavg": "onset_moving_avg.csv",
-    "fitlines": "trend_fit_lines.csv",
-    "corr": "onset_correlations.csv",
-    "corr_net": "onset_correlations_net.csv",
-    "corr_points": "correlation_points.csv",
-    "temp_path": "temperature_path.csv",
-    "onset_temp": "onset_vs_temp_points.csv",
-    "proj": "onset_projection.csv",
-    "proj_summary": "projection_summary.json",
-    "merge": "merge_summary.txt",
-    "periods": "outage_periods.csv",
-    "unmet": "unmet_demand.csv",
-    "adequacy_summary": "adequacy_summary.json",
-    "report": "report.txt",
-    **{f"hist_{label}": f"generation_hist_{label}.csv" for label in HIST_LABELS},
-}
-
-# Headers and column converters of the tables that are read back.
-DD_HEADER = "date,dd_c"
-ANNUAL_HEADER = "year,t_mean_c"
+# Headers and column converters shared by two outputs.
 SHOULDER_HEADER = "year,season,metric,onset_date,onset_doy,window_mean,days_used"
 SHOULDER_COLUMNS = (parse_int, parse_text, parse_text, parse_date, parse_int, parse_float, parse_int)
 TRENDS_HEADER = "metric,season,slope_days_per_decade,stderr,shift_probability,n,excluded"
 TRENDS_COLUMNS = (parse_text, parse_text, parse_float, parse_float, parse_float, parse_int, parse_text)
 CORR_HEADER = "season,x_metric,y_metric,r,n_used,excluded_count,cutoff"
 CORR_COLUMNS = (parse_text, parse_text, parse_text, parse_float, parse_int, parse_int, parse_text)
-PERIODS_HEADER = "label,start,end,mean_outage_gw,n_records"
-PERIODS_COLUMNS = (parse_text, parse_date, parse_date, parse_float, parse_int)
-UNMET_HEADER = "month,max_output_gw,extra_outage_gw,pct_unmet"
-UNMET_COLUMNS = (parse_text, parse_float, parse_float, parse_float)
+
+
+class Output(NamedTuple):
+    """An output file: its name, the CSV header of a table, read(file, header) if read back."""
+
+    name: str
+    header: str | None = None
+    read: Callable[[IO[str], str], object] | None = None
+
+
+# Every output, in the order of the stages that write it. Each reader looks
+# its parser up when called.
+OUTPUTS: dict[str, Output] = {
+    "daily": Output(
+        "daily_load.csv", ingest.DAILY_HEADER, lambda fh, _: ingest.read_daily_summaries(fh)
+    ),
+    "daily_net": Output(
+        "daily_load_net.csv", ingest.DAILY_HEADER, lambda fh, _: ingest.read_daily_summaries(fh)
+    ),
+    "temp_daily": Output("region_temp_daily.csv", "date,t_avg_c"),
+    "temp_annual": Output(
+        "annual_temp_unweighted.csv",
+        "year,t_mean_c",
+        lambda fh, h: dict(read_rows(fh, h, parse_int, parse_float)),
+    ),
+    "cubic": Output("cubic_fits.csv", "year,a1,a2,a3,a4,t0,t_min,t_max"),
+    "dd": Output("degree_days.csv", "date,dd_c", lambda fh, h: ingest.read_daily_series(fh, h)),
+    "thermal_summary": Output("thermal_summary.json"),
+    "shoulder": Output("shoulder_windows.csv", SHOULDER_HEADER, lambda fh, _: _windows(fh)),
+    "shoulder_net": Output("shoulder_windows_net.csv", SHOULDER_HEADER, lambda fh, _: _windows(fh)),
+    "trends": Output(
+        "onset_trends.csv", TRENDS_HEADER, lambda fh, h: read_rows(fh, h, *TRENDS_COLUMNS)
+    ),
+    "trends_net": Output("onset_trends_net.csv", TRENDS_HEADER),
+    "movavg": Output("onset_moving_avg.csv", "metric,season,year,onset_doy,smoothed_doy"),
+    "fitlines": Output("trend_fit_lines.csv", "metric,season,year,fit_doy,ci_low,ci_high"),
+    "corr": Output(
+        "onset_correlations.csv", CORR_HEADER, lambda fh, h: read_rows(fh, h, *CORR_COLUMNS)
+    ),
+    "corr_net": Output("onset_correlations_net.csv", CORR_HEADER),
+    "corr_points": Output(
+        "correlation_points.csv", "season,y_metric,year,x_onset_doy,y_onset_doy,included"
+    ),
+    "temp_path": Output("temperature_path.csv", "year,source,t_c,lo,hi"),
+    "onset_temp": Output("onset_vs_temp_points.csv", "season,year,t_c,onset_doy"),
+    "proj": Output("onset_projection.csv", "year,season,predicted_onset_doy,ci_low,ci_high"),
+    "proj_summary": Output("projection_summary.json", read=lambda fh, _: json.load(fh)),
+    "merge": Output("merge_summary.txt"),
+    "periods": Output(
+        "outage_periods.csv",
+        "label,start,end,mean_outage_gw,n_records",
+        lambda fh, h: read_rows(fh, h, parse_text, parse_date, parse_date, parse_float, parse_int),
+    ),
+    "unmet": Output(
+        "unmet_demand.csv",
+        "month,max_output_gw,extra_outage_gw,pct_unmet",
+        lambda fh, h: read_rows(fh, h, parse_text, parse_float, parse_float, parse_float),
+    ),
+    "adequacy_summary": Output("adequacy_summary.json", read=lambda fh, _: json.load(fh)),
+    "report": Output("report.txt"),
+    **{f"hist_{label}": Output(f"generation_hist_{label}.csv") for label in HIST_LABELS},
+}
+F = {key: output.name for key, output in OUTPUTS.items()}
 
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
@@ -91,17 +119,14 @@ def _monthday(d: date) -> str:
     return f"{_MONTHS[d.month - 1]} {d.day:02d}"
 
 
-def _write_json(path: Path, obj) -> Path:
-    return write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-
 # -- stages -------------------------------------------------------------------
 #
-# Each stage takes the config, the output directory and the run's Tables,
-# which hold its inputs (checked by run_pipeline against STAGES) and take its results.
+# Each stage takes the config and the run's Tables, which hold its inputs
+# (checked by run_pipeline against STAGES), and returns its outputs by key of
+# OUTPUTS, in the order run_pipeline writes them.
 
 
-def stage_ingest(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+def stage_ingest(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     hourly = tables["hourly"]
     loads = {"daily": hourly}
     if cfg.fuel_mix_csv is not None:
@@ -112,12 +137,10 @@ def stage_ingest(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
             lo, hi = mix.timestamps[[0, -1]].astype("datetime64[D]")
             days = hourly.hours.astype("datetime64[D]")
             loads["daily_net"] = ingest.net_non_thermal(hourly[(days >= lo) & (days <= hi)], mix)
-    for key, load in loads.items():
-        tables[key] = ingest.aggregate_daily(load)
-    return [write_atomic(out / F[key], tables[key].format(ingest.DAILY_HEADER)) for key in loads]
+    return {key: ingest.aggregate_daily(load) for key, load in loads.items()}
 
 
-def stage_thermal(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+def stage_thermal(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     grid = thermal.load_temperature_grid(cfg.temperature_grid)
     # An hourly grid collapses to daily cell means once, for every reduction below.
     grid.times, grid.values = thermal.daily_cell_means(grid)
@@ -155,39 +178,29 @@ def stage_thermal(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
             f"minimum (years considered: {np.unique(years).tolist()})"
         )
     t0_global = thermal.global_t0([f.t0 for f in fits])
-    dd = tables["dd"] = thermal.degree_day_series(temps_weighted, t0_global)
-    annual = tables["temp_annual"] = thermal.annual_means(temps_unweighted)
-    spatial_std = thermal.spatial_temp_stddev(grid)
-
-    return [
-        write_atomic(out / F["temp_daily"], temps_weighted.format("date,t_avg_c")),
-        write_table(out / F["temp_annual"], ANNUAL_HEADER, annual.items()),
-        write_table(
-            out / F["cubic"],
-            "year,a1,a2,a3,a4,t0,t_min,t_max",
-            ((f.year, f.a1, f.a2, f.a3, f.a4, f.t0, *f.fit_range) for f in fits),
-        ),
-        write_atomic(out / F["dd"], dd.format(DD_HEADER)),
-        _write_json(
-            out / F["thermal_summary"],
-            {
-                "region": cfg.region_label,
-                "t0_global_c": t0_global,
-                "spatial_std_c": spatial_std,
-                "fit_years": [f.year for f in fits],
-                "skipped_fit_years": skipped,
-                "population_weighted": pop is not None,
-            },
-        ),
-    ]
+    dd = thermal.degree_day_series(temps_weighted, t0_global)
+    return {
+        "temp_daily": temps_weighted,
+        "temp_annual": thermal.annual_means(temps_unweighted),
+        "cubic": ((f.year, f.a1, f.a2, f.a3, f.a4, f.t0, *f.fit_range) for f in fits),
+        "dd": dd,
+        "thermal_summary": {
+            "region": cfg.region_label,
+            "t0_global_c": t0_global,
+            "spatial_std_c": thermal.spatial_temp_stddev(grid),
+            "fit_years": [f.year for f in fits],
+            "skipped_fit_years": skipped,
+            "population_weighted": pop is not None,
+        },
+    }
 
 
-def stage_shoulder(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+def stage_shoulder(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     searches = {"shoulder": (tables.get("dd"), tables.get("daily"))}
     if "daily_net" in tables:
         searches["shoulder_net"] = (None, tables["daily_net"])
-    for key, (series, load) in searches.items():
-        tables[key] = windows.shoulder_table(
+    return {
+        key: windows.shoulder_table(
             degree_day_series=series,
             load_summaries=load,
             window_len=cfg.window_len,
@@ -195,18 +208,8 @@ def stage_shoulder(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
             allow_year_wrap=cfg.allow_year_wrap,
             min_hours=cfg.min_hours,
         )
-    return [
-        write_table(
-            out / F[key],
-            SHOULDER_HEADER,
-            (
-                (w.year, w.season, w.metric, w.onset, trends.day_of_year(w.onset))
-                + (w.window_mean, w.days_used)
-                for w in tables[key]
-            ),
-        )
-        for key in searches
-    ]
+        for key, (series, load) in searches.items()
+    }
 
 
 def _onsets_by_year(
@@ -228,7 +231,7 @@ def _trend_rows(
                 continue
             points = {year: float(trends.day_of_year(d)) for year, d in onsets.items()}
             auto = cfg.outlier_policy == "auto" and (metric, season) == ("degree_days", "fall")
-            direction = "earlier" if season == "spring" else "later"
+            direction = trends.SHIFT_DIRECTION[season]
             result = trends.linear_trend(points, direction=direction, auto_exclude=auto)
             excluded = ";".join(str(int(x)) for x, _ in result.excluded_points)
             table.append(
@@ -285,7 +288,7 @@ def _correlation_rows(
     return corr_rows, point_rows
 
 
-def stage_trends(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+def stage_trends(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     rows = tables["shoulder"]
     trend_rows, fits = _trend_rows(cfg, rows)
     movavg_rows = []
@@ -296,35 +299,22 @@ def stage_trends(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
             movavg_rows.append((metric, season, year, points[year], smoothed[year]))
         for year, fit, lo, hi in trends.confidence_band(result, sorted(points)):
             fit_rows.append((metric, season, int(year), fit, lo, hi))
-    outputs = [
-        write_table(out / F["trends"], TRENDS_HEADER, trend_rows),
-        write_table(out / F["movavg"], "metric,season,year,onset_doy,smoothed_doy", movavg_rows),
-        write_table(out / F["fitlines"], "metric,season,year,fit_doy,ci_low,ci_high", fit_rows),
-    ]
+    outputs: dict[str, object] = {"trends": trend_rows, "movavg": movavg_rows, "fitlines": fit_rows}
 
     dd_rows = [w for w in rows if w.metric == "degree_days"]
     load_rows = [w for w in rows if w.metric != "degree_days"]
     if dd_rows and load_rows:
-        corr_rows, point_rows = _correlation_rows(dd_rows, load_rows)
-        outputs.append(write_table(out / F["corr"], CORR_HEADER, corr_rows))
-        outputs.append(
-            write_table(
-                out / F["corr_points"],
-                "season,y_metric,year,x_onset_doy,y_onset_doy,included",
-                point_rows,
-            )
-        )
+        outputs["corr"], outputs["corr_points"] = _correlation_rows(dd_rows, load_rows)
 
     if "shoulder_net" in tables:
         net_rows = tables["shoulder_net"]
-        outputs.append(write_table(out / F["trends_net"], TRENDS_HEADER, _trend_rows(cfg, net_rows)[0]))
+        outputs["trends_net"] = _trend_rows(cfg, net_rows)[0]
         if dd_rows:
-            corr_rows, _ = _correlation_rows(dd_rows, net_rows)
-            outputs.append(write_table(out / F["corr_net"], CORR_HEADER, corr_rows))
+            outputs["corr_net"] = _correlation_rows(dd_rows, net_rows)[0]
     return outputs
 
 
-def stage_project(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+def stage_project(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     annual, rows = tables["temp_annual"], tables["shoulder"]
     onsets = {s: _onsets_by_year(rows, "degree_days", s) for s in ("spring", "fall")}
     if not onsets["spring"] or not onsets["fall"]:
@@ -361,22 +351,21 @@ def stage_project(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
         for season, seq in (("spring", spring_proj), ("fall", fall_proj))
         for p in seq
     ]
-    summary = {
-        "bias_gain": correction.gain,
-        "bias_offset": correction.offset,
-        "merge_year": merged,
-        "persistence": cfg.persistence,
-        "n_ensemble_years": len(stats),
-        "spring_slope_days_per_c": lines["spring"].slope,
-        "fall_slope_days_per_c": lines["fall"].slope,
+    return {
+        "temp_path": path_rows,
+        "onset_temp": onset_temp_rows,
+        "proj": proj_rows,
+        "merge": f"merge_year,{merged if merged is not None else 'none'}\n",
+        "proj_summary": {
+            "bias_gain": correction.gain,
+            "bias_offset": correction.offset,
+            "merge_year": merged,
+            "persistence": cfg.persistence,
+            "n_ensemble_years": len(stats),
+            "spring_slope_days_per_c": lines["spring"].slope,
+            "fall_slope_days_per_c": lines["fall"].slope,
+        },
     }
-    return [
-        write_table(out / F["temp_path"], "year,source,t_c,lo,hi", path_rows),
-        write_table(out / F["onset_temp"], "season,year,t_c,onset_doy", onset_temp_rows),
-        write_table(out / F["proj"], "year,season,predicted_onset_doy,ci_low,ci_high", proj_rows),
-        write_atomic(out / F["merge"], f"merge_year,{merged if merged is not None else 'none'}\n"),
-        _write_json(out / F["proj_summary"], summary),
-    ]
 
 
 def _periods(year: int) -> dict[str, list[tuple[date, date]]]:
@@ -397,7 +386,7 @@ def _periods(year: int) -> dict[str, list[tuple[date, date]]]:
     }
 
 
-def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+def stage_adequacy(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     with open(cfg.outage_csv, encoding="utf-8") as fh:
         outages = ingest.parse_outages(fh)
     if not len(outages):
@@ -429,8 +418,8 @@ def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
     extra_mw = extra_gw * adq.MW_PER_GW
     unmet_rows = []
     for year in outage_years:
-        for month in (1, 12):
-            days = [(date(year, month, 1), date(year, month, 31))]
+        for label in ("january", "december"):
+            days = _periods(year)[label]
             telem = outages.telemetered_output_mw[adq.period_mask(outages.timestamps, days)]
             telem = telem[~np.isnan(telem)]
             demand = hourly.load_mw[adq.period_mask(hourly.hours, days)]
@@ -442,7 +431,7 @@ def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
                 continue
             max_output_gw = max_output / adq.MW_PER_GW
             pct_unmet = adq.unmet_demand_fraction(demand, max_output, extra_mw)
-            unmet_rows.append((f"{year}-{month:02d}", max_output_gw, extra_gw, pct_unmet))
+            unmet_rows.append((f"{year}-{days[0][0].month:02d}", max_output_gw, extra_gw, pct_unmet))
 
     # Pooled generation histograms across all outage years.
     hist_specs = [
@@ -459,10 +448,7 @@ def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
             hist_specs.append((f"min_peak_{season}", ranges))
 
     bin_mw = cfg.adequacy_bin_gw * adq.MW_PER_GW
-    outputs = [
-        write_table(out / F["periods"], PERIODS_HEADER, period_rows),
-        write_table(out / F["unmet"], UNMET_HEADER, unmet_rows),
-    ]
+    outputs: dict[str, object] = {"periods": period_rows, "unmet": unmet_rows}
     for label, ranges in hist_specs:
         demand = hourly.load_mw[adq.period_mask(hourly.hours, ranges)]
         if not len(demand):
@@ -482,8 +468,8 @@ def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
             f"balanced={int(hist.balanced)}\nbin_low,bin_high,count"
         )
         rows = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)
-        outputs.append(write_table(out / F[f"hist_{label}"], header, rows))
-    outputs.append(_write_json(out / F["adequacy_summary"], summary))
+        outputs[f"hist_{label}"] = format_table(header, rows)
+    outputs["adequacy_summary"] = summary
     return outputs
 
 
@@ -491,7 +477,7 @@ def stage_adequacy(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
 
 
 def emit_report(results: Mapping[str, object]) -> str:
-    """Render a plain-text digest of the stage results present, keyed as in F.
+    """Render a plain-text digest of the stage results present, keyed as in OUTPUTS.
 
     A table is its typed rows in file column order; a summary, its JSON object.
     """
@@ -523,7 +509,7 @@ def emit_report(results: Mapping[str, object]) -> str:
     if trend_rows:
         lines.append("[onset trends]")
         for metric, season, slope, stderr, probability, n, excluded in trend_rows:
-            direction = "earlier" if season == "spring" else "later"
+            direction = trends.SHIFT_DIRECTION[season]
             lines.append(
                 f"{metric} {season}: {slope:+.2f} d/decade (se {stderr:.2f}), "
                 f"P({direction}) = {probability:.2f}, n = {n}, excluded: {excluded or 'none'}"
@@ -582,11 +568,11 @@ def emit_report(results: Mapping[str, object]) -> str:
     return "\n".join(lines)
 
 
-def stage_report(cfg: RunConfig, out: Path, tables: Tables) -> list[Path]:
+def stage_report(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     # The tables it digests that a stage wrote, in this run or an earlier one.
     reported = ("shoulder", "trends", "corr", "proj_summary", "periods", "unmet", "adequacy_summary")
-    results = {key: tables[key] for key in reported if (out / F[key]).is_file()}
-    return [write_atomic(out / F["report"], emit_report({"region": cfg.region_label, **results}))]
+    results = {key: tables[key] for key in reported if tables.cached(key)}
+    return {"report": emit_report({"region": cfg.region_label, **results})}
 
 
 def _windows(source: IO[str]) -> list[windows.ShoulderWindow]:
@@ -595,30 +581,10 @@ def _windows(source: IO[str]) -> list[windows.ShoulderWindow]:
     return [windows.ShoulderWindow(*row[:4], *row[5:]) for row in rows]
 
 
-# One reader per table a stage takes from another; each looks its parser up when called.
-_READERS: dict[str, Callable[[IO[str]], object]] = {
-    "hourly": lambda fh: ingest.parse_hourly_load(fh),
-    "daily": lambda fh: ingest.read_daily_summaries(fh),
-    "daily_net": lambda fh: ingest.read_daily_summaries(fh),
-    "dd": lambda fh: ingest.read_daily_series(fh, DD_HEADER),
-    "temp_annual": lambda fh: dict(read_rows(fh, ANNUAL_HEADER, parse_int, parse_float)),
-    "shoulder": lambda fh: _windows(fh),
-    "shoulder_net": lambda fh: _windows(fh),
-    "trends": lambda fh: read_rows(fh, TRENDS_HEADER, *TRENDS_COLUMNS),
-    "corr": lambda fh: read_rows(fh, CORR_HEADER, *CORR_COLUMNS),
-    "proj_summary": lambda fh: json.load(fh),
-    "periods": lambda fh: read_rows(fh, PERIODS_HEADER, *PERIODS_COLUMNS),
-    "unmet": lambda fh: read_rows(fh, UNMET_HEADER, *UNMET_COLUMNS),
-    "adequacy_summary": lambda fh: json.load(fh),
-}
-
-
 class Tables(dict):
-    """The typed tables of one run_pipeline call, by key of _READERS.
-
-    A stage stores each table it writes that a later stage reads. One not
-    stored is read on first use: "hourly" (the parsed load feed) from
-    load_csv, the others from their files, which round-trip every value.
+    """The typed tables of one run_pipeline call: "hourly", the parsed load feed,
+    and each output with a reader that a stage returned. One not held is read on
+    first use, from load_csv or from its file; the files round-trip every value.
     """
 
     def __init__(self, cfg: RunConfig, out: Path) -> None:
@@ -626,12 +592,34 @@ class Tables(dict):
         self.cfg, self.out = cfg, out
 
     def __missing__(self, key: str):
-        path = self.cfg.load_csv if key == "hourly" else self.out / F[key]
-        if key != "hourly" and not path.is_file():
+        if key == "hourly":
+            with open(self.cfg.load_csv, encoding="utf-8") as fh:
+                value = self[key] = ingest.parse_hourly_load(fh)
+        elif self.cached(key):
+            with open(self.out / F[key], encoding="utf-8") as fh:
+                value = self[key] = OUTPUTS[key].read(fh, OUTPUTS[key].header)
+        else:
             raise ValueError(f"missing {F[key]}; run the {_PRODUCER[key]} stage first")
-        with open(path, encoding="utf-8") as fh:
-            value = self[key] = _READERS[key](fh)
         return value
+
+    def cached(self, key: str) -> bool:
+        """Whether the output's file exists, written in this run or an earlier one."""
+        return (self.out / F[key]).is_file()
+
+
+def _format(key: str, value: object) -> str:
+    """The text of an output: text as is, a value without a header as JSON,
+    a day table through its format, and a dict's items or typed rows as a table."""
+    header = OUTPUTS[key].header
+    if isinstance(value, str):
+        return value
+    if header is None:
+        return json.dumps(value, sort_keys=True, indent=1) + "\n"
+    if isinstance(value, (ingest.DailySeries, ingest.DailyLoad)):
+        return value.format(header)
+    if header == SHOULDER_HEADER:  # each window with its onset's day of year after the onset
+        value = ((*row[:4], trends.day_of_year(row[3]), *row[4:]) for row in map(astuple, value))
+    return format_table(header, value.items() if isinstance(value, dict) else value)
 
 
 # -- the stage table -----------------------------------------------------------
@@ -641,14 +629,14 @@ class Stage(NamedTuple):
     """What a stage runs, what it needs from the config and the cache, and what it writes."""
 
     help: str
-    run: Callable[[RunConfig, Path, Tables], list[Path]]
+    run: Callable[[RunConfig, Tables], dict[str, object]]
     needs: tuple[str, ...] = ()  # config keys it requires
     reads: tuple[str, ...] = ()  # optional config keys it reads
-    # Keys of F it reads, from the stages that own them. The tables the report
+    # Keys of OUTPUTS it reads, from the stages that own them. The tables the report
     # finds are not listed.
     inputs: tuple[str, ...] = ()
-    netted: tuple[str, ...] = ()  # keys of F it reads when fuel_mix_csv is set, if written
-    # Keys of F it writes. A stage deletes the owned files it did not write
+    netted: tuple[str, ...] = ()  # keys of OUTPUTS it reads when fuel_mix_csv is set, if written
+    # Keys of OUTPUTS it writes. A stage deletes the owned files it did not write
     # this time, and `all` deletes those of the stages it does not run, so no
     # output of an earlier configuration outlives a rerun.
     owns: tuple[str, ...] = ()
@@ -703,7 +691,7 @@ STAGES: dict[str, Stage] = {
 }
 
 
-# The stage that owns each file (key of F).
+# The stage that owns each output.
 _PRODUCER = {key: name for name, stage in STAGES.items() for key in stage.owns}
 
 
@@ -775,11 +763,15 @@ def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]
         _check_config(cfg, name, selection)
         inputs = [key for key in stage.inputs if selection[_PRODUCER[key]] is None]
         if cfg.fuel_mix_csv is not None:
-            inputs += [key for key in stage.netted if key in tables or (out / F[key]).is_file()]
-        # Read before the stage writes anything; it finds an input it may lack with get().
+            inputs += [key for key in stage.netted if tables.cached(key)]
+        # Read before the stage runs: it finds an input it may lack with get().
         tables.update({key: tables[key] for key in inputs})
-        written[name] = stage.run(cfg, out, tables)
-        _remove_outputs(out, [name], keep=written[name])
+        paths = written[name] = []
+        for key, value in stage.run(cfg, tables).items():  # formatted and written one at a time
+            paths.append(write_atomic(out / F[key], _format(key, value)))
+            if OUTPUTS[key].read is not None:  # a later stage may read it
+                tables[key] = value
+        _remove_outputs(out, [name], keep=paths)
         if name == "adequacy" or "adequacy" not in stages:
             tables.pop("hourly", None)  # the parsed load feed; only adequacy reads it later
     return written

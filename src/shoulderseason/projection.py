@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .tables import parse_float, split_rows
-from .trends import TrendResult, day_of_year, left_sum, linear_trend
+from .trends import SHIFT_DIRECTION, TrendResult, day_of_year, left_sum, linear_trend, ols
 
 ENSEMBLE_HEADER = "member,year,month,t2m_c"
 
@@ -133,12 +133,10 @@ def fit_bias_correction(
         raise ValueError(f"need at least 3 overlap years, got {len(overlap)}")
     x = np.array([ens_by_year[y] for y in overlap])
     y = np.array([observed[y] for y in overlap])
-    xc = x - x.mean()
-    sxx = float((xc * xc).sum())
-    if sxx == 0:
-        raise ValueError("degenerate ensemble variance: all annual means identical")
-    gain = float((xc * y).sum() / sxx)
-    offset = float(y.mean() - gain * x.mean())
+    try:
+        gain, offset, *_ = ols(x, y)
+    except ValueError:
+        raise ValueError("degenerate ensemble variance: all annual means identical") from None
     return BiasCorrection(gain=gain, offset=offset)
 
 
@@ -148,12 +146,11 @@ def onset_vs_temperature(
     season: str,
 ) -> TrendResult:
     """Regression of onset day-of-year on annual mean temperature."""
-    if season not in ("spring", "fall"):
+    if season not in SHIFT_DIRECTION:
         raise ValueError(f"season must be 'spring' or 'fall', got {season!r}")
     years = sorted(set(annual_temps) & set(onsets))
     points = [(annual_temps[y], day_of_year(onsets[y])) for y in years]
-    direction = "earlier" if season == "spring" else "later"
-    return linear_trend(points, direction=direction)
+    return linear_trend(points, direction=SHIFT_DIRECTION[season])
 
 
 def project_onsets(

@@ -116,10 +116,6 @@ def write_atomic(path: Path, text: str) -> Path:
     return path
 
 
-def write_table(path: Path, header: str, rows: Iterable[Iterable[object]]) -> Path:
-    return write_atomic(path, format_table(header, rows))
-
-
 def read_rows(
     source: IO[str] | Iterable[str], header: str, *converters: Converter
 ) -> list[tuple]:

@@ -18,6 +18,10 @@ _NORMAL = NormalDist()
 STUDENTIZED_THRESHOLD = 2.5
 MAX_AUTO_EXCLUSIONS = 5
 
+# The way each season's onset drifts as the climate warms: the direction whose
+# shift probability is reported.
+SHIFT_DIRECTION = {"spring": "earlier", "fall": "later"}
+
 
 @dataclass(frozen=True)
 class TrendResult:
@@ -87,7 +91,9 @@ def shift_probability(slope: float, stderr: float, direction: str) -> float:
     return _NORMAL.cdf(signed / stderr)
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float, float]:
+def ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float, float]:
+    """Least-squares line through (x, y): slope, intercept, slope stderr,
+    residual variance, mean of x and the centred sum of squares of x."""
     x_mean = float(x.mean())
     xc = x - x_mean
     sxx = float((xc * xc).sum())
@@ -134,7 +140,7 @@ def linear_trend(
             raise ValueError(f"need at least 3 points after exclusions, got {len(pts)}")
         x = np.array([p[0] for p in pts], dtype=float)
         y = np.array([p[1] for p in pts], dtype=float)
-        slope, intercept, stderr, s2, x_mean, sxx = _ols(x, y)
+        slope, intercept, stderr, s2, x_mean, sxx = ols(x, y)
         if not auto_exclude or n_auto >= max_auto_exclusions or s2 == 0:
             break
         # Internally studentized residuals; leverage from the hat matrix.

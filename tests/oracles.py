@@ -18,12 +18,16 @@ before it searched its sorted time columns.
 They share the library's wide row validators (`float()`, `int()`,
 `datetime.fromisoformat`), so where the grammars overlap the error
 messages agree by construction.
+
+The least-squares reference solves the normal equations in exact rational
+arithmetic, so it shares no rounding with the library's centred fit.
 """
 
 from __future__ import annotations
 
 import math
 from datetime import date, datetime, timedelta
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -446,3 +450,25 @@ def reference_min_window(
             f"(need >= {min_present} present days per window)"
         )
     return date.fromordinal(base + best_i), float(best_mean), best_count
+
+
+def exact_ols(points: Sequence[tuple[int, int]]) -> tuple[Fraction, Fraction, Fraction]:
+    """Slope, intercept and squared slope stderr of a least-squares line, exactly.
+
+    Solves the normal equations [[n, Sx], [Sx, Sxx]] (a, b) = (Sy, Sxy) in
+    Fractions. The squared stderr is SSR / (n - 2) / (Sxx - Sx**2 / n), and 0
+    for two points, as the library gives. Raises ValueError when every x is
+    the same.
+    """
+    n = len(points)
+    sx = sum(Fraction(x) for x, _ in points)
+    sy = sum(Fraction(y) for _, y in points)
+    sxx = sum(Fraction(x) * x for x, _ in points)
+    sxy = sum(Fraction(x) * y for x, y in points)
+    det = n * sxx - sx * sx
+    if det == 0:
+        raise ValueError("all x values identical")
+    slope = (n * sxy - sx * sy) / det
+    intercept = (sxx * sy - sx * sxy) / det
+    ssr = sum((y - slope * x - intercept) ** 2 for x, y in points)
+    return slope, intercept, ssr / (n - 2) / (det / n) if n > 2 else Fraction(0)

@@ -218,6 +218,8 @@ class TestPipeline:
             (ingest, "read_daily_summaries"),
             (ingest, "read_daily_series"),
             (cli, "_windows"),
+            (cli, "read_rows"),
+            (json, "load"),
         ):
             def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 calls[_name] += 1
@@ -236,6 +238,7 @@ class TestPipeline:
             "read_daily_summaries": 2,
             "read_daily_series": 1,
             "_windows": 1,
+            "read_rows": 1,
         }
 
     def test_hourly_load_is_kept_only_for_adequacy(
@@ -244,9 +247,9 @@ class TestPipeline:
         seen = []
         thermal = STAGES["thermal"]
 
-        def spy(cfg, out, tables):
+        def spy(cfg, tables):
             seen.append("hourly" in tables)
-            return thermal.run(cfg, out, tables)
+            return thermal.run(cfg, tables)
 
         monkeypatch.setitem(STAGES, "thermal", thermal._replace(run=spy))
         for name, overrides in (("full", {}), ("no_outages", {"outage_csv": None})):
@@ -255,6 +258,32 @@ class TestPipeline:
             assert main(["all", "--config", str(conf), "--out", out]) == 0
         # With an outage feed the adequacy stage, still to run, reads it.
         assert seen == [True, False]
+
+    def test_kept_tables_equal_their_files(self, fixture_dir, tmp_path, monkeypatch) -> None:
+        kept = {}
+        report = STAGES["report"]
+
+        def spy(cfg, tables):
+            kept.update(tables)
+            return report.run(cfg, tables)
+
+        monkeypatch.setitem(STAGES, "report", report._replace(run=spy))
+        conf = str(fixture_dir / "fixture.conf")
+        assert main(["all", "--config", conf, "--out", str(tmp_path)]) == 0
+        # By the report, every output with a reader is held in memory.
+        readable = {key for key, output in cli.OUTPUTS.items() if output.read is not None}
+        assert set(kept) == readable
+        for key in sorted(readable):
+            name, header, read = cli.OUTPUTS[key]
+            with open(tmp_path / name, encoding="utf-8") as fh:
+                got = read(fh, header)
+            if isinstance(got, (ingest.DailySeries, ingest.DailyLoad)):
+                assert (type(kept[key]), kept[key].first) == (type(got), got.first), key
+                for want, column in zip(kept[key].columns, got.columns):
+                    assert (want.dtype, want.tobytes()) == (column.dtype, column.tobytes()), key
+            else:
+                assert kept[key] == got, key
+            assert cli._format(key, got).encode() == (tmp_path / name).read_bytes(), key
 
     def test_single_stages_without_fuel_mix_read_no_netted_table(
         self, fixture_dir, full_run, tmp_path
@@ -357,6 +386,9 @@ class TestPipeline:
         owned = [F[key] for stage in STAGES.values() for key in stage.owns]
         assert len(owned) == len(set(owned))
         assert {p.name for p in full_run.iterdir()} <= set(owned)
+        # Each declared output is owned by exactly one stage, and each owned key is declared.
+        owned_keys = [key for stage in STAGES.values() for key in stage.owns]
+        assert sorted(owned_keys) == sorted(cli.OUTPUTS)
 
     def test_day_of_year_columns_keep_their_types(self, full_run) -> None:
         def column(name: str, header: str) -> list[str]:

@@ -20,7 +20,7 @@ from shoulderseason.tables import (
     parse_int,
     parse_text,
     read_rows,
-    write_table,
+    write_atomic,
 )
 
 HEADER = "when,label,count,value,maybe"
@@ -58,7 +58,7 @@ def _same_bits(a: float, b: float) -> bool:
 
 @given(rows=rows)
 def test_write_then_read_is_bit_exact(rows, tmp_path_factory) -> None:
-    path = write_table(tmp_path_factory.mktemp("t") / "t.csv", HEADER, rows)
+    path = write_atomic(tmp_path_factory.mktemp("t") / "t.csv", format_table(HEADER, rows))
     with open(path, encoding="utf-8") as fh:
         got = read_rows(fh, HEADER, *CONVERTERS)
     assert len(got) == len(rows)
@@ -84,7 +84,7 @@ def test_cell_formats() -> None:
 def test_format_uses_newline_line_ends(tmp_path) -> None:
     text = format_table("a,b", [(1, None), ("x", 0.5)])
     assert text == "a,b\n1,\nx,0.5\n"
-    path = write_table(tmp_path / "t.csv", "a,b", [(1, None)])
+    path = write_atomic(tmp_path / "t.csv", format_table("a,b", [(1, None)]))
     assert path.read_bytes() == b"a,b\n1,\n"
 
 
