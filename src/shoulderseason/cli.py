@@ -41,7 +41,7 @@ HIST_LABELS = (
     "january", "december", "operator_spring", "operator_fall", "min_peak_spring", "min_peak_fall"
 )
 
-# Headers and column converters shared by two outputs.
+# Headers shared by two outputs, and the column converters of their readers.
 SHOULDER_HEADER = "year,season,metric,onset_date,onset_doy,window_mean,days_used"
 SHOULDER_COLUMNS = (parse_int, parse_text, parse_text, parse_date, parse_int, parse_float, parse_int)
 TRENDS_HEADER = "metric,season,slope_days_per_decade,stderr,shift_probability,n,excluded"

@@ -383,12 +383,12 @@ class TestPipeline:
         assert "[onset correlations" not in report and "[projection]" not in report
 
     def test_every_output_is_owned_by_one_stage(self, full_run) -> None:
-        owned = [F[key] for stage in STAGES.values() for key in stage.owns]
+        owned_keys = [key for stage in STAGES.values() for key in stage.owns]
+        # Each declared output is owned by exactly one stage, and each owned key is declared.
+        assert sorted(owned_keys) == sorted(cli.OUTPUTS)
+        owned = [F[key] for key in owned_keys]
         assert len(owned) == len(set(owned))
         assert {p.name for p in full_run.iterdir()} <= set(owned)
-        # Each declared output is owned by exactly one stage, and each owned key is declared.
-        owned_keys = [key for stage in STAGES.values() for key in stage.owns]
-        assert sorted(owned_keys) == sorted(cli.OUTPUTS)
 
     def test_day_of_year_columns_keep_their_types(self, full_run) -> None:
         def column(name: str, header: str) -> list[str]:
