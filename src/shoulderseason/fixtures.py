@@ -9,7 +9,6 @@ identical files, so pipeline output can be compared run to run.
 
 from __future__ import annotations
 
-from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +43,17 @@ FILES = {
 }
 
 
-def _days(year: int) -> list[date]:
-    d = date(year, 1, 1)
-    out = []
-    while d.year == year:
-        out.append(d)
-        d += timedelta(days=1)
-    return out
+def _day_text(year: int) -> list[str]:
+    days = np.arange(f"{year}-01-01", f"{year + 1}-01-01", dtype="datetime64[D]")
+    return np.datetime_as_string(days).tolist()
+
+
+# Time suffixes of one day's 96 quarter-hour slots.
+SLOTS = [f"T{h:02d}:{q:02d}" for h in range(24) for q in (0, 15, 30, 45)]
+
+
+def _quarter_hours(days: list[str]) -> list[str]:
+    return [d + slot for d in days for slot in SLOTS]
 
 
 def _smooth(noise: np.ndarray, width: int = 7) -> np.ndarray:
@@ -58,12 +61,11 @@ def _smooth(noise: np.ndarray, width: int = 7) -> np.ndarray:
     return np.convolve(noise, kernel, mode="same")
 
 
-def _regional_temp(year: int, rng: np.random.Generator) -> np.ndarray:
-    days = _days(year)
-    doy = np.arange(1, len(days) + 1, dtype=float)
+def _regional_temp(year: int, n_days: int, rng: np.random.Generator) -> np.ndarray:
+    doy = np.arange(1, n_days + 1, dtype=float)
     base = BASE_TEMP_C + WARMING_C_PER_YEAR * (year - LOAD_YEARS.start)
     seasonal = SEASONAL_AMPLITUDE_C * np.cos(2 * np.pi * (doy - HOTTEST_DOY) / 365.25)
-    weather = _smooth(rng.normal(0.0, 2.4, size=len(days)))
+    weather = _smooth(rng.normal(0.0, 2.4, size=n_days))
     return base + seasonal + weather
 
 
@@ -72,124 +74,118 @@ def _daily_profile() -> np.ndarray:
     return 0.86 + 0.28 * np.exp(-(((hours - 16.5) / 5.0) ** 2))
 
 
+def _floor0(values: np.ndarray) -> list[float]:
+    """`max(v, 0.0)` for each value, as Python floats in C order."""
+    return np.where(values < 0.0, 0.0, values).ravel().tolist()
+
+
+def _rows(fmt: str, *columns: list) -> str:
+    """`fmt % row` for each row of the equal-length columns, in one `%` call."""
+    flat: list = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        flat[k :: len(columns)] = column
+    return (fmt * len(columns[0])) % tuple(flat)
+
+
 def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
     """Write the full synthetic input set plus a config file; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     written: list[Path] = []
-
-    regional: dict[int, np.ndarray] = {
-        year: _regional_temp(year, rng) for year in TEMP_YEARS
-    }
+    day_text = {year: _day_text(year) for year in TEMP_YEARS}
+    regional = {year: _regional_temp(year, len(day_text[year]), rng) for year in TEMP_YEARS}
 
     # Temperature grid: daily per-cell values around the regional curve.
-    grid_lines = ["lat,lon,date,t2m_c"]
+    grid_rows = []
     for year in TEMP_YEARS:
-        days = _days(year)
+        days = day_text[year]
         cell_noise = rng.normal(0.0, 0.3, size=(len(days), len(LATS), len(LONS)))
+        series = regional[year][:, None, None] + np.array(CELL_OFFSETS) + cell_noise
         for i, lat in enumerate(LATS):
             for j, lon in enumerate(LONS):
-                series = regional[year] + CELL_OFFSETS[i][j] + cell_noise[:, i, j]
-                for d, v in zip(days, series):
-                    grid_lines.append(f"{lat},{lon},{d.isoformat()},{v:.4f}")
-    written.append(_write(out / FILES["grid"], grid_lines))
+                grid_rows.append(_rows(f"{lat},{lon},%s,%.4f\n", days, series[:, i, j].tolist()))
+    written.append(_write(out / FILES["grid"], "lat,lon,date,t2m_c", grid_rows))
 
     # Population: epochs 2000-2020, region cells dominate, mild growth.
     base_pop = ((900.0, 400.0, 10.0), (600.0, 300.0, 8.0), (5.0, 4.0, 2.0))
-    pop_lines = ["lat,lon,epoch,persons"]
+    pop_rows = []
     for k, epoch in enumerate((2000, 2005, 2010, 2015, 2020)):
         growth = 1.0 + 0.06 * k
         for i, lat in enumerate(LATS):
             for j, lon in enumerate(LONS):
-                pop_lines.append(f"{lat},{lon},{epoch},{base_pop[i][j] * growth:.1f}")
-    written.append(_write(out / FILES["population"], pop_lines))
+                pop_rows.append(f"{lat},{lon},{epoch},{base_pop[i][j] * growth:.1f}\n")
+    written.append(_write(out / FILES["population"], "lat,lon,epoch,persons", pop_rows))
 
-    mask_lines = ["lat,lon,in_region"]
-    for i, lat in enumerate(LATS):
-        for j, lon in enumerate(LONS):
-            mask_lines.append(f"{lat},{lon},{MASK[i][j]}")
-    written.append(_write(out / FILES["mask"], mask_lines))
+    mask_rows = [
+        f"{lat},{lon},{MASK[i][j]}\n" for i, lat in enumerate(LATS) for j, lon in enumerate(LONS)
+    ]
+    written.append(_write(out / FILES["mask"], "lat,lon,in_region", mask_rows))
 
     # Hourly load: cubic response to the daily regional temperature plus a
     # diurnal profile; mild year-on-year growth.
     profile = _daily_profile()
-    load_lines = ["date,hour,load_mw"]
-    demand_day_by_date: dict[date, float] = {}
+    load_rows = []
+    demand_by_year: dict[int, np.ndarray] = {}
     for year in LOAD_YEARS:
-        days = _days(year)
-        temp = regional[year]
+        days = day_text[year]
         growth = 1500.0 * (year - LOAD_YEARS.start)
-        x = temp - BASE_TEMP_C
-        demand_day = 40000.0 + growth + 55.0 * x**2 + 1.2 * x**3
+        x = regional[year] - BASE_TEMP_C
+        demand_day = demand_by_year[year] = 40000.0 + growth + 55.0 * x**2 + 1.2 * x**3
         hour_noise = rng.normal(0.0, 250.0, size=(len(days), 24))
-        for d, base_mw, noise in zip(days, demand_day, hour_noise):
-            demand_day_by_date[d] = float(base_mw)
-            for h in range(24):
-                mw = max(base_mw * profile[h] + noise[h], 0.0)
-                load_lines.append(f"{d.isoformat()},{h},{mw:.3f}")
-    written.append(_write(out / FILES["load"], load_lines))
+        stamps = [f"{d},{h}" for d in days for h in range(24)]
+        mw = _floor0(demand_day[:, None] * profile + hour_noise)
+        load_rows.append(_rows("%s,%.3f\n", stamps, mw))
+    written.append(_write(out / FILES["load"], "date,hour,load_mw", load_rows))
 
-    # Fuel mix at 15 minutes for the last two load years.
-    mix_lines = ["timestamp,wind_mw,solar_mw,hydro_mw,other_mw"]
+    # Fuel mix at 15 minutes; solar, hydro and other depend only on the hour.
+    solar = [
+        max(0.0, 7000.0 * np.sin(np.pi * (h + 0.5 - 6.5) / 13.0)) if 6 <= h <= 19 else 0.0
+        for h in range(24)
+    ]
+    mix_tail = [f",{solar[h]:.2f},250.00,150.00" for h in range(24) for _ in range(4)]
+    mix_rows = []
     for year in MIX_YEARS:
-        days = _days(year)
+        days = day_text[year]
         doy = np.arange(1, len(days) + 1, dtype=float)
         wind_day = 5500.0 + 2500.0 * np.sin(2 * np.pi * (doy - 90.0) / 365.25)
         wind_noise = _smooth(rng.normal(0.0, 900.0, size=len(days) * 96), width=13)
-        idx = 0
-        for d, wbase in zip(days, wind_day):
-            for h in range(24):
-                solar = max(0.0, 7000.0 * np.sin(np.pi * (h + 0.5 - 6.5) / 13.0)) if 6 <= h <= 19 else 0.0
-                for q in (0, 15, 30, 45):
-                    wind = max(wbase + wind_noise[idx], 0.0)
-                    idx += 1
-                    mix_lines.append(
-                        f"{d.isoformat()}T{h:02d}:{q:02d},{wind:.2f},{solar:.2f},250.00,150.00"
-                    )
-    written.append(_write(out / FILES["fuel_mix"], mix_lines))
+        wind = _floor0(wind_day[:, None] + wind_noise.reshape(len(days), 96))
+        mix_rows.append(_rows("%s,%.2f%s\n", _quarter_hours(days), wind, mix_tail * len(days)))
+    mix_header = "timestamp,wind_mw,solar_mw,hydro_mw,other_mw"
+    written.append(_write(out / FILES["fuel_mix"], mix_header, mix_rows))
 
     # Outages at 15 minutes: maintenance bumps in spring and fall, quiet in
     # winter and high summer; telemetered output tracks load with margin.
-    outage_lines = ["timestamp,outage_mw,telemetered_output_mw"]
+    outage_rows = []
     for year in OUTAGE_YEARS:
-        days = _days(year)
+        days = day_text[year]
         doy = np.arange(1, len(days) + 1, dtype=float)
         bumps = np.exp(-(((doy - 95.0) / 24.0) ** 2)) + np.exp(
             -(((doy - 300.0) / 24.0) ** 2)
         )
         outage_day = 7000.0 + 15000.0 * bumps
         noise = _smooth(rng.normal(0.0, 700.0, size=len(days) * 96), width=9)
-        telem_noise = rng.normal(0.0, 200.0, size=len(days) * 96)
-        idx = 0
-        for d, obase in zip(days, outage_day):
-            demand_day = demand_day_by_date[d]
-            for h in range(24):
-                hour_mw = demand_day * profile[h]
-                for q in (0, 15, 30, 45):
-                    outage = max(obase + noise[idx], 0.0)
-                    telem = max(hour_mw * 1.01 + 1500.0 + telem_noise[idx], 0.0)
-                    idx += 1
-                    outage_lines.append(
-                        f"{d.isoformat()}T{h:02d}:{q:02d},{outage:.2f},{telem:.2f}"
-                    )
-    written.append(_write(out / FILES["outages"], outage_lines))
+        telem_noise = rng.normal(0.0, 200.0, size=(len(days), 24, 4))
+        hour_mw = demand_by_year[year][:, None] * profile
+        outage = _floor0(outage_day[:, None] + noise.reshape(len(days), 96))
+        telem = _floor0(hour_mw[:, :, None] * 1.01 + 1500.0 + telem_noise)
+        outage_rows.append(_rows("%s,%.2f,%.2f\n", _quarter_hours(days), outage, telem))
+    outage_header = "timestamp,outage_mw,telemetered_output_mw"
+    written.append(_write(out / FILES["outages"], outage_header, outage_rows))
 
     # Monthly ensemble with a deliberate affine bias relative to the
     # observed scale: raw = (obs_like - 1.0) / 0.92.
-    ens_lines = ["member,year,month,t2m_c"]
     month_shape = SEASONAL_AMPLITUDE_C * np.cos(2 * np.pi * (np.arange(1, 13) - 7.2) / 12.0)
-    for member in ENSEMBLE_MEMBERS:
-        for year in ENSEMBLE_YEARS:
-            annual_obs_like = (
-                BASE_TEMP_C + 0.7 + WARMING_C_PER_YEAR * 0.9 * (year - LOAD_YEARS.start)
-            )
-            raw_annual = (annual_obs_like - 1.0) / 0.92 + float(rng.normal(0.0, 0.22))
-            for month in range(1, 13):
-                ens_lines.append(
-                    f"{member},{year},{month},{raw_annual + month_shape[month - 1]:.4f}"
-                )
-    written.append(_write(out / FILES["ensemble"], ens_lines))
+    years = np.arange(ENSEMBLE_YEARS.start, ENSEMBLE_YEARS.stop)
+    annual_obs_like = BASE_TEMP_C + 0.7 + WARMING_C_PER_YEAR * 0.9 * (years - LOAD_YEARS.start)
+    draws = rng.normal(0.0, 0.22, size=(len(ENSEMBLE_MEMBERS), len(years)))
+    raw = ((annual_obs_like - 1.0) / 0.92 + draws)[:, :, None] + month_shape
+    keys = [
+        f"{m},{y},{mo}" for m in ENSEMBLE_MEMBERS for y in ENSEMBLE_YEARS for mo in range(1, 13)
+    ]
+    ens_rows = [_rows("%s,%.4f\n", keys, raw.ravel().tolist())]
+    written.append(_write(out / FILES["ensemble"], "member,year,month,t2m_c", ens_rows))
 
     config_text = "\n".join(
         [
@@ -220,6 +216,6 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
     return written
 
 
-def _write(path: Path, lines: list[str]) -> Path:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write(path: Path, header: str, rows: list[str]) -> Path:
+    path.write_text(header + "\n" + "".join(rows), encoding="utf-8")
     return path

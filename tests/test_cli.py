@@ -82,6 +82,32 @@ SEED_42_SHA256 = {
     "fixture_temperature.csv": "e329c0b0d336b59feae72f535f7519881e630eab7d507d217a8167c84e126554",
 }
 
+# The same for seeds 1 and 5, so that three seeds guard the generator's bytes.
+SEED_1_SHA256 = {
+    "fixture.conf": "f2fabfceefef4a9a6102d53984984628c15494e1a775d9c74fef1de878ca0770",
+    "fixture_ensemble.csv": "358177d82cb4352b4b81ae691281562731af16ac07eea3d4474227bd64426a3b",
+    "fixture_fuel_mix.csv": "14324d8ee88e131397b462f4e3a105d218e41c0824c4b9b315fff7b8a80ef541",
+    "fixture_load.csv": "70e9ede542812d97944d0612cac04705813f6f966501219f3b2cec13528f1096",
+    "fixture_mask.csv": "9a537e0221c1028aa46d8eaca7e9b69f7cc7df73eb729ef0876cb7b143fe7e4e",
+    "fixture_outages.csv": "a53c60054603247c9d62ab746e2fae900742280d3ff846664087530f379a7f35",
+    "fixture_population.csv": "8fb0456ecc144c30df07fba443bd384af2d33c6025b02fe0d4f81aa5dcd78df8",
+    "fixture_temperature.csv": "907068d7d5f5a3a32f5d5b8996a2a6f92430fc0ebcf93d933d33872fa12c4e38",
+}
+SEED_5_SHA256 = {
+    "fixture.conf": "f2fabfceefef4a9a6102d53984984628c15494e1a775d9c74fef1de878ca0770",
+    "fixture_ensemble.csv": "7d7462bfab56d99f765720f3d7498456cca70b15f33547e12d4e3e804c64fdc6",
+    "fixture_fuel_mix.csv": "ee08efa8d86f5de9c44a1cedaeda91b58f7e49a17a6f426960bbd58a398398c7",
+    "fixture_load.csv": "6260786359bf1fa8d7eed297c0a8ec95403f6e9df439a104019efcdb9f25dd67",
+    "fixture_mask.csv": "9a537e0221c1028aa46d8eaca7e9b69f7cc7df73eb729ef0876cb7b143fe7e4e",
+    "fixture_outages.csv": "bd64f9d9a159e57877371e014a45ba4ce0a059210df99e1c96564a3080d8c8e6",
+    "fixture_population.csv": "8fb0456ecc144c30df07fba443bd384af2d33c6025b02fe0d4f81aa5dcd78df8",
+    "fixture_temperature.csv": "21ae35b9257ff124ecfdfb1a1638206e0cc18e0c6a2a5f8d4bbe6a80cc61dc53",
+}
+
+
+def _tree_digests(root: Path) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in _tree_bytes(root).items()}
+
 
 class TestFixtureGeneration:
     def test_seed_42_files_are_pinned(self, fixture_dir) -> None:
@@ -98,6 +124,7 @@ class TestFixtureGeneration:
     def test_different_seed_differs(self, fixture_dir, tmp_path) -> None:
         generate_fixture(tmp_path, seed=1)
         assert _tree_bytes(tmp_path) != _tree_bytes(fixture_dir)
+        assert _tree_digests(tmp_path) == SEED_1_SHA256
 
 
 class TestConfig:
@@ -545,6 +572,7 @@ class TestMainEntry:
     def test_fixture_and_stage_commands(self, tmp_path, capsys) -> None:
         fixture = tmp_path / "fx"
         assert main(["fixture", "--out", str(fixture), "--seed", "5"]) == 0
+        assert _tree_digests(fixture) == SEED_5_SHA256
         assert main(
             ["ingest", "--config", str(fixture / "fixture.conf"), "--out", str(tmp_path / "o")]
         ) == 0
