@@ -52,7 +52,7 @@ def _day_text(year: int) -> list[str]:
 SLOTS = [f"T{h:02d}:{q:02d}" for h in range(24) for q in (0, 15, 30, 45)]
 
 
-def _quarter_hours(days: list[str]) -> list[str]:
+def _quarter_hour_stamps(days: list[str]) -> list[str]:
     return [d + slot for d in days for slot in SLOTS]
 
 
@@ -151,7 +151,8 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
         wind_day = 5500.0 + 2500.0 * np.sin(2 * np.pi * (doy - 90.0) / 365.25)
         wind_noise = _smooth(rng.normal(0.0, 900.0, size=len(days) * 96), width=13)
         wind = _floor0(wind_day[:, None] + wind_noise.reshape(len(days), 96))
-        mix_rows.append(_rows("%s,%.2f%s\n", _quarter_hours(days), wind, mix_tail * len(days)))
+        stamps = _quarter_hour_stamps(days)
+        mix_rows.append(_rows("%s,%.2f%s\n", stamps, wind, mix_tail * len(days)))
     mix_header = "timestamp,wind_mw,solar_mw,hydro_mw,other_mw"
     written.append(_write(out / FILES["fuel_mix"], mix_header, mix_rows))
 
@@ -170,7 +171,7 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
         hour_mw = demand_by_year[year][:, None] * profile
         outage = _floor0(outage_day[:, None] + noise.reshape(len(days), 96))
         telem = _floor0(hour_mw[:, :, None] * 1.01 + 1500.0 + telem_noise)
-        outage_rows.append(_rows("%s,%.2f,%.2f\n", _quarter_hours(days), outage, telem))
+        outage_rows.append(_rows("%s,%.2f,%.2f\n", _quarter_hour_stamps(days), outage, telem))
     outage_header = "timestamp,outage_mw,telemetered_output_mw"
     written.append(_write(out / FILES["outages"], outage_header, outage_rows))
 
