@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import astuple, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -397,15 +398,11 @@ def stage_adequacy(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     outage_years = np.unique(years).tolist()
     focus_year = cfg.adequacy_year if cfg.adequacy_year is not None else outage_years[-1]
 
-    period_rows = []
+    # A period, month or histogram whose kernel refuses its records is left out.
     period_stats: dict[str, adq.PeriodOutageStat] = {}
     for label, ranges in _periods(focus_year).items():
-        try:
-            stat = adq.average_outages(outages, ranges, label=label)
-        except ValueError:
-            continue
-        period_stats[label] = stat
-        period_rows.append((label, stat.start, stat.end, stat.mean_outage_gw, stat.n_records))
+        with suppress(ValueError):
+            period_stats[label] = adq.average_outages(outages, ranges, label=label)
 
     summary: dict[str, object] = {"focus_year": focus_year}
     if "shoulder_combined" in period_stats and "winter_combined" in period_stats:
@@ -423,20 +420,17 @@ def stage_adequacy(cfg: RunConfig, tables: Tables) -> dict[str, object]:
             telem = outages.telemetered_output_mw[adq.period_mask(outages.timestamps, days)]
             telem = telem[~np.isnan(telem)]
             demand = hourly.load_mw[adq.period_mask(hourly.hours, days)]
-            if not len(telem) or not len(demand):
-                continue
-            # The running maximum starts at 0.0; adding 0.0 turns -0.0 into it.
-            max_output = float(telem.max()) + 0.0
-            if max_output < extra_mw:
-                continue
-            max_output_gw = max_output / adq.MW_PER_GW
-            pct_unmet = adq.unmet_demand_fraction(demand, max_output, extra_mw)
-            unmet_rows.append((f"{year}-{days[0][0].month:02d}", max_output_gw, extra_gw, pct_unmet))
+            with suppress(ValueError):
+                # The running maximum starts at 0.0; adding 0.0 turns -0.0 into it.
+                max_output = float(telem.max()) + 0.0
+                pct_unmet = adq.unmet_demand_fraction(demand, max_output, extra_mw)
+                month = f"{year}-{days[0][0].month:02d}"
+                unmet_rows.append((month, max_output / adq.MW_PER_GW, extra_gw, pct_unmet))
 
     # Pooled generation histograms across all outage years.
     hist_specs = [
         (label, [r for y in outage_years for r in _periods(y)[label]])
-        for label in ("january", "december", "operator_spring", "operator_fall")
+        for label in HIST_LABELS[:4]
     ]
     for season in ("spring", "fall"):
         ranges = [
@@ -444,18 +438,16 @@ def stage_adequacy(cfg: RunConfig, tables: Tables) -> dict[str, object]:
             for w in shoulder_rows
             if w.metric == "peak_demand" and w.season == season and w.year in outage_years
         ]
-        if ranges:
-            hist_specs.append((f"min_peak_{season}", ranges))
+        hist_specs.append((f"min_peak_{season}", ranges))
 
     bin_mw = cfg.adequacy_bin_gw * adq.MW_PER_GW
-    outputs: dict[str, object] = {"periods": period_rows, "unmet": unmet_rows}
+    periods = [astuple(stat) for stat in period_stats.values()]
+    outputs: dict[str, object] = {"periods": periods, "unmet": unmet_rows}
     for label, ranges in hist_specs:
-        demand = hourly.load_mw[adq.period_mask(hourly.hours, ranges)]
-        if not len(demand):
-            continue
-        # The first maximum in file order, as max() picks among 0.0 and -0.0.
-        peak = float(demand[demand.argmax()])
         try:
+            demand = hourly.load_mw[adq.period_mask(hourly.hours, ranges)]
+            # The first maximum in file order, as max() picks among 0.0 and -0.0.
+            peak = float(demand[demand.argmax()])
             hist = adq.generation_histogram(
                 outages, ranges, bin_mw, peak_demand_mw=peak, label=label
             )

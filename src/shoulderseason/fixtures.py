@@ -13,6 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import FUEL_MIX_HEADER, LOAD_HEADER, OUTAGE_HEADER
+from .projection import ENSEMBLE_HEADER
+from .thermal import GRID_HEADER, MASK_HEADER, POPULATION_HEADER
+
 LOAD_YEARS = range(2015, 2023)
 TEMP_YEARS = range(1995, 2023)
 MIX_YEARS = range(2019, 2023)
@@ -108,7 +112,7 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
         for i, lat in enumerate(LATS):
             for j, lon in enumerate(LONS):
                 grid_rows.append(_rows(f"{lat},{lon},%s,%.4f\n", days, series[:, i, j].tolist()))
-    written.append(_write(out / FILES["grid"], "lat,lon,date,t2m_c", grid_rows))
+    written.append(_write(out / FILES["grid"], GRID_HEADER, grid_rows))
 
     # Population: epochs 2000-2020, region cells dominate, mild growth.
     base_pop = ((900.0, 400.0, 10.0), (600.0, 300.0, 8.0), (5.0, 4.0, 2.0))
@@ -118,12 +122,12 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
         for i, lat in enumerate(LATS):
             for j, lon in enumerate(LONS):
                 pop_rows.append(f"{lat},{lon},{epoch},{base_pop[i][j] * growth:.1f}\n")
-    written.append(_write(out / FILES["population"], "lat,lon,epoch,persons", pop_rows))
+    written.append(_write(out / FILES["population"], POPULATION_HEADER, pop_rows))
 
     mask_rows = [
         f"{lat},{lon},{MASK[i][j]}\n" for i, lat in enumerate(LATS) for j, lon in enumerate(LONS)
     ]
-    written.append(_write(out / FILES["mask"], "lat,lon,in_region", mask_rows))
+    written.append(_write(out / FILES["mask"], MASK_HEADER, mask_rows))
 
     # Hourly load: cubic response to the daily regional temperature plus a
     # diurnal profile; mild year-on-year growth.
@@ -139,7 +143,7 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
         stamps = [f"{d},{h}" for d in days for h in range(24)]
         mw = _floor0(demand_day[:, None] * profile + hour_noise)
         load_rows.append(_rows("%s,%.3f\n", stamps, mw))
-    written.append(_write(out / FILES["load"], "date,hour,load_mw", load_rows))
+    written.append(_write(out / FILES["load"], LOAD_HEADER, load_rows))
 
     # Fuel mix at 15 minutes; solar, hydro and other depend only on the hour.
     solar = [
@@ -156,8 +160,7 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
         wind = _floor0(wind_day[:, None] + wind_noise.reshape(len(days), 96))
         stamps = _quarter_hour_stamps(days)
         mix_rows.append(_rows("%s,%.2f%s\n", stamps, wind, mix_tail * len(days)))
-    mix_header = "timestamp,wind_mw,solar_mw,hydro_mw,other_mw"
-    written.append(_write(out / FILES["fuel_mix"], mix_header, mix_rows))
+    written.append(_write(out / FILES["fuel_mix"], FUEL_MIX_HEADER, mix_rows))
 
     # Outages at 15 minutes: maintenance bumps in spring and fall, quiet in
     # winter and high summer; telemetered output tracks load with margin.
@@ -175,8 +178,7 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
         outage = _floor0(outage_day[:, None] + noise.reshape(len(days), 96))
         telem = _floor0(hour_mw[:, :, None] * 1.01 + 1500.0 + telem_noise)
         outage_rows.append(_rows("%s,%.2f,%.2f\n", _quarter_hour_stamps(days), outage, telem))
-    outage_header = "timestamp,outage_mw,telemetered_output_mw"
-    written.append(_write(out / FILES["outages"], outage_header, outage_rows))
+    written.append(_write(out / FILES["outages"], OUTAGE_HEADER, outage_rows))
 
     # Monthly ensemble with a deliberate affine bias relative to the
     # observed scale: raw = (obs_like - 1.0) / 0.92.
@@ -189,7 +191,7 @@ def generate_fixture(out_dir: Path | str, seed: int = 42) -> list[Path]:
         f"{m},{y},{mo}" for m in ENSEMBLE_MEMBERS for y in ENSEMBLE_YEARS for mo in range(1, 13)
     ]
     ens_rows = [_rows("%s,%.4f\n", keys, raw.ravel().tolist())]
-    written.append(_write(out / FILES["ensemble"], "member,year,month,t2m_c", ens_rows))
+    written.append(_write(out / FILES["ensemble"], ENSEMBLE_HEADER, ens_rows))
 
     config_text = "\n".join(
         [

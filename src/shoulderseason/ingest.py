@@ -39,10 +39,6 @@ CSV_CHUNK_LINES = 1 << 14
 
 _MIX_COLUMNS = ("wind_mw", "solar_mw", "hydro_mw", "other_mw")
 _LOAD_DTYPE = np.dtype([("date", object), ("hour", "i8"), ("load_mw", "f8")])
-_MIX_DTYPE = np.dtype([("timestamp", object)] + [(name, "f8") for name in _MIX_COLUMNS])
-_OUTAGE_DTYPE = np.dtype(
-    [("timestamp", object), ("outage_mw", "f8"), ("telemetered_output_mw", object)]
-)
 _QUARTER_HOUR_US = 15 * 60 * 10**6
 _YEAR_ONE = np.datetime64("0001-01-01", "us")
 
@@ -292,12 +288,12 @@ def _parse_hours(text: str, lineno: int, name: str, top: int = 24) -> int:
     return hours
 
 
-def _parse_quarter_hour(text: str, lineno: int) -> datetime:
+def _parse_quarter_hour(text: str, lineno: int, name: str) -> datetime:
     if not _in_timestamp_grammar([text]):
-        raise ValueError(f"line {lineno}: bad timestamp {text!r}")
+        raise ValueError(f"line {lineno}: bad {name} {text!r}")
     ts = _parse_timestamp(text, lineno)
     if ts.minute % 15 or ts.second or ts.microsecond:
-        raise ValueError(f"line {lineno}: timestamp {text!r} not on a 15-minute boundary")
+        raise ValueError(f"line {lineno}: {name} {text!r} not on a 15-minute boundary")
     return ts
 
 
@@ -311,11 +307,18 @@ def _parse_mw(text: str, lineno: int, name: str) -> float:
 # -- column validators: any failure sends the chunk to the rescan ------------
 
 
-def _check_mw(values: np.ndarray) -> np.ndarray:
-    """Copy of a column that must be finite and non-negative."""
-    if not ((values >= 0) & (values < np.inf)).all():
-        raise ValueError("negative or non-finite value")
-    return values.copy()
+def _column(valid: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """A converter that copies a column in which `valid` holds for every value."""
+
+    def convert(values: np.ndarray) -> np.ndarray:
+        if not valid(values).all():
+            raise ValueError("bad value")
+        return values.copy()
+
+    return convert
+
+
+_check_mw = _column(lambda values: (values >= 0) & (values < np.inf))
 
 
 def _in_timestamp_grammar(texts: list[str]) -> bool:
@@ -346,6 +349,20 @@ def _quarter_hours(column: np.ndarray) -> np.ndarray:
     if not (times >= _YEAR_ONE).all() or (times.view(np.int64) % _QUARTER_HOUR_US).any():
         raise ValueError("bad timestamp")
     return times
+
+
+def _optional_mw(column: np.ndarray) -> np.ndarray:
+    """MW texts, as loadtxt leaves them, to floats; an empty field reads as NaN."""
+    texts = [t.strip() for t in column]
+    present = np.fromiter(map(bool, texts), bool, len(texts))
+    values = np.full(len(texts), np.nan)
+    if present.any():
+        values[present] = _check_mw(
+            np.loadtxt(
+                [t for t in texts if t], delimiter=",", comments=None, ndmin=1, dtype="f8"
+            )
+        )
+    return values
 
 
 def _read_timed_feed(
@@ -417,22 +434,33 @@ def parse_hourly_load(source: IO[str] | Iterable[str]) -> HourlyLoad:
     return _read_timed_feed(HourlyLoad, source, LOAD_HEADER, _LOAD_DTYPE, convert, check_row)
 
 
-def parse_fuel_mix(source: IO[str] | Iterable[str]) -> FuelMix:
-    """Parse a fuel-mix stream (15-minute ISO timestamps, MW per source)."""
+# Column kinds of _read_columns: (loadtxt type, row validator (text, lineno,
+# name), column converter that raises ValueError on any bad value).
+_QUARTER = (object, _parse_quarter_hour, _quarter_hours)
+_DAY = (object, parse_date, lambda texts: to_days(date.fromisoformat(t.strip()) for t in texts))
+_MW = ("f8", _parse_mw, _check_mw)
+_OPTIONAL_MW = (object, lambda text, *where: text and _parse_mw(text, *where), _optional_mw)
+_FINITE = ("f8", parse_loadtxt_float, _column(np.isfinite))
+_HOURS = ("i8", _parse_hours, _column(lambda hours: (hours >= 0) & (hours <= 24)))
+
+
+def _read_columns(table: Callable[..., T], source: IO[str] | Iterable[str], header: str, *kinds) -> T:
+    """_read_timed_feed for a table with one column of each kind, the time first."""
+    names = header.split(",")
+    dtype = np.dtype([(name, kind[0]) for name, kind in zip(names, kinds)])
 
     def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (
-            _quarter_hours(rows["timestamp"]),
-            *(_check_mw(rows[name]) for name in _MIX_COLUMNS),
-        )
+        return tuple(kind[2](rows[name]) for name, kind in zip(names, kinds))
 
-    def check_row(lineno: int, fields: list[str]) -> datetime:
-        ts = _parse_quarter_hour(fields[0], lineno)
-        for name, text in zip(_MIX_COLUMNS, fields[1:]):
-            _parse_mw(text, lineno, name)
-        return ts
+    def check_row(lineno: int, fields: list[str]) -> datetime | date:
+        return [kind[1](text, lineno, name) for text, name, kind in zip(fields, names, kinds)][0]
 
-    return _read_timed_feed(FuelMix, source, FUEL_MIX_HEADER, _MIX_DTYPE, convert, check_row)
+    return _read_timed_feed(table, source, header, dtype, convert, check_row)
+
+
+def parse_fuel_mix(source: IO[str] | Iterable[str]) -> FuelMix:
+    """Parse a fuel-mix stream (15-minute ISO timestamps, MW per source)."""
+    return _read_columns(FuelMix, source, FUEL_MIX_HEADER, _QUARTER, _MW, _MW, _MW, _MW)
 
 
 def parse_outages(source: IO[str] | Iterable[str]) -> Outages:
@@ -440,28 +468,7 @@ def parse_outages(source: IO[str] | Iterable[str]) -> Outages:
 
     An empty telemetered_output_mw field reads as NaN.
     """
-
-    def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        texts = [t.strip() for t in rows["telemetered_output_mw"]]
-        present = np.fromiter(map(bool, texts), bool, len(texts))
-        telem = np.full(len(texts), np.nan)
-        if present.any():
-            telem[present] = _check_mw(
-                np.loadtxt(
-                    [t for t in texts if t], delimiter=",", comments=None, ndmin=1, dtype="f8"
-                )
-            )
-        return _quarter_hours(rows["timestamp"]), _check_mw(rows["outage_mw"]), telem
-
-    def check_row(lineno: int, fields: list[str]) -> datetime:
-        ts_s, outage_s, telem_s = fields
-        ts = _parse_quarter_hour(ts_s, lineno)
-        _parse_mw(outage_s, lineno, "outage_mw")
-        if telem_s:
-            _parse_mw(telem_s, lineno, "telemetered_output_mw")
-        return ts
-
-    return _read_timed_feed(Outages, source, OUTAGE_HEADER, _OUTAGE_DTYPE, convert, check_row)
+    return _read_columns(Outages, source, OUTAGE_HEADER, _QUARTER, _MW, _OPTIONAL_MW)
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -550,35 +557,10 @@ def write_outages(outages: Outages, stream: IO[str]) -> None:
     stream.write(format_table(OUTAGE_HEADER, rows))
 
 
-# Value column kinds of the daily tables: (loadtxt type, row parser, column check).
-_FINITE = ("f8", parse_loadtxt_float, np.isfinite)
-_HOURS = ("i8", _parse_hours, lambda hours: (hours >= 0) & (hours <= 24))
-
-
-def _read_days(table: type[T], source: IO[str] | Iterable[str], header: str, *kinds) -> T:
-    """Read a `date,...` table of strictly increasing days into its dense form."""
-    names = header.split(",")
-    dtype = np.dtype([("date", object), *((n, kind[0]) for n, kind in zip(names[1:], kinds))])
-
-    def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        columns = [rows[name].copy() for name in names[1:]]
-        if not all(kind[2](c).all() for kind, c in zip(kinds, columns)):
-            raise ValueError("bad value")
-        return to_days(date.fromisoformat(t.strip()) for t in rows["date"]), *columns
-
-    def check_row(lineno: int, fields: list[str]) -> date:
-        day = parse_date(fields[0], lineno, names[0])
-        for text, name, kind in zip(fields[1:], names[1:], kinds):
-            kind[1](text, lineno, name)
-        return day
-
-    return _read_timed_feed(table.from_days, source, header, dtype, convert, check_row)
-
-
 def read_daily_summaries(source: IO[str] | Iterable[str]) -> DailyLoad:
-    return _read_days(DailyLoad, source, DAILY_HEADER, _FINITE, _FINITE, _HOURS)
+    return _read_columns(DailyLoad.from_days, source, DAILY_HEADER, _DAY, _FINITE, _FINITE, _HOURS)
 
 
 def read_daily_series(source: IO[str] | Iterable[str], header: str) -> DailySeries:
     """Read a `date,<value>` table, such as `degree_days.csv`."""
-    return _read_days(DailySeries, source, header, _FINITE)
+    return _read_columns(DailySeries.from_days, source, header, _DAY, _FINITE)

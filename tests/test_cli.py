@@ -69,6 +69,30 @@ VARIANTS = {
 }
 
 
+def _blank_january_telemetry(lines: list[str]) -> list[str]:
+    return [line.rpartition(",")[0] + "," if line[4:8] == "-01-" else line for line in lines]
+
+
+# What the adequacy stage cannot compute, each case as (config overrides, a
+# rewrite of the fixture's outage lines): an adequacy_year without outage
+# records, an extra outage above every winter month's max output, a January
+# without telemetry, and outages only in a year without load.
+ADEQUACY_OMISSIONS = {
+    "no-outage-year": ({"adequacy_year": "2010"}, None),
+    "extra-above-output": ({"extra_outage_gw": "1000"}, None),
+    "blank-january-telemetry": ({}, _blank_january_telemetry),
+    "outage-year-without-load": (
+        {},
+        lambda lines: [
+            lines[0],
+            "2030-01-10T00:00,7000.00,45000.00",
+            "2030-04-10T00:00,9000.00,41000.00",
+            "2030-12-10T00:00,7000.00,46000.00",
+        ],
+    ),
+}
+
+
 # sha256 of each file of the seed-42 fixture, which the committed golden
 # and the acceptance criteria are computed from.
 SEED_42_SHA256 = {
@@ -127,6 +151,28 @@ class TestFixtureGeneration:
         assert _tree_digests(tmp_path) == SEED_1_SHA256
 
 
+# Each config line load_config or RunConfig.validate rejects, with the message;
+# {dir} is the config file's directory.
+CONFIG_REJECTIONS = {
+    "window_len = 0": "config key window_len: must be >= 1, got 0",
+    "window_len = x": "config key window_len: expected an integer, got 'x'",
+    "min_hours = 25": "config key min_hours: must be in 0..24, got 25",
+    "max_missing_days = -1": "config key max_missing_days: must be >= 0",
+    "outlier_policy = sometimes": (
+        "config key outlier_policy: must be one of ('none', 'auto'), got 'sometimes'"
+    ),
+    "persistence = 0": "config key persistence: must be >= 1",
+    "extra_outage_gw = -1": "config key extra_outage_gw: must be >= 0",
+    "extra_outage_gw = lots": "config key extra_outage_gw: expected a number, got 'lots'",
+    "adequacy_bin_gw = 0": "config key adequacy_bin_gw: must be > 0",
+    "allow_year_wrap = maybe": "config key allow_year_wrap: expected a boolean, got 'maybe'",
+    "out_dir =": "config key out_dir: must not be empty",
+    "load_csv = nowhere.csv": "config key load_csv: file not found: {dir}/nowhere.csv",
+    "frobnicate = 3": "bad.conf line 1: unknown config key 'frobnicate'",
+    "window_len 45": "bad.conf line 1: expected 'key = value'",
+}
+
+
 class TestConfig:
     def test_load_resolves_relative_paths(self, fixture_dir) -> None:
         cfg = load_config(fixture_dir / "fixture.conf")
@@ -146,11 +192,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="config key load_csv"):
             load_config(path)
 
-    def test_bad_window_len_named(self, tmp_path) -> None:
+    @pytest.mark.parametrize("line, message", CONFIG_REJECTIONS.items(), ids=CONFIG_REJECTIONS)
+    def test_rejection_text(self, tmp_path, line, message) -> None:
         path = tmp_path / "bad.conf"
-        path.write_text("window_len = 0\n")
-        with pytest.raises(ValueError, match="config key window_len"):
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError) as rejected:
             load_config(path)
+        assert str(rejected.value) == message.format(dir=tmp_path)
 
     def test_empty_out_dir_named(self, tmp_path, capsys) -> None:
         path = tmp_path / "bad.conf"
@@ -159,12 +207,6 @@ class TestConfig:
             load_config(path)
         assert main(["all", "--config", str(path)]) == 1
         assert capsys.readouterr().err == "error: config key out_dir: must not be empty\n"
-
-    def test_bad_outlier_policy(self, tmp_path) -> None:
-        path = tmp_path / "bad.conf"
-        path.write_text("outlier_policy = sometimes\n")
-        with pytest.raises(ValueError, match="config key outlier_policy"):
-            load_config(path)
 
     def test_help_shows_every_key_and_a_default_that_loads(
         self, tmp_path, monkeypatch, capsys
@@ -367,6 +409,42 @@ class TestPipeline:
         assert hist[1] == "bin_low,bin_high,count"
         total = sum(int(line.rsplit(",", 1)[1]) for line in hist[2:])
         assert total > 0
+
+    @pytest.mark.parametrize("case", ADEQUACY_OMISSIONS)
+    def test_adequacy_omits_what_it_cannot_compute(
+        self, fixture_dir, full_run, tmp_path, case
+    ) -> None:
+        overrides, rewrite = ADEQUACY_OMISSIONS[case]
+        if rewrite is not None:
+            lines = (fixture_dir / "fixture_outages.csv").read_text().splitlines()
+            (tmp_path / "outages.csv").write_text("\n".join(rewrite(lines)) + "\n")
+            overrides = {"outage_csv": str(tmp_path / "outages.csv")}
+        cfg = load_config(_config_variant(fixture_dir, tmp_path / "x.conf", **overrides))
+        cfg.out_dir = out = tmp_path / "out"
+        shutil.copytree(full_run, out)
+        run_pipeline(cfg, ["adequacy", "report"])
+
+        def months(root: Path) -> list[str]:
+            return [line.split(",")[0] for line in (root / F["unmet"]).read_text().splitlines()[1:]]
+
+        def hists(root: Path) -> list[str]:
+            return sorted(p.name for p in root.glob("generation_hist_*.csv"))
+
+        unmet_header = cli.OUTPUTS["unmet"].header + "\n"
+        if case == "no-outage-year":
+            assert (out / F["periods"]).read_text() == cli.OUTPUTS["periods"].header + "\n"
+            assert json.loads((out / F["adequacy_summary"]).read_text()) == {"focus_year": 2010}
+            assert "[maintenance adequacy]\n" in (out / F["report"]).read_text()
+            assert (months(out), hists(out)) == (months(full_run), hists(full_run))
+        elif case == "extra-above-output":
+            assert (out / F["unmet"]).read_text() == unmet_header
+            assert hists(out) == hists(full_run)
+        elif case == "blank-january-telemetry":
+            assert months(out) == [m for m in months(full_run) if not m.endswith("-01")]
+            assert hists(out) == [h for h in hists(full_run) if h != "generation_hist_january.csv"]
+        else:
+            assert (out / F["unmet"]).read_text() == unmet_header
+            assert hists(out) == []
 
     def test_unmet_table_has_winter_months(self, full_run) -> None:
         lines = (full_run / F["unmet"]).read_text().splitlines()[1:]

@@ -100,6 +100,8 @@ class TestEnsembleAnnualStats:
             )
         with pytest.raises(ValueError, match="month 13 out of range"):
             parse_ensemble_csv(["member,year,month,t2m_c", "m1,2020,13,12.5"])
+        with pytest.raises(ValueError, match=r"^line 2: bad year/month '20x0','1'$"):
+            parse_ensemble_csv(["member,year,month,t2m_c", "m1,20x0,1,12.5"])
 
 
 class TestBiasCorrection:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -197,6 +198,12 @@ class TestReferenceTemperature:
         with pytest.raises(ValueError, match="no interior minimum"):
             reference_temperature(fit)
 
+    def test_no_stationary_point_errors(self) -> None:
+        fit = CubicDemandFit(None, 1.0, 0.0, 1.0, 0.0, fit_range=(0.0, 40.0))
+        message = "demand fit has no interior minimum (no stationary points)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reference_temperature(fit)
+
     def test_minimum_outside_range_errors(self) -> None:
         fit = CubicDemandFit(None, 0.0, 1.0, -30.0, 0.0, fit_range=(20.0, 40.0))
         with pytest.raises(ValueError, match="outside the fit range"):
@@ -285,6 +292,10 @@ class TestSpatialStd:
         with pytest.warns(UserWarning, match="single-cell"):
             assert spatial_temp_stddev(grid) == 0.0
 
+    def test_grid_without_days_errors(self) -> None:
+        with pytest.raises(ValueError, match="^temperature grid has no days$"):
+            spatial_temp_stddev(_grid_2x2(days=0))
+
     def test_mask_selecting_uniform_subregion(self) -> None:
         grid = _grid_2x2()
         grid.mask = np.array([[False, True], [False, False]])
@@ -316,6 +327,37 @@ class TestGridIO:
             assert back.is_hourly == hourly
             assert np.array_equal(back.lats, grid.lats)
             assert np.array_equal(back.lons, grid.lons)
+
+    def test_raster_shape_must_match_sidecar(self, tmp_path) -> None:
+        path = tmp_path / "grid.npy"
+        np.save(path, np.zeros((3, 2, 2)))
+        sidecar = {"lats": [30.0, 30.25], "lons": [-98.0], "times": ["2020-01-01"], "hourly": False}
+        path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
+        message = "raster shape (3, 2, 2) does not match sidecar axes (1, 2, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_grid_raster(path)
+
+    @pytest.mark.parametrize(
+        "read, rows, message",
+        [
+            (read_population_csv, ["lat,lon,epoch,persons"], "population file has no data rows"),
+            (read_mask_csv, ["lat,lon,in_region", ""], "mask file has no data rows"),
+            (
+                read_population_csv,
+                ["lat,lon,epoch,persons", "30.0,-98.0,2000,-1"],
+                "line 2: negative persons value '-1'",
+            ),
+            (
+                read_mask_csv,
+                ["lat,lon,in_region", "30.0,-98.0,yes"],
+                "line 2: in_region must be 0 or 1, got 'yes'",
+            ),
+        ],
+        ids=["empty-population", "empty-mask", "negative-persons", "mask-flag"],
+    )
+    def test_population_and_mask_rejections(self, read, rows, message) -> None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(rows)
 
     def test_duplicate_cell_errors(self) -> None:
         rows = [
