@@ -31,7 +31,8 @@ MASK_HEADER = "lat,lon,in_region"
 _GRID_DTYPE = np.dtype([("lat", "f8"), ("lon", "f8"), ("date", object), ("t2m_c", "f8")])
 
 # Days per block of the regional reductions: bounds the masked copy
-# (block days x region cells) each one makes of the raster.
+# (block days x region cells) each one makes of the raster, and each read
+# of a `.npy` raster.
 _BLOCK_DAYS = 256
 
 
@@ -41,13 +42,15 @@ class TemperatureGrid:
 
     values has shape (n_times, n_lats, n_lons). The time axis holds dates
     for daily grids or datetimes for hourly grids. mask marks the cells
-    belonging to the analysis region; None means all cells are in.
+    belonging to the analysis region; None means all cells are in. A grid
+    loaded from a `.npy` raster holds a RasterReader, which reads the file
+    a slice of the time axis at a time.
     """
 
     lats: np.ndarray
     lons: np.ndarray
     times: list
-    values: np.ndarray
+    values: np.ndarray | RasterReader
     mask: np.ndarray | None = None
 
     @property
@@ -179,12 +182,69 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     return TemperatureGrid(lats, lons, times, values)
 
 
+class RasterReader:
+    """A C-ordered `.npy` array on disk, read one slice of its first axis at a time.
+
+    An index whose first element is a step-1 slice reads only those rows
+    (`np.fromfile` at their offset). Any other index, `np.asarray` and
+    `tobytes` read the whole array.
+    """
+
+    def __init__(self, path: Path, shape: tuple[int, ...], dtype: np.dtype, offset: int):
+        self.path, self.shape, self.dtype, self._offset = path, shape, dtype, offset
+        self.size = math.prod(shape)
+        self._row_size = math.prod(shape[1:])
+
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        count = (stop - start) * self._row_size
+        offset = self._offset + start * self._row_size * self.dtype.itemsize
+        rows = np.fromfile(self.path, self.dtype, count, offset=offset)
+        return rows.reshape(stop - start, *self.shape[1:])
+
+    def __getitem__(self, key):
+        first, rest = (key[0], key[1:]) if isinstance(key, tuple) and key else (key, ())
+        if isinstance(first, slice) and first.step in (None, 1):
+            start, stop, _ = first.indices(self.shape[0])
+            return self._read(start, max(start, stop))[(slice(None), *rest)]
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        values = self._read(0, self.shape[0])
+        return values if dtype is None else values.astype(dtype, copy=False)
+
+    def tobytes(self) -> bytes:
+        return self._read(0, self.shape[0]).tobytes()
+
+
+def _open_raster(path: Path) -> np.ndarray | RasterReader:
+    """A reader of the `.npy` file; a Fortran-ordered array, or one in a
+    header version other than 1.0 and 2.0, is read whole."""
+    fmt = np.lib.format
+    headers = {(1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0}
+    with open(path, "rb") as fh:
+        version = fmt.read_magic(fh)
+        if version not in headers:
+            return np.load(path)
+        shape, fortran_order, dtype = headers[version](fh)
+        offset = fh.tell()
+    if dtype.hasobject:
+        raise ValueError(f"raster {path} holds Python objects; only numeric rasters are read")
+    if fortran_order:
+        return np.load(path)
+    reader = RasterReader(path, shape, dtype, offset)
+    have, want = path.stat().st_size - offset, reader.size * dtype.itemsize
+    if have < want:
+        raise ValueError(f"raster {path} holds {have} bytes of data; its header declares {want}")
+    return reader
+
+
 def load_grid_raster(path: Path | str) -> TemperatureGrid:
+    """Open a `.npy` raster and its JSON sidecar of axes; values are read lazily."""
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
     parse = datetime.fromisoformat if sidecar["hourly"] else date.fromisoformat
     times = [parse(t) for t in sidecar["times"]]
-    values = np.load(path)
+    values = _open_raster(path)
     lats = np.array(sidecar["lats"], dtype=float)
     lons = np.array(sidecar["lons"], dtype=float)
     if values.shape != (len(times), len(lats), len(lons)):

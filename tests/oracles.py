@@ -21,6 +21,9 @@ messages agree by construction.
 
 The least-squares reference solves the normal equations in exact rational
 arithmetic, so it shares no rounding with the library's centred fit.
+The cutoff-filtered correlation reference is a two-pass Pearson over the
+kept pairs with exactly rounded sums (`math.fsum`), and the merge-year
+reference scans the sorted overlap years for a long enough run.
 """
 
 from __future__ import annotations
@@ -472,3 +475,66 @@ def exact_ols(points: Sequence[tuple[int, int]]) -> tuple[Fraction, Fraction, Fr
     intercept = (sxx * sy - sx * sxy) / det
     ssr = sum((y - slope * x - intercept) ** 2 for x, y in points)
     return slope, intercept, ssr / (n - 2) / (det / n) if n > 2 else Fraction(0)
+
+
+# -- correlation with a seasonal cutoff, and the merge year ---------------------
+
+
+def _day_number(onset) -> float:
+    if isinstance(onset, date):
+        return float(onset.toordinal() - date(onset.year, 1, 1).toordinal() + 1)
+    return float(onset)
+
+
+def reference_pearson_with_cutoff(x_onsets, y_onsets, season: str, cutoff):
+    """(r, kept years, excluded years) of the pairs the cutoff keeps, or the error text.
+
+    A spring pair is kept when its x onset falls on or after the cutoff, a
+    fall pair when it falls on or before it; dates compare by (month, day).
+    """
+    if season not in ("spring", "fall"):
+        return f"season must be 'spring' or 'fall', got {season!r}"
+
+    def key(onset):
+        return (onset.month, onset.day) if isinstance(onset, date) else onset
+
+    kept, excluded = [], []
+    for year in sorted(set(x_onsets) & set(y_onsets)):
+        x_key, c_key = key(x_onsets[year]), key(cutoff)
+        keep = x_key >= c_key if season == "spring" else x_key <= c_key
+        (kept if keep else excluded).append(year)
+    if len(kept) < 3:
+        return f"only {len(kept)} pairs remain after the cutoff; need at least 3"
+    xs = [_day_number(x_onsets[y]) for y in kept]
+    ys = [_day_number(y_onsets[y]) for y in kept]
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    syy = math.fsum((y - my) ** 2 for y in ys)
+    if sxx == 0 or syy == 0:
+        return "zero variance: correlation undefined"
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return sxy / math.sqrt(sxx * syy), kept, excluded
+
+
+def reference_merge_year(spring, fall, persistence: int, days_per_year: int = 365):
+    """First year of the first run of `persistence` consecutive years whose fall
+    interval meets the next spring's (shifted by a year), or None; or the error text."""
+    if persistence < 1:
+        return "persistence must be >= 1"
+    spring_by_year = {p.year: p for p in spring}
+    overlap_years = []
+    for f in fall:
+        s = spring_by_year.get(f.year + 1)
+        if s is None:
+            continue
+        s_low, s_high = s.ci_low + days_per_year, s.ci_high + days_per_year
+        if f.ci_low <= s_high and s_low <= f.ci_high and f.ci_low <= f.ci_high and s_low <= s_high:
+            overlap_years.append(f.year)
+    run_start = previous = None
+    for year in sorted(overlap_years):
+        if previous is None or year != previous + 1:
+            run_start = year
+        previous = year
+        if year - run_start + 1 >= persistence:
+            return run_start
+    return None

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shoulderseason import cli, ingest
+from rasters import write_raster
+from shoulderseason import cli, ingest, thermal
 from shoulderseason.cli import (
     F,
     STAGES,
@@ -279,6 +280,36 @@ class TestPipeline:
         for stage in stages:
             run_pipeline(cfg, [stage])
         assert _tree_bytes(tmp_path / "staged") == _tree_bytes(tmp_path / "all")
+
+    @pytest.mark.parametrize("block_days", [None, 7])
+    def test_raster_grid_gives_the_csv_tree(
+        self, fixture_dir, full_run, tmp_path, monkeypatch, block_days
+    ) -> None:
+        # The fixture's grid rewritten as a .npy raster and sidecar; the
+        # thermal stage reads it at most a block of days at a time, once
+        # per regional reduction.
+        with open(fixture_dir / "fixture_temperature.csv", encoding="utf-8") as fh:
+            grid = thermal.read_grid_csv(fh)
+        raster = write_raster(tmp_path / "temperature.npy", grid)
+        cfg = load_config(
+            _config_variant(fixture_dir, tmp_path / "x.conf", temperature_grid=str(raster))
+        )
+        cfg.out_dir = tmp_path / "out"
+        if block_days is not None:
+            monkeypatch.setattr(thermal, "_BLOCK_DAYS", block_days)
+        days_read: list[int] = []
+        fromfile = np.fromfile
+
+        def spy(*args, **kwargs):
+            rows = fromfile(*args, **kwargs)
+            days_read.append(rows.size // grid.values[0].size)
+            return rows
+
+        monkeypatch.setattr(np, "fromfile", spy)
+        run_pipeline(cfg, _stages_for_all(cfg))
+        assert _tree_bytes(cfg.out_dir) == _tree_bytes(full_run)
+        assert max(days_read) <= thermal._BLOCK_DAYS
+        assert sum(days_read) == 3 * len(grid.times)
 
     def test_all_parses_each_input_once(self, fixture_dir, tmp_path, monkeypatch) -> None:
         calls: Counter[str] = Counter()

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rasters import write_raster
 from shoulderseason import thermal
 from shoulderseason.ingest import DailySeries
 from shoulderseason.thermal import PopulationGrid, TemperatureGrid
@@ -178,6 +179,33 @@ def test_reductions_match_reference_on_a_wide_region(seed: int, block_days) -> N
     ]:
         assert _series_rows(got) == [(d, _bits(t)) for d, t in want]
     got_std = _blocked(block_days, thermal.spatial_temp_stddev, grid)
+    assert _bits(got_std) == _bits(oracles.reference_spatial_temp_stddev(grid))
+
+
+@pytest.mark.parametrize("hourly", [False, True], ids=["daily", "hourly"])
+@pytest.mark.parametrize("block_days", [1, 7, 256])
+def test_raster_backed_reductions_match_reference(tmp_path, hourly: bool, block_days: int) -> None:
+    # The wide region above, read from a .npy raster a block of days at a
+    # time, against the references on the same values held in memory.
+    rng = np.random.default_rng(block_days)
+    days = [FIRST_DAY + timedelta(days=i) for i in range(0, 900, 3)]
+    if hourly:
+        times = [datetime(d.year, d.month, d.day, h) for d in days for h in (0, 9, 17)]
+    else:
+        times = days
+    grid = TemperatureGrid(
+        np.arange(4.0), np.arange(5.0), times, rng.normal(15.0, 9.0, (len(times), 4, 5))
+    )
+    grid.mask = rng.random((4, 5)) < 0.8
+    pop = PopulationGrid(grid.lats, grid.lons, [2000, 2002], rng.uniform(0, 1e3, (2, 4, 5)))
+    raster = thermal.load_grid_raster(write_raster(tmp_path / "grid.npy", grid))
+    assert isinstance(raster.values, thermal.RasterReader)
+    raster.mask = grid.mask
+    for weights in (pop, None):
+        got = _blocked(block_days, thermal.population_weighted_daily_temp, raster, weights)
+        want = oracles.reference_population_weighted_daily_temp(grid, weights)
+        assert _series_rows(got) == [(d, _bits(t)) for d, t in want]
+    got_std = _blocked(block_days, thermal.spatial_temp_stddev, raster)
     assert _bits(got_std) == _bits(oracles.reference_spatial_temp_stddev(grid))
 
 

@@ -5,7 +5,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from shoulderseason.projection import (
     BiasCorrection,
     EnsembleAnnualStats,
@@ -311,3 +314,26 @@ class TestMergeYear:
     def test_bad_persistence(self) -> None:
         with pytest.raises(ValueError, match="persistence"):
             merge_year([], [], persistence=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), persistence=st.integers(0, 4))
+    def test_matches_direct_scan(self, data, persistence: int) -> None:
+        # Whole-day bands over 2030-2041 less up to two years, in any
+        # order, so edges touch and runs break; a negative half width gives
+        # an inverted band, which overlaps nothing.
+        def bands(centers) -> list[OnsetProjection]:
+            gaps = data.draw(st.sets(st.integers(2030, 2041), max_size=2))
+            years = data.draw(st.permutations([y for y in range(2030, 2042) if y not in gaps]))
+            return [
+                self._band(year, float(data.draw(centers)), float(data.draw(st.integers(-5, 80))))
+                for year in years
+            ]
+
+        spring = bands(st.integers(0, 100))
+        fall = bands(st.integers(300, 400))
+        want = oracles.reference_merge_year(spring, fall, persistence)
+        try:
+            got = merge_year(spring, fall, persistence)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from golden_cubics import GOLDEN_CUBIC_ROWS, GOLDEN_T0_MEAN
+from rasters import write_raster
 from shoulderseason.ingest import DailySeries
 from shoulderseason.thermal import (
     CubicDemandFit,
     PopulationGrid,
+    RasterReader,
     RegionMask,
     TemperatureGrid,
     annual_means,
@@ -336,6 +338,79 @@ class TestGridIO:
         message = "raster shape (3, 2, 2) does not match sidecar axes (1, 2, 1)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_grid_raster(path)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            slice(None),
+            slice(1, 3),
+            slice(-2, None),
+            slice(3, 1),
+            slice(2, 99),
+            slice(None, None, 2),
+            slice(None, None, -1),
+            0,
+            -1,
+            np.int64(2),
+            (slice(1, 3), 0),
+            (2, slice(None), 1),
+            (Ellipsis, 0),
+            [3, 0],
+        ],
+    )
+    def test_raster_reader_indexes_like_the_array(self, tmp_path, key) -> None:
+        grid = _grid_2x2(days=5)
+        grid.values *= np.pi
+        back = load_grid_raster(write_raster(tmp_path / "grid.npy", grid))
+        assert isinstance(back.values, RasterReader)
+        assert (back.values.shape, back.values.dtype, back.values.size) == (
+            grid.values.shape,
+            grid.values.dtype,
+            grid.values.size,
+        )
+        got, want = back.values[key], grid.values[key]
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        assert np.asarray(back.values).tobytes() == grid.values.tobytes()
+
+    def test_raster_slice_reads_only_its_days(self, tmp_path, monkeypatch) -> None:
+        grid = _grid_2x2(days=10)
+        back = load_grid_raster(write_raster(tmp_path / "grid.npy", grid))
+        counts = []
+        fromfile = np.fromfile
+
+        def spy(*args, **kwargs):
+            rows = fromfile(*args, **kwargs)
+            counts.append(rows.size)
+            return rows
+
+        monkeypatch.setattr(np, "fromfile", spy)
+        assert back.values[4:7].tobytes() == grid.values[4:7].tobytes()
+        assert back.values[-2:, 1].tobytes() == grid.values[-2:, 1].tobytes()
+        assert counts == [3 * 4, 2 * 4]
+
+    def test_raster_shorter_than_its_header_is_named(self, tmp_path) -> None:
+        path = write_raster(tmp_path / "grid.npy", _grid_2x2(days=3))
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 8)
+        # 3 days x 4 cells x 8 bytes after the 128-byte header
+        message = f"raster {path} holds 88 bytes of data; its header declares 96"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_grid_raster(path)
+
+    def test_object_raster_is_refused(self, tmp_path) -> None:
+        grid = _grid_2x2(days=1)
+        grid.values = grid.values.astype(object)
+        path = write_raster(tmp_path / "grid.npy", grid)
+        message = f"raster {path} holds Python objects; only numeric rasters are read"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_grid_raster(path)
+
+    def test_fortran_ordered_raster_is_read_whole(self, tmp_path) -> None:
+        grid = _grid_2x2(days=4)
+        grid.values = np.asfortranarray(grid.values * np.pi)
+        back = load_grid_raster(write_raster(tmp_path / "grid.npy", grid))
+        assert isinstance(back.values, np.ndarray)
+        assert back.values.tobytes() == grid.values.tobytes()
 
     @pytest.mark.parametrize(
         "read, rows, message",

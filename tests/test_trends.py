@@ -5,7 +5,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from shoulderseason.trends import (
     confidence_band,
     linear_trend,
@@ -271,6 +274,34 @@ class TestPearsonWithCutoff:
         y = {k: 10.0 for k in x}
         with pytest.raises(TypeError, match="both be dates"):
             pearson_with_cutoff(x, y, "spring", 50.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), season=st.sampled_from(["spring", "fall"]))
+    def test_matches_two_pass_reference(self, data, season: str) -> None:
+        # Dates (the cutoff from another year, leap days included), day
+        # numbers, or day numbers so close that ties at the cutoff and zero
+        # variance occur. y lacks x's first years and has one of its own.
+        dates = st.dates(date(1999, 1, 1), date(2001, 12, 31))
+        onset = data.draw(st.sampled_from([dates, st.integers(1, 366), st.integers(100, 102)]))
+        years = data.draw(st.lists(st.integers(1990, 2020), unique=True, max_size=20))
+        x = {year: data.draw(onset) for year in years}
+        y = {year: data.draw(onset) for year in [*years[data.draw(st.integers(0, 2)) :], 2021]}
+        cutoff = data.draw(onset)
+        want = oracles.reference_pearson_with_cutoff(x, y, season, cutoff)
+        try:
+            got = pearson_with_cutoff(x, y, season, cutoff)
+        except ValueError as exc:
+            assert str(exc) == want
+            return
+        assert not isinstance(want, str)
+        r, kept, excluded = want
+        assert got.r == pytest.approx(r, rel=0, abs=1e-12)
+        assert (got.n_used, got.cutoff, got.excluded_count, got.excluded_years) == (
+            len(kept),
+            cutoff,
+            len(excluded),
+            tuple(excluded),
+        )
 
     def test_plain_pearson_zero_variance(self) -> None:
         with pytest.raises(ValueError, match="zero variance"):
