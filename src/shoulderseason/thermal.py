@@ -123,6 +123,12 @@ class _Codes(dict):
         return code
 
 
+def _slots(slots: _Codes, column: np.ndarray) -> np.ndarray:
+    """The slot of each value in the column, numbering values not seen before."""
+    keys, inverse = np.unique(column, return_inverse=True)
+    return np.fromiter(map(slots.__getitem__, keys.tolist()), np.intp, len(keys))[inverse]
+
+
 def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     """Read a long-format `lat,lon,date,t2m_c` grid file.
 
@@ -131,55 +137,64 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     datetimes (hourly grid), never a mixture. Blank lines are skipped but
     counted in error line numbers, and fields are whitespace-trimmed.
 
-    Lines are parsed in chunks by `ingest.read_csv_chunks` into numeric
-    columns plus an integer code per distinct date string. A chunk that
-    fails to parse, or holds a non-finite value or a bad date, is
+    Lines are parsed in chunks by `ingest.read_csv_chunks`, and each chunk
+    is scattered into a NaN-filled (time, lat, lon) array as it is read,
+    so memory follows the grid and one chunk, not the row count. A chunk
+    that fails to parse, or holds a non-finite value or a bad date, is
     rescanned row by row to name its first offending line.
     """
     time_codes = _Codes()  # raw date text -> code
-    parsed_times: list = []  # indexed by code
+    code_slot = np.empty(0, np.intp)  # code -> time slot
+    # Distinct texts can parse to one time ("T05:00", " 05:00:00"): a time
+    # slot is keyed by the parsed time, a lat or lon slot by its float.
+    axes = (_Codes(), _Codes(), _Codes())
+    values = np.full((0, 0, 0), np.nan)  # indexed by slot; grows as slots appear
+    repeated: list[str] = []  # the error of the first row that hits a filled cell
 
-    def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        # Copies, so that no view keeps the chunk's date strings alive.
-        lat, lon, val = (rows[name].copy() for name in ("lat", "lon", "t2m_c"))
+    def scatter(rows: np.ndarray) -> None:
+        nonlocal code_slot, values
+        lat, lon, val = rows["lat"], rows["lon"], rows["t2m_c"]
         known = len(time_codes)
         codes = np.fromiter(map(time_codes.__getitem__, rows["date"]), np.intp, len(rows))
         # The line number is a placeholder: on error the rescan names it.
-        parsed_times.extend(_parse_time(t.strip(), 0) for t in islice(time_codes, known, None))
+        new = [axes[0][_parse_time(t.strip(), 0)] for t in islice(time_codes, known, None)]
         if not all(np.isfinite(col).all() for col in (lat, lon, val)):
             raise ValueError("non-finite value")
-        return lat, lon, codes, val
+        if new:
+            code_slot = np.concatenate((code_slot, new))
+        index = (code_slot[codes], _slots(axes[1], lat), _slots(axes[2], lon))
+        # Grow by half, along only the axes that need it: the spare room of
+        # the axes multiplies, so a factor of 2 would allow 8 times the grid.
+        need = map(len, axes)
+        shape = tuple(c if n <= c else max(n, c + c // 2) for n, c in zip(need, values.shape))
+        if shape != values.shape:
+            grown = np.full(shape, np.nan)
+            grown[tuple(map(slice, values.shape))] = values
+            values = grown
+        flat = np.ravel_multi_index(index, shape)
+        cells = values.reshape(-1)
+        hit = np.ones(len(flat), bool)  # a cell given earlier in this chunk,
+        hit[np.unique(flat, return_index=True)[1]] = False
+        hit |= ~np.isnan(cells[flat])  # or by an earlier chunk
+        if hit.any() and not repeated:
+            row = int(hit.argmax())
+            when = _parse_time(rows["date"][row].strip(), 0)
+            repeated.append(
+                f"duplicate grid entry for ({float(lat[row])}, {float(lon[row])}, {when})"
+            )
+        cells[flat] = val
 
-    columns = read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row)
-    if not columns:
+    if not read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, scatter, _check_grid_row):
         raise ValueError("grid file has no data rows")
-    if len({isinstance(t, datetime) for t in parsed_times}) > 1:
+    if len({isinstance(t, datetime) for t in axes[0]}) > 1:
         raise ValueError("grid file mixes daily and hourly rows")
-
-    lat_all, lon_all, code_all, val_all = (np.concatenate(c) for c in zip(*columns))
-    del columns
-    lats, lat_idx = np.unique(lat_all, return_inverse=True)
-    lons, lon_idx = np.unique(lon_all, return_inverse=True)
-    # Distinct texts can parse to one time ("T05:00", " 05:00:00"); the
-    # codes of all of them map to its slot.
-    times = sorted(set(parsed_times))
-    t_index = {t: i for i, t in enumerate(times)}
-    time_idx = np.array([t_index[t] for t in parsed_times], dtype=np.intp)[code_all]
-    cell = (time_idx * len(lats) + lat_idx) * len(lons) + lon_idx
-    size = len(times) * len(lats) * len(lons)
-    if np.bincount(cell, minlength=size).max() > 1:
-        # Report the duplicate row that comes first in the file.
-        order = np.argsort(cell, kind="stable")
-        ranked = cell[order]
-        row = int(order[1:][ranked[1:] == ranked[:-1]].min())
-        raise ValueError(
-            f"duplicate grid entry for ({float(lat_all[row])}, {float(lon_all[row])}, "
-            f"{parsed_times[code_all[row]]})"
-        )
-    values = np.full(size, np.nan)
-    values[cell] = val_all
-    values = values.reshape(len(times), len(lats), len(lons))
-    return TemperatureGrid(lats, lons, times, values)
+    if repeated:
+        raise ValueError(repeated[0])
+    keys = [list(axis) for axis in axes]
+    order = [sorted(range(len(k)), key=k.__getitem__) for k in keys]
+    lats, lons = (np.array(k, dtype=float)[o] for k, o in zip(keys[1:], order[1:]))
+    times = [keys[0][i] for i in order[0]]
+    return TemperatureGrid(lats, lons, times, values[np.ix_(*order)])
 
 
 class RasterReader:
@@ -320,18 +335,22 @@ def attach_mask(grid: TemperatureGrid, mask: RegionMask) -> TemperatureGrid:
 
 
 def daily_cell_means(grid: TemperatureGrid) -> tuple[list[date], np.ndarray]:
-    """Collapse an hourly grid to per-cell daily means; pass daily through."""
+    """Collapse an hourly grid to per-cell daily means; pass daily through.
+
+    The hours are read whole days at a time, at most _BLOCK_DAYS days per read.
+    """
     if not grid.is_hourly:
         return grid.times, grid.values
-    days: list[date] = []
-    chunks: list[np.ndarray] = []
-    start = 0
-    for i in range(1, len(grid.times) + 1):
-        if i == len(grid.times) or grid.times[i].date() != grid.times[start].date():
-            days.append(grid.times[start].date())
-            chunks.append(grid.values[start:i].mean(axis=0))
-            start = i
-    return days, np.stack(chunks)
+    days = [t.date() for t in grid.times]
+    # The first hour of each day, then the end of the last day.
+    starts = [i for i in range(len(days)) if i == 0 or days[i] != days[i - 1]] + [len(days)]
+    means: list[np.ndarray] = []
+    for d0 in range(0, len(starts) - 1, _BLOCK_DAYS):
+        edges = starts[d0 : d0 + _BLOCK_DAYS + 1]
+        block = grid.values[edges[0] : edges[-1]]
+        offsets = [i - edges[0] for i in edges]
+        means.extend(block[a:b].mean(axis=0) for a, b in zip(offsets, offsets[1:]))
+    return [days[i] for i in starts[:-1]], np.stack(means)
 
 
 def _region_blocks(grid: TemperatureGrid) -> tuple[np.ndarray, np.ndarray, Iterator[tuple]]:

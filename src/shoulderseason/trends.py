@@ -141,7 +141,15 @@ def linear_trend(
         x = np.array([p[0] for p in pts], dtype=float)
         y = np.array([p[1] for p in pts], dtype=float)
         slope, intercept, stderr, s2, x_mean, sxx = ols(x, y)
-        if not auto_exclude or n_auto >= max_auto_exclusions or s2 == 0:
+        if not auto_exclude or n_auto >= max_auto_exclusions:
+            break
+        # Points on an exact line leave residuals of rounding alone, whose
+        # ratios mean nothing. Refitted about both means, such residuals are
+        # a few units in the last place of the terms, for each point summed.
+        xc, yc = x - x_mean, y - y.mean()
+        centred = yc - (xc * yc).sum() / sxx * xc
+        rounding = len(x) * np.finfo(float).eps * (np.abs(y).max() + abs(slope) * np.abs(x).max())
+        if np.abs(centred).max() <= 4 * rounding:
             break
         # Internally studentized residuals; leverage from the hat matrix.
         resid = y - (slope * x + intercept)

@@ -24,6 +24,10 @@ arithmetic, so it shares no rounding with the library's centred fit.
 The cutoff-filtered correlation reference is a two-pass Pearson over the
 kept pairs with exactly rounded sums (`math.fsum`), and the merge-year
 reference scans the sorted overlap years for a long enough run.
+The shift probability reference is the closed form through `math.erfc`;
+the outlier-exclusion reference refits in exact arithmetic after each
+removal, and the demand-minimum reference searches a dense grid of the
+cubic in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -538,3 +542,84 @@ def reference_merge_year(spring, fall, persistence: int, days_per_year: int = 36
         if year - run_start + 1 >= persistence:
             return run_start
     return None
+
+
+# -- shift probability, outlier exclusion and the demand minimum ------------------
+
+
+def reference_shift_probability(slope: float, stderr: float, direction: str) -> float:
+    """The normal probability of a shift in `direction`, in closed form:
+    Phi(z) = erfc(-z / sqrt(2)) / 2 with z the signed slope over its stderr.
+    A zero stderr gives 1, 0 or 1/2 by the sign of the signed slope."""
+    signed = -slope if direction == "earlier" else slope
+    if stderr == 0:
+        return 0.5 if signed == 0 else float(signed > 0)
+    return 0.5 * math.erfc(-(signed / stderr) / math.sqrt(2.0))
+
+
+def reference_auto_exclusions(points, threshold: float = 2.5, max_removals: int = 5):
+    """The points studentized auto-exclusion removes, in removal order, by a
+    refit from scratch in exact arithmetic after each removal.
+
+    Each round fits the kept points, stops when they fit exactly, number 3,
+    or have had `max_removals` removed, and otherwise removes the point with
+    the largest internally studentized residual r_i / sqrt(s2 (1 - h_i))
+    (the first in x order on a tie) if it exceeds the threshold. Squares are
+    compared, so no square root rounds. Returns None when a decision rests
+    on a gap smaller than 1e-9 of its size: between the two largest
+    residuals, or between the largest and the threshold, where the float
+    fit's rounding may decide the other way.
+    """
+    kept = sorted(points)
+    removed = []
+    limit = Fraction(threshold) ** 2
+    while len(removed) < max_removals and len(kept) > 3:
+        slope, intercept, _ = exact_ols(kept)
+        xs = [Fraction(x) for x, _ in kept]
+        resid = [Fraction(y) - slope * x - intercept for x, (_, y) in zip(xs, kept)]
+        n = len(kept)
+        s2 = sum(r * r for r in resid) / (n - 2)
+        if s2 == 0:
+            break
+        mean = sum(xs) / n
+        sxx = sum((x - mean) ** 2 for x in xs)
+        squared = [
+            r * r / (s2 * (1 - 1 / Fraction(n) - (x - mean) ** 2 / sxx))
+            for r, x in zip(resid, xs)
+        ]
+        worst = max(range(n), key=lambda i: (squared[i], -i))
+        top = squared[worst]
+        if abs(top - limit) < limit / 10**9:
+            return None
+        if top <= limit:
+            break
+        if top - max(squared[:worst] + squared[worst + 1 :]) < top / 10**9:
+            return None
+        removed.append(kept.pop(worst))
+    return tuple(removed)
+
+
+def reference_demand_minimum(fit, steps: int = 2**13):
+    """The minimum of the fitted demand cubic by a grid search over fit_range
+    in exact arithmetic: (grid temperature, grid step) at the grid's interior
+    local minimum, or None when the grid has none.
+
+    The grid points are t_k = lo + k (hi - lo) / steps. With c the common
+    denominator of lo and the step, u_k = c t_k is an integer, and with L
+    the common denominator of the coefficients, c**3 L D(t_k) is an integer
+    polynomial in u_k, so no value rounds. The constant term does not move
+    the minimum and is left out.
+    """
+    lo, hi = (Fraction(t) for t in fit.fit_range)
+    step = (hi - lo) / steps
+    c = math.lcm(lo.denominator, step.denominator)
+    coef = [Fraction(a) for a in (fit.a1, fit.a2, fit.a3)]
+    scale = math.lcm(*(a.denominator for a in coef))
+    e1, e2, e3 = (int(a * scale) for a in coef)
+    u = np.arange(steps + 1, dtype=object) * int(step * c) + int(lo * c)
+    d = ((e1 * u + e2 * c) * u + e3 * c * c) * u
+    inner = np.flatnonzero(((d[1:-1] < d[:-2]) & (d[1:-1] <= d[2:])).astype(bool)) + 1
+    if not len(inner):
+        return None
+    (k,) = inner  # a cubic has at most one local minimum
+    return float(lo + k * step), float(step)

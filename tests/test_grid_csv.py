@@ -1,10 +1,13 @@
-"""The chunked grid CSV reader against the row-by-row reference reader."""
+"""The chunked grid CSV reader against the row-by-row reference reader,
+and the bound on its memory."""
 
 from __future__ import annotations
 
 import io
+import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_read_grid_csv
 from shoulderseason import ingest
-from shoulderseason.thermal import read_grid_csv
+from shoulderseason.thermal import TemperatureGrid, load_temperature_grid, read_grid_csv
 
 HEADER = "lat,lon,date,t2m_c"
 
@@ -115,6 +118,56 @@ def test_large_file_matches_reference() -> None:
     assert len(rows) > ingest.CSV_CHUNK_LINES
     want = reference_read_grid_csv(io.StringIO(text))
     _assert_same_grid(read_grid_csv(io.StringIO(text)), want)
+
+
+def _write_cell_major(path, n_lat: int, n_lon: int, n_days: int) -> None:
+    """A dense daily grid, one cell's whole series after another, as the
+    benchmark worlds write it."""
+    rng = np.random.default_rng(11)
+    days = np.datetime_as_string(np.datetime64("1990-01-01") + np.arange(n_days)).tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(HEADER + "\n")
+        for i in range(n_lat):
+            for j in range(n_lon):
+                cell = f"{30.0 + 0.25 * i},{-100.0 + 0.25 * j},"
+                temps = rng.normal(15.0, 8.0, n_days).tolist()
+                fh.writelines(f"{cell}{d},{v:.4f}\n" for d, v in zip(days, temps))
+
+
+def _peak_bytes(path) -> tuple[int, TemperatureGrid]:
+    """The peak of traced allocation while reading the grid file, and the grid."""
+    tracemalloc.start()
+    try:
+        grid = load_temperature_grid(path)
+        return tracemalloc.get_traced_memory()[1], grid
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_follows_the_grid_not_the_rows(tmp_path, monkeypatch) -> None:
+    n_lat, n_lon, n_days, chunk_lines = 10, 10, 1500, 2048
+    assert n_lat * n_lon * n_days >= 8 * chunk_lines
+    monkeypatch.setattr(ingest, "CSV_CHUNK_LINES", chunk_lines)
+    path = tmp_path / "grid.csv"
+    _write_cell_major(path, n_lat, n_lon, n_days)
+    first_chunk = tmp_path / "first_chunk.csv"
+    with open(path, encoding="utf-8") as fh:
+        first_chunk.write_text("".join(islice(fh, chunk_lines + 1)), encoding="utf-8")
+
+    one_chunk, _ = _peak_bytes(first_chunk)
+    peak, grid = _peak_bytes(path)
+    assert grid.values.shape == (n_days, n_lat, n_lon)
+    # The bound, from the reader's growth rule. Each axis of the raster
+    # being filled grows to max(need, c + c // 2) from length c, so it is
+    # at most 1.5 times the axis it ends at, and the array at most 1.5**3
+    # times values.nbytes. While it grows, the old array is alive too, and
+    # is at most 3/4 of the new one along the grown axis (c = 3 -> 4). The
+    # sorting step at the end holds the grown array and the result, less
+    # than that. Everything else lives for one chunk, or grows with the
+    # time axis (the date texts, which the first chunk holds all of): the
+    # peak of reading the first chunk alone.
+    bound = 1.75 * 1.5**3 * grid.values.nbytes + one_chunk
+    assert peak < bound, (peak, bound, grid.values.nbytes, one_chunk)
 
 
 OK = "30.0,-98.0,2020-01-01,10.0"

@@ -1,5 +1,7 @@
 """The least-squares kernel behind onset trends and the ensemble bias
-correction, against exact normal equations on small integer data.
+correction, against exact normal equations on small integer data, and
+two metamorphic checks of the onset trend: a shift of every onset, and a
+reordering of the years.
 
 How far the float fit may stray, derived before the first run
 --------------------------------------------------------------
@@ -48,10 +50,11 @@ float to V), which adds 2 u sqrt(V).
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import exact_ols
 
@@ -128,3 +131,36 @@ def test_linear_trend_and_bias_correction_match_exact_ols(points) -> None:
     correction = fit_bias_correction(observed, ensemble)
     assert abs(Fraction(correction.gain) - slope) <= tol_slope
     assert abs(Fraction(correction.offset) - intercept) <= tol_intercept
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=integer_points(), k=st.integers(-512, 512))
+def test_shifting_every_onset_moves_only_the_intercept(points, k: int) -> None:
+    # Exactly, adding k days to every y leaves the slope and its stderr
+    # alone and adds k to the intercept. Each float fit lies within the
+    # bounds above of its own exact values (y + k stays below 2**13), so
+    # the two fits differ by at most the sum of their bounds.
+    shifted = [(x, y + k) for x, y in points]
+    try:
+        exact = [exact_ols(p) for p in (points, shifted)]
+    except ValueError:
+        return  # every x the same: the test above covers the refusal
+    tolerances = [ols_tolerances(p, *e) for p, e in zip((points, shifted), exact)]
+    (ds0, da0, de0), (ds1, da1, de1) = tolerances
+    base, moved = linear_trend(points), linear_trend(shifted)
+    assert abs(Fraction(moved.slope) - Fraction(base.slope)) <= ds0 + ds1
+    assert abs(Fraction(moved.intercept) - Fraction(base.intercept) - k) <= da0 + da1
+    assert abs(Fraction(moved.slope_stderr) - Fraction(base.slope_stderr)) <= de0 + de1
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=integer_points(), data=st.data(), auto_exclude=st.booleans())
+def test_reordering_the_years_changes_nothing(points, data, auto_exclude: bool) -> None:
+    # One y per year, as onsets are, given as pairs in any order or as a mapping.
+    by_year = {float(x): float(y) for x, y in points}
+    assume(len(by_year) >= 3)
+    pairs = list(by_year.items())
+    shuffled = data.draw(st.permutations(pairs))
+    want = repr(astuple(linear_trend(pairs, auto_exclude=auto_exclude)))
+    for given_points in (shuffled, dict(shuffled)):
+        assert repr(astuple(linear_trend(given_points, auto_exclude=auto_exclude))) == want

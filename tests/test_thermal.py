@@ -6,7 +6,10 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from golden_cubics import GOLDEN_CUBIC_ROWS, GOLDEN_T0_MEAN
 from rasters import write_raster
 from shoulderseason.ingest import DailySeries
@@ -227,6 +230,43 @@ class TestReferenceTemperature:
         fit = fit_demand_temperature_cubic(pairs)
         assert reference_temperature(fit) == pytest.approx(t0, abs=0.05)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a1=st.sampled_from([0]) | st.integers(-500, 2500),
+        at=st.integers(-200, 500),
+        curvature=st.integers(-500, 2000),
+        lo=st.integers(-150, 250),
+        width=st.integers(10, 450),
+    )
+    def test_matches_dense_grid_search(self, a1, at, curvature, lo, width) -> None:
+        # Cubics on the scale of the golden fits, drawn by a stationary point
+        # and the curvature there: a minimum when it is positive, and when it
+        # is negative a maximum, with maybe a minimum elsewhere. The range
+        # may miss it. The grid holds every grid point's exact demand, so its
+        # interior minimum is the grid point next to the cubic's, less than a
+        # step away. A minimum that the grid misses lies less than a step
+        # inside the range, or less than two steps from the cubic's maximum
+        # (the other root of D', the two summing to -2 a2 / 3 a1): its dip is
+        # narrower than the grid, as when a zero curvature is drawn and the
+        # rounded coefficients split the double root.
+        a1, m, c = a1 / 1000, at / 10, curvature / 10
+        a2 = (c - 6 * a1 * m) / 2
+        fit_range = (lo / 10, (lo + width) / 10)
+        fit = CubicDemandFit(None, a1, a2, -(3 * a1 * m + 2 * a2) * m, 0.0, fit_range)
+        want = oracles.reference_demand_minimum(fit)
+        try:
+            got = reference_temperature(fit)
+        except ValueError:
+            assert want is None
+            return
+        if want is not None:
+            assert abs(got - want[0]) <= want[1]
+            return
+        t_lo, t_hi = fit_range
+        step = (t_hi - t_lo) / 2**13
+        near_edge = min(got - t_lo, t_hi - got) <= step
+        assert near_edge or (a1 != 0 and abs(-2 * a2 / (3 * a1) - 2 * got) < 2 * step)
+
 
 class TestDegreeDays:
     def test_zero_at_reference(self) -> None:
@@ -387,6 +427,37 @@ class TestGridIO:
         assert back.values[4:7].tobytes() == grid.values[4:7].tobytes()
         assert back.values[-2:, 1].tobytes() == grid.values[-2:, 1].tobytes()
         assert counts == [3 * 4, 2 * 4]
+
+    def test_hourly_raster_is_read_in_day_blocks(self, tmp_path, monkeypatch) -> None:
+        # A year of hours on 10x10 cells, with some hours missing, so that
+        # days differ in length.
+        rng = np.random.default_rng(3)
+        hours = [datetime(2021, 1, 1) + timedelta(hours=h) for h in range(365 * 24)]
+        times = [t for t in hours if rng.random() < 0.9]
+        grid = TemperatureGrid(
+            np.arange(10.0), np.arange(10.0), times, rng.normal(15.0, 9.0, (len(times), 10, 10))
+        )
+        back = load_grid_raster(write_raster(tmp_path / "grid.npy", grid))
+        reads = []
+        read = RasterReader._read
+
+        def spy(self, start, stop):
+            reads.append((start, stop))
+            return read(self, start, stop)
+
+        monkeypatch.setattr(RasterReader, "_read", spy)
+        days, means = daily_cell_means(back)
+
+        # Whole days per read, 256 of them at most: 365 days take 2 reads.
+        assert len(reads) == 2
+        assert max(len({t.date() for t in times[a:b]}) for a, b in reads) == 256
+        assert [a for a, _ in reads] == [0, reads[0][1]] and reads[-1][1] == len(times)
+        assert times[reads[0][1] - 1].date() != times[reads[0][1]].date()
+        # The bits of a mean over each day's hours held in memory.
+        day_of = [t.date() for t in times]
+        assert days == sorted(set(day_of))
+        want = [grid.values[day_of.index(d) : len(day_of) - day_of[::-1].index(d)] for d in days]
+        assert means.tobytes() == np.stack([v.mean(axis=0) for v in want]).tobytes()
 
     def test_raster_shorter_than_its_header_is_named(self, tmp_path) -> None:
         path = write_raster(tmp_path / "grid.npy", _grid_2x2(days=3))

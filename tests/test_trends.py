@@ -5,7 +5,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,8 @@ from shoulderseason.trends import (
     pearson_with_cutoff,
     shift_probability,
 )
+
+EPS = float(np.finfo(float).eps)
 
 
 class TestShiftProbability:
@@ -50,6 +52,21 @@ class TestShiftProbability:
             shift_probability(1.0, 1.0, "sideways")
         with pytest.raises(ValueError, match="stderr"):
             shift_probability(1.0, -1.0, "earlier")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        slope=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]),
+        stderr=st.floats(0.0, 1e6) | st.just(0.0),
+        direction=st.sampled_from(["earlier", "later"]),
+    )
+    def test_matches_closed_form(self, slope: float, stderr: float, direction: str) -> None:
+        # NormalDist's cdf is (1 + erf(u)) / 2 and the closed form is
+        # erfc(-u) / 2, with the same u. They differ by the errors of erf
+        # and erfc, each a few units in the last place of a result below 2
+        # (a unit is at most eps), and one rounding of 1 + erf(u); halved,
+        # that stays below 4 eps.
+        want = oracles.reference_shift_probability(slope, stderr, direction)
+        assert abs(shift_probability(slope, stderr, direction) - want) <= 4 * EPS
 
 
 class TestLinearTrend:
@@ -160,6 +177,24 @@ class TestLinearTrend:
         # five explicit removals must not exhaust the auto-trim cap
         assert (4.0, 400.0) in result.excluded_points
         assert result.slope == pytest.approx(0.3, abs=0.05)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_auto_exclusion_matches_refit_loop(self, data) -> None:
+        # Onset days of distinct years: a drift, noise of a few days, and
+        # jumps of weeks in up to 7 of the years, so that series lose 0 to
+        # 5 points.
+        years = data.draw(st.lists(st.integers(1959, 2022), min_size=6, max_size=40, unique=True))
+        drift = data.draw(st.integers(-10, 10)) / 10
+        onsets = [60 + round(drift * (y - 1959)) + data.draw(st.integers(-5, 5)) for y in years]
+        for i in data.draw(st.sets(st.integers(0, len(years) - 1), max_size=7)):
+            onsets[i] += data.draw(st.sampled_from([-60, 45, 90]))
+        points = [(float(year), float(onset)) for year, onset in zip(years, onsets)]
+        want = oracles.reference_auto_exclusions(points)
+        assume(want is not None)
+        got = linear_trend(points, auto_exclude=True)
+        assert got.excluded_points == want
+        assert got.n == len(points) - len(want)
 
 
 class TestConfidenceBand:
