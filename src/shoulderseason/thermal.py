@@ -125,8 +125,9 @@ class _Codes(dict):
 
 def _slots(slots: _Codes, column: np.ndarray) -> np.ndarray:
     """The slot of each value in the column, numbering values not seen before."""
-    keys, inverse = np.unique(column, return_inverse=True)
-    return np.fromiter(map(slots.__getitem__, keys.tolist()), np.intp, len(keys))[inverse]
+    keys = np.unique(column)
+    slot = np.fromiter(map(slots.__getitem__, keys.tolist()), np.intp, len(keys))
+    return slot[np.searchsorted(keys, column)]
 
 
 def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
