@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import Outages
+from .trends import left_sum
 
 MW_PER_GW = 1000.0
 
@@ -62,7 +63,9 @@ class GenerationHistogram:
 
     @property
     def balanced(self) -> bool:
-        return self.headroom_mw == 0.0
+        # Relative to the output: far finer than the 0.01 MW of the feeds,
+        # far coarser than the rounding of one subtraction.
+        return math.isclose(self.max_output_mw, self.peak_demand_mw, rel_tol=1e-9)
 
 
 def average_outages(
@@ -75,9 +78,7 @@ def average_outages(
         raise ValueError(
             f"no outage records between {start.isoformat()} and {end.isoformat()}"
         )
-    # Left to right from 0, bit for bit as sum() adds (np.sum adds pairwise);
-    # adding 0.0 turns an all -0.0 total into sum()'s 0.0.
-    total = float(np.add.accumulate(values)[-1]) + 0.0
+    total = left_sum(values)
     return PeriodOutageStat(
         label=label or f"{start.isoformat()}..{end.isoformat()}",
         start=start,

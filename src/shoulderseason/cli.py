@@ -36,7 +36,6 @@ from .tables import (
 
 SPRING_CUTOFF = date(2000, 2, 14)
 FALL_CUTOFF = date(2000, 11, 25)
-MOVING_AVERAGE_YEARS = 5
 
 HIST_LABELS = (
     "january", "december", "operator_spring", "operator_fall", "min_peak_spring", "min_peak_fall"
@@ -159,7 +158,7 @@ def stage_thermal(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     # (temperature, peak demand) of each load day with a regional temperature
     temps = temps_weighted.window(peaks.first, len(peaks))
     paired = ~np.isnan(peaks.values) & ~np.isnan(temps)
-    years = peaks.days[paired].astype("datetime64[Y]").astype(int) + 1970
+    years = ingest.to_years(peaks.days[paired])
     temps, peak_mw = temps[paired], peaks.values[paired]
 
     fits: list[thermal.CubicDemandFit] = []
@@ -295,7 +294,7 @@ def stage_trends(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     movavg_rows = []
     fit_rows = []
     for metric, season, points, result in fits:
-        smoothed = dict(trends.moving_average(points, k=MOVING_AVERAGE_YEARS))
+        smoothed = dict(trends.moving_average(points))
         for year in sorted(points):
             movavg_rows.append((metric, season, year, points[year], smoothed[year]))
         for year, fit, lo, hi in trends.confidence_band(result, sorted(points)):
@@ -394,7 +393,7 @@ def stage_adequacy(cfg: RunConfig, tables: Tables) -> dict[str, object]:
         raise ValueError(f"outage file {cfg.outage_csv} has no data rows")
     hourly, shoulder_rows = tables["hourly"], tables["shoulder"]
 
-    years = outages.timestamps.astype("datetime64[Y]").astype(int) + 1970
+    years = ingest.to_years(outages.timestamps)
     outage_years = np.unique(years).tolist()
     focus_year = cfg.adequacy_year if cfg.adequacy_year is not None else outage_years[-1]
 

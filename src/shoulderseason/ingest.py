@@ -101,6 +101,11 @@ def to_days(dates: Iterable[date]) -> np.ndarray:
     return (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
 
 
+def to_years(times: np.ndarray) -> np.ndarray:
+    """The calendar year of each `datetime64` value, as integers."""
+    return times.astype("datetime64[Y]").astype(int) + 1970
+
+
 @dataclass(frozen=True, eq=False)
 class _DayTable:
     """Columns on a dense day axis: row i holds day `first` + i.
@@ -418,9 +423,8 @@ def parse_hourly_load(source: IO[str] | Iterable[str]) -> HourlyLoad:
         # the row validator uses (numpy misreads `20200101` as a year).
         texts = rows["date"]
         starts, run = _runs(texts)
-        run_days = [date.fromisoformat(texts[i].strip()).toordinal() for i in starts]
-        day = np.array(run_days, np.int64)[run] - date(1970, 1, 1).toordinal()
-        hours = day * 24 + hour
+        day = to_days(date.fromisoformat(texts[i].strip()) for i in starts)[run]
+        hours = day.view(np.int64) * 24 + hour
         return hours.view("datetime64[h]"), load
 
     def check_row(lineno: int, fields: list[str]) -> datetime:

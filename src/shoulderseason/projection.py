@@ -12,17 +12,14 @@ from __future__ import annotations
 import calendar
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .tables import parse_float, split_rows
-from .trends import SHIFT_DIRECTION, TrendResult, day_of_year, left_sum, linear_trend, ols
+from .trends import SHIFT_DIRECTION, Z95, TrendResult, day_of_year, left_sum, linear_trend, ols
 
 ENSEMBLE_HEADER = "member,year,month,t2m_c"
-
-_Z95 = NormalDist().inv_cdf(0.975)
 
 # Calendar wrap for comparing a fall onset against the next spring; the
 # occasional leap day is accepted as noise.
@@ -122,13 +119,10 @@ def ensemble_annual_stats(
 def fit_bias_correction(
     observed: Mapping[int, float],
     ensemble: Sequence[EnsembleAnnualStats],
-    years: Iterable[int] | None = None,
 ) -> BiasCorrection:
     """Least-squares affine fit of observed on ensemble annual means."""
     ens_by_year = {e.year: e.ensemble_mean_c for e in ensemble}
     overlap = sorted(set(observed) & set(ens_by_year))
-    if years is not None:
-        overlap = sorted(set(overlap) & set(years))
     if len(overlap) < 3:
         raise ValueError(f"need at least 3 overlap years, got {len(overlap)}")
     x = np.array([ens_by_year[y] for y in overlap])
@@ -157,7 +151,6 @@ def project_onsets(
     spring_line: TrendResult,
     fall_line: TrendResult,
     path: Sequence[tuple[int, float, float]],
-    years: Iterable[int] | None = None,
 ) -> tuple[list[OnsetProjection], list[OnsetProjection]]:
     """Predict onsets along a (year, temp, temp_std) warming path.
 
@@ -166,17 +159,13 @@ def project_onsets(
     excursion, added in quadrature.
     """
     by_year = {int(y): (t, s) for y, t, s in path}
-    wanted = sorted(by_year) if years is None else sorted(set(years))
-    missing = [y for y in wanted if y not in by_year]
-    if missing:
-        raise ValueError(f"projection years outside provided path: {missing}")
 
     def season_rows(line: TrendResult) -> list[OnsetProjection]:
         rows = []
-        for year in wanted:
+        for year in sorted(by_year):
             temp, std = by_year[year]
             pred = line.predict(temp)
-            half = math.hypot(_Z95 * line.mean_se(temp), line.slope * 2.0 * std)
+            half = math.hypot(Z95 * line.mean_se(temp), line.slope * 2.0 * std)
             rows.append(OnsetProjection(year, pred, pred - half, pred + half))
         return rows
 

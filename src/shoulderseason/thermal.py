@@ -20,7 +20,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .ingest import DailySeries, parse_loadtxt_float, read_csv_chunks, to_days
+from .ingest import DailySeries, parse_loadtxt_float, read_csv_chunks, to_days, to_years
 from .tables import parse_float, parse_int, split_rows
 from .trends import left_sum
 
@@ -201,9 +201,8 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
 class RasterReader:
     """A C-ordered `.npy` array on disk, read one slice of its first axis at a time.
 
-    An index whose first element is a step-1 slice reads only those rows
-    (`np.fromfile` at their offset). Any other index, `np.asarray` and
-    `tobytes` read the whole array.
+    The only index it takes is a step-1 slice, which reads only those rows
+    (`np.fromfile` at their offset); any other index is a TypeError.
     """
 
     def __init__(self, path: Path, shape: tuple[int, ...], dtype: np.dtype, offset: int):
@@ -217,19 +216,11 @@ class RasterReader:
         rows = np.fromfile(self.path, self.dtype, count, offset=offset)
         return rows.reshape(stop - start, *self.shape[1:])
 
-    def __getitem__(self, key):
-        first, rest = (key[0], key[1:]) if isinstance(key, tuple) and key else (key, ())
-        if isinstance(first, slice) and first.step in (None, 1):
-            start, stop, _ = first.indices(self.shape[0])
-            return self._read(start, max(start, stop))[(slice(None), *rest)]
-        return np.asarray(self)[key]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        values = self._read(0, self.shape[0])
-        return values if dtype is None else values.astype(dtype, copy=False)
-
-    def tobytes(self) -> bytes:
-        return self._read(0, self.shape[0]).tobytes()
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError(f"a raster reads step-1 slices of days only, not {key!r}")
+        start, stop, _ = key.indices(self.shape[0])
+        return self._read(start, max(start, stop))
 
 
 def _open_raster(path: Path) -> np.ndarray | RasterReader:
@@ -412,9 +403,7 @@ def population_weighted_daily_temp(
             raise ValueError("population grid is not co-registered with the temperature grid")
         # One row of masked weights per epoch, and each day's epoch.
         rows = np.ascontiguousarray(pop.weights[:, mask])
-        years, year_of_day = np.unique(
-            day_axis.astype("datetime64[Y]").astype(int) + 1970, return_inverse=True
-        )
+        years, year_of_day = np.unique(to_years(day_axis), return_inverse=True)
         epochs = [_epoch_index(pop.epochs, year) for year in years.tolist()]
         day_epoch = np.array(epochs, dtype=np.intp)[year_of_day]
     totals = rows.sum(axis=1)
@@ -540,9 +529,9 @@ def degree_day_series(temps: DailySeries, t0: float) -> DailySeries:
 
 def annual_means(temps: DailySeries) -> dict[int, float]:
     """Per-year mean of a daily regional temperature series."""
-    years = temps.days[temps.present].astype("datetime64[Y]").astype(int) + 1970
+    years = to_years(temps.days[temps.present])
     values = temps.values[temps.present]
     return {
-        year: left_sum(values[years == year].tolist()) / int((years == year).sum())
+        year: left_sum(values[years == year]) / int((years == year).sum())
         for year in np.unique(years).tolist()
     }

@@ -17,6 +17,10 @@ _NORMAL = NormalDist()
 
 STUDENTIZED_THRESHOLD = 2.5
 MAX_AUTO_EXCLUSIONS = 5
+MOVING_AVERAGE_YEARS = 5
+
+# Two-sided 95% normal quantile of the fit-line bands and projection intervals.
+Z95 = _NORMAL.inv_cdf(0.975)
 
 # The way each season's onset drifts as the climate warms: the direction whose
 # shift probability is reported.
@@ -111,37 +115,27 @@ def ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float
 def linear_trend(
     points: Iterable[tuple[float, float]] | Mapping[float, float],
     direction: str = "earlier",
-    exclusions: Iterable[float] | None = None,
     auto_exclude: bool = False,
-    max_auto_exclusions: int = MAX_AUTO_EXCLUSIONS,
-    studentized_threshold: float = STUDENTIZED_THRESHOLD,
 ) -> TrendResult:
     """Least-squares line through (x, y) points with slope standard error.
 
-    `exclusions` drops points by x value before fitting. With
-    auto_exclude the fit iteratively trims the worst point whose
-    studentized residual exceeds the threshold, up to the cap, refitting
-    after each removal; all removed points are reported. At least 3
-    points must remain.
+    With auto_exclude the fit iteratively trims the worst point whose
+    studentized residual exceeds STUDENTIZED_THRESHOLD, up to
+    MAX_AUTO_EXCLUSIONS points, refitting after each removal; all removed
+    points are reported. At least 3 points must remain.
     """
     if isinstance(points, Mapping):
         pts = sorted(points.items())
     else:
         pts = sorted(points)
     excluded: list[tuple[float, float]] = []
-    if exclusions is not None:
-        drop = set(exclusions)
-        excluded = [p for p in pts if p[0] in drop]
-        pts = [p for p in pts if p[0] not in drop]
-
-    n_auto = 0
     while True:
         if len(pts) < 3:
             raise ValueError(f"need at least 3 points after exclusions, got {len(pts)}")
         x = np.array([p[0] for p in pts], dtype=float)
         y = np.array([p[1] for p in pts], dtype=float)
         slope, intercept, stderr, s2, x_mean, sxx = ols(x, y)
-        if not auto_exclude or n_auto >= max_auto_exclusions:
+        if not auto_exclude or len(excluded) >= MAX_AUTO_EXCLUSIONS:
             break
         # Points on an exact line leave residuals of rounding alone, whose
         # ratios mean nothing. Refitted about both means, such residuals are
@@ -157,10 +151,9 @@ def linear_trend(
         scale = np.sqrt(s2 * np.maximum(1.0 - leverage, 1e-12))
         studentized = np.abs(resid) / scale
         worst = int(np.argmax(studentized))
-        if studentized[worst] <= studentized_threshold or len(pts) <= 3:
+        if studentized[worst] <= STUDENTIZED_THRESHOLD or len(pts) <= 3:
             break
         excluded.append(pts.pop(worst))
-        n_auto += 1
 
     return TrendResult(
         slope=slope,
@@ -177,33 +170,30 @@ def linear_trend(
 
 
 def confidence_band(
-    result: TrendResult, xs: Iterable[float], level: float = 0.95
+    result: TrendResult, xs: Iterable[float]
 ) -> list[tuple[float, float, float, float]]:
-    """Pointwise mean-prediction band: (x, fit, low, high) per x."""
-    z = _NORMAL.inv_cdf(0.5 + level / 2.0)
+    """Pointwise 95% mean-prediction band: (x, fit, low, high) per x."""
     out = []
     for x in xs:
         fit = result.predict(x)
-        half = z * result.mean_se(x)
+        half = Z95 * result.mean_se(x)
         out.append((x, fit, fit - half, fit + half))
     return out
 
 
 def moving_average(
-    points: Iterable[tuple[int, float]] | Mapping[int, float], k: int = 5
+    points: Iterable[tuple[int, float]] | Mapping[int, float]
 ) -> list[tuple[int, float]]:
-    """Centered k-year moving average, truncated at the series edges.
+    """Centered MOVING_AVERAGE_YEARS-year moving average, truncated at the series edges.
 
-    The window spans years within +-(k-1)/2 of each point; years missing
-    from the series simply contribute nothing.
+    The window spans years within +-(MOVING_AVERAGE_YEARS-1)/2 of each point;
+    years missing from the series simply contribute nothing.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"k must be odd and >= 1, got {k}")
     if isinstance(points, Mapping):
         items = sorted(points.items())
     else:
         items = sorted(points)
-    half = (k - 1) // 2
+    half = (MOVING_AVERAGE_YEARS - 1) // 2
     out = []
     for year, _ in items:
         vals = [v for y, v in items if abs(y - year) <= half]
@@ -211,9 +201,12 @@ def moving_average(
     return out
 
 
-def left_sum(values: Iterable[float]) -> float:
+def left_sum(values: Iterable[float] | np.ndarray) -> float:
     """Sum added left to right from 0.0, as sum() adds floats before Python
-    3.12; from 3.12 sum() compensates, and np.sum adds pairwise."""
+    3.12; from 3.12 sum() compensates, and np.sum adds pairwise. An array
+    is accumulated behind a leading 0.0, which gives the same bits."""
+    if isinstance(values, np.ndarray):
+        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
     return reduce(operator.add, values, 0.0)
 
 

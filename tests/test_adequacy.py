@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shoulderseason.adequacy import (
+    GenerationHistogram,
     average_outages,
     format_gw,
     generation_histogram,
@@ -158,6 +159,16 @@ class TestGenerationHistogram:
         )
         assert hist.headroom_mw == 0.0
         assert hist.balanced
+
+    @pytest.mark.parametrize(
+        "max_output_mw, peak_demand_mw, balanced",
+        [(0.1 + 0.2, 0.3, True), (53800.0, 51500.0, False), (0.0, 0.0, True)],
+    )
+    def test_balanced_allows_rounding(
+        self, max_output_mw: float, peak_demand_mw: float, balanced: bool
+    ) -> None:
+        hist = GenerationHistogram("p", (0.0, 1.0), (1,), peak_demand_mw, max_output_mw)
+        assert hist.balanced is balanced
 
     def test_counts_sum_to_period_records(self) -> None:
         rng = np.random.default_rng(11)

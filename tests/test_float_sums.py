@@ -8,9 +8,14 @@ themselves, so patching sum() with a compensated one changes nothing.
 from __future__ import annotations
 
 import builtins
+import math
+import struct
 from datetime import date
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoulderseason import projection, thermal, trends
 from shoulderseason.ingest import DailySeries
@@ -49,7 +54,7 @@ CASES = {
         )
     ),
     "moving_average": lambda: repr(
-        trends.moving_average({2000 + i: v for i, v in enumerate(CANCELLING)}, k=7)
+        trends.moving_average({2000 + i: v for i, v in enumerate(CANCELLING)})
     ),
     "ensemble_annual_stats": _ensemble_means,
 }
@@ -65,3 +70,29 @@ def test_compensated_sum_changes_no_output(name: str, monkeypatch) -> None:
     plain = CASES[name]()
     monkeypatch.setattr(builtins, "sum", neumaier_sum)
     assert CASES[name]() == plain
+
+
+def _bits(x: float) -> bytes:
+    # Which NaN an addition returns depends on the order the compiled code
+    # puts its operands in, which differs even between two CPython paths:
+    # all NaNs count as one.
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, -1e16, 1.0, -1.0]),
+            st.floats(),
+        ),
+        max_size=12,
+    )
+)
+def test_left_sum_adds_as_a_loop_from_zero(values: list[float]) -> None:
+    total = 0.0
+    for x in values:
+        total = total + x
+    assert _bits(trends.left_sum(values)) == _bits(total)
+    with np.errstate(invalid="ignore", over="ignore"):  # as Python adds: silently
+        assert _bits(trends.left_sum(np.array(values, dtype=float))) == _bits(total)

@@ -1,8 +1,10 @@
-"""No package module uses another package module's private (underscore) names."""
+"""No package module uses another package module's private (underscore) names,
+and every default a package function sets is overridden by some call."""
 
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,12 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / PACKAGE
 MODULES = sorted(p.stem for p in SOURCE.glob("*.py") if p.stem != "__init__")
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _is_private(name: str) -> bool:
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not _is_dunder(name)
 
 
 def private_uses(source: str) -> list[str]:
@@ -72,3 +78,65 @@ def test_no_private_names_from_other_modules(module: str) -> None:
 )
 def test_checker_finds_private_uses(source: str, found: list[str]) -> None:
     assert private_uses(source) == found
+
+
+def unset_defaults(sources: dict[str, str]) -> list[str]:
+    """Each `module.function(parameter)` whose default no call in the sources overrides.
+
+    A call is matched to a function by its last name (`f()`, `mod.f()` and
+    `obj.f()` all call f), and a method's positions count after self or cls.
+    Dunder methods, which Python calls, are left out.
+    """
+    defaults = []  # (module.function, its positional parameters, one defaulted parameter)
+    calls: dict[str, list[tuple[float, set[str]]]] = {}  # name -> (positions, keywords)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args][id(node) in methods :]
+                named = positional[len(positional) - len(args.defaults) :]
+                named += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                defaults.extend((f"{module}.{node.name}", positional, p) for p in named)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}  # None for **mapping
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), keywords)
+                )
+
+    def passed(function: str, positional: list[str], param: str) -> bool:
+        at = positional.index(param) if param in positional else math.inf
+        return any(
+            at < n or param in keywords or None in keywords
+            for n, keywords in calls.get(function.split(".")[1], [])
+        )
+
+    return sorted(f"{f}({p})" for f, positional, p in defaults if not passed(f, positional, p))
+
+
+# The console script calls main() with no arguments; tests pass argv.
+ENTRY_POINTS = {"cli.main(argv)"}
+
+
+def test_every_default_is_set_by_some_call() -> None:
+    sources = {m: (SOURCE / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
+    assert [d for d in unset_defaults(sources) if d not in ENTRY_POINTS] == []
+
+
+@pytest.mark.parametrize(
+    "sources, found",
+    [
+        ({"m": "def f(a, b=1): pass\nf(1)"}, ["m.f(b)"]),
+        ({"m": "def f(a, b=1, c=2): pass\nf(1, 2)"}, ["m.f(c)"]),
+        ({"m": "def f(a, b=1): pass\nf(1, b=2)"}, []),
+        ({"m": "def f(*, k=1): pass\nf()\nf(*xs)"}, ["m.f(k)"]),
+        ({"m": "def f(a=1): pass", "n": "from .m import f\nf(**opts)"}, []),
+        ({"m": "class C:\n    def g(self, x=1): pass\nC().g(2)"}, []),
+        ({"m": "class C:\n    def __array__(self, dtype=None): pass"}, []),
+    ],
+)
+def test_checker_finds_unset_defaults(sources: dict[str, str], found: list[str]) -> None:
+    assert unset_defaults(sources) == found

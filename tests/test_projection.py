@@ -136,15 +136,6 @@ class TestBiasCorrection:
         assert correction.gain == pytest.approx(1.0, abs=1e-12)
         assert correction.offset == pytest.approx(2.0, abs=1e-10)
 
-    def test_restricted_overlap_years(self) -> None:
-        ens = {2000 + i: 15.0 + i * 0.1 for i in range(10)}
-        obs = {y: 2.0 * t - 10.0 for y, t in ens.items()}
-        obs[2005] = 999.0  # poisoned year, excluded below
-        correction = fit_bias_correction(
-            obs, self._ensemble(ens), years=[y for y in ens if y != 2005]
-        )
-        assert correction.gain == pytest.approx(2.0, abs=1e-9)
-
     def test_too_few_overlap_years(self) -> None:
         ens = {2000: 15.0, 2001: 15.1}
         with pytest.raises(ValueError, match="at least 3 overlap years"):
@@ -250,11 +241,6 @@ class TestProjectOnsets:
         # +-2 sigma propagated through the slope: half width 8 * 2 * 0.5 = 8 days
         assert wide[0].ci_high - wide[0].ci_low == pytest.approx(16.0, rel=1e-6)
         assert narrow[0].ci_high - narrow[0].ci_low < 1e-6
-
-    def test_years_outside_path_error(self) -> None:
-        spring_line, fall_line = self._lines()
-        with pytest.raises(ValueError, match="outside provided path"):
-            project_onsets(spring_line, fall_line, [(2030, 15.0, 0.1)], years=[2031])
 
 
 class TestMergeYear:
