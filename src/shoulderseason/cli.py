@@ -259,31 +259,22 @@ def _correlation_rows(
         x = _onsets_by_year(dd_rows, "degree_days", season)
         for y_metric in ("total_energy", "peak_demand"):
             y = _onsets_by_year(load_rows, y_metric, season)
-            for year in sorted(set(x) & set(y)):
-                point_rows.append(
-                    (
-                        season,
-                        y_metric,
-                        year,
-                        trends.day_of_year(x[year]),
-                        trends.day_of_year(y[year]),
-                        int(trends.within_cutoff(x[year], season, cutoff)),
-                    )
-                )
+            years = sorted(set(x) & set(y))
+            kept_x, kept_y = [], []
+            for year in years:
+                x_doy, y_doy = trends.day_of_year(x[year]), trends.day_of_year(y[year])
+                included = trends.within_cutoff(x[year], season, cutoff)
+                point_rows.append((season, y_metric, year, x_doy, y_doy, int(included)))
+                if included:
+                    kept_x.append(x_doy)
+                    kept_y.append(y_doy)
             try:
-                result = trends.pearson_with_cutoff(x, y, season, cutoff)
+                r = trends.pearson(kept_x, kept_y)
             except ValueError:
-                continue  # too few pairs; points are still emitted
+                continue  # too few kept pairs or no variance; points are still emitted
+            excluded = len(years) - len(kept_x)
             corr_rows.append(
-                (
-                    season,
-                    "degree_days",
-                    y_metric,
-                    result.r,
-                    result.n_used,
-                    result.excluded_count,
-                    _monthday(cutoff),
-                )
+                (season, "degree_days", y_metric, r, len(kept_x), excluded, _monthday(cutoff))
             )
     return corr_rows, point_rows
 

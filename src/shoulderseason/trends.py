@@ -65,15 +65,6 @@ class TrendResult:
         )
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    r: float
-    n_used: int
-    cutoff: object
-    excluded_count: int
-    excluded_years: tuple[int, ...] = ()
-
-
 def shift_probability(slope: float, stderr: float, direction: str) -> float:
     """Probability that the trend moves in `direction` (earlier or later).
 
@@ -215,23 +206,21 @@ def day_of_year(onset: date | float) -> int | float:
     return onset.timetuple().tm_yday if isinstance(onset, date) else onset
 
 
-def within_cutoff(x_onset: date | float, season: str, cutoff: date | float) -> bool:
+def within_cutoff(x_onset: date, season: str, cutoff: date) -> bool:
     """Whether a pair with this x onset counts in a cutoff-filtered correlation.
 
     Spring onsets before the cutoff and fall onsets after it are left
     out. Dates compare by month and day only, so the cutoff year is
-    irrelevant; onsets and cutoff must both be dates or both numbers.
+    irrelevant.
     """
-    if isinstance(x_onset, date) and isinstance(cutoff, date):
-        a, b = (x_onset.month, x_onset.day), (cutoff.month, cutoff.day)
-    elif isinstance(x_onset, date) or isinstance(cutoff, date):
-        raise TypeError("onsets and cutoff must both be dates or both be numbers")
-    else:
-        a, b = x_onset, cutoff
+    a, b = (x_onset.month, x_onset.day), (cutoff.month, cutoff.day)
     return a >= b if season == "spring" else a <= b
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson r of paired values; at least 3 pairs are needed."""
+    if len(xs) < 3:
+        raise ValueError(f"need at least 3 pairs, got {len(xs)}")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     xc = x - x.mean()
@@ -240,40 +229,3 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if denom == 0:
         raise ValueError("zero variance: correlation undefined")
     return float((xc * yc).sum() / denom)
-
-
-def pearson_with_cutoff(
-    x_onsets: Mapping[int, object],
-    y_onsets: Mapping[int, object],
-    season: str,
-    cutoff,
-) -> CorrelationResult:
-    """Pearson r between paired onsets after a seasonal cutoff filter.
-
-    Pairs whose x onset falls before the cutoff (spring) or after it
-    (fall) are excluded; the comparison uses month and day only, so the
-    cutoff year is irrelevant. Onsets may be dates or plain day numbers.
-    """
-    if season not in ("spring", "fall"):
-        raise ValueError(f"season must be 'spring' or 'fall', got {season!r}")
-    years = sorted(set(x_onsets) & set(y_onsets))
-    kept_x: list[float] = []
-    kept_y: list[float] = []
-    excluded_years: list[int] = []
-    for year in years:
-        if not within_cutoff(x_onsets[year], season, cutoff):
-            excluded_years.append(year)
-            continue
-        kept_x.append(day_of_year(x_onsets[year]))
-        kept_y.append(day_of_year(y_onsets[year]))
-    if len(kept_x) < 3:
-        raise ValueError(
-            f"only {len(kept_x)} pairs remain after the cutoff; need at least 3"
-        )
-    return CorrelationResult(
-        r=pearson(kept_x, kept_y),
-        n_used=len(kept_x),
-        cutoff=cutoff,
-        excluded_count=len(excluded_years),
-        excluded_years=tuple(excluded_years),
-    )

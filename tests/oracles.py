@@ -484,38 +484,33 @@ def exact_ols(points: Sequence[tuple[int, int]]) -> tuple[Fraction, Fraction, Fr
 # -- correlation with a seasonal cutoff, and the merge year ---------------------
 
 
-def _day_number(onset) -> float:
-    if isinstance(onset, date):
-        return float(onset.toordinal() - date(onset.year, 1, 1).toordinal() + 1)
-    return float(onset)
+def _day_number(onset: date) -> float:
+    return float(onset.toordinal() - date(onset.year, 1, 1).toordinal() + 1)
 
 
-def reference_pearson_with_cutoff(x_onsets, y_onsets, season: str, cutoff):
-    """(r, kept years, excluded years) of the pairs the cutoff keeps, or the error text.
+def reference_within_cutoff(x_onset: date, season: str, cutoff: date) -> bool:
+    """A spring pair is kept when its x onset falls on or after the cutoff, a
+    fall pair when it falls on or before it; dates compare by (month, day)."""
+    x_key, c_key = (x_onset.month, x_onset.day), (cutoff.month, cutoff.day)
+    return x_key >= c_key if season == "spring" else x_key <= c_key
 
-    A spring pair is kept when its x onset falls on or after the cutoff, a
-    fall pair when it falls on or before it; dates compare by (month, day).
-    """
-    if season not in ("spring", "fall"):
-        return f"season must be 'spring' or 'fall', got {season!r}"
 
-    def key(onset):
-        return (onset.month, onset.day) if isinstance(onset, date) else onset
-
+def reference_pearson_with_cutoff(x_onsets, y_onsets, season: str, cutoff: date):
+    """(r or the error text, kept years, excluded years) of the years both
+    onset mappings share, with r taken in two passes over the kept pairs."""
     kept, excluded = [], []
     for year in sorted(set(x_onsets) & set(y_onsets)):
-        x_key, c_key = key(x_onsets[year]), key(cutoff)
-        keep = x_key >= c_key if season == "spring" else x_key <= c_key
+        keep = reference_within_cutoff(x_onsets[year], season, cutoff)
         (kept if keep else excluded).append(year)
     if len(kept) < 3:
-        return f"only {len(kept)} pairs remain after the cutoff; need at least 3"
+        return f"only {len(kept)} pairs remain after the cutoff; need at least 3", kept, excluded
     xs = [_day_number(x_onsets[y]) for y in kept]
     ys = [_day_number(y_onsets[y]) for y in kept]
     mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     syy = math.fsum((y - my) ** 2 for y in ys)
     if sxx == 0 or syy == 0:
-        return "zero variance: correlation undefined"
+        return "zero variance: correlation undefined", kept, excluded
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return sxy / math.sqrt(sxx * syy), kept, excluded
 

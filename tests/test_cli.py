@@ -5,16 +5,19 @@ import json
 import re
 import shutil
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from rasters import write_raster
 from shoulderseason import cli, ingest, thermal
 from shoulderseason.cli import (
+    CORR_COLUMNS,
+    CORR_HEADER,
     F,
     STAGES,
     emit_report,
@@ -24,6 +27,7 @@ from shoulderseason.cli import (
 )
 from shoulderseason.config import RunConfig, load_config
 from shoulderseason.fixtures import generate_fixture
+from shoulderseason.tables import read_rows
 from shoulderseason.windows import ShoulderWindow
 
 
@@ -399,6 +403,75 @@ class TestPipeline:
         for key in STAGES["shoulder"].owns + STAGES["trends"].owns:
             want = None if key.endswith("_net") else full[F[key]]
             assert got.get(F[key]) == want, F[key]
+
+    def test_cutoff_filter_through_the_cache(self, fixture_dir, full_run, tmp_path) -> None:
+        # No bundled world has an onset beyond a cutoff, so move some into the
+        # cached windows: spring degree-day onsets before Feb 14 (one on it,
+        # which is kept) and fall ones after Nov 25 (one on it). Fall peak
+        # demand keeps only four years, two of them excluded, so it falls
+        # short of 3 pairs.
+        out = tmp_path / "out"
+        shutil.copytree(full_run, out)
+        name, header, read = cli.OUTPUTS["shoulder"]
+        with open(out / name, encoding="utf-8") as fh:
+            rows = read(fh, header)
+        years = sorted({w.year for w in rows if w.metric != "degree_days"})
+        moved = {
+            ("spring", years[0]): (2, 1),
+            ("spring", years[1]): (2, 13),
+            ("spring", years[2]): (2, 14),
+            ("fall", years[-3]): (11, 26),
+            ("fall", years[-2]): (12, 10),
+            ("fall", years[-1]): (11, 25),
+        }
+        rows = [
+            replace(w, onset=date(w.year, *moved[w.season, w.year]))
+            if w.metric == "degree_days" and (w.season, w.year) in moved
+            else w
+            for w in rows
+            if (w.season, w.metric) != ("fall", "peak_demand") or w.year in years[-4:]
+        ]
+        (out / name).write_text(cli._format("shoulder", rows))
+        conf = str(fixture_dir / "fixture.conf")
+        assert main(["trends", "--config", conf, "--out", str(out)]) == 0
+
+        def onsets(rows, season, metric):
+            return {w.year: w.onset for w in rows if (w.season, w.metric) == (season, metric)}
+
+        def correlations(key):
+            with open(out / F[key], encoding="utf-8") as fh:
+                return {(row[0], row[2]): row for row in read_rows(fh, CORR_HEADER, *CORR_COLUMNS)}
+
+        lines = (out / F["corr_points"]).read_text().splitlines()[1:]
+        points = Counter(
+            (season, metric, included == "1")
+            for season, metric, *_, included in (line.split(",") for line in lines)
+        )
+        assert points[("spring", "total_energy", False)] == 2
+        assert points[("fall", "total_energy", False)] == 2
+        # The short series has its points but no correlation row.
+        assert points[("fall", "peak_demand", True)] == points[("fall", "peak_demand", False)] == 2
+        corr = correlations("corr")
+        assert ("fall", "peak_demand") not in corr
+        for (season, metric), row in corr.items():
+            assert row[4:6] == (points[season, metric, True], points[season, metric, False])
+
+        with open(out / F["shoulder_net"], encoding="utf-8") as fh:
+            net_rows = read(fh, header)
+        for key, load_rows in (("corr", rows), ("corr_net", net_rows)):
+            corr = correlations(key)
+            for season, cutoff in (("spring", cli.SPRING_CUTOFF), ("fall", cli.FALL_CUTOFF)):
+                x = onsets(rows, season, "degree_days")
+                for metric in ("total_energy", "peak_demand"):
+                    y = onsets(load_rows, season, metric)
+                    r, kept, excluded = oracles.reference_pearson_with_cutoff(x, y, season, cutoff)
+                    if isinstance(r, str):
+                        assert (season, metric) not in corr, (key, r)
+                        continue
+                    row = corr.pop((season, metric))
+                    assert row[3] == pytest.approx(r, rel=0, abs=1e-12)
+                    assert row[4:6] == (len(kept), len(excluded))
+            assert corr == {}, key
 
     def test_downstream_stage_without_cache_errors(self, fixture_dir, tmp_path) -> None:
         cfg = load_config(fixture_dir / "fixture.conf")

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -9,14 +9,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from shoulderseason import cli
 from shoulderseason.trends import (
     confidence_band,
+    day_of_year,
     linear_trend,
     moving_average,
     pearson,
-    pearson_with_cutoff,
     shift_probability,
+    within_cutoff,
 )
+from shoulderseason.windows import ShoulderWindow
 
 EPS = float(np.finfo(float).eps)
 
@@ -217,98 +220,120 @@ class TestMovingAverage:
         assert out[2005] == pytest.approx(10.0)  # no neighbors within +-2 years
 
 
+def _cutoff_windows(data, season: str, metric: str, years: list[int]) -> list[ShoulderWindow]:
+    """One drawn window per year: onsets anywhere in the year (leap days
+    included), within two days of the season's cutoff so that ties occur,
+    or on one repeated day of year so that zero variance occurs."""
+    cutoff = cli.SPRING_CUTOFF if season == "spring" else cli.FALL_CUTOFF
+    style = data.draw(st.sampled_from(["anywhere", "near cutoff", "repeated"]))
+    starts = [date(year, 1, 1) for year in years]
+    if style == "anywhere":
+        shifts = data.draw(st.lists(st.integers(0, 365), min_size=len(years), max_size=len(years)))
+    elif style == "near cutoff":
+        starts = [date(year, cutoff.month, cutoff.day) for year in years]
+        shifts = data.draw(st.lists(st.integers(-2, 2), min_size=len(years), max_size=len(years)))
+    else:
+        shifts = [data.draw(st.integers(0, 364))] * len(years)
+    return [
+        ShoulderWindow(s.year, season, metric, min(s + timedelta(k), date(s.year, 12, 31)), 0.0, 45)
+        for s, k in zip(starts, shifts)
+    ]
+
+
 class TestPearsonWithCutoff:
+    """The cutoff-filtered Pearson r of the correlation tables: `trends.pearson`
+    over the pairs that `trends.within_cutoff` keeps, as `cli._correlation_rows`
+    pairs them."""
+
     def test_identity_pairs(self) -> None:
-        x = {y: float(y % 50 + 60) for y in range(2000, 2010)}
-        result = pearson_with_cutoff(x, dict(x), "spring", 30.0)
-        assert result.r == pytest.approx(1.0)
-        assert result.excluded_count == 0
+        x = [float(y % 50 + 60) for y in range(2000, 2010)]
+        assert pearson(x, x) == pytest.approx(1.0)
 
     def test_negated_pairs(self) -> None:
-        x = {y: float(y - 2000 + 60) for y in range(2000, 2010)}
-        y = {k: -v for k, v in x.items()}
-        result = pearson_with_cutoff(x, y, "spring", 0.0)
-        assert result.r == pytest.approx(-1.0)
+        x = [float(y - 2000 + 60) for y in range(2000, 2010)]
+        assert pearson(x, [-v for v in x]) == pytest.approx(-1.0)
 
     def test_spring_cutoff_excludes_early_onsets(self) -> None:
         cutoff = date(2000, 2, 14)
-        x = {
-            2000: date(2000, 1, 20),   # before Feb 14 -> excluded
-            2001: date(2001, 2, 13),   # before -> excluded
-            2002: date(2002, 2, 14),   # on the cutoff -> kept
-            2003: date(2003, 3, 1),
-            2004: date(2004, 3, 10),
-            2005: date(2005, 4, 2),
-        }
-        y = {k: date(k, 3, 1) for k in x}
-        result = pearson_with_cutoff(x, y, "spring", cutoff)
-        assert result.excluded_count == 2
-        assert result.excluded_years == (2000, 2001)
-        assert result.n_used == 4
+        assert not within_cutoff(date(2000, 1, 20), "spring", cutoff)
+        assert not within_cutoff(date(2001, 2, 13), "spring", cutoff)
+        assert within_cutoff(date(2002, 2, 14), "spring", cutoff)  # on the cutoff -> kept
+        assert within_cutoff(date(2004, 3, 10), "spring", cutoff)
 
     def test_fall_cutoff_excludes_late_onsets(self) -> None:
         cutoff = date(2000, 11, 25)
-        x = {
-            2000: date(2000, 12, 1),   # after Nov 25 -> excluded
-            2001: date(2001, 11, 25),  # on the cutoff -> kept
-            2002: date(2002, 11, 2),
-            2003: date(2003, 10, 20),
-            2004: date(2004, 10, 1),
-        }
-        y = {k: date(k, 11, 1) for k in x}
-        result = pearson_with_cutoff(x, y, "fall", cutoff)
-        assert result.excluded_years == (2000,)
-        assert result.n_used == 4
+        assert not within_cutoff(date(2000, 12, 1), "fall", cutoff)
+        assert not within_cutoff(date(2001, 11, 26), "fall", cutoff)
+        assert within_cutoff(date(2001, 11, 25), "fall", cutoff)  # on the cutoff -> kept
+        assert within_cutoff(date(2004, 10, 1), "fall", cutoff)
 
     def test_too_few_pairs_after_cutoff(self) -> None:
-        x = {2000: date(2000, 1, 5), 2001: date(2001, 1, 6), 2002: date(2002, 3, 1)}
-        y = {k: date(k, 3, 1) for k in x}
-        with pytest.raises(ValueError, match="need at least 3"):
-            pearson_with_cutoff(x, y, "spring", date(2000, 2, 14))
+        cutoff = date(2000, 2, 14)
+        x = [date(2000, 1, 5), date(2001, 1, 6), date(2002, 3, 1), date(2003, 3, 9)]
+        kept = [day_of_year(d) for d in x if within_cutoff(d, "spring", cutoff)]
+        with pytest.raises(ValueError, match="need at least 3 pairs, got 2"):
+            pearson(kept, [60, 61])
 
     def test_affine_invariance(self) -> None:
         rng = np.random.default_rng(47)
-        x = {y: float(rng.uniform(60, 120)) for y in range(2000, 2012)}
-        y = {k: v * 1.3 + float(rng.normal(0, 4)) for k, v in x.items()}
-        base = pearson_with_cutoff(x, y, "spring", 0.0)
-        transformed = pearson_with_cutoff(
-            x, {k: 2.5 * v + 40.0 for k, v in y.items()}, "spring", 0.0
-        )
-        assert transformed.r == pytest.approx(base.r, abs=1e-12)
-
-    def test_mixed_types_rejected(self) -> None:
-        x = {2000: date(2000, 3, 1), 2001: date(2001, 3, 2), 2002: date(2002, 3, 3)}
-        y = {k: 10.0 for k in x}
-        with pytest.raises(TypeError, match="both be dates"):
-            pearson_with_cutoff(x, y, "spring", 50.0)
+        x = rng.uniform(60, 120, 12)
+        y = x * 1.3 + rng.normal(0, 4, 12)
+        assert pearson(x, 2.5 * y + 40.0) == pytest.approx(pearson(x, y), abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), season=st.sampled_from(["spring", "fall"]))
-    def test_matches_two_pass_reference(self, data, season: str) -> None:
-        # Dates (the cutoff from another year, leap days included), day
-        # numbers, or day numbers so close that ties at the cutoff and zero
-        # variance occur. y lacks x's first years and has one of its own.
-        dates = st.dates(date(1999, 1, 1), date(2001, 12, 31))
-        onset = data.draw(st.sampled_from([dates, st.integers(1, 366), st.integers(100, 102)]))
+    @given(
+        season=st.sampled_from(["spring", "fall"]),
+        onset=st.dates(date(1999, 1, 1), date(2001, 12, 31)),
+        cutoff=st.dates(date(1999, 1, 1), date(2001, 12, 31)),
+    )
+    def test_within_cutoff_matches_month_day_rule(
+        self, season: str, onset: date, cutoff: date
+    ) -> None:
+        # The cutoff comes from any year, leap or not, independent of the onset's.
+        want = oracles.reference_within_cutoff(onset, season, cutoff)
+        assert within_cutoff(onset, season, cutoff) is want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_two_pass_reference(self, data) -> None:
+        # Each load metric lacks the first degree-day years and has one of its own.
         years = data.draw(st.lists(st.integers(1990, 2020), unique=True, max_size=20))
-        x = {year: data.draw(onset) for year in years}
-        y = {year: data.draw(onset) for year in [*years[data.draw(st.integers(0, 2)) :], 2021]}
-        cutoff = data.draw(onset)
-        want = oracles.reference_pearson_with_cutoff(x, y, season, cutoff)
-        try:
-            got = pearson_with_cutoff(x, y, season, cutoff)
-        except ValueError as exc:
-            assert str(exc) == want
-            return
-        assert not isinstance(want, str)
-        r, kept, excluded = want
-        assert got.r == pytest.approx(r, rel=0, abs=1e-12)
-        assert (got.n_used, got.cutoff, got.excluded_count, got.excluded_years) == (
-            len(kept),
-            cutoff,
-            len(excluded),
-            tuple(excluded),
-        )
+        dd_rows, load_rows, cases = [], [], []
+        for season in ("spring", "fall"):
+            dd_rows += _cutoff_windows(data, season, "degree_days", years)
+            for metric in ("total_energy", "peak_demand"):
+                own = [*years[data.draw(st.integers(0, 2)) :], 2021]
+                load_rows += _cutoff_windows(data, season, metric, own)
+                cases.append((season, metric))
+        corr_rows, point_rows = cli._correlation_rows(dd_rows, load_rows)
+
+        def onsets(rows, season, metric):
+            return {w.year: w.onset for w in rows if (w.season, w.metric) == (season, metric)}
+
+        def doy(onset: date) -> int:
+            return (onset - date(onset.year, 1, 1)).days + 1
+
+        corr = {(row[0], row[2]): row for row in corr_rows}
+        for season, metric in cases:
+            x = onsets(dd_rows, season, "degree_days")
+            y = onsets(load_rows, season, metric)
+            cutoff = cli.SPRING_CUTOFF if season == "spring" else cli.FALL_CUTOFF
+            r, kept, excluded = oracles.reference_pearson_with_cutoff(x, y, season, cutoff)
+            want_points = [
+                (season, metric, year, doy(x[year]), doy(y[year]), int(year in kept))
+                for year in sorted(kept + excluded)
+            ]
+            assert [p for p in point_rows if p[:2] == (season, metric)] == want_points
+            if isinstance(r, str):
+                assert (season, metric) not in corr, r
+                continue
+            got = corr.pop((season, metric))
+            assert got[3] == pytest.approx(r, rel=0, abs=1e-12)
+            cutoff_text = "Feb 14" if season == "spring" else "Nov 25"
+            assert got[:3] + got[4:] == (
+                season, "degree_days", metric, len(kept), len(excluded), cutoff_text
+            )
+        assert corr == {}
 
     def test_plain_pearson_zero_variance(self) -> None:
         with pytest.raises(ValueError, match="zero variance"):
