@@ -51,7 +51,6 @@ class PeriodOutageStat:
 
 @dataclass(frozen=True)
 class GenerationHistogram:
-    label: str
     bin_edges: tuple[float, ...]  # MW, len = len(counts) + 1
     counts: tuple[int, ...]
     peak_demand_mw: float
@@ -69,7 +68,7 @@ class GenerationHistogram:
 
 
 def average_outages(
-    outages: Outages, period: Sequence[DateRange], label: str = ""
+    outages: Outages, period: Sequence[DateRange], label: str
 ) -> PeriodOutageStat:
     """Mean outage capacity over all records in the period, in GW."""
     values = outages.outage_mw[period_mask(outages.timestamps, period)]
@@ -80,7 +79,7 @@ def average_outages(
         )
     total = left_sum(values)
     return PeriodOutageStat(
-        label=label or f"{start.isoformat()}..{end.isoformat()}",
+        label=label,
         start=start,
         end=end,
         mean_outage_gw=total / len(values) / MW_PER_GW,
@@ -116,11 +115,7 @@ def unmet_demand_fraction(
 
 
 def generation_histogram(
-    outages: Outages,
-    period: Sequence[DateRange],
-    bin_width_mw: float,
-    peak_demand_mw: float,
-    label: str = "",
+    outages: Outages, period: Sequence[DateRange], bin_width_mw: float, peak_demand_mw: float
 ) -> GenerationHistogram:
     """Histogram of telemetered output over a period, with a demand marker.
 
@@ -145,7 +140,6 @@ def generation_histogram(
     edges = [lo + i * bin_width_mw for i in range(n_bins + 1)]
     counts, _ = np.histogram(values, bins=edges)
     return GenerationHistogram(
-        label=label or f"{start.isoformat()}..{end.isoformat()}",
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
         peak_demand_mw=peak_demand_mw,

@@ -232,7 +232,7 @@ def _trend_rows(
             points = {year: float(trends.day_of_year(d)) for year, d in onsets.items()}
             auto = cfg.outlier_policy == "auto" and (metric, season) == ("degree_days", "fall")
             direction = trends.SHIFT_DIRECTION[season]
-            result = trends.linear_trend(points, direction=direction, auto_exclude=auto)
+            result = trends.linear_trend(points.items(), direction=direction, auto_exclude=auto)
             excluded = ";".join(str(int(x)) for x, _ in result.excluded_points)
             table.append(
                 (
@@ -285,7 +285,7 @@ def stage_trends(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     movavg_rows = []
     fit_rows = []
     for metric, season, points, result in fits:
-        smoothed = dict(trends.moving_average(points))
+        smoothed = dict(trends.moving_average(points.items()))
         for year in sorted(points):
             movavg_rows.append((metric, season, year, points[year], smoothed[year]))
         for year, fit, lo, hi in trends.confidence_band(result, sorted(points)):
@@ -322,7 +322,15 @@ def stage_project(cfg: RunConfig, tables: Tables) -> dict[str, object]:
         for e in stats
     ]
 
-    lines = {s: projection.onset_vs_temperature(annual, onsets[s], s) for s in onsets}
+    # The (season, year, temperature, onset day) rows of the points file,
+    # which both onset-temperature lines are fitted from.
+    onset_temp_rows = [
+        (season, year, annual[year], trends.day_of_year(by_year[year]))
+        for season, by_year in onsets.items()
+        for year in sorted(set(by_year) & set(annual))
+    ]
+    pairs = {s: [(t, doy) for season, _, t, doy in onset_temp_rows if season == s] for s in onsets}
+    lines = {s: projection.onset_vs_temperature(pairs[s], s) for s in onsets}
     spring_proj, fall_proj = projection.project_onsets(lines["spring"], lines["fall"], path)
     merged = projection.merge_year(spring_proj, fall_proj, persistence=cfg.persistence)
 
@@ -332,11 +340,6 @@ def stage_project(cfg: RunConfig, tables: Tables) -> dict[str, object]:
         path_rows.append(
             (e.year, "ensemble_corrected", corrected, corrected - 2 * sigma, corrected + 2 * sigma)
         )
-    onset_temp_rows = [
-        (season, year, annual[year], trends.day_of_year(by_year[year]))
-        for season, by_year in onsets.items()
-        for year in sorted(set(by_year) & set(annual))
-    ]
     proj_rows = [
         (p.year, season, p.predicted_onset, p.ci_low, p.ci_high)
         for season, seq in (("spring", spring_proj), ("fall", fall_proj))
@@ -438,9 +441,7 @@ def stage_adequacy(cfg: RunConfig, tables: Tables) -> dict[str, object]:
             demand = hourly.load_mw[adq.period_mask(hourly.hours, ranges)]
             # The first maximum in file order, as max() picks among 0.0 and -0.0.
             peak = float(demand[demand.argmax()])
-            hist = adq.generation_histogram(
-                outages, ranges, bin_mw, peak_demand_mw=peak, label=label
-            )
+            hist = adq.generation_histogram(outages, ranges, bin_mw, peak_demand_mw=peak)
         except ValueError:
             continue
         header = (

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .tables import parse_float, split_rows
-from .trends import SHIFT_DIRECTION, Z95, TrendResult, day_of_year, left_sum, linear_trend, ols
+from .trends import SHIFT_DIRECTION, Z95, TrendResult, left_sum, linear_trend, ols
 
 ENSEMBLE_HEADER = "member,year,month,t2m_c"
 
@@ -33,7 +33,6 @@ class EnsembleAnnualStats:
     year: int
     ensemble_mean_c: float
     ensemble_std_c: float
-    n_members: int
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ def ensemble_annual_stats(
                 year=year,
                 ensemble_mean_c=float(values.mean()),
                 ensemble_std_c=float(values.std()),
-                n_members=len(values),
             )
         )
     return out
@@ -134,16 +132,11 @@ def fit_bias_correction(
     return BiasCorrection(gain=gain, offset=offset)
 
 
-def onset_vs_temperature(
-    annual_temps: Mapping[int, float],
-    onsets: Mapping[int, object],
-    season: str,
-) -> TrendResult:
-    """Regression of onset day-of-year on annual mean temperature."""
+def onset_vs_temperature(points: Iterable[tuple[float, int]], season: str) -> TrendResult:
+    """Regression of onset day-of-year on annual mean temperature, from
+    (temperature, onset day of year) pairs."""
     if season not in SHIFT_DIRECTION:
         raise ValueError(f"season must be 'spring' or 'fall', got {season!r}")
-    years = sorted(set(annual_temps) & set(onsets))
-    points = [(annual_temps[y], day_of_year(onsets[y])) for y in years]
     return linear_trend(points, direction=SHIFT_DIRECTION[season])
 
 

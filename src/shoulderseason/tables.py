@@ -92,8 +92,6 @@ def cell(value: object) -> str:
         return ""
     if isinstance(value, (int, numbers.Integral)):
         return str(int(value))
-    if isinstance(value, numbers.Real):
-        return repr(float(value))
     raise TypeError(f"no table format for {type(value).__name__} value {value!r}")
 
 

@@ -91,9 +91,6 @@ class CubicDemandFit:
     fit_range: tuple[float, float]
     t0: float | None = None
 
-    def demand(self, t: float) -> float:
-        return ((self.a1 * t + self.a2) * t + self.a3) * t + self.a4
-
 
 # -- grid and mask file I/O --------------------------------------------------
 
@@ -514,15 +511,9 @@ def global_t0(t0_values: Iterable[float]) -> float:
     return left_sum(values) / len(values)
 
 
-def degree_days(t_avg: float, t0: float) -> float:
-    """Absolute deviation of the daily mean temperature from t0."""
-    if t_avg >= t0:
-        return t_avg - t0
-    return t0 - t_avg
-
-
 def degree_day_series(temps: DailySeries, t0: float) -> DailySeries:
-    """degree_days of each day, missing days kept missing."""
+    """Absolute deviation of each day's mean temperature from t0, missing
+    days kept missing."""
     v = temps.values
     return DailySeries(temps.first, np.where(v >= t0, v - t0, t0 - v))
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from datetime import date
 from functools import reduce
 from statistics import NormalDist
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class TrendResult:
     intercept: float
     slope_stderr: float
     n: int
-    direction: str
     shift_probability: float
     excluded_points: tuple[tuple[float, float], ...]
     residual_var: float
@@ -104,7 +103,7 @@ def ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float
 
 
 def linear_trend(
-    points: Iterable[tuple[float, float]] | Mapping[float, float],
+    points: Iterable[tuple[float, float]],
     direction: str = "earlier",
     auto_exclude: bool = False,
 ) -> TrendResult:
@@ -115,10 +114,7 @@ def linear_trend(
     MAX_AUTO_EXCLUSIONS points, refitting after each removal; all removed
     points are reported. At least 3 points must remain.
     """
-    if isinstance(points, Mapping):
-        pts = sorted(points.items())
-    else:
-        pts = sorted(points)
+    pts = sorted(points)
     excluded: list[tuple[float, float]] = []
     while True:
         if len(pts) < 3:
@@ -151,7 +147,6 @@ def linear_trend(
         intercept=intercept,
         slope_stderr=stderr,
         n=len(pts),
-        direction=direction,
         shift_probability=shift_probability(slope, stderr, direction),
         excluded_points=tuple(excluded),
         residual_var=s2,
@@ -172,18 +167,13 @@ def confidence_band(
     return out
 
 
-def moving_average(
-    points: Iterable[tuple[int, float]] | Mapping[int, float]
-) -> list[tuple[int, float]]:
+def moving_average(points: Iterable[tuple[int, float]]) -> list[tuple[int, float]]:
     """Centered MOVING_AVERAGE_YEARS-year moving average, truncated at the series edges.
 
     The window spans years within +-(MOVING_AVERAGE_YEARS-1)/2 of each point;
     years missing from the series simply contribute nothing.
     """
-    if isinstance(points, Mapping):
-        items = sorted(points.items())
-    else:
-        items = sorted(points)
+    items = sorted(points)
     half = (MOVING_AVERAGE_YEARS - 1) // 2
     out = []
     for year, _ in items:
@@ -201,9 +191,9 @@ def left_sum(values: Iterable[float] | np.ndarray) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def day_of_year(onset: date | float) -> int | float:
-    """Day of year of a date (January 1 is 1); a number is taken as one already."""
-    return onset.timetuple().tm_yday if isinstance(onset, date) else onset
+def day_of_year(onset: date) -> int:
+    """Day of year of a date (January 1 is 1)."""
+    return onset.timetuple().tm_yday
 
 
 def within_cutoff(x_onset: date, season: str, cutoff: date) -> bool:

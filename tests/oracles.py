@@ -295,7 +295,7 @@ def _in_period(record: OutageRecord, ranges) -> bool:
     return any(start <= day <= end for start, end in ranges)
 
 
-def reference_average_outages(outages: Sequence[OutageRecord], ranges, label: str = ""):
+def reference_average_outages(outages: Sequence[OutageRecord], ranges, label: str):
     from shoulderseason.adequacy import MW_PER_GW, PeriodOutageStat
 
     values = [r.outage_mw for r in outages if _in_period(r, ranges)]
@@ -306,7 +306,7 @@ def reference_average_outages(outages: Sequence[OutageRecord], ranges, label: st
             f"no outage records between {start.isoformat()} and {end.isoformat()}"
         )
     return PeriodOutageStat(
-        label=label or f"{start.isoformat()}..{end.isoformat()}",
+        label=label,
         start=start,
         end=end,
         mean_outage_gw=_sum(values) / len(values) / MW_PER_GW,
@@ -339,7 +339,6 @@ def reference_generation_histogram(
     edges = [lo + i * bin_width_mw for i in range(n_bins + 1)]
     counts, _ = np.histogram(values, bins=edges)
     return GenerationHistogram(
-        label=f"{start.isoformat()}..{end.isoformat()}",
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
         peak_demand_mw=peak_demand_mw,

@@ -22,11 +22,12 @@ from oracles import exhaustive_min_window
 from shoulderseason.adequacy import incremental_maintenance_delta, unmet_demand_fraction
 from shoulderseason.cli import F, _stages_for_all, run_pipeline
 from shoulderseason.config import load_config
+from shoulderseason.ingest import DailySeries
 from shoulderseason.projection import OnsetProjection, fit_bias_correction, merge_year
 from shoulderseason.projection import EnsembleAnnualStats
 from shoulderseason.thermal import (
     CubicDemandFit,
-    degree_days,
+    degree_day_series,
     fit_demand_temperature_cubic,
     reference_temperature,
 )
@@ -80,10 +81,12 @@ def test_criterion_04_degree_day_properties() -> None:
     for _ in range(2000):
         t0 = float(rng.uniform(-30.0, 45.0))
         x = float(rng.uniform(0.0, 40.0))
-        assert degree_days(t0, t0) == 0.0
-        assert degree_days(t0 + x, t0) == pytest.approx(degree_days(t0 - x, t0), abs=1e-9)
-        assert degree_days(t0 + x, t0) >= 0.0
-        assert degree_days(t0 - x, t0) >= 0.0
+        temps = DailySeries(date(2000, 1, 1), np.array([t0, t0 + x, t0 - x]))
+        at, above, below = degree_day_series(temps, t0).values
+        assert at == 0.0
+        assert above == pytest.approx(below, abs=1e-9)
+        assert above >= 0.0
+        assert below >= 0.0
 
 
 def test_criterion_05_regression_probability_suite() -> None:
@@ -113,7 +116,7 @@ def test_criterion_05_regression_probability_suite() -> None:
 def test_criterion_06_bias_correction_recovery() -> None:
     rng = np.random.default_rng(11)
     ens_means = {1959 + i: float(rng.uniform(14.0, 21.0)) for i in range(64)}
-    ensemble = [EnsembleAnnualStats(y, t, 0.4, 100) for y, t in ens_means.items()]
+    ensemble = [EnsembleAnnualStats(y, t, 0.4) for y, t in ens_means.items()]
     observed = {y: 0.92 * t + 1.0 for y, t in ens_means.items()}
     correction = fit_bias_correction(observed, ensemble)
     assert abs(correction.gain - 0.92) <= 1e-9

@@ -47,22 +47,22 @@ class TestAverageOutages:
 
     def test_period_bounds_inclusive(self) -> None:
         records = _records(date(2022, 3, 1), 10, lambda ts: float(ts.day))
-        stat = average_outages(records, [(date(2022, 3, 3), date(2022, 3, 5))])
+        stat = average_outages(records, [(date(2022, 3, 3), date(2022, 3, 5))], "test")
         assert stat.mean_outage_gw == pytest.approx(4.0 / 1000.0)
         assert stat.n_records == 3 * 96
 
     def test_empty_coverage_errors(self) -> None:
         records = _records(date(2022, 3, 1), 2, 5000.0)
         with pytest.raises(ValueError, match="no outage records"):
-            average_outages(records, [(date(2023, 1, 1), date(2023, 1, 31))])
+            average_outages(records, [(date(2023, 1, 1), date(2023, 1, 31))], "test")
 
     def test_reordering_invariance(self) -> None:
         rng = random.Random(3)
         records = _records(date(2022, 1, 1), 4, lambda ts: rng.uniform(0, 30000))
-        base = average_outages(records, [(date(2022, 1, 1), date(2022, 1, 4))])
+        base = average_outages(records, [(date(2022, 1, 1), date(2022, 1, 4))], "test")
         order = list(range(len(records)))
         rng.shuffle(order)
-        again = average_outages(records[order], [(date(2022, 1, 1), date(2022, 1, 4))])
+        again = average_outages(records[order], [(date(2022, 1, 1), date(2022, 1, 4))], "test")
         assert again.mean_outage_gw == pytest.approx(base.mean_outage_gw, abs=1e-12)
 
     def test_pooled_disjoint_ranges(self) -> None:
@@ -70,6 +70,7 @@ class TestAverageOutages:
         pooled = average_outages(
             records,
             [(date(2022, 1, 1), date(2022, 1, 31)), (date(2022, 2, 1), date(2022, 2, 9))],
+            "test",
         )
         expected = (31 * 1000.0 + 9 * 3000.0) / 40 / 1000.0
         assert pooled.mean_outage_gw == pytest.approx(expected)
@@ -167,7 +168,7 @@ class TestGenerationHistogram:
     def test_balanced_allows_rounding(
         self, max_output_mw: float, peak_demand_mw: float, balanced: bool
     ) -> None:
-        hist = GenerationHistogram("p", (0.0, 1.0), (1,), peak_demand_mw, max_output_mw)
+        hist = GenerationHistogram((0.0, 1.0), (1,), peak_demand_mw, max_output_mw)
         assert hist.balanced is balanced
 
     def test_counts_sum_to_period_records(self) -> None:

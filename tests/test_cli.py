@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import shutil
 from collections import Counter
@@ -473,6 +474,62 @@ class TestPipeline:
                     assert row[4:6] == (len(kept), len(excluded))
             assert corr == {}, key
 
+    def test_outlier_trimming_through_the_cache(self, fixture_dir, full_run, tmp_path) -> None:
+        # No bundled world trims a point, so move onsets far off their lines
+        # in the cached windows, each inside its half-year: two fall
+        # degree-day onsets and one spring one. Only the fall degree-day
+        # series is trimmed under outlier_policy = auto.
+        out = tmp_path / "out"
+        shutil.copytree(full_run, out)
+        name, header, read = cli.OUTPUTS["shoulder"]
+        with open(out / name, encoding="utf-8") as fh:
+            rows = read(fh, header)
+        years = sorted({w.year for w in rows if w.metric == "degree_days"})
+        moved = {
+            ("fall", years[5]): (8, 1),
+            ("fall", years[-6]): (11, 15),
+            ("spring", years[10]): (2, 1),
+        }
+        rows = [
+            replace(w, onset=date(w.year, *moved[w.season, w.year]))
+            if w.metric == "degree_days" and (w.season, w.year) in moved
+            else w
+            for w in rows
+        ]
+        (out / name).write_text(cli._format("shoulder", rows))
+        conf = _config_variant(fixture_dir, tmp_path / "auto.conf", outlier_policy="auto")
+        assert main(["trends", "--config", str(conf), "--out", str(out)]) == 0
+
+        def table(key):
+            lines = (out / F[key]).read_text().splitlines()[1:]
+            return [line.split(",") for line in lines]
+
+        onsets = {}
+        for w in rows:
+            onsets.setdefault((w.metric, w.season), {})[w.year] = float(w.onset.timetuple().tm_yday)
+        points = sorted((float(year), doy) for year, doy in onsets["degree_days", "fall"].items())
+        trimmed = oracles.reference_auto_exclusions(points)
+        assert {x for x, _ in trimmed} == {float(years[5]), float(years[-6])}
+        kept = [p for p in points if p not in trimmed]
+        slope, _, var = oracles.exact_ols(kept)
+
+        trend_rows = {(row[0], row[1]): row for row in table("trends")}
+        assert set(trend_rows) == set(onsets)
+        _, _, slope_dec, stderr, _, n, excluded = trend_rows.pop(("degree_days", "fall"))
+        assert excluded == ";".join(str(int(x)) for x, _ in trimmed)
+        assert int(n) == len(kept)
+        assert float(slope_dec) == pytest.approx(10 * float(slope), rel=1e-9)
+        assert float(stderr) == pytest.approx(10 * math.sqrt(var), rel=1e-9)
+        for row in [*trend_rows.values(), *table("trends_net")]:
+            assert row[6] == "", row[:2]
+
+        # The trimmed years stay in the smoothed series and the fit lines.
+        for key in ("movavg", "fitlines"):
+            listed = {}
+            for metric, season, year, *_ in table(key):
+                listed.setdefault((metric, season), []).append(int(year))
+            assert listed == {k: sorted(v) for k, v in onsets.items()}, key
+
     def test_downstream_stage_without_cache_errors(self, fixture_dir, tmp_path) -> None:
         cfg = load_config(fixture_dir / "fixture.conf")
         cfg.out_dir = tmp_path / "empty"
@@ -716,15 +773,14 @@ class TestPipelineCrossChecks:
     def test_projection_slope_matches_points_file(self, full_run) -> None:
         import numpy as np
 
-        temps, doys = [], []
+        pairs = {"spring": [], "fall": []}
         for line in (full_run / F["onset_temp"]).read_text().splitlines()[1:]:
             season, _year, t, doy = line.split(",")
-            if season == "spring":
-                temps.append(float(t))
-                doys.append(float(doy))
-        slope = np.polyfit(temps, doys, 1)[0]
+            pairs[season].append((float(t), float(doy)))
         summary = json.loads((full_run / F["proj_summary"]).read_text())
-        assert summary["spring_slope_days_per_c"] == pytest.approx(slope, rel=1e-9)
+        for season, points in pairs.items():
+            slope = np.polyfit(*zip(*points), 1)[0]
+            assert summary[f"{season}_slope_days_per_c"] == pytest.approx(slope, rel=1e-9)
 
     def test_unmet_demand_recomputed_from_raw_inputs(self, fixture_dir, full_run) -> None:
         from shoulderseason.adequacy import unmet_demand_fraction

@@ -54,7 +54,7 @@ CASES = {
         )
     ),
     "moving_average": lambda: repr(
-        trends.moving_average({2000 + i: v for i, v in enumerate(CANCELLING)})
+        trends.moving_average(list(enumerate(CANCELLING, start=2000)))
     ),
     "ensemble_annual_stats": _ensemble_means,
 }

@@ -186,9 +186,6 @@ UNCALLED = {
     "ingest.write_hourly_load",
     "ingest.write_fuel_mix",
     "ingest.write_outages",
-    # The scalar definition of a degree day, which acceptance criterion 4
-    # checks; the pipeline computes degree days over whole arrays.
-    "thermal.degree_days",
 }
 
 
@@ -219,3 +216,79 @@ def test_checker_finds_unreferenced_names(
     modules: dict[str, str], others: list[str], found: list[str]
 ) -> None:
     assert unreferenced(modules, others) == found
+
+
+RECORDS = {"dataclass", "NamedTuple"}
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a NamedTuple."""
+    names = [getattr(d, "func", d) for d in node.decorator_list] + node.bases
+    return bool({getattr(n, "id", None) or getattr(n, "attr", None) for n in names} & RECORDS)
+
+
+def unread_fields(modules: dict[str, str], others: list[str]) -> list[str]:
+    """Each `module.Class.field` of a dataclass or NamedTuple in the modules
+    that no code in them or in the other sources reads as an attribute.
+
+    A read is matched by the attribute's name alone, so a read of a field
+    of the same name on another class hides an unread one; the check misses
+    some unread fields but flags no read one.
+    """
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read = {
+        node.attr
+        for tree in [*trees.values(), *map(ast.parse, others)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}.{node.name}.{field.target.id}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_record(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        if field.target.id not in read
+    )
+
+
+# Records whose fields are not each read by name, each kept on purpose.
+UNREAD = {
+    # Written whole, one table row per record, through astuple.
+    "windows.ShoulderWindow",
+    "adequacy.PeriodOutageStat",
+    # A column of the fuel-mix feed that is parsed and validated; netting
+    # subtracts only wind, solar and hydro.
+    "ingest.FuelMix.other_mw",
+}
+
+
+def test_every_field_is_read() -> None:
+    modules = {m: (SOURCE / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
+    benchmark = sorted((ROOT / "perfbench").glob("*.py"))
+    others = [p.read_text(encoding="utf-8") for p in benchmark if not p.name.startswith("test_")]
+    found = unread_fields(modules, others)
+    assert [f for f in found if f not in UNREAD and f.rpartition(".")[0] not in UNREAD] == []
+
+
+@pytest.mark.parametrize(
+    "modules, others, found",
+    [
+        ({"m": "@dataclass\nclass C:\n    a: int"}, [], ["m.C.a"]),
+        ({"m": "@dataclass\nclass C:\n    a: int\nC(1).a"}, [], []),
+        ({"m": "@dataclass(frozen=True)\nclass C:\n    a: int\n    b: int = 0\nc.b"}, [], ["m.C.a"]),
+        ({"m": "class T(NamedTuple):\n    a: int"}, ["t.a"], []),
+        ({"m": "class T(typing.NamedTuple):\n    a: int"}, [], ["m.T.a"]),
+        ({"m": "@dataclasses.dataclass\nclass C:\n    a: int"}, [], ["m.C.a"]),
+        ({"m": "@dataclass\nclass C:\n    a: int\n    def f(self):\n        return self.a"}, [], []),
+        ({"m": "@dataclass\nclass C:\n    a: int\nc.a = 1"}, [], ["m.C.a"]),
+        ({"m": "@dataclass\nclass C:\n    a: int\nf(a=1)\nx = 'a'"}, [], ["m.C.a"]),
+        ({"m": "class C:\n    a: int"}, [], []),
+        ({"m": "def f():\n    @dataclass\n    class C:\n        a: int"}, [], ["m.C.a"]),
+    ],
+)
+def test_checker_finds_unread_fields(
+    modules: dict[str, str], others: list[str], found: list[str]
+) -> None:
+    assert unread_fields(modules, others) == found

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from datetime import date
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ class TestEnsembleAnnualStats:
         (stats,) = ensemble_annual_stats(records)
         assert stats.ensemble_mean_c == pytest.approx(15.0)
         assert stats.ensemble_std_c == 0.0
-        assert stats.n_members == 2
 
     def test_two_flat_members_hand_values(self) -> None:
         records = _flat_member("a", 2020, 15.0) + _flat_member("b", 2020, 17.0)
@@ -43,8 +41,8 @@ class TestEnsembleAnnualStats:
 
     def test_single_member(self) -> None:
         (stats,) = ensemble_annual_stats(_flat_member("only", 2021, 14.5))
+        assert stats.ensemble_mean_c == pytest.approx(14.5)
         assert stats.ensemble_std_c == 0.0
-        assert stats.n_members == 1
 
     def test_months_weighted_by_day_counts(self) -> None:
         # 10 C in January (31 d), 20 C everywhere else in a non-leap year.
@@ -72,8 +70,11 @@ class TestEnsembleAnnualStats:
         )
         stats = ensemble_annual_stats(records)
         by_year = {s.year: s for s in stats}
-        assert by_year[2020].n_members == 2
-        assert by_year[2021].n_members == 1
+        assert by_year[2020].ensemble_mean_c == pytest.approx(16.0)
+        assert by_year[2020].ensemble_std_c == pytest.approx(1.0)
+        # Member b, absent in 2021, is left out: no spread about a's mean.
+        assert by_year[2021].ensemble_mean_c == pytest.approx(16.0)
+        assert by_year[2021].ensemble_std_c == 0.0
 
     def test_member_order_does_not_matter(self) -> None:
         rng = np.random.default_rng(3)
@@ -110,7 +111,7 @@ class TestEnsembleAnnualStats:
 class TestBiasCorrection:
     @staticmethod
     def _ensemble(values: dict[int, float]) -> list[EnsembleAnnualStats]:
-        return [EnsembleAnnualStats(y, t, 0.3, 5) for y, t in values.items()]
+        return [EnsembleAnnualStats(y, t, 0.3) for y, t in values.items()]
 
     def test_exact_affine_recovery(self) -> None:
         rng = np.random.default_rng(13)
@@ -155,42 +156,29 @@ class TestBiasCorrection:
 
 class TestOnsetVsTemperature:
     def test_exact_linear_recovery(self) -> None:
-        temps = {2000 + i: 15.0 + 0.1 * i for i in range(20)}
-        onsets = {y: 100.0 - 8.0 * (t - 15.0) for y, t in temps.items()}
-        line = onset_vs_temperature(temps, onsets, "spring")
+        temps = [15.0 + 0.1 * i for i in range(20)]
+        line = onset_vs_temperature([(t, 100.0 - 8.0 * (t - 15.0)) for t in temps], "spring")
         assert line.slope == pytest.approx(-8.0, rel=1e-9)
-        assert line.direction == "earlier"
-
-    def test_accepts_dates(self) -> None:
-        temps = {2000: 15.0, 2001: 16.0, 2002: 17.0}
-        onsets = {
-            2000: date(2000, 4, 10),
-            2001: date(2001, 4, 2),
-            2002: date(2002, 3, 25),
-        }
-        line = onset_vs_temperature(temps, onsets, "spring")
-        assert line.slope < 0
+        # Spring onsets that come earlier as it warms: a certain earlier shift.
+        assert line.shift_probability == 1.0
 
     def test_shuffled_pairing_kills_slope(self) -> None:
         rng = np.random.default_rng(23)
         years = list(range(1959, 2023))
         temps = {y: 15.0 + 0.03 * (y - 1959) + float(rng.normal(0, 0.3)) for y in years}
         onsets = {y: 100.0 - 8.0 * (temps[y] - 15.0) + float(rng.normal(0, 2)) for y in years}
-        paired = onset_vs_temperature(temps, onsets, "spring")
+        paired = onset_vs_temperature([(temps[y], onsets[y]) for y in years], "spring")
         shuffled_values = list(onsets.values())
         random.Random(5).shuffle(shuffled_values)
         shuffled = dict(zip(onsets.keys(), shuffled_values))
-        broken = onset_vs_temperature(temps, shuffled, "spring")
+        broken = onset_vs_temperature([(temps[y], shuffled[y]) for y in years], "spring")
         assert abs(broken.slope) < abs(paired.slope) / 3
         assert broken.slope_stderr > 2 * paired.slope_stderr
         assert abs(broken.slope) < 2 * broken.slope_stderr  # not significant
         assert abs(paired.slope) > 10 * paired.slope_stderr
 
     def test_fall_uses_later_direction(self) -> None:
-        temps = {2000: 15.0, 2001: 16.0, 2002: 17.0}
-        onsets = {2000: 280.0, 2001: 284.0, 2002: 288.0}
-        line = onset_vs_temperature(temps, onsets, "fall")
-        assert line.direction == "later"
+        line = onset_vs_temperature([(15.0, 280), (16.0, 284), (17.0, 288)], "fall")
         assert line.shift_probability == 1.0
 
 

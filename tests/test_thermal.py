@@ -23,7 +23,6 @@ from shoulderseason.thermal import (
     attach_mask,
     daily_cell_means,
     degree_day_series,
-    degree_days,
     fit_demand_temperature_cubic,
     global_t0,
     load_grid_raster,
@@ -161,7 +160,7 @@ class TestCubicFit:
         pairs = [(t, cubic(t)) for t in (-1.0, 0.0, 2.0, 5.0)]
         fit = fit_demand_temperature_cubic(pairs)
         for t, d in pairs:
-            assert fit.demand(t) == pytest.approx(d, abs=1e-8)
+            assert ((fit.a1 * t + fit.a2) * t + fit.a3) * t + fit.a4 == pytest.approx(d, abs=1e-8)
 
     def test_constant_demand(self) -> None:
         pairs = [(t, 500.0) for t in (0.0, 5.0, 10.0, 15.0, 20.0)]
@@ -269,22 +268,28 @@ class TestReferenceTemperature:
 
 
 class TestDegreeDays:
+    @staticmethod
+    def _degree_days(temps: list[float], t0: float) -> list[float]:
+        series = DailySeries(date(2020, 1, 1), np.array(temps))
+        return degree_day_series(series, t0).values.tolist()
+
     def test_zero_at_reference(self) -> None:
-        assert degree_days(14.89, 14.89) == 0.0
+        assert self._degree_days([14.89], 14.89) == [0.0]
 
     def test_upper_branch(self) -> None:
-        assert degree_days(20.0, 15.0) == 5.0
+        assert self._degree_days([20.0], 15.0) == [5.0]
 
     def test_lower_branch(self) -> None:
-        assert degree_days(10.0, 15.0) == 5.0
+        assert self._degree_days([10.0], 15.0) == [5.0]
 
     def test_symmetry_and_nonnegativity(self) -> None:
         rng = np.random.default_rng(5)
         for _ in range(200):
             t0 = float(rng.uniform(-20, 40))
             x = float(rng.uniform(0, 30))
-            assert degree_days(t0 + x, t0) >= 0.0
-            assert degree_days(t0 + x, t0) == pytest.approx(degree_days(t0 - x, t0))
+            above, below = self._degree_days([t0 + x, t0 - x], t0)
+            assert above >= 0.0
+            assert above == pytest.approx(below)
 
     def test_series_helper(self) -> None:
         series = degree_day_series(DailySeries.from_mapping({date(2020, 1, 1): 12.0}), 15.0)

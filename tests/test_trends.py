@@ -157,10 +157,6 @@ class TestLinearTrend:
         result = linear_trend(points, auto_exclude=True)
         assert len(result.excluded_points) <= 5
 
-    def test_mapping_input(self) -> None:
-        result = linear_trend({2000: 10.0, 2001: 12.0, 2002: 14.0}, direction="later")
-        assert result.slope == pytest.approx(2.0)
-
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_auto_exclusion_matches_refit_loop(self, data) -> None:
@@ -200,7 +196,7 @@ class TestConfidenceBand:
 
 class TestMovingAverage:
     def test_constant_series_unchanged(self) -> None:
-        points = {y: 7.0 for y in range(2000, 2010)}
+        points = [(y, 7.0) for y in range(2000, 2010)]
         assert moving_average(points) == [(y, 7.0) for y in range(2000, 2010)]
 
     def test_hand_computed_five_years(self) -> None:
@@ -214,7 +210,7 @@ class TestMovingAverage:
         ]
 
     def test_missing_years_truncate_window(self) -> None:
-        points = {2000: 1.0, 2001: 3.0, 2005: 10.0}
+        points = [(2000, 1.0), (2001, 3.0), (2005, 10.0)]
         out = dict(moving_average(points))
         assert out[2000] == pytest.approx(2.0)
         assert out[2005] == pytest.approx(10.0)  # no neighbors within +-2 years
