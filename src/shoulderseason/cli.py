@@ -133,10 +133,12 @@ def stage_ingest(cfg: RunConfig, tables: Tables) -> dict[str, object]:
         with open(cfg.fuel_mix_csv, encoding="utf-8") as fh:
             mix = ingest.parse_fuel_mix(fh)
         if len(mix):
-            # Netting applies to the span the fuel-mix feed covers.
-            lo, hi = mix.timestamps[[0, -1]].astype("datetime64[D]")
-            days = hourly.hours.astype("datetime64[D]")
-            loads["daily_net"] = ingest.net_non_thermal(hourly[(days >= lo) & (days <= hi)], mix)
+            # Netting applies to the days the fuel-mix feed spans: a slice
+            # of the sorted load hours, which copies nothing.
+            first, last = mix.timestamps[[0, -1]].astype("datetime64[D]")
+            span = np.array([first, last + 1], "datetime64[h]")
+            lo, hi = np.searchsorted(hourly.hours, span)
+            loads["daily_net"] = ingest.net_non_thermal(hourly[lo:hi], mix)
     return {key: ingest.aggregate_daily(load) for key, load in loads.items()}
 
 

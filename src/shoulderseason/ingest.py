@@ -6,7 +6,9 @@ fails the whole file with the offending line number in the message.
 
 The load, fuel-mix and outage feeds are read into column tables (numpy
 arrays of equal length) by `read_csv_chunks`, which parses many lines per
-`np.loadtxt` call and validates whole columns at once.
+`np.loadtxt` call, text fields as fixed-width bytes, and validates whole
+columns at once. A chunk that this fast path turns down is read row by
+row, with the same result.
 """
 
 from __future__ import annotations
@@ -32,13 +34,20 @@ DAILY_HEADER = "date,total_energy_mwh,peak_demand_mw,hours_present"
 DEFAULT_MIN_HOURS = 20
 
 # Lines per np.loadtxt call in read_csv_chunks: large enough to amortise
-# the call, small enough that one chunk's strings stay a few MB. At 1 << 16
-# the heap the chunks left behind raised the peak RSS of a process running
-# `all` again and again by ~17 MB over 12 runs of a paper-scale world.
+# the call, small enough that one chunk's lines and rows stay a few MB. At
+# 1 << 16 the heap the chunks left behind raised the peak RSS of a process
+# running `all` again and again by ~17 MB over 12 runs of a paper-scale
+# world. With text read as bytes, 1 << 12 and 1 << 13 lowered the
+# paper-scale peak RSS from 67.5 to 66.5 and 66.7 MB (medians of 6
+# alternating runs, run time within the noise), but raised the grid-csv
+# peak, which the grid reader sets, from 72.6 to 84.7 and 85.7 MB (4 runs).
 CSV_CHUNK_LINES = 1 << 14
 
 _MIX_COLUMNS = ("wind_mw", "solar_mw", "hydro_mw", "other_mw")
-_LOAD_DTYPE = np.dtype([("date", object), ("hour", "i8"), ("load_mw", "f8")])
+# Text fields are read as bytes of this width. loadtxt cuts a longer field
+# to it, so a chunk with a field this wide is read row by row.
+_TEXT = "S32"
+_LOAD_DTYPE = np.dtype([("date", _TEXT), ("hour", "i8"), ("load_mw", "f8")])
 _QUARTER_HOUR_US = 15 * 60 * 10**6
 _YEAR_ONE = np.datetime64("0001-01-01", "us")
 
@@ -49,6 +58,13 @@ _YEAR_ONE = np.datetime64("0001-01-01", "us")
 # digit, "T" is T or a space), and the lengths list the lengths it allows.
 _TIMESTAMP_TEMPLATE = "0000-00-00T00:00:00.000000"
 _TIMESTAMP_LENGTHS = (10, 16, 19, 21, 22, 23, 24, 25, 26)
+
+
+# The template as byte ranges: position i allows the bytes from
+# _TIMESTAMP_LOW[i] to _TIMESTAMP_LOW[i] + _TIMESTAMP_SPAN[i].
+_TIMESTAMP_LOW = np.frombuffer(_TIMESTAMP_TEMPLATE.encode(), np.uint8)
+_TIMESTAMP_SPAN = np.where(_TIMESTAMP_LOW == ord("0"), 9, 0).astype(np.uint8)
+_TIMESTAMP_SEP = _TIMESTAMP_TEMPLATE.index("T")
 
 
 class _Table:
@@ -82,7 +98,9 @@ class FuelMix(_Table):
 
     @property
     def non_thermal_mw(self) -> np.ndarray:
-        return self.wind_mw + self.solar_mw + self.hydro_mw
+        total = self.wind_mw + self.solar_mw
+        total += self.hydro_mw
+        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +219,7 @@ def read_csv_chunks(
     dtype: np.dtype,
     convert: Callable[[np.ndarray], T],
     check_row: Callable[[int, list[str]], object],
+    from_rows: Callable[[list], T] | None = None,
 ) -> list[T]:
     """Read a CSV stream with one header line, CSV_CHUNK_LINES lines at a time.
 
@@ -210,32 +229,48 @@ def read_csv_chunks(
     but count in line numbers. When loadtxt or `convert` raises
     ValueError, the chunk is rescanned row by row: each row is split
     and its fields trimmed, and `check_row(lineno, fields)` must raise
-    the error of the first offending row. `convert` and `check_row` see
-    the chunks in file order, so state they share (such as the last
+    the error of the first offending row. If no row is bad, the chunk's
+    result is `from_rows` of the values check_row returned, one per row;
+    without `from_rows`, the fast path's error stands. A chunk holding a
+    NUL is rescanned when `dtype` has a bytes field, since loadtxt drops
+    the trailing NULs of such a field. `convert` and `check_row` see the
+    chunks in file order, so state they share (such as the last
     timestamp read) carries across chunk boundaries.
     """
     lines = iter(source)
     lineno = read_header(lines, header)
+    has_bytes = any(dtype[name].kind == "S" for name in dtype.names)
     results = []
     while chunk := list(islice(lines, CSV_CHUNK_LINES)):
         first_lineno, lineno = lineno + 1, lineno + len(chunk)
         if not any(raw.rstrip("\r\n") for raw in chunk):
             continue  # loadtxt warns on input with no rows
         try:
-            rows = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=dtype)
-            results.append(convert(rows))
+            if has_bytes and "\x00" in "".join(chunk):
+                raise ValueError("NUL in a bytes field")
+            # No name holds loadtxt's rows, so they go once converted.
+            results.append(
+                convert(np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=dtype))
+            )
         except ValueError:
-            _raise_first_row_error(chunk, first_lineno, len(dtype.names), check_row)
-            raise
+            rows = _rescan(chunk, first_lineno, len(dtype.names), check_row)
+            if from_rows is None:
+                raise
+            results.append(from_rows(rows))
+            del rows
+        # Dropped before the next chunk is read, so one chunk's lines are held at a time.
+        del chunk
     return results
 
 
-def _raise_first_row_error(
+def _rescan(
     chunk: list[str],
     first_lineno: int,
     n_fields: int,
     check_row: Callable[[int, list[str]], object],
-) -> None:
+) -> list:
+    """check_row's value for each row of the chunk; raises the first bad row's error."""
+    rows = []
     for lineno, raw in enumerate(chunk, start=first_lineno):
         line = raw.removesuffix("\n").removesuffix("\r")
         if "\r" in line or "\n" in line:
@@ -245,7 +280,8 @@ def _raise_first_row_error(
         fields = line.split(",")
         if len(fields) != n_fields:
             raise ValueError(f"line {lineno}: expected {n_fields} fields, got {len(fields)}")
-        check_row(lineno, [f.strip() for f in fields])
+        rows.append(check_row(lineno, [f.strip() for f in fields]))
+    return rows
 
 
 def parse_loadtxt_float(text: str, lineno: int, name: str) -> float:
@@ -294,7 +330,9 @@ def _parse_hours(text: str, lineno: int, name: str, top: int = 24) -> int:
 
 
 def _parse_quarter_hour(text: str, lineno: int, name: str) -> datetime:
-    if not _in_timestamp_grammar([text]):
+    # A bytes array drops trailing NULs, where the grammar check would miss them.
+    plain = text.isascii() and "\x00" not in text
+    if not (plain and _in_timestamp_grammar(np.array([text.encode()]))):
         raise ValueError(f"line {lineno}: bad {name} {text!r}")
     ts = _parse_timestamp(text, lineno)
     if ts.minute % 15 or ts.second or ts.microsecond:
@@ -326,47 +364,69 @@ def _column(valid: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray],
 _check_mw = _column(lambda values: (values >= 0) & (values < np.inf))
 
 
-def _in_timestamp_grammar(texts: list[str]) -> bool:
-    """Whether every text is a feed timestamp (see _TIMESTAMP_TEMPLATE)."""
-    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
-    if not np.isin(lengths, _TIMESTAMP_LENGTHS).all():
+def _uncut(column: np.ndarray) -> np.ndarray:
+    """The bytes column, once no field fills it: loadtxt cuts a longer field to its width."""
+    if (np.strings.str_len(column) == column.dtype.itemsize).any():
+        raise ValueError("field may be cut")
+    return column
+
+
+def _trimmed(column: np.ndarray) -> np.ndarray:
+    """A bytes column without the ASCII whitespace around each field. Other
+    whitespace, which str.strip trims too, stays and fails the checks that follow."""
+    return np.strings.strip(_uncut(column))
+
+
+def _in_timestamp_grammar(texts: np.ndarray) -> bool:
+    """Whether every text of a bytes array is a feed timestamp (see _TIMESTAMP_TEMPLATE).
+
+    The texts hold no NUL, so the NULs that pad them mark their ends.
+    """
+    if not np.isin(np.strings.str_len(texts), _TIMESTAMP_LENGTHS).all():
         return False
     width = len(_TIMESTAMP_TEMPLATE)
-    codes = np.array(texts, f"U{width}").view(np.uint32).reshape(len(texts), width)
-    for pos, (expected, code) in enumerate(zip(_TIMESTAMP_TEMPLATE, codes.T)):
-        if expected == "0":
-            good = code - ord("0") < 10  # unsigned: codes below "0" wrap
-        elif expected == "T":
-            good = (code == ord("T")) | (code == ord(" "))
-        else:
-            good = code == ord(expected)
-        if not (good | (lengths <= pos)).all():
-            return False
-    return True
+    codes = texts.astype(f"S{width}").view(np.uint8).reshape(len(texts), width)
+    past_end = codes == 0
+    sep = codes[:, _TIMESTAMP_SEP]
+    sep[sep == ord(" ")] = ord("T")
+    codes -= _TIMESTAMP_LOW  # unsigned: a byte below its range wraps above it
+    return bool(((codes <= _TIMESTAMP_SPAN) | past_end).all())
 
 
 def _quarter_hours(column: np.ndarray) -> np.ndarray:
-    """Feed timestamp texts, as loadtxt leaves them, to `datetime64[us]`."""
-    texts = [t.strip() for t in column]
+    """Feed timestamp texts to `datetime64[us]`."""
+    texts = _trimmed(column)
     if not _in_timestamp_grammar(texts):
         raise ValueError("bad timestamp")
-    times = np.array(texts, dtype="datetime64[us]")
+    times = texts.astype("datetime64[us]")
     if not (times >= _YEAR_ONE).all() or (times.view(np.int64) % _QUARTER_HOUR_US).any():
         raise ValueError("bad timestamp")
     return times
 
 
+def _dates(column: np.ndarray) -> np.ndarray:
+    """Date texts to `datetime64[D]`.
+
+    Each run of one text is parsed once, by the function the row check
+    uses (numpy misreads `20200101` as a year).
+    """
+    starts, run = _runs(_uncut(column))
+    return to_days(date.fromisoformat(column[i].strip().decode("ascii")) for i in starts)[run]
+
+
 def _optional_mw(column: np.ndarray) -> np.ndarray:
-    """MW texts, as loadtxt leaves them, to floats; an empty field reads as NaN."""
-    texts = [t.strip() for t in column]
-    present = np.fromiter(map(bool, texts), bool, len(texts))
+    """MW texts to floats; an empty field reads as NaN.
+
+    The bytes-to-float cast reads float()'s grammar, so digit-group
+    underscores and non-ASCII bytes, which loadtxt rejects, go to the rescan.
+    """
+    texts = _trimmed(column)
+    codes = texts.view(np.uint8)
+    if (codes >= 0x80).any() or (codes == ord("_")).any():
+        raise ValueError("bad value")
+    present = np.strings.str_len(texts) > 0
     values = np.full(len(texts), np.nan)
-    if present.any():
-        values[present] = _check_mw(
-            np.loadtxt(
-                [t for t in texts if t], delimiter=",", comments=None, ndmin=1, dtype="f8"
-            )
-        )
+    values[present] = _check_mw(texts[present].astype(np.float64))
     return values
 
 
@@ -376,14 +436,17 @@ def _read_timed_feed(
     header: str,
     dtype: np.dtype,
     convert: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    check_row: Callable[[int, list[str]], datetime | date],
+    check_row: Callable[[int, list[str]], list],
 ) -> T:
     """read_csv_chunks for a table whose first column is a strictly increasing time.
 
     `convert` returns a chunk's columns for `table`, times first, and
-    `check_row` validates one row and returns its time.
+    `check_row` validates one row and returns its values, the time first.
+    A chunk that `convert` turns down is built from those values.
     """
     last: datetime | None = None  # time of the last row accepted so far
+    # The columns of a file without rows, and the dtypes of every chunk's.
+    empty = convert(np.empty(0, dtype))
 
     def accept(rows: np.ndarray) -> tuple[np.ndarray, ...]:
         nonlocal last
@@ -396,15 +459,26 @@ def _read_timed_feed(
         last = times[-1].item()
         return columns
 
-    def check(lineno: int, fields: list[str]) -> None:
+    def check(lineno: int, fields: list[str]) -> list:
         nonlocal last
-        ts = check_row(lineno, fields)
-        _check_increasing(ts, last, lineno)
-        last = ts
+        row = check_row(lineno, fields)
+        _check_increasing(row[0], last, lineno)
+        last = row[0]
+        return row
 
-    # No data rows: the zero-length columns of an empty chunk.
-    chunks = read_csv_chunks(source, header, dtype, accept, check) or [convert(np.empty(0, dtype))]
-    return table(*(np.concatenate(parts) for parts in zip(*chunks)))
+    def from_rows(rows: list[list]) -> tuple[np.ndarray, ...]:
+        return tuple(np.array(values, e.dtype) for values, e in zip(zip(*rows), empty))
+
+    chunks = read_csv_chunks(source, header, dtype, accept, check, from_rows) or [empty]
+    # One column at a time, each dropping its chunk parts once it is whole,
+    # so that memory holds the table and one column, not two tables.
+    parts = [list(column) for column in zip(*chunks)]
+    chunks.clear()
+    columns = []
+    for column in parts:
+        columns.append(np.concatenate(column))
+        column.clear()
+    return table(*columns)
 
 
 def parse_hourly_load(source: IO[str] | Iterable[str]) -> HourlyLoad:
@@ -419,31 +493,30 @@ def parse_hourly_load(source: IO[str] | Iterable[str]) -> HourlyLoad:
         hour = rows["hour"]
         if ((hour < 0) | (hour > 23)).any():
             raise ValueError("hour out of range")
-        # Each run of one date text is parsed once, by the same function
-        # the row validator uses (numpy misreads `20200101` as a year).
-        texts = rows["date"]
-        starts, run = _runs(texts)
-        day = to_days(date.fromisoformat(texts[i].strip()) for i in starts)[run]
-        hours = day.view(np.int64) * 24 + hour
+        hours = _dates(rows["date"]).view(np.int64) * 24 + hour
         return hours.view("datetime64[h]"), load
 
-    def check_row(lineno: int, fields: list[str]) -> datetime:
+    def check_row(lineno: int, fields: list[str]) -> tuple[datetime, float]:
         day_s, hour_s, load_s = fields
         day = parse_date(day_s, lineno, "date")
         hour = _parse_hours(hour_s, lineno, "hour", top=23)
-        if parse_loadtxt_float(load_s, lineno, "load_mw") < 0:
+        load = parse_loadtxt_float(load_s, lineno, "load_mw")
+        if load < 0:
             raise ValueError(f"line {lineno}: negative load {load_s!r}")
-        return datetime(day.year, day.month, day.day, hour)
+        return datetime(day.year, day.month, day.day, hour), load
 
     return _read_timed_feed(HourlyLoad, source, LOAD_HEADER, _LOAD_DTYPE, convert, check_row)
 
 
 # Column kinds of _read_columns: (loadtxt type, row validator (text, lineno,
-# name), column converter that raises ValueError on any bad value).
-_QUARTER = (object, _parse_quarter_hour, _quarter_hours)
-_DAY = (object, parse_date, lambda texts: to_days(date.fromisoformat(t.strip()) for t in texts))
+# name) that returns the value, column converter that raises ValueError on
+# any bad value).
+_QUARTER = (_TEXT, _parse_quarter_hour, _quarter_hours)
+_DAY = (_TEXT, parse_date, _dates)
 _MW = ("f8", _parse_mw, _check_mw)
-_OPTIONAL_MW = (object, lambda text, *where: text and _parse_mw(text, *where), _optional_mw)
+_OPTIONAL_MW = (
+    _TEXT, lambda text, *where: _parse_mw(text, *where) if text else math.nan, _optional_mw
+)
 _FINITE = ("f8", parse_loadtxt_float, _column(np.isfinite))
 _HOURS = ("i8", _parse_hours, _column(lambda hours: (hours >= 0) & (hours <= 24)))
 
@@ -456,8 +529,8 @@ def _read_columns(table: Callable[..., T], source: IO[str] | Iterable[str], head
     def convert(rows: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(kind[2](rows[name]) for name, kind in zip(names, kinds))
 
-    def check_row(lineno: int, fields: list[str]) -> datetime | date:
-        return [kind[1](text, lineno, name) for text, name, kind in zip(fields, names, kinds)][0]
+    def check_row(lineno: int, fields: list[str]) -> list:
+        return [kind[1](text, lineno, name) for text, name, kind in zip(fields, names, kinds)]
 
     return _read_timed_feed(table, source, header, dtype, convert, check_row)
 
@@ -479,7 +552,9 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first row of each run of equal keys, run number of each row)."""
     new = np.ones(len(keys), bool)
     new[1:] = keys[1:] != keys[:-1]
-    return np.flatnonzero(new), np.cumsum(new) - 1
+    run = np.cumsum(new)
+    run -= 1
+    return np.flatnonzero(new), run
 
 
 def _sum_slots(run: np.ndarray, slot: np.ndarray, values: np.ndarray, n_slots: int):
@@ -522,16 +597,21 @@ def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
     """
     mix_hours = mix.timestamps.astype("datetime64[h]")
     starts, run = _runs(mix_hours)
-    quarter = (mix.timestamps - mix_hours) // np.timedelta64(15, "m")
-    totals, _ = _sum_slots(run, quarter, mix.non_thermal_mw, 4)
-    means = totals / np.diff(np.r_[starts, len(mix_hours)])
     covered_hours = mix_hours[starts]
+    del mix_hours  # each per-sample temporary goes once it is used
+    quarter = mix.timestamps.view(np.int64) // _QUARTER_HOUR_US
+    quarter %= 4
+    totals = _sum_slots(run, quarter, mix.non_thermal_mw, 4)[0]
+    del run, quarter
+    means = totals / np.diff(np.r_[starts, len(mix)])
 
-    uncovered = ~np.isin(hourly.hours, covered_hours)
-    if uncovered.any():
-        hour = hourly.hours[uncovered.argmax()].item()
+    # The covered hour at or after each load hour; past the end reads NaT.
+    at = np.searchsorted(covered_hours, hourly.hours)
+    covered = np.append(covered_hours, np.datetime64("NaT", "h"))[at] == hourly.hours
+    if not covered.all():
+        hour = hourly.hours[covered.argmin()].item()
         raise ValueError(f"missing fuel-mix coverage for load hour {hour.isoformat()}")
-    netted = hourly.load_mw - means[np.searchsorted(covered_hours, hourly.hours)]
+    netted = hourly.load_mw - means[at]
     return HourlyLoad(hourly.hours, np.where(netted < 0.0, 0.0, netted))
 
 

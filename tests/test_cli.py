@@ -7,7 +7,7 @@ import re
 import shutil
 from collections import Counter
 from dataclasses import fields, replace
-from datetime import date
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from shoulderseason.cli import (
 )
 from shoulderseason.config import RunConfig, load_config
 from shoulderseason.fixtures import generate_fixture
-from shoulderseason.tables import read_rows
+from shoulderseason.tables import parse_date, parse_float, parse_int, read_rows
 from shoulderseason.windows import ShoulderWindow
 
 
@@ -683,6 +683,111 @@ class TestPipeline:
         net_lines = (full_run / F["shoulder_net"]).read_text().splitlines()[1:]
         years = {int(line.split(",")[0]) for line in net_lines}
         assert years == {2019, 2020, 2021, 2022}
+
+
+def _steps(first: str, last: str, minutes: int, skip: tuple[str, str] | None = None):
+    """Times from first to last, both included, every `minutes`, without those
+    in the closed range skip."""
+    start, end = datetime.fromisoformat(first), datetime.fromisoformat(last)
+    step = timedelta(minutes=minutes)
+    times = [start + i * step for i in range((end - start) // step + 1)]
+    if skip:
+        lo, hi = map(datetime.fromisoformat, skip)
+        times = [t for t in times if not lo <= t <= hi]
+    return times
+
+
+# (load hours, fuel-mix samples): netting applies to the load hours of the
+# days from the mix's first sample to its last.
+NET_SPANS = {
+    "load on both sides": (
+        _steps("2022-01-01T00", "2022-01-05T23", 60),
+        _steps("2022-01-02T00:00", "2022-01-03T23:45", 15),
+    ),
+    "mix starts mid-day": (
+        _steps("2022-01-01T00", "2022-01-04T23", 60),
+        _steps("2022-01-02T06:30", "2022-01-03T23:45", 15),
+    ),
+    "mix ends mid-day": (
+        _steps("2022-01-01T00", "2022-01-04T23", 60),
+        _steps("2022-01-02T00:00", "2022-01-03T11:15", 15),
+    ),
+    "load gap where the mix starts": (
+        _steps("2022-01-01T00", "2022-01-04T23", 60, skip=("2022-01-02T00", "2022-01-02T05")),
+        _steps("2022-01-02T06:15", "2022-01-03T23:45", 15),
+    ),
+    "load gap where the mix ends": (
+        _steps("2022-01-01T00", "2022-01-04T23", 60, skip=("2022-01-03T12", "2022-01-03T23")),
+        _steps("2022-01-02T00:00", "2022-01-03T11:45", 15),
+    ),
+    "load gap over the first mix day": (
+        _steps("2022-01-01T00", "2022-01-04T23", 60, skip=("2022-01-01T20", "2022-01-03T02")),
+        _steps("2022-01-02T00:00", "2022-01-03T23:45", 15),
+    ),
+    "load starts inside the span": (
+        _steps("2022-01-02T07", "2022-01-05T23", 60),
+        _steps("2022-01-02T00:00", "2022-01-03T23:45", 15),
+    ),
+    "load ends inside the span": (
+        _steps("2022-01-01T00", "2022-01-02T17", 60),
+        _steps("2022-01-02T00:00", "2022-01-03T23:45", 15),
+    ),
+    "load before the mix": (
+        _steps("2022-01-01T00", "2022-01-01T23", 60),
+        _steps("2022-01-02T00:00", "2022-01-03T23:45", 15),
+    ),
+    "span across 1970": (
+        _steps("1969-12-30T00", "1970-01-02T23", 60),
+        _steps("1969-12-31T00:00", "1970-01-01T23:45", 30),
+    ),
+}
+
+
+class TestNettedSpan:
+    """The ingest stage nets the load hours on the days the fuel mix spans."""
+
+    @pytest.mark.parametrize("case", NET_SPANS)
+    def test_netted_span_matches_the_day_mask(self, tmp_path, case) -> None:
+        hours, samples = NET_SPANS[case]
+        rng = np.random.default_rng(7)
+        # Thirds and sevenths round when summed, so the order of additions shows.
+        load = rng.integers(10**4, 10**5, len(hours)) / rng.choice([3.0, 7.0], len(hours))
+        mix = rng.integers(0, 4 * 10**4, (len(samples), 4)) / rng.choice([3.0, 7.0], 4)
+        load_csv, mix_csv = tmp_path / "load.csv", tmp_path / "mix.csv"
+        load_rows = [f"{t.date()},{t.hour},{v!r}" for t, v in zip(hours, load.tolist())]
+        load_csv.write_text("\n".join([ingest.LOAD_HEADER, *load_rows]) + "\n")
+        mix_rows = [
+            ",".join([t.isoformat(timespec="minutes"), *map(repr, row)])
+            for t, row in zip(samples, mix.tolist())
+        ]
+        mix_csv.write_text("\n".join([ingest.FUEL_MIX_HEADER, *mix_rows]) + "\n")
+
+        # The reference: the boolean day mask that the stage's slice replaced.
+        first, last = samples[0].date(), samples[-1].date()
+        masked = [
+            oracles.HourlyLoadRecord(t, v)
+            for t, v in zip(hours, load.tolist())
+            if first <= t.date() <= last
+        ]
+        records = [oracles.FuelMixRecord(t, *row) for t, row in zip(samples, mix.tolist())]
+        cfg = RunConfig(load_csv=load_csv, fuel_mix_csv=mix_csv, out_dir=tmp_path / "out")
+        try:
+            netted = oracles.reference_net_non_thermal(masked, records)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                run_pipeline(cfg, ["ingest"])
+            assert str(got.value) == str(exc)
+            return
+        want = [
+            (s.day, repr(s.total_energy_mwh), repr(s.peak_demand_mw), s.hours_present)
+            for s in oracles.reference_aggregate_daily(netted)
+        ]
+        run_pipeline(cfg, ["ingest"])
+        with open(tmp_path / "out" / F["daily_net"], encoding="utf-8") as fh:
+            rows = read_rows(
+                fh, ingest.DAILY_HEADER, parse_date, parse_float, parse_float, parse_int
+            )
+        assert [(d, repr(t), repr(p), h) for d, t, p, h in rows] == want
 
 
 class TestStageSelection:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import importlib.util
 import io
 import math
+import sys
+import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -660,3 +662,165 @@ def test_narrower_grammar_names_the_line(feed: str, row: str, message: str) -> N
     with pytest.raises(ValueError) as got:
         parse([*first, row])
     assert str(got.value) == message
+
+
+# -- the bytes fast path against the rescan ---------------------------------------
+
+# Pads that str.strip trims but a bytes strip does not (\x1f, \xa0, U+2000),
+# and characters outside ASCII, one of them outside Latin-1.
+_STRIP_ONLY_PADS = ["\x1f", "\xa0", "\u2000", "\xa0 \x1f"]
+_FOREIGN = ["é", "€"]
+
+
+@st.composite
+def _repadded(draw, feed: str, text: str) -> str:
+    """The file with load dates now and then in basic format (`20200101`),
+    each data row as it is or with one field padded (with pads that only
+    str.strip trims, or so wide that loadtxt may cut the field), and now
+    and then a non-ASCII character in one field."""
+    eol = "\r\n" if "\r\n" in text else "\n"
+    lines = text.split(eol)
+    pads = {
+        "strip": st.sampled_from(["", *_STRIP_ONLY_PADS]),
+        "wide": st.sampled_from(["", " " * 30, " " * 40]),
+    }
+    rows = [i for i, line in enumerate(lines) if line and i]
+    for i in rows:
+        fields = lines[i].split(",")
+        if feed == "load" and draw(st.booleans()):
+            fields[0] = fields[0].replace("-", "")
+        change = draw(st.sampled_from(["none", *pads]))
+        if change in pads:
+            k = draw(st.integers(0, len(fields) - 1))
+            fields[k] = draw(pads[change]) + fields[k] + draw(pads[change])
+        lines[i] = ",".join(fields)
+    if rows and draw(st.integers(0, 3)) == 0:
+        i = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(_FOREIGN)) + lines[i][at:]
+    return eol.join(lines)
+
+
+@pytest.mark.parametrize("feed", list(FILES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), chunk_lines=st.integers(1, 7))
+def test_fast_path_agrees_with_the_rescan(feed: str, data, chunk_lines: int) -> None:
+    # Every chunk the bytes fast path turns down (a pad it cannot trim, a
+    # field loadtxt may have cut, a byte outside ASCII) is read row by row:
+    # the rows, bit for bit, or the error are the reference parser's.
+    text = data.draw(_repadded(feed, data.draw(FILES[feed])))
+    parse, reference = PARSERS[feed]
+    want = _outcome(reference, io.StringIO(text))
+    got = _chunked(chunk_lines, parse, io.StringIO(text))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert _table_rows(got) == _record_rows(feed, want)
+
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 5])
+def test_daily_tables_read_dates_as_the_row_check_does(chunk_lines: int, monkeypatch) -> None:
+    # The date column of the cached daily tables goes through the bytes
+    # path too: odd spellings and pads read as the row check reads them.
+    header = ingest.DAILY_HEADER
+    plain = [header, "2020-01-01,1.5,2.5,24", "2020-01-02,3.0,4.0,23", "2020-01-05,1.0,0.5,0"]
+    odd = [
+        header,
+        "20200101,1.5,2.5,24",
+        "\xa02020-01-02\u2000,3.0,4.0,23",
+        " " * 30 + "2020-01-05" + " " * 30 + ",1.0,0.5,0",
+    ]
+    monkeypatch.setattr(ingest, "CSV_CHUNK_LINES", chunk_lines)
+    assert _daily_rows(ingest.read_daily_summaries(odd)) == _daily_rows(
+        ingest.read_daily_summaries(plain)
+    )
+    series = ingest.read_daily_series(
+        ["date,dd_c", "\x1f20200103,0.5", "2020-01-04 ,-0.0"], "date,dd_c"
+    )
+    assert series.first == date(2020, 1, 3)
+    assert list(map(_bits, series.values)) == ["0.5", "-0.0"]
+    with pytest.raises(ValueError) as got:
+        ingest.read_daily_summaries([header, "2020-01-01,1,1,24", "2020-01-0é,1,1,24"])
+    assert str(got.value) == "line 3: bad date '2020-01-0é'"
+
+
+@pytest.mark.parametrize(
+    ("feed", "row", "message"),
+    [
+        ("load", "2020-01-02\x00,0,1", "line 3: bad date '2020-01-02\\x00'"),
+        ("fuel_mix", "2022-01-01T00:15\x00,1,0,0,0", "line 3: bad timestamp '2022-01-01T00:15\\x00'"),
+        (
+            "outages",
+            "2022-01-01T00:15,1,2\x00",
+            "line 3: bad telemetered_output_mw value '2\\x00'",
+        ),
+    ],
+)
+def test_trailing_nul_in_a_text_field_is_named(feed: str, row: str, message: str) -> None:
+    # A bytes field drops its trailing NULs, so a chunk with a NUL is rescanned.
+    first = {
+        "load": (LOAD_HEADER, "2020-01-01,0,1"),
+        "fuel_mix": (FUEL_MIX_HEADER, "2022-01-01T00:00,1,0,0,0"),
+        "outages": (OUTAGE_HEADER, "2022-01-01T00:00,1,"),
+    }[feed]
+    with pytest.raises(ValueError) as got:
+        PARSERS[feed][0]([*first, row])
+    assert str(got.value) == message
+
+# -- memory -------------------------------------------------------------------------
+
+
+def _peak_above_start(fn, *args):
+    """fn(*args), and the most memory that tracemalloc (which sees numpy's
+    buffers) saw allocated during the call beyond what was allocated before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_feed_memory_is_the_table_and_one_chunk(monkeypatch) -> None:
+    chunk_lines, n_chunks = 256, 64
+    n = chunk_lines * n_chunks
+    rng = np.random.default_rng(3)
+    first = datetime(2020, 1, 1)
+    stamps = (first + timedelta(minutes=15 * i) for i in range(n))
+    rows = [
+        ",".join([ts.isoformat(timespec="minutes"), *map(repr, mw)])
+        for ts, mw in zip(stamps, (rng.integers(0, 10**6, (n, 4)) / 7.0).tolist())
+    ]
+    text = "\n".join([FUEL_MIX_HEADER, *rows]) + "\n"
+    monkeypatch.setattr(ingest, "CSV_CHUNK_LINES", chunk_lines)
+    ingest.parse_fuel_mix(io.StringIO(text))  # one-time allocations of a first call
+    mix, peak = _peak_above_start(ingest.parse_fuel_mix, io.StringIO(text))
+    assert len(mix) == n
+
+    # The bound follows from the design, not from a measurement:
+    # - the table: n rows of a datetime64 and four float64 values;
+    # - one column, built while the chunk parts it joins are still held;
+    # - one chunk: its lines as str objects, loadtxt's rows (the `S` timestamp
+    #   field and four floats, 64 bytes each), and the converters' temporaries,
+    #   none larger than the rows: at most 4 times (lines + rows).
+    # Holding every chunk part while all columns are joined (two tables) needs
+    # another n * 40 bytes, which is more than one column and one chunk here.
+    table = n * (8 + 4 * 8)
+    column = n * 8
+    lines = sum(sys.getsizeof(row + "\n") + 8 for row in rows[:chunk_lines])
+    chunk = 4 * (lines + chunk_lines * 64)
+    assert peak <= table + column + chunk, (peak, table, column, chunk)
+
+    # Netting: the output column, and per-sample and per-hour temporaries.
+    # At most five 8-byte values per sample live at once (run number, quarter
+    # slot, non-thermal sum, its dense slot, one expression temporary), and
+    # at most six 8-byte values per hour (run starts, covered hours, counts,
+    # totals, means and the load hour's position).
+    hours = np.datetime64(first, "h") + np.arange(n // 4)
+    hourly = ingest.HourlyLoad(hours, rng.uniform(2e4, 7e4, len(hours)))
+    ingest.net_non_thermal(hourly, mix)
+    netted, peak = _peak_above_start(ingest.net_non_thermal, hourly, mix)
+    assert len(netted) == len(hours)
+    assert peak <= n * 8 * 5 + len(hours) * 8 * 6 + len(hours) * 8, peak
