@@ -39,8 +39,10 @@ DEFAULT_MIN_HOURS = 20
 # running `all` again and again by ~17 MB over 12 runs of a paper-scale
 # world. With text read as bytes, 1 << 12 and 1 << 13 lowered the
 # paper-scale peak RSS from 67.5 to 66.5 and 66.7 MB (medians of 6
-# alternating runs, run time within the noise), but raised the grid-csv
-# peak, which the grid reader sets, from 72.6 to 84.7 and 85.7 MB (4 runs).
+# alternating runs, run time within the noise). With the grid held as one
+# column per cell, they lower the grid-csv peak too, from 57.5 to 56.2
+# and 55.0 MB (medians of 4 alternating runs), but 1 << 12 raised its
+# median run time from 0.76 to 0.84 s, and 1 << 13 left it at 0.77 s.
 CSV_CHUNK_LINES = 1 << 14
 
 _MIX_COLUMNS = ("wind_mw", "solar_mw", "hydro_mw", "other_mw")
@@ -219,7 +221,7 @@ def read_csv_chunks(
     dtype: np.dtype,
     convert: Callable[[np.ndarray], T],
     check_row: Callable[[int, list[str]], object],
-    from_rows: Callable[[list], T] | None = None,
+    from_rows: Callable[[list], T],
 ) -> list[T]:
     """Read a CSV stream with one header line, CSV_CHUNK_LINES lines at a time.
 
@@ -230,12 +232,11 @@ def read_csv_chunks(
     ValueError, the chunk is rescanned row by row: each row is split
     and its fields trimmed, and `check_row(lineno, fields)` must raise
     the error of the first offending row. If no row is bad, the chunk's
-    result is `from_rows` of the values check_row returned, one per row;
-    without `from_rows`, the fast path's error stands. A chunk holding a
-    NUL is rescanned when `dtype` has a bytes field, since loadtxt drops
-    the trailing NULs of such a field. `convert` and `check_row` see the
-    chunks in file order, so state they share (such as the last
-    timestamp read) carries across chunk boundaries.
+    result is `from_rows` of the values check_row returned, one per row.
+    A chunk holding a NUL is rescanned when `dtype` has a bytes field,
+    since loadtxt drops the trailing NULs of such a field. `convert` and
+    `check_row` see the chunks in file order, so state they share (such
+    as the last timestamp read) carries across chunk boundaries.
     """
     lines = iter(source)
     lineno = read_header(lines, header)
@@ -254,8 +255,6 @@ def read_csv_chunks(
             )
         except ValueError:
             rows = _rescan(chunk, first_lineno, len(dtype.names), check_row)
-            if from_rows is None:
-                raise
             results.append(from_rows(rows))
             del rows
         # Dropped before the next chunk is read, so one chunk's lines are held at a time.
@@ -393,13 +392,28 @@ def _in_timestamp_grammar(texts: np.ndarray) -> bool:
     return bool(((codes <= _TIMESTAMP_SPAN) | past_end).all())
 
 
-def _quarter_hours(column: np.ndarray) -> np.ndarray:
-    """Feed timestamp texts to `datetime64[us]`."""
+def timestamp_texts(column: np.ndarray) -> np.ndarray:
+    """The trimmed texts of a bytes column read by `read_csv_chunks`, each a
+    feed timestamp (see _TIMESTAMP_TEMPLATE); any other text is a ValueError."""
     texts = _trimmed(column)
     if not _in_timestamp_grammar(texts):
         raise ValueError("bad timestamp")
+    return texts
+
+
+def parse_timestamps(texts: np.ndarray) -> np.ndarray:
+    """`timestamp_texts` to `datetime64[us]`, as datetime.fromisoformat reads
+    them; a time it refuses (hour 24, year 0) is a ValueError."""
     times = texts.astype("datetime64[us]")
-    if not (times >= _YEAR_ONE).all() or (times.view(np.int64) % _QUARTER_HOUR_US).any():
+    if not (times >= _YEAR_ONE).all():
+        raise ValueError("bad timestamp")
+    return times
+
+
+def _quarter_hours(column: np.ndarray) -> np.ndarray:
+    """Feed timestamp texts to `datetime64[us]`."""
+    times = parse_timestamps(timestamp_texts(column))
+    if (times.view(np.int64) % _QUARTER_HOUR_US).any():
         raise ValueError("bad timestamp")
     return times
 
@@ -410,7 +424,7 @@ def _dates(column: np.ndarray) -> np.ndarray:
     Each run of one text is parsed once, by the function the row check
     uses (numpy misreads `20200101` as a year).
     """
-    starts, run = _runs(_uncut(column))
+    starts, run = runs(_uncut(column))
     return to_days(date.fromisoformat(column[i].strip().decode("ascii")) for i in starts)[run]
 
 
@@ -548,10 +562,12 @@ def parse_outages(source: IO[str] | Iterable[str]) -> Outages:
     return _read_columns(Outages, source, OUTAGE_HEADER, _QUARTER, _MW, _OPTIONAL_MW)
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each run of equal keys, run number of each row)."""
-    new = np.ones(len(keys), bool)
-    new[1:] = keys[1:] != keys[:-1]
+def runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each run of rows equal in every column, run number of each row)."""
+    new = np.ones(len(columns[0]), bool)
+    new[1:] = columns[0][1:] != columns[0][:-1]
+    for column in columns[1:]:
+        new[1:] |= column[1:] != column[:-1]
     run = np.cumsum(new)
     run -= 1
     return np.flatnonzero(new), run
@@ -579,7 +595,7 @@ def aggregate_daily(hourly: HourlyLoad) -> DailyLoad:
     reported through hours_present; exclusion policy is the caller's.
     """
     days = hourly.hours.astype("datetime64[D]")
-    starts, run = _runs(days)
+    starts, run = runs(days)
     hour_of_day = (hourly.hours - days).astype(np.int64)
     totals, dense = _sum_slots(run, hour_of_day, hourly.load_mw, 24)
     # Missing hours read 0.0, the peak's starting value; adding 0.0 turns
@@ -596,7 +612,7 @@ def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
     Every load hour must be covered by at least one mix sample.
     """
     mix_hours = mix.timestamps.astype("datetime64[h]")
-    starts, run = _runs(mix_hours)
+    starts, run = runs(mix_hours)
     covered_hours = mix_hours[starts]
     del mix_hours  # each per-sample temporary goes once it is used
     quarter = mix.timestamps.view(np.int64) // _QUARTER_HOUR_US

@@ -13,14 +13,22 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from datetime import date, datetime
-from itertools import islice
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .ingest import DailySeries, parse_loadtxt_float, read_csv_chunks, to_days, to_years
+from .ingest import (
+    DailySeries,
+    parse_loadtxt_float,
+    parse_timestamps,
+    read_csv_chunks,
+    runs,
+    timestamp_texts,
+    to_days,
+    to_years,
+)
 from .tables import parse_float, parse_int, split_rows
 from .trends import left_sum
 
@@ -28,7 +36,9 @@ GRID_HEADER = "lat,lon,date,t2m_c"
 POPULATION_HEADER = "lat,lon,epoch,persons"
 MASK_HEADER = "lat,lon,in_region"
 
-_GRID_DTYPE = np.dtype([("lat", "f8"), ("lon", "f8"), ("date", object), ("t2m_c", "f8")])
+# A date longer than the bytes field is cut to it: timestamp_texts turns down
+# a full field, and the chunk is read row by row.
+_GRID_DTYPE = np.dtype([("lat", "f8"), ("lon", "f8"), ("date", "S32"), ("t2m_c", "f8")])
 
 # Days per block of the regional reductions: bounds the masked copy
 # (block days x region cells) each one makes of the raster, and each read
@@ -43,14 +53,15 @@ class TemperatureGrid:
     values has shape (n_times, n_lats, n_lons). The time axis holds dates
     for daily grids or datetimes for hourly grids. mask marks the cells
     belonging to the analysis region; None means all cells are in. A grid
-    loaded from a `.npy` raster holds a RasterReader, which reads the file
-    a slice of the time axis at a time.
+    read from a CSV holds a CellColumns, and one loaded from a `.npy`
+    raster a RasterReader, which reads the file; both give the values a
+    step-1 slice of the time axis at a time.
     """
 
     lats: np.ndarray
     lons: np.ndarray
     times: list
-    values: np.ndarray | RasterReader
+    values: np.ndarray | CellColumns | RasterReader
     mask: np.ndarray | None = None
 
     @property
@@ -104,12 +115,70 @@ def _parse_time(text: str, lineno: int):
         raise ValueError(f"line {lineno}: bad date {text!r}") from None
 
 
-def _check_grid_row(lineno: int, fields: list[str]) -> None:
+def _check_grid_row(lineno: int, fields: list[str]) -> tuple[float, float, object, float]:
     lat_s, lon_s, time_s, val_s = fields
-    parse_loadtxt_float(lat_s, lineno, "lat")
-    parse_loadtxt_float(lon_s, lineno, "lon")
-    _parse_time(time_s, lineno)
-    parse_loadtxt_float(val_s, lineno, "t2m_c")
+    return (
+        parse_loadtxt_float(lat_s, lineno, "lat"),
+        parse_loadtxt_float(lon_s, lineno, "lon"),
+        _parse_time(time_s, lineno),
+        parse_loadtxt_float(val_s, lineno, "t2m_c"),
+    )
+
+
+# A time is keyed by an int64: a date by its YYYYMMDD digits plus _DAY_KEY,
+# a datetime by its microseconds since 1970 (from year 1 on, above -2**56).
+# One sorted table then holds both kinds apart, each in time order.
+_DAY_KEY = -(1 << 62)
+_HOURLY = _DAY_KEY + 10**8  # the keys from here up are datetimes
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # of a YYYY-MM-DD text
+_DATE_PLACES = 10 ** np.arange(7, -1, -1)
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _time_keys(column: np.ndarray) -> np.ndarray:
+    """The key of each text of a bytes date column; ValueError for a text
+    that is not a feed timestamp. Day digits are not yet checked to name a
+    date: `_days` does that, once per new key."""
+    texts = column
+    codes = texts.astype("S11").view(np.uint8).reshape(len(texts), 11)
+    digits = codes[:, _DATE_DIGITS] - ord("0")  # unsigned: a byte below "0" wraps above 9
+    if digits.max() > 9 or (codes[:, [4, 7]] != ord("-")).any() or codes[:, 10].any():
+        # Not all bare YYYY-MM-DD: trimmed, each text must be a timestamp,
+        # which starts YYYY-MM-DD too.
+        texts = timestamp_texts(column)
+        codes = texts.astype("S11").view(np.uint8).reshape(len(texts), 11)
+        digits = codes[:, _DATE_DIGITS] - ord("0")
+    keys = digits.astype(np.int64) @ _DATE_PLACES + _DAY_KEY
+    hourly = codes[:, 10] != 0
+    if hourly.any():
+        keys[hourly] = parse_timestamps(texts[hourly]).view(np.int64)
+    return keys
+
+
+def _time_key(t: date) -> int:
+    """The key of a date or datetime; an aware datetime is keyed by its UTC time."""
+    if not isinstance(t, datetime):
+        return t.year * 10000 + t.month * 100 + t.day + _DAY_KEY
+    return (t.replace(tzinfo=None) - (t.utcoffset() or timedelta()) - _EPOCH) // _MICROSECOND
+
+
+def _days(digits: np.ndarray) -> np.ndarray:
+    """YYYYMMDD numbers to `datetime64[D]`; ValueError for one that names no date."""
+    year, month, day = digits // 10000, digits // 100 % 100, digits % 100
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)
+    ends = (months + 1).astype("datetime64[D]")
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (days < ends)).all():
+        raise ValueError("bad date")
+    return days
+
+
+def _times(keys: np.ndarray) -> list:
+    """The dates or naive datetimes of keys of one kind."""
+    if len(keys) and keys[0] < _HOURLY:
+        return _days(keys - _DAY_KEY).tolist()
+    return keys.astype("datetime64[us]").tolist()
 
 
 class _Codes(dict):
@@ -127,6 +196,104 @@ def _slots(slots: _Codes, column: np.ndarray) -> np.ndarray:
     return slot[np.searchsorted(keys, column)]
 
 
+class _GridBuilder:
+    """A grid being read: one NaN-filled column per (lat, lon) cell, indexed
+    by time slot.
+
+    Cells and time slots are numbered as they are first seen. A new cell
+    gets a new column; when the slots outgrow the columns, each column is
+    grown by half on its own, so no step copies the whole grid. Rows often
+    come in runs of one cell (a cell-major file) or of one time (a
+    time-major file), so each run is looked up once.
+    """
+
+    def __init__(self) -> None:
+        self.lats, self.lons = _Codes(), _Codes()  # value -> slot
+        self.cells = np.full((0, 0), -1, np.intp)  # (lat slot, lon slot) -> cell, or -1
+        self.columns: list[np.ndarray] = []
+        self.keys = np.empty(0, np.int64)  # the time keys, sorted
+        self.slots = np.empty(0, np.intp)  # the slot of each key
+
+    def _time_slots(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of each key, numbering keys not seen before. A new day
+        key that names no date is a ValueError, raised before any change."""
+        at = np.searchsorted(self.keys, keys)
+        known = np.zeros(len(keys), bool)
+        if len(self.keys):
+            known = self.keys[np.minimum(at, len(self.keys) - 1)] == keys
+        if known.all():
+            return self.slots[at]
+        new = np.sort(keys[~known])  # a sort: np.unique hashes, slower on distinct keys
+        new = new[np.r_[True, new[1:] != new[:-1]]]
+        _days(new[new < _HOURLY] - _DAY_KEY)
+        n = len(self.keys)
+        slots = np.empty(len(keys), np.intp)
+        slots[known] = self.slots[at[known]]
+        slots[~known] = n + np.searchsorted(new, keys[~known])
+        at = np.searchsorted(self.keys, new)
+        self.slots = np.insert(self.slots, at, np.arange(n, n + len(new)))
+        self.keys = np.insert(self.keys, at, new)
+        return slots
+
+    def _cells(self, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+        """The cell of each row, numbering cells not seen before."""
+        i, j = _slots(self.lats, lat), _slots(self.lons, lon)
+        grow = np.subtract((len(self.lats), len(self.lons)), self.cells.shape)
+        self.cells = np.pad(self.cells, [(0, grow[0]), (0, grow[1])], constant_values=-1)
+        cells = self.cells[i, j]
+        fresh = cells < 0
+        if fresh.any():
+            new = np.unique(np.ravel_multi_index((i[fresh], j[fresh]), self.cells.shape))
+            self.cells.flat[new] = np.arange(len(self.columns), len(self.columns) + len(new))
+            cells = self.cells[i, j]
+        return cells
+
+    def add(self, lat: np.ndarray, lon: np.ndarray, keys: np.ndarray, values: np.ndarray):
+        """Store a chunk of rows, all finite; the index of its first row
+        that gives a (cell, time) given before, or None."""
+        heads, run = runs(keys)
+        slots = self._time_slots(keys[heads])[run]
+        heads, run = runs(lat, lon)
+        cells = self._cells(lat[heads], lon[heads])[run]
+        length = len(self.columns[0]) if self.columns else 0
+        if len(self.keys) > length:
+            length = max(len(self.keys), length + length // 2)
+            for c, column in enumerate(self.columns):
+                self.columns[c] = np.full(length, np.nan)
+                self.columns[c][: len(column)] = column
+        new_cells = int(self.cells.max()) + 1 - len(self.columns)
+        self.columns.extend(np.full(length, np.nan) for _ in range(new_cells))
+
+        # Rows by (cell, time), file order within each: a repeat in the chunk follows its first.
+        flat = cells * length + slots
+        order = np.argsort(flat, kind="stable")
+        flat, slots, values = flat[order], slots[order], values[order]
+        given = np.zeros(len(flat), bool)
+        given[1:] = flat[1:] == flat[:-1]
+        before = np.empty(len(flat))  # each row's cell as earlier chunks left it
+        starts = np.flatnonzero(np.r_[True, np.diff(flat // length) != 0]).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(flat)]):
+            column, at = self.columns[flat[lo] // length], slots[lo:hi]
+            np.take(column, at, out=before[lo:hi])
+            column[at] = values[lo:hi]
+        hit = order[given | ~np.isnan(before)]
+        return int(hit.min()) if len(hit) else None
+
+    def grid(self) -> TemperatureGrid:
+        if self.keys[0] < _HOURLY <= self.keys[-1]:
+            raise ValueError("grid file mixes daily and hourly rows")
+        lat_keys, lon_keys = (np.fromiter(a, float, len(a)) for a in (self.lats, self.lons))
+        lats, lons = np.sort(lat_keys), np.sort(lon_keys)
+        i, j = np.nonzero(self.cells >= 0)
+        places = np.empty(len(self.columns), np.intp)
+        places[self.cells[i, j]] = (
+            np.searchsorted(lats, lat_keys[i]) * len(lons) + np.searchsorted(lons, lon_keys[j])
+        )
+        shape = (len(self.keys), len(lats), len(lons))
+        values = CellColumns(self.columns, places, self.slots, shape)
+        return TemperatureGrid(lats, lons, _times(self.keys), values)
+
+
 def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     """Read a long-format `lat,lon,date,t2m_c` grid file.
 
@@ -136,75 +303,95 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     counted in error line numbers, and fields are whitespace-trimmed.
 
     Lines are parsed in chunks by `ingest.read_csv_chunks`, and each chunk
-    is scattered into a NaN-filled (time, lat, lon) array as it is read,
-    so memory follows the grid and one chunk, not the row count. A chunk
-    that fails to parse, or holds a non-finite value or a bad date, is
-    rescanned row by row to name its first offending line.
+    is stored as it is read into one time series per cell, so memory
+    follows the grid and one chunk, not the row count. The values are
+    returned as a CellColumns, which reads a slice of days at a time. A
+    chunk that the bytes fast path turns down (a non-finite value, a date
+    outside the feeds' timestamp grammar) is read row by row, which names
+    its first bad line or gives the same values.
     """
-    time_codes = _Codes()  # raw date text -> code
-    code_slot = np.empty(0, np.intp)  # code -> time slot
-    # Distinct texts can parse to one time ("T05:00", " 05:00:00"): a time
-    # slot is keyed by the parsed time, a lat or lon slot by its float.
-    axes = (_Codes(), _Codes(), _Codes())
-    values = np.full((0, 0, 0), np.nan)  # indexed by slot; grows as slots appear
+    builder = _GridBuilder()
     repeated: list[str] = []  # the error of the first row that hits a filled cell
+    aware: dict[int, datetime] = {}  # the first aware datetime read for a key
 
-    def scatter(rows: np.ndarray) -> None:
-        nonlocal code_slot, values
-        lat, lon, val = rows["lat"], rows["lon"], rows["t2m_c"]
-        known = len(time_codes)
-        codes = np.fromiter(map(time_codes.__getitem__, rows["date"]), np.intp, len(rows))
-        # The line number is a placeholder: on error the rescan names it.
-        new = [axes[0][_parse_time(t.strip(), 0)] for t in islice(time_codes, known, None)]
-        if not all(np.isfinite(col).all() for col in (lat, lon, val)):
+    def add(lat, lon, keys, values, time_of) -> None:
+        row = builder.add(lat, lon, keys, values)
+        if row is not None and not repeated:
+            where = f"{float(lat[row])}, {float(lon[row])}, {time_of(row)}"
+            repeated.append(f"duplicate grid entry for ({where})")
+
+    def convert(rows: np.ndarray) -> None:
+        lat, lon, values = rows["lat"], rows["lon"], rows["t2m_c"]
+        if not all(np.isfinite(column).all() for column in (lat, lon, values)):
             raise ValueError("non-finite value")
-        if new:
-            code_slot = np.concatenate((code_slot, new))
-        index = (code_slot[codes], _slots(axes[1], lat), _slots(axes[2], lon))
-        # Grow by half, along only the axes that need it: the spare room of
-        # the axes multiplies, so a factor of 2 would allow 8 times the grid.
-        need = map(len, axes)
-        shape = tuple(c if n <= c else max(n, c + c // 2) for n, c in zip(need, values.shape))
-        if shape != values.shape:
-            grown = np.full(shape, np.nan)
-            grown[tuple(map(slice, values.shape))] = values
-            values = grown
-        flat = np.ravel_multi_index(index, shape)
-        cells = values.reshape(-1)
-        hit = np.ones(len(flat), bool)  # a cell given earlier in this chunk,
-        hit[np.unique(flat, return_index=True)[1]] = False
-        hit |= ~np.isnan(cells[flat])  # or by an earlier chunk
-        if hit.any() and not repeated:
-            row = int(hit.argmax())
-            when = _parse_time(rows["date"][row].strip(), 0)
-            repeated.append(
-                f"duplicate grid entry for ({float(lat[row])}, {float(lon[row])}, {when})"
-            )
-        cells[flat] = val
+        keys = _time_keys(rows["date"])
+        add(lat, lon, keys, values, lambda row: _times(keys[row : row + 1])[0])
 
-    if not read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, scatter, _check_grid_row):
+    def from_rows(rows: list[tuple]) -> None:
+        lat, lon, times, values = zip(*rows)
+        keys = np.fromiter(map(_time_key, times), np.int64, len(times))
+        for key, t in zip(keys.tolist(), times):
+            if isinstance(t, datetime) and t.tzinfo is not None:
+                aware.setdefault(key, t)
+        add(np.array(lat), np.array(lon), keys, np.array(values), times.__getitem__)
+
+    if not read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row, from_rows):
         raise ValueError("grid file has no data rows")
-    if len({isinstance(t, datetime) for t in axes[0]}) > 1:
-        raise ValueError("grid file mixes daily and hourly rows")
+    grid = builder.grid()
     if repeated:
         raise ValueError(repeated[0])
-    keys = [list(axis) for axis in axes]
-    order = [sorted(range(len(k)), key=k.__getitem__) for k in keys]
-    lats, lons = (np.array(k, dtype=float)[o] for k, o in zip(keys[1:], order[1:]))
-    times = [keys[0][i] for i in order[0]]
-    return TemperatureGrid(lats, lons, times, values[np.ix_(*order)])
+    if aware:
+        grid.times = [aware.get(key, t) for key, t in zip(builder.keys.tolist(), grid.times)]
+    return grid
 
 
-class RasterReader:
+class _DayReader:
+    """A (time, lat, lon) raster read one step-1 slice of its first axis at
+    a time; any other index is a TypeError. A subclass sets `shape` and
+    defines `_read(start, stop)`."""
+
+    shape: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError(f"a raster reads step-1 slices of days only, not {key!r}")
+        start, stop, _ = key.indices(self.shape[0])
+        return self._read(start, max(start, stop))
+
+
+class CellColumns(_DayReader):
+    """A grid CSV's values, held once: one column per cell, indexed by time slot.
+
+    A slice of days is built in (time, lat, lon) order, NaN where a cell
+    or a time has no value.
+    """
+
+    def __init__(self, columns: list[np.ndarray], places: np.ndarray, slots: np.ndarray, shape):
+        self._columns = columns
+        self._places = places  # the flat (lat, lon) index of each column's cell
+        self._slots = slots  # the slot of each time, in time order
+        self.shape = shape
+
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        block = np.full((stop - start, math.prod(self.shape[1:])), np.nan)
+        slots = self._slots[start:stop]
+        for place, column in zip(self._places.tolist(), self._columns):
+            block[:, place] = column[slots]
+        return block.reshape(stop - start, *self.shape[1:])
+
+
+class RasterReader(_DayReader):
     """A C-ordered `.npy` array on disk, read one slice of its first axis at a time.
 
-    The only index it takes is a step-1 slice, which reads only those rows
-    (`np.fromfile` at their offset); any other index is a TypeError.
+    A slice reads only its rows (`np.fromfile` at their offset).
     """
 
     def __init__(self, path: Path, shape: tuple[int, ...], dtype: np.dtype, offset: int):
         self.path, self.shape, self.dtype, self._offset = path, shape, dtype, offset
-        self.size = math.prod(shape)
         self._row_size = math.prod(shape[1:])
 
     def _read(self, start: int, stop: int) -> np.ndarray:
@@ -212,12 +399,6 @@ class RasterReader:
         offset = self._offset + start * self._row_size * self.dtype.itemsize
         rows = np.fromfile(self.path, self.dtype, count, offset=offset)
         return rows.reshape(stop - start, *self.shape[1:])
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        if not isinstance(key, slice) or key.step not in (None, 1):
-            raise TypeError(f"a raster reads step-1 slices of days only, not {key!r}")
-        start, stop, _ = key.indices(self.shape[0])
-        return self._read(start, max(start, stop))
 
 
 def _open_raster(path: Path) -> np.ndarray | RasterReader:

@@ -12,7 +12,7 @@ from shoulderseason.thermal import TemperatureGrid
 
 
 def write_raster(path: Path, grid: TemperatureGrid) -> Path:
-    np.save(path, grid.values)
+    np.save(path, grid.values[:])
     sidecar = {
         "lats": grid.lats.tolist(),
         "lons": grid.lons.tolist(),

@@ -304,10 +304,11 @@ class TestPipeline:
             monkeypatch.setattr(thermal, "_BLOCK_DAYS", block_days)
         days_read: list[int] = []
         fromfile = np.fromfile
+        day_size = grid.values[:1].size
 
         def spy(*args, **kwargs):
             rows = fromfile(*args, **kwargs)
-            days_read.append(rows.size // grid.values[0].size)
+            days_read.append(rows.size // day_size)
             return rows
 
         monkeypatch.setattr(np, "fromfile", spy)
