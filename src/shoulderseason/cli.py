@@ -135,7 +135,7 @@ def stage_ingest(cfg: RunConfig, tables: Tables) -> dict[str, object]:
         if len(mix):
             # Netting applies to the days the fuel-mix feed spans: a slice
             # of the sorted load hours, which copies nothing.
-            first, last = mix.timestamps[[0, -1]].astype("datetime64[D]")
+            first, last = mix.hours[[0, -1]].astype("datetime64[D]")
             span = np.array([first, last + 1], "datetime64[h]")
             lo, hi = np.searchsorted(hourly.hours, span)
             loads["daily_net"] = ingest.net_non_thermal(hourly[lo:hi], mix)

@@ -8,7 +8,8 @@ The load, fuel-mix and outage feeds are read into column tables (numpy
 arrays of equal length) by `read_csv_chunks`, which parses many lines per
 `np.loadtxt` call, text fields as fixed-width bytes, and validates whole
 columns at once. A chunk that this fast path turns down is read row by
-row, with the same result.
+row, with the same result. The fuel-mix samples are folded into hourly
+means as each chunk is read, so no table of the samples is built.
 """
 
 from __future__ import annotations
@@ -37,15 +38,12 @@ DEFAULT_MIN_HOURS = 20
 # the call, small enough that one chunk's lines and rows stay a few MB. At
 # 1 << 16 the heap the chunks left behind raised the peak RSS of a process
 # running `all` again and again by ~17 MB over 12 runs of a paper-scale
-# world. With text read as bytes, 1 << 12 and 1 << 13 lowered the
-# paper-scale peak RSS from 67.5 to 66.5 and 66.7 MB (medians of 6
-# alternating runs, run time within the noise). With the grid held as one
-# column per cell, they lower the grid-csv peak too, from 57.5 to 56.2
-# and 55.0 MB (medians of 4 alternating runs), but 1 << 12 raised its
-# median run time from 0.76 to 0.84 s, and 1 << 13 left it at 0.77 s.
+# world. With the grid held as one column per cell, 1 << 12 and 1 << 13
+# lower the grid-csv peak RSS from 57.5 to 56.2 and 55.0 MB (medians of
+# 4 alternating runs), but 1 << 12 raised its median run time from 0.76
+# to 0.84 s, and 1 << 13 left it at 0.77 s.
 CSV_CHUNK_LINES = 1 << 14
 
-_MIX_COLUMNS = ("wind_mw", "solar_mw", "hydro_mw", "other_mw")
 # Text fields are read as bytes of this width. loadtxt cuts a longer field
 # to it, so a chunk with a field this wide is read row by row.
 _TEXT = "S32"
@@ -89,20 +87,12 @@ class HourlyLoad(_Table):
 
 @dataclass(frozen=True, eq=False)
 class FuelMix(_Table):
-    """Fuel-mix samples with strictly increasing `datetime64[us]` timestamps
-    on 15-minute boundaries, MW per source."""
+    """The fuel-mix feed by hour: the strictly increasing `datetime64[h]`
+    hours that have samples, and the mean MW of wind, solar and hydro over
+    each hour's samples."""
 
-    timestamps: np.ndarray
-    wind_mw: np.ndarray
-    solar_mw: np.ndarray
-    hydro_mw: np.ndarray
-    other_mw: np.ndarray
-
-    @property
-    def non_thermal_mw(self) -> np.ndarray:
-        total = self.wind_mw + self.solar_mw
-        total += self.hydro_mw
-        return total
+    hours: np.ndarray
+    non_thermal_mw: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,16 +441,33 @@ def _read_timed_feed(
     dtype: np.dtype,
     convert: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     check_row: Callable[[int, list[str]], list],
+    by_hour: Callable[..., tuple[np.ndarray, ...]] | None = None,
 ) -> T:
     """read_csv_chunks for a table whose first column is a strictly increasing time.
 
-    `convert` returns a chunk's columns for `table`, times first, and
-    `check_row` validates one row and returns its values, the time first.
-    A chunk that `convert` turns down is built from those values.
+    `convert` returns a chunk's columns, times first, and `check_row`
+    validates one row and returns its values, the time first. A chunk
+    that `convert` turns down is built from those values.
+
+    The table is built from the columns, or, given `by_hour`, from what
+    `by_hour` returns for the columns of whole hours. Then each chunk's
+    rows are folded as they are read, up to its last hour, whose rows
+    wait for the next chunk: it may hold more of that hour.
     """
     last: datetime | None = None  # time of the last row accepted so far
     # The columns of a file without rows, and the dtypes of every chunk's.
     empty = convert(np.empty(0, dtype))
+    carry = empty  # with by_hour: the rows of the last hour read so far
+
+    def fold(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        nonlocal carry
+        if by_hour is None:
+            return columns
+        columns = [np.concatenate(pair) for pair in zip(carry, columns)]
+        hours = columns[0].astype("datetime64[h]")
+        whole = np.searchsorted(hours, hours[-1])  # the rows before the last hour
+        carry = [column[whole:].copy() for column in columns]
+        return by_hour(*(column[:whole] for column in columns))
 
     def accept(rows: np.ndarray) -> tuple[np.ndarray, ...]:
         nonlocal last
@@ -471,7 +478,7 @@ def _read_timed_feed(
         ):
             raise ValueError("timestamps not increasing")
         last = times[-1].item()
-        return columns
+        return fold(columns)
 
     def check(lineno: int, fields: list[str]) -> list:
         nonlocal last
@@ -481,9 +488,12 @@ def _read_timed_feed(
         return row
 
     def from_rows(rows: list[list]) -> tuple[np.ndarray, ...]:
-        return tuple(np.array(values, e.dtype) for values, e in zip(zip(*rows), empty))
+        return fold(tuple(np.array(values, e.dtype) for values, e in zip(zip(*rows), empty)))
 
-    chunks = read_csv_chunks(source, header, dtype, accept, check, from_rows) or [empty]
+    chunks = read_csv_chunks(source, header, dtype, accept, check, from_rows)
+    if by_hour is not None:
+        chunks.append(by_hour(*carry))
+    chunks = chunks or [empty]
     # One column at a time, each dropping its chunk parts once it is whole,
     # so that memory holds the table and one column, not two tables.
     parts = [list(column) for column in zip(*chunks)]
@@ -535,7 +545,13 @@ _FINITE = ("f8", parse_loadtxt_float, _column(np.isfinite))
 _HOURS = ("i8", _parse_hours, _column(lambda hours: (hours >= 0) & (hours <= 24)))
 
 
-def _read_columns(table: Callable[..., T], source: IO[str] | Iterable[str], header: str, *kinds) -> T:
+def _read_columns(
+    table: Callable[..., T],
+    source: IO[str] | Iterable[str],
+    header: str,
+    *kinds,
+    by_hour: Callable[..., tuple[np.ndarray, ...]] | None = None,
+) -> T:
     """_read_timed_feed for a table with one column of each kind, the time first."""
     names = header.split(",")
     dtype = np.dtype([(name, kind[0]) for name, kind in zip(names, kinds)])
@@ -546,12 +562,18 @@ def _read_columns(table: Callable[..., T], source: IO[str] | Iterable[str], head
     def check_row(lineno: int, fields: list[str]) -> list:
         return [kind[1](text, lineno, name) for text, name, kind in zip(fields, names, kinds)]
 
-    return _read_timed_feed(table, source, header, dtype, convert, check_row)
+    return _read_timed_feed(table, source, header, dtype, convert, check_row, by_hour)
 
 
 def parse_fuel_mix(source: IO[str] | Iterable[str]) -> FuelMix:
-    """Parse a fuel-mix stream (15-minute ISO timestamps, MW per source)."""
-    return _read_columns(FuelMix, source, FUEL_MIX_HEADER, _QUARTER, _MW, _MW, _MW, _MW)
+    """Parse a fuel-mix stream (15-minute ISO timestamps, MW per source)
+    into the mean non-thermal output of each hour with samples.
+
+    The samples are folded into hourly means a chunk at a time, so memory
+    follows the hours, not the samples.
+    """
+    kinds = (_QUARTER, _MW, _MW, _MW, _MW)
+    return _read_columns(FuelMix, source, FUEL_MIX_HEADER, *kinds, by_hour=_hourly_means)
 
 
 def parse_outages(source: IO[str] | Iterable[str]) -> Outages:
@@ -605,29 +627,39 @@ def aggregate_daily(hourly: HourlyLoad) -> DailyLoad:
     return DailyLoad.from_days(days[starts], totals, peaks, counts)
 
 
+def _hourly_means(
+    times: np.ndarray,
+    wind_mw: np.ndarray,
+    solar_mw: np.ndarray,
+    hydro_mw: np.ndarray,
+    other_mw: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hours of fuel-mix samples, and the mean of wind, solar and hydro
+    over each hour's samples, summed in quarter order; other_mw is checked
+    by the reader but not netted."""
+    hours = times.astype("datetime64[h]")
+    starts, run = runs(hours)
+    quarter = times.view(np.int64) // _QUARTER_HOUR_US
+    quarter %= 4
+    non_thermal = wind_mw + solar_mw
+    non_thermal += hydro_mw
+    totals = _sum_slots(run, quarter, non_thermal, 4)[0]
+    return hours[starts], totals / np.diff(np.r_[starts, len(times)])
+
+
 def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
     """Remove wind/solar/hydro output from each hourly load, floored at 0.
 
-    Sub-hourly mix samples are averaged (not summed) to an hourly MW rate.
-    Every load hour must be covered by at least one mix sample.
+    Each load hour takes its hour's mean of the mix samples (averaged, not
+    summed, by parse_fuel_mix); every load hour must have at least one.
     """
-    mix_hours = mix.timestamps.astype("datetime64[h]")
-    starts, run = runs(mix_hours)
-    covered_hours = mix_hours[starts]
-    del mix_hours  # each per-sample temporary goes once it is used
-    quarter = mix.timestamps.view(np.int64) // _QUARTER_HOUR_US
-    quarter %= 4
-    totals = _sum_slots(run, quarter, mix.non_thermal_mw, 4)[0]
-    del run, quarter
-    means = totals / np.diff(np.r_[starts, len(mix)])
-
     # The covered hour at or after each load hour; past the end reads NaT.
-    at = np.searchsorted(covered_hours, hourly.hours)
-    covered = np.append(covered_hours, np.datetime64("NaT", "h"))[at] == hourly.hours
+    at = np.searchsorted(mix.hours, hourly.hours)
+    covered = np.append(mix.hours, np.datetime64("NaT", "h"))[at] == hourly.hours
     if not covered.all():
         hour = hourly.hours[covered.argmin()].item()
         raise ValueError(f"missing fuel-mix coverage for load hour {hour.isoformat()}")
-    netted = hourly.load_mw - means[at]
+    netted = hourly.load_mw - mix.non_thermal_mw[at]
     return HourlyLoad(hourly.hours, np.where(netted < 0.0, 0.0, netted))
 
 
@@ -638,11 +670,6 @@ def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
 def write_hourly_load(hourly: HourlyLoad, stream: IO[str]) -> None:
     rows = zip(hourly.hours.tolist(), hourly.load_mw.tolist())
     stream.write(format_table(LOAD_HEADER, ((ts.date(), ts.hour, load) for ts, load in rows)))
-
-
-def write_fuel_mix(mix: FuelMix, stream: IO[str]) -> None:
-    columns = [getattr(mix, name).tolist() for name in _MIX_COLUMNS]
-    stream.write(format_table(FUEL_MIX_HEADER, zip(mix.timestamps.tolist(), *columns)))
 
 
 def write_outages(outages: Outages, stream: IO[str]) -> None:

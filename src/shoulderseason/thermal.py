@@ -189,9 +189,19 @@ class _Codes(dict):
         return code
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty array, sorted (-0.0 equals 0.0).
+
+    np.unique sorts and compares the same way for floats, but hashes
+    integers, which is slower on many distinct values.
+    """
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]]]
+
+
 def _slots(slots: _Codes, column: np.ndarray) -> np.ndarray:
     """The slot of each value in the column, numbering values not seen before."""
-    keys = np.unique(column)
+    keys = _distinct(column)
     slot = np.fromiter(map(slots.__getitem__, keys.tolist()), np.intp, len(keys))
     return slot[np.searchsorted(keys, column)]
 
@@ -223,8 +233,7 @@ class _GridBuilder:
             known = self.keys[np.minimum(at, len(self.keys) - 1)] == keys
         if known.all():
             return self.slots[at]
-        new = np.sort(keys[~known])  # a sort: np.unique hashes, slower on distinct keys
-        new = new[np.r_[True, new[1:] != new[:-1]]]
+        new = _distinct(keys[~known])
         _days(new[new < _HOURLY] - _DAY_KEY)
         n = len(self.keys)
         slots = np.empty(len(keys), np.intp)
@@ -243,7 +252,7 @@ class _GridBuilder:
         cells = self.cells[i, j]
         fresh = cells < 0
         if fresh.any():
-            new = np.unique(np.ravel_multi_index((i[fresh], j[fresh]), self.cells.shape))
+            new = _distinct(np.ravel_multi_index((i[fresh], j[fresh]), self.cells.shape))
             self.cells.flat[new] = np.arange(len(self.columns), len(self.columns) + len(new))
             cells = self.cells[i, j]
         return cells

@@ -259,22 +259,26 @@ def reference_aggregate_daily(hourly: Sequence[HourlyLoadRecord]) -> list[DailyL
     return summaries
 
 
-def reference_net_non_thermal(
-    hourly: Sequence[HourlyLoadRecord], mix: Sequence[FuelMixRecord]
-) -> list[HourlyLoadRecord]:
+def reference_hourly_mix(mix: Sequence[FuelMixRecord]) -> dict[datetime, float]:
+    """The mean non-thermal MW of each hour with samples, in hour order."""
     by_hour: dict[datetime, list[float]] = {}
     for rec in mix:
         key = rec.timestamp.replace(minute=0)
         by_hour.setdefault(key, []).append(rec.non_thermal_mw)
+    return {hour: _sum(samples) / len(samples) for hour, samples in by_hour.items()}
 
+
+def reference_net_non_thermal(
+    hourly: Sequence[HourlyLoadRecord], mix: Sequence[FuelMixRecord]
+) -> list[HourlyLoadRecord]:
+    means = reference_hourly_mix(mix)
     netted: list[HourlyLoadRecord] = []
     for rec in hourly:
-        samples = by_hour.get(rec.timestamp)
-        if not samples:
+        non_thermal = means.get(rec.timestamp)
+        if non_thermal is None:
             raise ValueError(
                 f"missing fuel-mix coverage for load hour {rec.timestamp.isoformat()}"
             )
-        non_thermal = _sum(samples) / len(samples)
         netted.append(HourlyLoadRecord(rec.timestamp, max(rec.load_mw - non_thermal, 0.0)))
     return netted
 

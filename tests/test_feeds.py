@@ -21,9 +21,15 @@ import oracles
 from shoulderseason import adequacy, ingest
 from shoulderseason.ingest import FUEL_MIX_HEADER, LOAD_HEADER, OUTAGE_HEADER
 
+
+def _reference_fuel_mix(source) -> dict[datetime, float]:
+    """The reference parser's samples, as hourly means."""
+    return oracles.reference_hourly_mix(oracles.reference_parse_fuel_mix(source))
+
+
 PARSERS = {
     "load": (ingest.parse_hourly_load, oracles.reference_parse_hourly_load),
-    "fuel_mix": (ingest.parse_fuel_mix, oracles.reference_parse_fuel_mix),
+    "fuel_mix": (ingest.parse_fuel_mix, _reference_fuel_mix),
     "outages": (ingest.parse_outages, oracles.reference_parse_outages),
 }
 
@@ -50,10 +56,7 @@ def _record_rows(feed: str, records) -> list[tuple]:
     if feed == "load":
         return [(r.timestamp, _bits(r.load_mw)) for r in records]
     if feed == "fuel_mix":
-        return [
-            (r.timestamp, *map(_bits, (r.wind_mw, r.solar_mw, r.hydro_mw, r.other_mw)))
-            for r in records
-        ]
+        return [(hour, _bits(mean)) for hour, mean in records.items()]
     return [
         (r.timestamp, _bits(r.outage_mw), _bits(r.telemetered_output_mw)) for r in records
     ]
@@ -61,7 +64,7 @@ def _record_rows(feed: str, records) -> list[tuple]:
 
 def _table_rows(table) -> list[tuple]:
     columns = [getattr(table, name) for name in vars(table)]
-    time_unit = "h" if isinstance(table, ingest.HourlyLoad) else "us"
+    time_unit = "us" if isinstance(table, ingest.Outages) else "h"
     assert columns[0].dtype == np.dtype(f"datetime64[{time_unit}]")
     assert all(c.dtype == np.float64 and len(c) == len(table) for c in columns[1:])
     return [
@@ -170,8 +173,15 @@ def _quarter_hours(draw, start: datetime, n_hours: int) -> list[datetime]:
 
 
 @st.composite
-def fuel_mix_files(draw) -> str:
-    stamps = _quarter_hours(draw, datetime(2021, 12, 31, 22), draw(st.integers(0, 4)))
+def fuel_mix_files(draw, gaps: bool = False) -> str:
+    """1-4 samples in each of up to 4 consecutive hours, or, with gaps, in
+    up to 8 of 13 hours."""
+    if gaps:
+        hours = sorted(draw(st.sets(st.integers(0, 12), max_size=8)))
+    else:
+        hours = range(draw(st.integers(0, 4)))
+    start = datetime(2021, 12, 31, 22)
+    stamps = [ts for h in hours for ts in _quarter_hours(draw, start + timedelta(hours=h), 1)]
     rows = [
         [draw(st.sampled_from(_TIMESTAMP_SPELLINGS))(ts), *(draw(_MW_TEXT) for _ in range(4))]
         for ts in stamps
@@ -267,10 +277,10 @@ def test_net_non_thermal_matches_reference(data) -> None:
     hourly = ingest.HourlyLoad(
         np.array([t for t, _ in loads], "datetime64[h]"), np.array([v for _, v in loads])
     )
-    columns = list(zip(*mix)) or [[]] * 5
-    table = ingest.FuelMix(
-        np.array(columns[0], "datetime64[us]"), *(np.array(c, float) for c in columns[1:])
-    )
+    # The hourly table as the reader folds it from the samples' text, whose
+    # repr floats keep every bit.
+    rows = (",".join([ts.isoformat(), *map(repr, mw)]) for ts, *mw in mix)
+    table = ingest.parse_fuel_mix([FUEL_MIX_HEADER, *rows])
     got = _outcome(ingest.net_non_thermal, hourly, table)
     if isinstance(want, str):
         assert got == want
@@ -718,6 +728,23 @@ def test_fast_path_agrees_with_the_rescan(feed: str, data, chunk_lines: int) -> 
     assert _table_rows(got) == _record_rows(feed, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), chunk_lines=st.integers(1, 7), padded=st.booleans())
+def test_hourly_fold_matches_reference(data, chunk_lines: int, padded: bool) -> None:
+    # Short chunks split hours (of 1-4 samples, with gaps between some)
+    # across chunk edges, and a padded field sends its chunk to the rescan;
+    # each hour is still summed once, in quarter order: the hourly means,
+    # bit for bit, or the error are the reference's.
+    text = data.draw(fuel_mix_files(gaps=True))
+    if padded:
+        text = data.draw(_repadded("fuel_mix", text))
+    want = _outcome(_reference_fuel_mix, io.StringIO(text))
+    got = _chunked(chunk_lines, ingest.parse_fuel_mix, io.StringIO(text))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert _table_rows(got) == _record_rows("fuel_mix", want)
+
 
 @pytest.mark.parametrize("chunk_lines", [1, 2, 5])
 def test_daily_tables_read_dates_as_the_row_check_does(chunk_lines: int, monkeypatch) -> None:
@@ -797,30 +824,33 @@ def test_feed_memory_is_the_table_and_one_chunk(monkeypatch) -> None:
     monkeypatch.setattr(ingest, "CSV_CHUNK_LINES", chunk_lines)
     ingest.parse_fuel_mix(io.StringIO(text))  # one-time allocations of a first call
     mix, peak = _peak_above_start(ingest.parse_fuel_mix, io.StringIO(text))
-    assert len(mix) == n
+    n_hours = n // 4
+    assert len(mix) == n_hours
 
     # The bound follows from the design, not from a measurement:
-    # - the table: n rows of a datetime64 and four float64 values;
-    # - one column, built while the chunk parts it joins are still held;
-    # - one chunk: its lines as str objects, loadtxt's rows (the `S` timestamp
-    #   field and four floats, 64 bytes each), and the converters' temporaries,
-    #   none larger than the rows: at most 4 times (lines + rows).
-    # Holding every chunk part while all columns are joined (two tables) needs
-    # another n * 40 bytes, which is more than one column and one chunk here.
-    table = n * (8 + 4 * 8)
-    column = n * 8
+    # - the table: two 8-byte values (hour and mean) per hour;
+    # - while reading, the table's parts so far, one chunk and its carry.
+    #   The chunk: its lines as str objects, loadtxt's rows (the `S`
+    #   timestamp field and four floats, 64 bytes each), and the
+    #   converters' and the fold's temporaries, none larger than the rows:
+    #   at most 4 times (lines + rows). The carry: the last hour's rows, at
+    #   most 4 of five 8-byte values;
+    # - at the end, one column, built while the parts it joins are held.
+    # A table of the samples needs n * 40 bytes, more than all of this.
+    table = n_hours * 2 * 8
     lines = sum(sys.getsizeof(row + "\n") + 8 for row in rows[:chunk_lines])
     chunk = 4 * (lines + chunk_lines * 64)
-    assert peak <= table + column + chunk, (peak, table, column, chunk)
+    carry = 4 * 5 * 8
+    column = n_hours * 8
+    assert peak <= table + max(chunk + carry, column), (peak, table, chunk, column)
 
-    # Netting: the output column, and per-sample and per-hour temporaries.
-    # At most five 8-byte values per sample live at once (run number, quarter
-    # slot, non-thermal sum, its dense slot, one expression temporary), and
-    # at most six 8-byte values per hour (run starts, covered hours, counts,
-    # totals, means and the load hour's position).
-    hours = np.datetime64(first, "h") + np.arange(n // 4)
+    # Netting: the output column and per-hour temporaries. At most five
+    # 8-byte values per hour live at once (the load hour's position, the
+    # covered hours padded with NaT, their gather, the gathered means and
+    # the difference).
+    hours = np.datetime64(first, "h") + np.arange(n_hours)
     hourly = ingest.HourlyLoad(hours, rng.uniform(2e4, 7e4, len(hours)))
     ingest.net_non_thermal(hourly, mix)
     netted, peak = _peak_above_start(ingest.net_non_thermal, hourly, mix)
     assert len(netted) == len(hours)
-    assert peak <= n * 8 * 5 + len(hours) * 8 * 6 + len(hours) * 8, peak
+    assert peak <= len(hours) * 8 * 5 + len(hours) * 8, peak

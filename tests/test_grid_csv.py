@@ -64,7 +64,8 @@ def _pad_date(draw, text: str) -> str:
 
 @st.composite
 def grid_files(draw):
-    """A grid CSV with holes, shuffled rows and assorted spellings."""
+    """A grid CSV with holes and assorted spellings, its rows time-major
+    (by time, then cell), cell-major or shuffled."""
     n_lat = draw(st.integers(1, 3))
     n_lon = draw(st.integers(1, 3))
     n_times = draw(st.integers(1, 4))
@@ -85,8 +86,13 @@ def grid_files(draw):
     if kept and draw(st.integers(0, 4)) == 0:
         # An occasional repeated cell makes both readers raise.
         kept.insert(draw(st.integers(0, len(kept))), draw(st.sampled_from(kept)))
+    order = draw(st.sampled_from(["time-major", "cell-major", "shuffled"]))
+    if order == "cell-major":
+        kept.sort(key=lambda cell: cell[1:])  # stable: each cell's times stay in order
+    elif order == "shuffled":
+        kept = draw(st.permutations(kept))
     rows = []
-    for t, la, lo in draw(st.permutations(kept)):
+    for t, la, lo in kept:
         when = draw(st.sampled_from(spell_time))(t)
         fields = [
             draw(st.sampled_from(_COORD_SPELLINGS))(la),
@@ -114,6 +120,25 @@ def test_matches_reference_reader(text: str, chunk_lines: int) -> None:
         assert got == want
     else:
         _assert_same_grid(got, want)
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 5])
+@pytest.mark.parametrize("first, second", [("0.0", "-0.0"), ("-0.0", "0")])
+def test_signed_zero_coordinates_share_a_slot(
+    first: str, second: str, chunk_lines: int, monkeypatch
+) -> None:
+    # -0.0 and 0.0 name one lat or lon, as in the reference reader.
+    rows = [
+        f"{first},{second},2020-01-01,1.5",
+        f"{second},{first},2020-01-02,2.5",
+        f"1.0,{second},2020-01-01,3.5",
+        f"{second},1.0,2020-01-01,4.5",
+    ]
+    text = "\n".join([HEADER, *rows]) + "\n"
+    monkeypatch.setattr(ingest, "CSV_CHUNK_LINES", chunk_lines)
+    got, want = read_grid_csv(io.StringIO(text)), reference_read_grid_csv(io.StringIO(text))
+    _assert_same_grid(got, want)
+    assert (len(got.lats), len(got.lons)) == (2, 2)
 
 
 def test_large_file_matches_reference() -> None:

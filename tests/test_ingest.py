@@ -20,7 +20,6 @@ from shoulderseason.ingest import (
     parse_hourly_load,
     parse_outages,
     read_daily_summaries,
-    write_fuel_mix,
     write_hourly_load,
     write_outages,
 )
@@ -38,11 +37,9 @@ def _hourly(rows: list[tuple[datetime, float]]) -> HourlyLoad:
 
 
 def _mix(rows: list[tuple[datetime, float, float, float, float]]) -> FuelMix:
-    columns = list(zip(*rows)) or [[]] * 5
-    return FuelMix(
-        np.array(columns[0], dtype="datetime64[us]"),
-        *(np.array(c, dtype=float) for c in columns[1:]),
-    )
+    """The hourly table the reader folds from these samples."""
+    lines = (",".join([ts.isoformat(), *map(repr, mw)]) for ts, *mw in rows)
+    return parse_fuel_mix(["timestamp,wind_mw,solar_mw,hydro_mw,other_mw", *lines])
 
 
 def _summaries(daily: DailyLoad) -> list[DailyLoadRecord]:
@@ -240,9 +237,10 @@ class TestParseFuelMix:
             "2022-01-01T00:00,9000,0,300,200",
             "2022-01-01T00:15,9100,0,300,200",
         ]
-        records = parse_fuel_mix(rows)
-        assert len(records) == 2
-        assert records.non_thermal_mw[0] == pytest.approx(9300.0)
+        mix = parse_fuel_mix(rows)
+        assert len(mix) == 1
+        assert mix.hours[0].item() == datetime(2022, 1, 1, 0)
+        assert mix.non_thermal_mw[0] == pytest.approx(9350.0)
 
     def test_negative_entry(self) -> None:
         rows = ["timestamp,wind_mw,solar_mw,hydro_mw,other_mw", "2022-01-01T00:00,-1,0,0,0"]
@@ -269,26 +267,6 @@ class TestRoundTrips:
         write_hourly_load(records, buf)
         buf.seek(0)
         _assert_same_table(parse_hourly_load(buf), records)
-
-    def test_fuel_mix_round_trip(self) -> None:
-        rng = random.Random(23)
-        records = _mix(
-            [
-                (
-                    datetime(2022, 1, 1, h, q),
-                    rng.uniform(0, 20_000),
-                    rng.uniform(0, 8_000),
-                    rng.uniform(0, 500),
-                    rng.uniform(0, 500),
-                )
-                for h in range(6)
-                for q in (0, 15, 30, 45)
-            ]
-        )
-        buf = io.StringIO()
-        write_fuel_mix(records, buf)
-        buf.seek(0)
-        _assert_same_table(parse_fuel_mix(buf), records)
 
     def test_outages_round_trip(self) -> None:
         records = Outages(

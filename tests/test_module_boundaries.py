@@ -180,11 +180,11 @@ def unreferenced(modules: dict[str, str], others: list[str]) -> list[str]:
 
 # Public names that only tests use, each kept on purpose.
 UNCALLED = {
-    # The raw-feed writers are kept to build a messy-feed fixture (daylight-
-    # saving days, gaps and duplicate rows); only their round-trip tests call
-    # them yet.
+    # The load and outage writers are kept to build a messy-feed fixture
+    # (daylight-saving days, gaps and duplicate rows); only their round-trip
+    # tests call them yet. The fuel-mix reader keeps only hourly means, so
+    # such a fixture writes its fuel-mix text from the tests.
     "ingest.write_hourly_load",
-    "ingest.write_fuel_mix",
     "ingest.write_outages",
 }
 
@@ -258,9 +258,6 @@ UNREAD = {
     # Written whole, one table row per record, through astuple.
     "windows.ShoulderWindow",
     "adequacy.PeriodOutageStat",
-    # A column of the fuel-mix feed that is parsed and validated; netting
-    # subtracts only wind, solar and hydro.
-    "ingest.FuelMix.other_mw",
 }
 
 
