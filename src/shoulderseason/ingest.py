@@ -66,6 +66,9 @@ _TIMESTAMP_LOW = np.frombuffer(_TIMESTAMP_TEMPLATE.encode(), np.uint8)
 _TIMESTAMP_SPAN = np.where(_TIMESTAMP_LOW == ord("0"), 9, 0).astype(np.uint8)
 _TIMESTAMP_SEP = _TIMESTAMP_TEMPLATE.index("T")
 
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # of a YYYY-MM-DD text
+_DATE_PLACES = 10 ** np.arange(7, -1, -1)
+
 
 class _Table:
     """Equal-length columns: len() is the row count; a mask or slice selects rows."""
@@ -408,14 +411,35 @@ def _quarter_hours(column: np.ndarray) -> np.ndarray:
     return times
 
 
-def _dates(column: np.ndarray) -> np.ndarray:
-    """Date texts to `datetime64[D]`.
+def date_numbers(texts: np.ndarray) -> np.ndarray:
+    """The YYYYMMDD number of each bare `YYYY-MM-DD` text of a bytes array; any
+    other text is a ValueError. `numbers_to_days` checks that a number names a date."""
+    codes = texts.astype("S11").view(np.uint8).reshape(len(texts), 11)
+    digits = codes[:, _DATE_DIGITS] - ord("0")  # unsigned: a byte below "0" wraps above 9
+    if (digits > 9).any() or (codes[:, [4, 7]] != ord("-")).any() or codes[:, 10].any():
+        raise ValueError("bad date")
+    return digits.astype(np.int64) @ _DATE_PLACES
 
-    Each run of one text is parsed once, by the function the row check
-    uses (numpy misreads `20200101` as a year).
+
+def numbers_to_days(numbers: np.ndarray) -> np.ndarray:
+    """YYYYMMDD numbers to `datetime64[D]`; ValueError for one that names no date."""
+    year, month, day = numbers // 10000, numbers // 100 % 100, numbers % 100
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)
+    ends = (months + 1).astype("datetime64[D]")
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (days < ends)).all():
+        raise ValueError("bad date")
+    return days
+
+
+def _dates(column: np.ndarray) -> np.ndarray:
+    """Date texts to `datetime64[D]`: the first trimmed text of each run of
+    one text is decoded by `date_numbers` and `numbers_to_days`, which turn
+    down texts the row check reads, such as the basic `20200101` (which
+    numpy would misread as a year).
     """
     starts, run = runs(_uncut(column))
-    return to_days(date.fromisoformat(column[i].strip().decode("ascii")) for i in starts)[run]
+    return numbers_to_days(date_numbers(np.strings.strip(column[starts])))[run]
 
 
 def _optional_mw(column: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -21,6 +21,8 @@ import numpy as np
 
 from .ingest import (
     DailySeries,
+    date_numbers,
+    numbers_to_days,
     parse_loadtxt_float,
     parse_timestamps,
     read_csv_chunks,
@@ -51,7 +53,7 @@ class TemperatureGrid:
     """Co-registered lat/lon raster of 2 m temperature in degrees C.
 
     values has shape (n_times, n_lats, n_lons). The time axis holds dates
-    for daily grids or datetimes for hourly grids. mask marks the cells
+    for daily grids or naive datetimes for hourly grids. mask marks the cells
     belonging to the analysis region; None means all cells are in. A grid
     read from a CSV holds a CellColumns, and one loaded from a `.npy`
     raster a RasterReader, which reads the file; both give the values a
@@ -107,12 +109,16 @@ class CubicDemandFit:
 
 
 def _parse_time(text: str, lineno: int):
+    """A date, or a naive datetime: a UTC offset or `Z` is a bad date, as in the feeds."""
     try:
-        if "T" in text or " " in text or ":" in text:
-            return datetime.fromisoformat(text)
-        return date.fromisoformat(text)
+        if not ("T" in text or " " in text or ":" in text):
+            return date.fromisoformat(text)
+        t = datetime.fromisoformat(text)
+        if t.tzinfo is None:
+            return t
     except ValueError:
-        raise ValueError(f"line {lineno}: bad date {text!r}") from None
+        pass
+    raise ValueError(f"line {lineno}: bad date {text!r}")
 
 
 def _check_grid_row(lineno: int, fields: list[str]) -> tuple[float, float, object, float]:
@@ -125,68 +131,37 @@ def _check_grid_row(lineno: int, fields: list[str]) -> tuple[float, float, objec
     )
 
 
-# A time is keyed by an int64: a date by its YYYYMMDD digits plus _DAY_KEY,
+# A time is keyed by an int64: a date by its YYYYMMDD number plus _DAY_KEY,
 # a datetime by its microseconds since 1970 (from year 1 on, above -2**56).
 # One sorted table then holds both kinds apart, each in time order.
 _DAY_KEY = -(1 << 62)
 _HOURLY = _DAY_KEY + 10**8  # the keys from here up are datetimes
-_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # of a YYYY-MM-DD text
-_DATE_PLACES = 10 ** np.arange(7, -1, -1)
-_EPOCH = datetime(1970, 1, 1)
-_MICROSECOND = timedelta(microseconds=1)
 
 
 def _time_keys(column: np.ndarray) -> np.ndarray:
-    """The key of each text of a bytes date column; ValueError for a text
-    that is not a feed timestamp. Day digits are not yet checked to name a
-    date: `_days` does that, once per new key."""
-    texts = column
-    codes = texts.astype("S11").view(np.uint8).reshape(len(texts), 11)
-    digits = codes[:, _DATE_DIGITS] - ord("0")  # unsigned: a byte below "0" wraps above 9
-    if digits.max() > 9 or (codes[:, [4, 7]] != ord("-")).any() or codes[:, 10].any():
-        # Not all bare YYYY-MM-DD: trimmed, each text must be a timestamp,
-        # which starts YYYY-MM-DD too.
+    """The key of each text of a bytes date column; ValueError for a text that
+    is not a feed timestamp. `_check_days` checks each new day key once."""
+    try:
+        return date_numbers(column) + _DAY_KEY
+    except ValueError:
+        # Not all bare YYYY-MM-DD: trimmed, each text must be a timestamp.
         texts = timestamp_texts(column)
-        codes = texts.astype("S11").view(np.uint8).reshape(len(texts), 11)
-        digits = codes[:, _DATE_DIGITS] - ord("0")
-    keys = digits.astype(np.int64) @ _DATE_PLACES + _DAY_KEY
-    hourly = codes[:, 10] != 0
-    if hourly.any():
-        keys[hourly] = parse_timestamps(texts[hourly]).view(np.int64)
+    keys = parse_timestamps(texts).view(np.int64)
+    days = np.strings.str_len(texts) == 10
+    keys[days] = date_numbers(texts[days]) + _DAY_KEY
     return keys
 
 
-def _time_key(t: date) -> int:
-    """The key of a date or datetime; an aware datetime is keyed by its UTC time."""
-    if not isinstance(t, datetime):
-        return t.year * 10000 + t.month * 100 + t.day + _DAY_KEY
-    return (t.replace(tzinfo=None) - (t.utcoffset() or timedelta()) - _EPOCH) // _MICROSECOND
-
-
-def _days(digits: np.ndarray) -> np.ndarray:
-    """YYYYMMDD numbers to `datetime64[D]`; ValueError for one that names no date."""
-    year, month, day = digits // 10000, digits // 100 % 100, digits % 100
-    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    days = months.astype("datetime64[D]") + (day - 1)
-    ends = (months + 1).astype("datetime64[D]")
-    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (days < ends)).all():
-        raise ValueError("bad date")
-    return days
+def _check_days(keys: np.ndarray) -> None:
+    """ValueError if a day key names no date."""
+    numbers_to_days(keys[keys < _HOURLY] - _DAY_KEY)
 
 
 def _times(keys: np.ndarray) -> list:
     """The dates or naive datetimes of keys of one kind."""
     if len(keys) and keys[0] < _HOURLY:
-        return _days(keys - _DAY_KEY).tolist()
+        return numbers_to_days(keys - _DAY_KEY).tolist()
     return keys.astype("datetime64[us]").tolist()
-
-
-class _Codes(dict):
-    """Numbers each new key in order of first lookup."""
-
-    def __missing__(self, key):
-        self[key] = code = len(self)
-        return code
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -199,78 +174,63 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.r_[True, values[1:] != values[:-1]]]
 
 
-def _slots(slots: _Codes, column: np.ndarray) -> np.ndarray:
-    """The slot of each value in the column, numbering values not seen before."""
-    keys = _distinct(column)
-    slot = np.fromiter(map(slots.__getitem__, keys.tolist()), np.intp, len(keys))
-    return slot[np.searchsorted(keys, column)]
+class _KeyTable:
+    """Distinct keys, sorted, each with its slot: keys are numbered as first seen."""
+
+    def __init__(self, dtype) -> None:
+        self.keys = np.empty(0, dtype)
+        self.slots = np.empty(0, np.intp)  # the slot of each key
+
+    def number(self, keys: np.ndarray, check=lambda new: None) -> np.ndarray:
+        """The slot of each key, numbering keys not seen before. `check`
+        sees the new keys, sorted, before any change, and may raise."""
+        at = np.searchsorted(self.keys, keys)
+        known = at < len(self.keys)
+        known[known] = self.keys[at[known]] == keys[known]
+        if not known.all():
+            new = _distinct(keys[~known])
+            check(new)
+            n = len(self.keys)
+            at = np.searchsorted(self.keys, new)
+            self.slots = np.insert(self.slots, at, np.arange(n, n + len(new)))
+            self.keys = np.insert(self.keys, at, new)
+            at = np.searchsorted(self.keys, keys)
+        return self.slots[at]
 
 
 class _GridBuilder:
     """A grid being read: one NaN-filled column per (lat, lon) cell, indexed
     by time slot.
 
-    Cells and time slots are numbered as they are first seen. A new cell
-    gets a new column; when the slots outgrow the columns, each column is
-    grown by half on its own, so no step copies the whole grid. Rows often
-    come in runs of one cell (a cell-major file) or of one time (a
-    time-major file), so each run is looked up once.
+    Cells and times are numbered as they are first seen, each in a
+    _KeyTable; a cell is keyed by `lat + 1j * lon`, which numpy sorts by
+    lat, then lon, and in which -0.0 equals 0.0. A new cell gets a new
+    column; when the time slots outgrow the columns, each column is grown
+    by half on its own, so no step copies the whole grid. Rows often come
+    in runs of one cell (a cell-major file) or of one time (a time-major
+    file), so each run is looked up once.
     """
 
     def __init__(self) -> None:
-        self.lats, self.lons = _Codes(), _Codes()  # value -> slot
-        self.cells = np.full((0, 0), -1, np.intp)  # (lat slot, lon slot) -> cell, or -1
+        self.cells = _KeyTable(complex)
+        self.times = _KeyTable(np.int64)
         self.columns: list[np.ndarray] = []
-        self.keys = np.empty(0, np.int64)  # the time keys, sorted
-        self.slots = np.empty(0, np.intp)  # the slot of each key
-
-    def _time_slots(self, keys: np.ndarray) -> np.ndarray:
-        """The slot of each key, numbering keys not seen before. A new day
-        key that names no date is a ValueError, raised before any change."""
-        at = np.searchsorted(self.keys, keys)
-        known = np.zeros(len(keys), bool)
-        if len(self.keys):
-            known = self.keys[np.minimum(at, len(self.keys) - 1)] == keys
-        if known.all():
-            return self.slots[at]
-        new = _distinct(keys[~known])
-        _days(new[new < _HOURLY] - _DAY_KEY)
-        n = len(self.keys)
-        slots = np.empty(len(keys), np.intp)
-        slots[known] = self.slots[at[known]]
-        slots[~known] = n + np.searchsorted(new, keys[~known])
-        at = np.searchsorted(self.keys, new)
-        self.slots = np.insert(self.slots, at, np.arange(n, n + len(new)))
-        self.keys = np.insert(self.keys, at, new)
-        return slots
-
-    def _cells(self, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-        """The cell of each row, numbering cells not seen before."""
-        i, j = _slots(self.lats, lat), _slots(self.lons, lon)
-        grow = np.subtract((len(self.lats), len(self.lons)), self.cells.shape)
-        self.cells = np.pad(self.cells, [(0, grow[0]), (0, grow[1])], constant_values=-1)
-        cells = self.cells[i, j]
-        fresh = cells < 0
-        if fresh.any():
-            new = _distinct(np.ravel_multi_index((i[fresh], j[fresh]), self.cells.shape))
-            self.cells.flat[new] = np.arange(len(self.columns), len(self.columns) + len(new))
-            cells = self.cells[i, j]
-        return cells
 
     def add(self, lat: np.ndarray, lon: np.ndarray, keys: np.ndarray, values: np.ndarray):
         """Store a chunk of rows, all finite; the index of its first row
-        that gives a (cell, time) given before, or None."""
+        that gives a (cell, time) given before, or None. A new day key
+        that names no date is a ValueError, raised before any change."""
         heads, run = runs(keys)
-        slots = self._time_slots(keys[heads])[run]
+        slots = self.times.number(keys[heads], _check_days)[run]
         heads, run = runs(lat, lon)
-        cells = self._cells(lat[heads], lon[heads])[run]
+        cells = self.cells.number(lat[heads] + 1j * lon[heads])[run]
         length = len(self.columns[0]) if self.columns else 0
-        if len(self.keys) > length:
-            length = max(len(self.keys), length + length // 2)
+        if len(self.times.keys) > length:
+            length = max(len(self.times.keys), length + length // 2)
             for c, column in enumerate(self.columns):
                 self.columns[c] = np.full(length, np.nan)
                 self.columns[c][: len(column)] = column
-        new_cells = int(self.cells.max()) + 1 - len(self.columns)
+        new_cells = len(self.cells.keys) - len(self.columns)
         self.columns.extend(np.full(length, np.nan) for _ in range(new_cells))
 
         # Rows by (cell, time), file order within each: a repeat in the chunk follows its first.
@@ -289,26 +249,26 @@ class _GridBuilder:
         return int(hit.min()) if len(hit) else None
 
     def grid(self) -> TemperatureGrid:
-        if self.keys[0] < _HOURLY <= self.keys[-1]:
+        times, cells = self.times.keys, self.cells.keys
+        if times[0] < _HOURLY <= times[-1]:
             raise ValueError("grid file mixes daily and hourly rows")
-        lat_keys, lon_keys = (np.fromiter(a, float, len(a)) for a in (self.lats, self.lons))
-        lats, lons = np.sort(lat_keys), np.sort(lon_keys)
-        i, j = np.nonzero(self.cells >= 0)
-        places = np.empty(len(self.columns), np.intp)
-        places[self.cells[i, j]] = (
-            np.searchsorted(lats, lat_keys[i]) * len(lons) + np.searchsorted(lons, lon_keys[j])
+        lats, lons = _distinct(cells.real), _distinct(cells.imag)
+        places = np.empty(len(cells), np.intp)
+        places[self.cells.slots] = (
+            np.searchsorted(lats, cells.real) * len(lons) + np.searchsorted(lons, cells.imag)
         )
-        shape = (len(self.keys), len(lats), len(lons))
-        values = CellColumns(self.columns, places, self.slots, shape)
-        return TemperatureGrid(lats, lons, _times(self.keys), values)
+        shape = (len(times), len(lats), len(lons))
+        values = CellColumns(self.columns, places, self.times.slots, shape)
+        return TemperatureGrid(lats, lons, _times(times), values)
 
 
 def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     """Read a long-format `lat,lon,date,t2m_c` grid file.
 
     Missing (time, cell) combinations become NaN; duplicates are an error.
-    The date column holds either calendar dates (daily grid) or ISO
-    datetimes (hourly grid), never a mixture. Blank lines are skipped but
+    The date column holds either calendar dates (daily grid) or naive ISO
+    datetimes in region-local time (hourly grid), never a mixture; a time
+    with a UTC offset or `Z` is a bad date. Blank lines are skipped but
     counted in error line numbers, and fields are whitespace-trimmed.
 
     Lines are parsed in chunks by `ingest.read_csv_chunks`, and each chunk
@@ -321,36 +281,26 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     """
     builder = _GridBuilder()
     repeated: list[str] = []  # the error of the first row that hits a filled cell
-    aware: dict[int, datetime] = {}  # the first aware datetime read for a key
-
-    def add(lat, lon, keys, values, time_of) -> None:
-        row = builder.add(lat, lon, keys, values)
-        if row is not None and not repeated:
-            where = f"{float(lat[row])}, {float(lon[row])}, {time_of(row)}"
-            repeated.append(f"duplicate grid entry for ({where})")
 
     def convert(rows: np.ndarray) -> None:
         lat, lon, values = rows["lat"], rows["lon"], rows["t2m_c"]
         if not all(np.isfinite(column).all() for column in (lat, lon, values)):
             raise ValueError("non-finite value")
         keys = _time_keys(rows["date"])
-        add(lat, lon, keys, values, lambda row: _times(keys[row : row + 1])[0])
+        row = builder.add(lat, lon, keys, values)
+        if row is not None and not repeated:
+            where = f"{float(lat[row])}, {float(lon[row])}, {_times(keys[row : row + 1])[0]}"
+            repeated.append(f"duplicate grid entry for ({where})")
 
     def from_rows(rows: list[tuple]) -> None:
-        lat, lon, times, values = zip(*rows)
-        keys = np.fromiter(map(_time_key, times), np.int64, len(times))
-        for key, t in zip(keys.tolist(), times):
-            if isinstance(t, datetime) and t.tzinfo is not None:
-                aware.setdefault(key, t)
-        add(np.array(lat), np.array(lon), keys, np.array(values), times.__getitem__)
+        # The checked rows, each time as its isoformat() text, which the bytes path reads.
+        convert(np.array([(lat, lon, t.isoformat(), v) for lat, lon, t, v in rows], _GRID_DTYPE))
 
     if not read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row, from_rows):
         raise ValueError("grid file has no data rows")
     grid = builder.grid()
     if repeated:
         raise ValueError(repeated[0])
-    if aware:
-        grid.times = [aware.get(key, t) for key, t in zip(builder.keys.tolist(), grid.times)]
     return grid
 
 

@@ -151,14 +151,17 @@ def _render(draw, header: str, rows: list[list[str]], bad: list[list[str]]) -> s
 
 @st.composite
 def load_files(draw) -> str:
-    """Partial days of hourly load, hour spelled with or without a zero."""
+    """Partial days of hourly load, date in the extended or basic spelling,
+    hour spelled with or without a zero."""
     start = date(2019, 12, 30) + timedelta(days=draw(st.integers(0, 3)))
     rows = []
     for d in range(draw(st.integers(0, 3))):
-        day = (start + timedelta(days=d)).isoformat()
+        day = start + timedelta(days=d)
         for h in sorted(draw(st.sets(st.integers(0, 23), min_size=1, max_size=24))):
+            # The basic spelling is read only by the row-by-row rescan.
+            spelled = draw(st.sampled_from([day.isoformat(), day.strftime("%Y%m%d")]))
             hour = draw(st.sampled_from([str(h), f"{h:02d}"]))
-            rows.append([day, hour, draw(_MW_TEXT)])
+            rows.append([spelled, hour, draw(_MW_TEXT)])
     bad = [["2020-13-01", "01/02/2020", ""], ["24", "-1", "noon", "1.5", ""], _BAD_MW]
     return draw(_render(LOAD_HEADER, rows, bad))
 

@@ -46,6 +46,9 @@ def _time_spellings(hourly: bool, micro: bool):
     return [
         lambda t: t.isoformat(timespec="minutes"),
         lambda t: t.isoformat(sep=" ", timespec="seconds"),
+        # Read only by the row-by-row rescan.
+        lambda t: t.isoformat(timespec="hours"),
+        lambda t: t.strftime("%Y%m%dT%H%M"),
     ]
 
 
@@ -247,6 +250,19 @@ ERROR_CASES = {
     "bad hour": (
         [HEADER, "30.0,-98.0,2020-01-01T25:00,1.0"],
         "line 2: bad date '2020-01-01T25:00'",
+    ),
+    "UTC offsets": (
+        [
+            HEADER,
+            "30.0,-98.0,2020-01-02T01:00+00:00,1.0",
+            "30.0,-98.0,2020-01-01T23:00-06:00,2.0",
+            "30.0,-98.0,2020-01-02T02:00+00:00,3.0",
+        ],
+        "line 2: bad date '2020-01-02T01:00+00:00'",
+    ),
+    "Z suffix": (
+        [HEADER, "30.0,-98.0,2020-01-01T23:00Z,1.0"],
+        "line 2: bad date '2020-01-01T23:00Z'",
     ),
     "mixed daily and hourly": (
         [HEADER, OK, "30.0,-98.0,2020-01-02T05:00,11.0"],

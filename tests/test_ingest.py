@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from datetime import date, datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import DailyLoadRecord
 from shoulderseason.ingest import (
@@ -15,7 +18,9 @@ from shoulderseason.ingest import (
     HourlyLoad,
     Outages,
     aggregate_daily,
+    date_numbers,
     net_non_thermal,
+    numbers_to_days,
     parse_fuel_mix,
     parse_hourly_load,
     parse_outages,
@@ -54,6 +59,45 @@ def _assert_same_table(got, want) -> None:
     for name in vars(want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+_DATE_TEXTS = st.one_of(
+    st.dates(date(1, 1, 1), date(9999, 12, 31)).map(date.isoformat),
+    # Leap days, and Feb 29 of years that have none.
+    st.integers(1, 9999).map(lambda year: f"{year:04d}-02-29"),
+    # Near misses: year 0, month 00 or 13, day 00 or 29-32.
+    st.just("0000-01-01"),
+    st.builds(
+        lambda year, month, day: f"{year:04d}-{month}-{day:02d}",
+        st.integers(0, 9999),
+        st.sampled_from(["00", "13"]),
+        st.integers(1, 28),
+    ),
+    st.builds(
+        lambda year, month, day: f"{year:04d}-{month:02d}-{day}",
+        st.integers(1, 9999),
+        st.integers(1, 12),
+        st.sampled_from(["00", "29", "30", "31", "32"]),
+    ),
+    st.text("0123456789-/ ", min_size=10, max_size=10),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_DATE_TEXTS)
+def test_date_decoder_matches_fromisoformat(text: str) -> None:
+    # The bytes decoder of the load, daily and grid readers, one text at a time.
+    try:
+        got = numbers_to_days(date_numbers(np.array([text.encode()])))[0].item()
+    except ValueError:
+        got = None
+    try:
+        want = date.fromisoformat(text)
+    except ValueError:
+        want = None
+    # A bare YYYY-MM-DD text reads as fromisoformat reads it; any other is refused.
+    bare = re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text) is not None
+    assert got == (want if bare else None)
 
 
 class TestParseHourlyLoad:
