@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
-from .tables import format_columns, format_table, parse_date, parse_float, parse_int, read_header
+from .tables import format_columns, parse_date, parse_float, parse_int, read_header
 
 LOAD_HEADER = "date,hour,load_mw"
 FUEL_MIX_HEADER = "timestamp,wind_mw,solar_mw,hydro_mw,other_mw"
@@ -108,12 +108,6 @@ class Outages(_Table):
     telemetered_output_mw: np.ndarray
 
 
-def to_days(dates: Iterable[date]) -> np.ndarray:
-    """Dates as `datetime64[D]`; through ordinals, many times faster than np.array."""
-    ordinals = np.fromiter(map(date.toordinal, dates), np.int64)
-    return (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
-
-
 def to_years(times: np.ndarray) -> np.ndarray:
     """The calendar year of each `datetime64` value, as integers."""
     return times.astype("datetime64[Y]").astype(int) + 1970
@@ -172,9 +166,12 @@ class DailySeries(_DayTable):
     @classmethod
     def from_mapping(cls, series: Mapping[date, float]) -> DailySeries:
         """The axis spans the mapping's days; a non-finite value reads as missing."""
-        days = sorted(series)
-        values = np.array([series[d] for d in days], dtype=float)
-        return cls.from_days(to_days(days), np.where(np.isfinite(values), values, np.nan))
+        keys = sorted(series)
+        values = np.array([series[d] for d in keys], dtype=float)
+        # The days through their ordinals, many times faster than np.array of the dates.
+        ordinals = np.fromiter(map(date.toordinal, keys), np.int64) - date(1970, 1, 1).toordinal()
+        days = ordinals.astype("datetime64[D]")
+        return cls.from_days(days, np.where(np.isfinite(values), values, np.nan))
 
     def window(self, start: date, n_days: int) -> np.ndarray:
         """Values of the n_days days from start; NaN off the axis."""
@@ -685,27 +682,6 @@ def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
         raise ValueError(f"missing fuel-mix coverage for load hour {hour.isoformat()}")
     netted = hourly.load_mw - mix.non_thermal_mw[at]
     return HourlyLoad(hourly.hours, np.where(netted < 0.0, 0.0, netted))
-
-
-# Canonical serialization, in the format of `tables`: a write/parse round
-# trip reproduces the series bit for bit.
-
-
-def write_hourly_load(hourly: HourlyLoad, stream: IO[str]) -> None:
-    rows = zip(hourly.hours.tolist(), hourly.load_mw.tolist())
-    stream.write(format_table(LOAD_HEADER, ((ts.date(), ts.hour, load) for ts, load in rows)))
-
-
-def write_outages(outages: Outages, stream: IO[str]) -> None:
-    rows = (
-        (ts, outage, None if math.isnan(telem) else telem)
-        for ts, outage, telem in zip(
-            outages.timestamps.tolist(),
-            outages.outage_mw.tolist(),
-            outages.telemetered_output_mw.tolist(),
-        )
-    )
-    stream.write(format_table(OUTAGE_HEADER, rows))
 
 
 def read_daily_summaries(source: IO[str] | Iterable[str]) -> DailyLoad:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from datetime import date, datetime
 from pathlib import Path
@@ -28,7 +29,6 @@ from .ingest import (
     read_csv_chunks,
     runs,
     timestamp_texts,
-    to_days,
     to_years,
 )
 from .tables import parse_float, parse_int, split_rows
@@ -52,23 +52,26 @@ _BLOCK_DAYS = 256
 class TemperatureGrid:
     """Co-registered lat/lon raster of 2 m temperature in degrees C.
 
-    values has shape (n_times, n_lats, n_lons). The time axis holds dates
-    for daily grids or naive datetimes for hourly grids. mask marks the cells
-    belonging to the analysis region; None means all cells are in. A grid
-    read from a CSV holds a CellColumns, and one loaded from a `.npy`
-    raster a RasterReader, which reads the file; both give the values a
-    step-1 slice of the time axis at a time.
+    values has shape (n_times, n_lats, n_lons); times is `datetime64[D]` for a
+    daily grid, `datetime64[us]` (naive) for an hourly one, or a list to convert.
+    mask marks the cells in the analysis region (None: all). A CSV grid holds a
+    CellColumns, a `.npy` raster a RasterReader; each reads a step-1 slice of
+    times. A raster sidecar's `times` are bare dates (if `hourly`, naive feed
+    timestamps), increasing; else `<sidecar path>: bad time <index>: '<text>'`.
     """
 
     lats: np.ndarray
     lons: np.ndarray
-    times: list
+    times: np.ndarray
     values: np.ndarray | CellColumns | RasterReader
     mask: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        self.times = np.asarray(self.times, "datetime64")
+
     @property
     def is_hourly(self) -> bool:
-        return bool(self.times) and isinstance(self.times[0], datetime)
+        return self.times.dtype == np.dtype("datetime64[us]")
 
 
 @dataclass
@@ -138,9 +141,10 @@ _DAY_KEY = -(1 << 62)
 _HOURLY = _DAY_KEY + 10**8  # the keys from here up are datetimes
 
 
-def _time_keys(column: np.ndarray) -> np.ndarray:
-    """The key of each text of a bytes date column; ValueError for a text that
-    is not a feed timestamp. `_check_days` checks each new day key once."""
+def _time_keys(column: np.ndarray | list) -> np.ndarray:
+    """The key of each text of a bytes date column (or list); ValueError for a
+    text that is not a feed timestamp. `_check_days` checks each new day key once."""
+    column = np.asarray(column, _GRID_DTYPE["date"])
     try:
         return date_numbers(column) + _DAY_KEY
     except ValueError:
@@ -152,16 +156,17 @@ def _time_keys(column: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _check_days(keys: np.ndarray) -> None:
-    """ValueError if a day key names no date."""
+def _check_days(keys: np.ndarray) -> np.ndarray:
+    """The keys; ValueError if a day key names no date."""
     numbers_to_days(keys[keys < _HOURLY] - _DAY_KEY)
+    return keys
 
 
-def _times(keys: np.ndarray) -> list:
-    """The dates or naive datetimes of keys of one kind."""
-    if len(keys) and keys[0] < _HOURLY:
-        return numbers_to_days(keys - _DAY_KEY).tolist()
-    return keys.astype("datetime64[us]").tolist()
+def _times(keys: np.ndarray) -> np.ndarray:
+    """The `datetime64[D]` days or `datetime64[us]` times of keys of one kind."""
+    if len(keys) and keys[0] >= _HOURLY:
+        return keys.astype("datetime64[us]")
+    return numbers_to_days(keys - _DAY_KEY)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -289,7 +294,7 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
         keys = _time_keys(rows["date"])
         row = builder.add(lat, lon, keys, values)
         if row is not None and not repeated:
-            where = f"{float(lat[row])}, {float(lon[row])}, {_times(keys[row : row + 1])[0]}"
+            where = f"{float(lat[row])}, {float(lon[row])}, {_times(keys[row : row + 1]).item()}"
             repeated.append(f"duplicate grid entry for ({where})")
 
     def from_rows(rows: list[tuple]) -> None:
@@ -382,12 +387,27 @@ def _open_raster(path: Path) -> np.ndarray | RasterReader:
     return reader
 
 
+def _sidecar_times(path: Path, texts: list, hourly: bool) -> np.ndarray:
+    """A raster sidecar's times, checked as TemperatureGrid states."""
+    try:
+        keys = _check_days(_time_keys(texts))
+    except ValueError:
+        with suppress(ValueError):  # one at a time, up to the first that fails
+            for n, text in enumerate(texts):
+                _check_days(_time_keys([text]))
+        keys = _check_days(_time_keys(texts[:n]))
+    bad = np.r_[(keys >= _HOURLY) != hourly, True]  # past the keys: a failed text, or the end
+    bad[1 : len(keys)] |= keys[1:] <= keys[:-1]
+    if (i := int(np.argmax(bad))) < len(texts):
+        raise ValueError(f"{path}: bad time {i}: {texts[i]!r}")
+    return _times(keys)
+
+
 def load_grid_raster(path: Path | str) -> TemperatureGrid:
     """Open a `.npy` raster and its JSON sidecar of axes; values are read lazily."""
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    parse = datetime.fromisoformat if sidecar["hourly"] else date.fromisoformat
-    times = [parse(t) for t in sidecar["times"]]
+    times = _sidecar_times(path.with_suffix(".json"), sidecar["times"], sidecar["hourly"])
     values = _open_raster(path)
     lats = np.array(sidecar["lats"], dtype=float)
     lons = np.array(sidecar["lons"], dtype=float)
@@ -463,23 +483,23 @@ def attach_mask(grid: TemperatureGrid, mask: RegionMask) -> TemperatureGrid:
 # -- regional temperature series ---------------------------------------------
 
 
-def daily_cell_means(grid: TemperatureGrid) -> tuple[list[date], np.ndarray]:
+def daily_cell_means(grid: TemperatureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Collapse an hourly grid to per-cell daily means; pass daily through.
 
     The hours are read whole days at a time, at most _BLOCK_DAYS days per read.
     """
     if not grid.is_hourly:
         return grid.times, grid.values
-    days = [t.date() for t in grid.times]
+    days = grid.times.astype("datetime64[D]")
     # The first hour of each day, then the end of the last day.
-    starts = [i for i in range(len(days)) if i == 0 or days[i] != days[i - 1]] + [len(days)]
+    starts = np.flatnonzero(np.r_[True, days[1:] != days[:-1], True])
     means: list[np.ndarray] = []
     for d0 in range(0, len(starts) - 1, _BLOCK_DAYS):
-        edges = starts[d0 : d0 + _BLOCK_DAYS + 1]
+        edges = starts[d0 : d0 + _BLOCK_DAYS + 1].tolist()
         block = grid.values[edges[0] : edges[-1]]
         offsets = [i - edges[0] for i in edges]
         means.extend(block[a:b].mean(axis=0) for a, b in zip(offsets, offsets[1:]))
-    return [days[i] for i in starts[:-1]], np.stack(means)
+    return days[starts[:-1]], np.stack(means)
 
 
 def _region_blocks(grid: TemperatureGrid) -> tuple[np.ndarray, np.ndarray, Iterator[tuple]]:
@@ -501,7 +521,7 @@ def _region_blocks(grid: TemperatureGrid) -> tuple[np.ndarray, np.ndarray, Itera
             block = np.ascontiguousarray(values[i0 : i0 + _BLOCK_DAYS][:, mask])
             yield i0, block, np.isnan(block).any(axis=1)
 
-    return to_days(days), mask, blocks()
+    return days, mask, blocks()
 
 
 def _raise_first(day_axis: np.ndarray, i0: int, nan_rows: np.ndarray, zero_rows=False) -> None:

@@ -354,9 +354,14 @@ def reference_generation_histogram(
 
 
 def _reference_region(grid):
-    from shoulderseason.thermal import daily_cell_means
-
-    days, values = daily_cell_means(grid)
+    """The days, each day's cell values and the region mask: an hourly
+    grid's hours are averaged per cell, one day at a time."""
+    days, values = grid.times.tolist(), grid.values[:]
+    if days and isinstance(days[0], datetime):
+        hours = {}
+        for t, row in zip(days, values):
+            hours.setdefault(t.date(), []).append(row)
+        days, values = list(hours), np.array([np.mean(rows, axis=0) for rows in hours.values()])
     mask = grid.mask if grid.mask is not None else np.ones(values.shape[1:], dtype=bool)
     if not mask.any():
         raise ValueError("region mask selects no cells")

@@ -16,7 +16,7 @@ def write_raster(path: Path, grid: TemperatureGrid) -> Path:
     sidecar = {
         "lats": grid.lats.tolist(),
         "lons": grid.lons.tolist(),
-        "times": [t.isoformat() for t in grid.times],
+        "times": [t.isoformat() for t in grid.times.tolist()],
         "hourly": grid.is_hourly,
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar) + "\n", encoding="utf-8")

@@ -31,8 +31,8 @@ def _outcome(reader, text: str):
 def _assert_same_grid(got, want) -> None:
     assert np.array_equal(got.lats, want.lats)
     assert np.array_equal(got.lons, want.lons)
-    assert got.times == want.times
-    assert [type(t) for t in got.times] == [type(t) for t in want.times]
+    assert got.times.dtype == want.times.dtype
+    assert np.array_equal(got.times, want.times)
     values = got.values[:]
     assert np.array_equal(values, want.values, equal_nan=True)
     assert values.tobytes() == want.values.tobytes()

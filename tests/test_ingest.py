@@ -16,7 +16,6 @@ from shoulderseason.ingest import (
     DailyLoad,
     FuelMix,
     HourlyLoad,
-    Outages,
     aggregate_daily,
     date_numbers,
     net_non_thermal,
@@ -25,8 +24,6 @@ from shoulderseason.ingest import (
     parse_hourly_load,
     parse_outages,
     read_daily_summaries,
-    write_hourly_load,
-    write_outages,
 )
 
 
@@ -52,13 +49,6 @@ def _summaries(daily: DailyLoad) -> list[DailyLoadRecord]:
     p = daily.present
     columns = (c[p].tolist() for c in daily.columns)
     return [DailyLoadRecord(*row) for row in zip(daily.days[p].tolist(), *columns)]
-
-
-def _assert_same_table(got, want) -> None:
-    assert type(got) is type(want)
-    for name in vars(want):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 _DATE_TEXTS = st.one_of(
@@ -298,32 +288,6 @@ class TestParseFuelMix:
 
 
 class TestRoundTrips:
-    def test_hourly_load_round_trip(self) -> None:
-        rng = random.Random(19)
-        records = _hourly(
-            [
-                (datetime(2020, 2, 1 + d, h), rng.uniform(0, 80_000))
-                for d in range(2)
-                for h in range(24)
-            ]
-        )
-        buf = io.StringIO()
-        write_hourly_load(records, buf)
-        buf.seek(0)
-        _assert_same_table(parse_hourly_load(buf), records)
-
-    def test_outages_round_trip(self) -> None:
-        records = Outages(
-            np.array([datetime(2022, 1, 1, 0, 0), datetime(2022, 1, 1, 0, 15)], "datetime64[us]"),
-            np.array([5000.25, 5010.0]),
-            np.array([61234.5, np.nan]),
-        )
-        buf = io.StringIO()
-        write_outages(records, buf)
-        assert buf.getvalue().endswith(",5010.0,\n")
-        buf.seek(0)
-        _assert_same_table(parse_outages(buf), records)
-
     def test_daily_summary_round_trip(self) -> None:
         summaries = [
             DailyLoadRecord(date(2020, 1, 1), 912345.678, 51234.5, 24),

@@ -178,22 +178,11 @@ def unreferenced(modules: dict[str, str], others: list[str]) -> list[str]:
     )
 
 
-# Public names that only tests use, each kept on purpose.
-UNCALLED = {
-    # The load and outage writers are kept to build a messy-feed fixture
-    # (daylight-saving days, gaps and duplicate rows); only their round-trip
-    # tests call them yet. The fuel-mix reader keeps only hourly means, so
-    # such a fixture writes its fuel-mix text from the tests.
-    "ingest.write_hourly_load",
-    "ingest.write_outages",
-}
-
-
 def test_every_public_name_is_used() -> None:
     modules = {m: (SOURCE / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
     benchmark = sorted((ROOT / "perfbench").glob("*.py"))
     others = [p.read_text(encoding="utf-8") for p in benchmark if not p.name.startswith("test_")]
-    assert [name for name in unreferenced(modules, others) if name not in UNCALLED] == []
+    assert unreferenced(modules, others) == []
 
 
 @pytest.mark.parametrize(

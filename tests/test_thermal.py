@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -358,22 +359,60 @@ class TestGridIO:
         grid.values *= np.pi
         for hourly in (False, True):
             if hourly:
-                grid.times = [datetime(2020, 1, 1, h) for h in range(len(grid.times))]
+                grid = replace(grid, times=[datetime(2020, 1, 1, h) for h in range(len(grid.times))])
             path = tmp_path / f"grid_{int(hourly)}.npy"
             np.save(path, grid.values)
             sidecar = {
                 "lats": grid.lats.tolist(),
                 "lons": grid.lons.tolist(),
-                "times": [t.isoformat() for t in grid.times],
+                "times": [t.isoformat() for t in grid.times.tolist()],
                 "hourly": hourly,
             }
             path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
             back = load_grid_raster(path)
             assert back.values[:].tobytes() == grid.values.tobytes()
-            assert back.times == grid.times
+            assert back.times.dtype == grid.times.dtype
+            assert np.array_equal(back.times, grid.times)
             assert back.is_hourly == hourly
             assert np.array_equal(back.lats, grid.lats)
             assert np.array_equal(back.lons, grid.lons)
+
+    @pytest.mark.parametrize(
+        "times, hourly, bad",
+        [
+            (["2020-01-01T00:00:00-06:00", "2020-01-01T01:00:00-06:00"], True, 0),
+            (["2020-01-01T00:00", "2020-01-01T02:00", "2020-01-01T01:00"], True, 2),
+            (["2020-01-01", "2020-01-03", "2020-01-02"], False, 2),
+            (["2020-01-01T00:00", "2020-01-01T01:00Z"], True, 1),
+            (["2020-01-01", "2020-01-02T00:00:00"], False, 1),
+            (["2020-01-01", "2020-01-02", "2020-01-02"], False, 2),
+            (["2020-01-01", "2020-01-02"], True, 0),
+            (["2020-01-01T00:00", "2020-01-01T01:00"], False, 0),
+            # A time out of order before a text that does not decode.
+            (["2020-01-01T01:00", "2020-01-01T00:00", "2020-01-01T02:00Z"], True, 1),
+            (["2020-02-28", "2020-02-30"], False, 1),
+        ],
+        ids=[
+            "offset",
+            "unsorted-hours",
+            "unsorted-days",
+            "z",
+            "day-with-time",
+            "repeated-day",
+            "hourly-over-dates",
+            "daily-over-datetimes",
+            "unsorted-before-z",
+            "no-such-day",
+        ],
+    )
+    def test_bad_sidecar_time_is_named(self, tmp_path, times, hourly, bad) -> None:
+        path = tmp_path / "grid.npy"
+        np.save(path, np.zeros((len(times), 1, 1)))
+        sidecar = {"lats": [30.0], "lons": [-98.0], "times": times, "hourly": hourly}
+        path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
+        message = f"{path.with_suffix('.json')}: bad time {bad}: {times[bad]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_grid_raster(path)
 
     def test_raster_shape_must_match_sidecar(self, tmp_path) -> None:
         path = tmp_path / "grid.npy"
@@ -465,7 +504,7 @@ class TestGridIO:
         assert times[reads[0][1] - 1].date() != times[reads[0][1]].date()
         # The bits of a mean over each day's hours held in memory.
         day_of = [t.date() for t in times]
-        assert days == sorted(set(day_of))
+        assert days.tolist() == sorted(set(day_of))
         want = [grid.values[day_of.index(d) : len(day_of) - day_of[::-1].index(d)] for d in days]
         assert means.tobytes() == np.stack([v.mean(axis=0) for v in want]).tobytes()
 
