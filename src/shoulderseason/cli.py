@@ -5,6 +5,12 @@ trends/project/adequacy -> report. Each returns its outputs; run_pipeline
 writes them, each atomically, and hands later stages the typed tables they
 read, which a stage run alone reads from the output directory. Rerunning
 with identical inputs and config reproduces byte-identical outputs.
+
+run_pipeline deals the set CSV inputs its stages read round-robin, in order of use, over
+this process, which parses its share when a stage asks, and a forked reader per further
+CPU, which parses its share meanwhile (see readers): with two CPUs and all set, load, mask
+and ensemble here, fuel mix, population and outages in the reader. The thermal stage
+reads the grid in process: a raster opens lazily, and a grid CSV's table is needed at once.
 """
 
 from __future__ import annotations
@@ -15,13 +21,14 @@ import sys
 from contextlib import suppress
 from dataclasses import astuple, fields, replace
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import adequacy as adq
-from . import ingest, projection, thermal, trends, windows
+from . import ingest, projection, readers, thermal, trends, windows
 from .config import RunConfig, load_config
 from .fixtures import generate_fixture
 from .tables import (
@@ -127,31 +134,24 @@ def _monthday(d: date) -> str:
 
 
 def stage_ingest(cfg: RunConfig, tables: Tables) -> dict[str, object]:
-    hourly = tables["hourly"]
-    loads = {"daily": hourly}
-    if cfg.fuel_mix_csv is not None:
-        with open(cfg.fuel_mix_csv, encoding="utf-8") as fh:
-            mix = ingest.parse_fuel_mix(fh)
-        if len(mix):
-            # Netting applies to the days the fuel-mix feed spans: a slice
-            # of the sorted load hours, which copies nothing.
-            first, last = mix.hours[[0, -1]].astype("datetime64[D]")
-            span = np.array([first, last + 1], "datetime64[h]")
-            lo, hi = np.searchsorted(hourly.hours, span)
-            loads["daily_net"] = ingest.net_non_thermal(hourly[lo:hi], mix)
-    return {key: ingest.aggregate_daily(load) for key, load in loads.items()}
+    hourly = tables["load_csv"]
+    outputs = {"daily": ingest.aggregate_daily(hourly)}  # while a reader may parse the fuel mix
+    if cfg.fuel_mix_csv is not None and len(mix := tables["fuel_mix_csv"]):
+        # Netting applies to the days the fuel-mix feed spans: a slice
+        # of the sorted load hours, which copies nothing.
+        first, last = mix.hours[[0, -1]].astype("datetime64[D]")
+        span = np.array([first, last + 1], "datetime64[h]")
+        lo, hi = np.searchsorted(hourly.hours, span)
+        outputs["daily_net"] = ingest.aggregate_daily(ingest.net_non_thermal(hourly[lo:hi], mix))
+    return outputs
 
 
 def stage_thermal(cfg: RunConfig, tables: Tables) -> dict[str, object]:
     grid = thermal.load_temperature_grid(cfg.temperature_grid)
     # An hourly grid collapses to daily cell means once, for every reduction below.
     grid.times, grid.values = thermal.daily_cell_means(grid)
-    with open(cfg.mask_csv, encoding="utf-8") as fh:
-        grid = thermal.attach_mask(grid, thermal.read_mask_csv(fh))
-    pop = None
-    if cfg.population_csv is not None:
-        with open(cfg.population_csv, encoding="utf-8") as fh:
-            pop = thermal.read_population_csv(fh)
+    grid = thermal.attach_mask(grid, tables["mask_csv"])
+    pop = tables["population_csv"] if cfg.population_csv is not None else None
 
     temps_weighted = thermal.population_weighted_daily_temp(grid, pop)
     temps_unweighted = thermal.population_weighted_daily_temp(grid, None)
@@ -316,8 +316,7 @@ def stage_project(cfg: RunConfig, tables: Tables) -> dict[str, object]:
             "run thermal and shoulder with a temperature grid"
         )
 
-    with open(cfg.ensemble_csv, encoding="utf-8") as fh:
-        stats = projection.ensemble_annual_stats(projection.parse_ensemble_csv(fh))
+    stats = projection.ensemble_annual_stats(tables["ensemble_csv"])
     correction = projection.fit_bias_correction(annual, stats)
     path = [
         (e.year, correction.apply(e.ensemble_mean_c), abs(correction.gain) * e.ensemble_std_c)
@@ -383,11 +382,10 @@ def _periods(year: int) -> dict[str, list[tuple[date, date]]]:
 
 
 def stage_adequacy(cfg: RunConfig, tables: Tables) -> dict[str, object]:
-    with open(cfg.outage_csv, encoding="utf-8") as fh:
-        outages = ingest.parse_outages(fh)
+    outages = tables["outage_csv"]
     if not len(outages):
         raise ValueError(f"outage file {cfg.outage_csv} has no data rows")
-    hourly, shoulder_rows = tables["hourly"], tables["shoulder"]
+    hourly, shoulder_rows = tables["load_csv"], tables["shoulder"]
 
     years = ingest.to_years(outages.timestamps)
     outage_years = np.unique(years).tolist()
@@ -467,14 +465,12 @@ def emit_report(results: Mapping[str, object]) -> str:
     A table is its typed rows in file column order; a summary, its JSON object.
     """
     lines: list[str] = ["shoulder-season analysis report"]
-    region = results.get("region")
-    if region:
+    if region := results.get("region"):
         lines.append(f"region: {region}")
     lines.append("")
     n_header = len(lines)
 
-    shoulder_rows = results.get("shoulder") or []
-    if shoulder_rows:
+    if shoulder_rows := results.get("shoulder"):
         lines.append("[shoulder windows]")
         for metric in sorted({w.metric for w in shoulder_rows}):
             for season in ("spring", "fall"):
@@ -490,8 +486,7 @@ def emit_report(results: Mapping[str, object]) -> str:
                 )
         lines.append("")
 
-    trend_rows = results.get("trends") or []
-    if trend_rows:
+    if trend_rows := results.get("trends"):
         lines.append("[onset trends]")
         for metric, season, slope, stderr, probability, n, excluded in trend_rows:
             direction = trends.SHIFT_DIRECTION[season]
@@ -501,8 +496,7 @@ def emit_report(results: Mapping[str, object]) -> str:
             )
         lines.append("")
 
-    corr_rows = results.get("corr") or []
-    if corr_rows:
+    if corr_rows := results.get("corr"):
         lines.append("[onset correlations, cutoff-filtered]")
         for season, x_metric, y_metric, r, n_used, excluded_count, cutoff in corr_rows:
             lines.append(
@@ -511,8 +505,7 @@ def emit_report(results: Mapping[str, object]) -> str:
             )
         lines.append("")
 
-    proj = results.get("proj_summary")
-    if proj:
+    if proj := results.get("proj_summary"):
         lines.append("[projection]")
         lines.append(
             f"bias correction: gain {proj['bias_gain']:.3f}, "
@@ -567,19 +560,18 @@ def _windows(source: IO[str]) -> list[windows.ShoulderWindow]:
 
 
 class Tables(dict):
-    """The typed tables of one run_pipeline call: "hourly", the parsed load feed,
-    and each output with a reader that a stage returned. One not held is read on
-    first use, from load_csv or from its file; the files round-trip every value.
-    """
+    """The typed tables of one run_pipeline call: each parsed CSV input by its
+    config key, and each output with a reader that a stage returned. One not held
+    is taken on first use from the run's readers, or read from its file (which
+    round-trips every value)."""
 
-    def __init__(self, cfg: RunConfig, out: Path) -> None:
+    def __init__(self, out: Path, inputs: readers.Readers) -> None:
         super().__init__()
-        self.cfg, self.out = cfg, out
+        self.out, self.inputs = out, inputs
 
     def __missing__(self, key: str):
-        if key == "hourly":
-            with open(self.cfg.load_csv, encoding="utf-8") as fh:
-                value = self[key] = ingest.parse_hourly_load(fh)
+        if key in readers.PARSERS:
+            value = self[key] = self.inputs.get(key)
         elif self.cached(key):
             with open(self.out / F[key], encoding="utf-8") as fh:
                 value = self[key] = OUTPUTS[key].read(fh, OUTPUTS[key].header)
@@ -710,8 +702,7 @@ def _check_config(cfg: RunConfig, name: str, selection: Mapping[str, str | None]
     # A stage with required keys reads every stage it lists; one without
     # reads those of them that are selected, and needs one.
     unset += [selection[_PRODUCER[k]] for k in stage.inputs] if stage.needs else [selection[name]]
-    key = next(filter(None, unset), None)
-    if key is not None:
+    if (key := next(filter(None, unset), None)) is not None:
         raise ValueError(f"config key {key}: required for the {name} stage")
 
 
@@ -734,31 +725,40 @@ def _remove_outputs(out: Path, stages: Sequence[str], keep: Sequence[Path] = ())
 
 def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]:
     """Run the requested stages in run order, checking each against STAGES first."""
-    unknown = [s for s in stages if s not in STAGES]
-    if unknown:
+    if unknown := [s for s in stages if s not in STAGES]:
         raise ValueError(f"unknown stage(s): {', '.join(unknown)}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     selection = _selection(cfg)
-    tables = Tables(cfg, out)
+    # Each set CSV input the stages read, in order of first use, to its last reader.
+    last_use = {
+        key: name
+        for name, stage in STAGES.items()
+        if name in stages
+        for key in (*stage.needs, *stage.reads)
+        if key in readers.PARSERS and getattr(cfg, key) is not None
+    }
+    jobs = {key: partial(readers.parse_input, getattr(cfg, key), key) for key in last_use}
     written: dict[str, list[Path]] = {}
-    for name, stage in STAGES.items():
-        if name not in stages:
-            continue
-        _check_config(cfg, name, selection)
-        inputs = [key for key in stage.inputs if selection[_PRODUCER[key]] is None]
-        if cfg.fuel_mix_csv is not None:
-            inputs += [key for key in stage.netted if tables.cached(key)]
-        # Read before the stage runs: it finds an input it may lack with get().
-        tables.update({key: tables[key] for key in inputs})
-        paths = written[name] = []
-        for key, value in stage.run(cfg, tables).items():  # formatted and written one at a time
-            paths.append(write_atomic(out / F[key], _format(key, value)))
-            if OUTPUTS[key].read is not None:  # a later stage may read it
-                tables[key] = value
-        _remove_outputs(out, [name], keep=paths)
-        if name == "adequacy" or "adequacy" not in stages:
-            tables.pop("hourly", None)  # the parsed load feed; only adequacy reads it later
+    with readers.share_out(jobs) as inputs:
+        tables = Tables(out, inputs)
+        for name, stage in STAGES.items():
+            if name not in stages:
+                continue
+            _check_config(cfg, name, selection)
+            needed = [key for key in stage.inputs if selection[_PRODUCER[key]] is None]
+            if cfg.fuel_mix_csv is not None:
+                needed += [key for key in stage.netted if tables.cached(key)]
+            # Read before the stage runs: it finds an input it may lack with get().
+            tables.update({key: tables[key] for key in needed})
+            paths = written[name] = []
+            for key, value in stage.run(cfg, tables).items():  # formatted and written one at a time
+                paths.append(write_atomic(out / F[key], _format(key, value)))
+                if OUTPUTS[key].read is not None:  # a later stage may read it
+                    tables[key] = value
+            _remove_outputs(out, [name], keep=paths)
+            for key in [key for key, user in last_use.items() if user == name]:
+                tables.pop(key, None)
     return written
 
 

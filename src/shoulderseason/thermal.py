@@ -390,7 +390,8 @@ def _open_raster(path: Path) -> np.ndarray | RasterReader:
 def _sidecar_times(path: Path, texts: list, hourly: bool) -> np.ndarray:
     """A raster sidecar's times, checked as TemperatureGrid states."""
     try:
-        keys = _check_days(_time_keys(texts))
+        keys = _time_keys(texts)
+        days = numbers_to_days(keys[keys < _HOURLY] - _DAY_KEY)
     except ValueError:
         with suppress(ValueError):  # one at a time, up to the first that fails
             for n, text in enumerate(texts):
@@ -400,14 +401,30 @@ def _sidecar_times(path: Path, texts: list, hourly: bool) -> np.ndarray:
     bad[1 : len(keys)] |= keys[1:] <= keys[:-1]
     if (i := int(np.argmax(bad))) < len(texts):
         raise ValueError(f"{path}: bad time {i}: {texts[i]!r}")
-    return _times(keys)
+    # All keys are of one kind, so either every key is a day or none is.
+    return days if len(days) == len(keys) else keys.astype("datetime64[us]")
+
+
+# Each key a sidecar must have: the JSON type of its value, and that type's name.
+_SIDECAR_KEYS = {
+    "lats": (list, "an array"),
+    "lons": (list, "an array"),
+    "times": (list, "an array"),
+    "hourly": (bool, "true or false"),
+}
 
 
 def load_grid_raster(path: Path | str) -> TemperatureGrid:
     """Open a `.npy` raster and its JSON sidecar of axes; values are read lazily."""
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    times = _sidecar_times(path.with_suffix(".json"), sidecar["times"], sidecar["hourly"])
+    sidecar_path = path.with_suffix(".json")
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    for key, (kind, name) in _SIDECAR_KEYS.items():
+        if not isinstance(sidecar, dict) or key not in sidecar:
+            raise ValueError(f"{sidecar_path}: no {key!r}")
+        if not isinstance(sidecar[key], kind):
+            raise ValueError(f"{sidecar_path}: {key!r} is not {name}: {sidecar[key]!r}")
+    times = _sidecar_times(sidecar_path, sidecar["times"], sidecar["hourly"])
     values = _open_raster(path)
     lats = np.array(sidecar["lats"], dtype=float)
     lons = np.array(sidecar["lons"], dtype=float)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -8,6 +9,19 @@ import pytest
 from shoulderseason.cli import _stages_for_all, run_pipeline
 from shoulderseason.config import load_config
 from shoulderseason.fixtures import generate_fixture
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    the pipeline's forked readers must all be gone when run_pipeline returns."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    state = "still running" if pid == 0 else f"pid {pid}, exited but not reaped"
+    pytest.fail(f"the test left a child process behind ({state})")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 from collections import Counter
@@ -15,7 +16,7 @@ import pytest
 
 import oracles
 from rasters import write_raster
-from shoulderseason import cli, ingest, thermal
+from shoulderseason import cli, ingest, projection, thermal
 from shoulderseason.cli import (
     CORR_COLUMNS,
     CORR_HEADER,
@@ -318,9 +319,15 @@ class TestPipeline:
         assert sum(days_read) == 3 * len(grid.times)
 
     def test_all_parses_each_input_once(self, fixture_dir, tmp_path, monkeypatch) -> None:
-        calls: Counter[str] = Counter()
+        # Each call appends its name to a file, so a parse in a forked reader counts too.
+        log = tmp_path / "calls.txt"
         for module, name in (
             (ingest, "parse_hourly_load"),
+            (ingest, "parse_fuel_mix"),
+            (ingest, "parse_outages"),
+            (thermal, "read_mask_csv"),
+            (thermal, "read_population_csv"),
+            (projection, "parse_ensemble_csv"),
             (ingest, "read_daily_summaries"),
             (ingest, "read_daily_series"),
             (cli, "_windows"),
@@ -328,19 +335,34 @@ class TestPipeline:
             (json, "load"),
         ):
             def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
-                calls[_name] += 1
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(_name + "\n")
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        conf = str(fixture_dir / "fixture.conf")
-        assert main(["all", "--config", conf, "--out", str(tmp_path)]) == 0
-        assert calls == {"parse_hourly_load": 1}
+
+        def calls() -> Counter[str]:
+            counts = Counter(log.read_text(encoding="utf-8").split()) if log.exists() else Counter()
+            log.unlink(missing_ok=True)
+            return counts
+
+        conf, out = str(fixture_dir / "fixture.conf"), str(tmp_path / "out")
+        assert main(["all", "--config", conf, "--out", out]) == 0
+        csv_parsers = (
+            "parse_hourly_load",
+            "parse_fuel_mix",
+            "parse_outages",
+            "read_mask_csv",
+            "read_population_csv",
+            "parse_ensemble_csv",
+        )
+        assert calls() == dict.fromkeys(csv_parsers, 1)
         # A stage run on its own reads its inputs from the cached files.
-        calls.clear()
         for stage in ("shoulder", "adequacy"):
-            assert main([stage, "--config", conf, "--out", str(tmp_path)]) == 0
-        assert calls == {
+            assert main([stage, "--config", conf, "--out", out]) == 0
+        assert calls() == {
             "parse_hourly_load": 1,
+            "parse_outages": 1,
             "read_daily_summaries": 2,
             "read_daily_series": 1,
             "_windows": 1,
@@ -354,7 +376,7 @@ class TestPipeline:
         thermal = STAGES["thermal"]
 
         def spy(cfg, tables):
-            seen.append("hourly" in tables)
+            seen.append("load_csv" in tables)
             return thermal.run(cfg, tables)
 
         monkeypatch.setitem(STAGES, "thermal", thermal._replace(run=spy))
@@ -937,6 +959,82 @@ class TestMainEntry:
         missing = tmp_path / "none.conf"
         assert main(["all", "--config", str(missing)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# The config keys of fixture copies with one bad line (the last field of line
+# 3), and the stderr of `all` on each, as the pipeline gave it when it parsed
+# every input in process.
+BAD_LINE_ERRORS = {
+    ("load_csv",): "error: line 3: bad load_mw value 'oops'\n",
+    ("fuel_mix_csv",): "error: line 3: bad other_mw value 'oops'\n",
+    ("outage_csv",): "error: line 3: bad telemetered_output_mw value 'oops'\n",
+    ("mask_csv",): "error: line 3: in_region must be 0 or 1, got 'oops'\n",
+    ("population_csv",): "error: line 3: bad persons value 'oops'\n",
+    ("ensemble_csv",): "error: line 3: bad t2m_c value 'oops'\n",
+    # The earliest stage's error wins.
+    ("fuel_mix_csv", "outage_csv"): "error: line 3: bad other_mw value 'oops'\n",
+}
+
+
+class TestForkedReaders:
+    """`all` with the CSV inputs shared out between the process and forked readers."""
+
+    @staticmethod
+    def _cpus(monkeypatch, n: int) -> list[int]:
+        """Make the host look like n CPUs; the returned list grows by one per fork."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks: list[int] = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @pytest.mark.parametrize("bad", list(BAD_LINE_ERRORS), ids="+".join)
+    def test_bad_line_gives_the_in_process_error(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, bad
+    ) -> None:
+        forks = self._cpus(monkeypatch, 2)
+        cfg = load_config(fixture_dir / "fixture.conf")
+        copies = {}
+        for key in bad:
+            lines = Path(getattr(cfg, key)).read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[2] = lines[2].rpartition(",")[0] + ",oops\n"
+            copies[key] = tmp_path / f"{key}.csv"
+            copies[key].write_text("".join(lines), encoding="utf-8")
+        conf = _config_variant(fixture_dir, tmp_path / "bad.conf", **copies)
+        assert main(["all", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == BAD_LINE_ERRORS[bad]
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (3, 2)])
+    def test_tree_does_not_depend_on_the_cpus(
+        self, fixture_dir, full_run, tmp_path, monkeypatch, n_cpus, n_forks
+    ) -> None:
+        forks = self._cpus(monkeypatch, n_cpus)
+        cfg = load_config(fixture_dir / "fixture.conf")
+        cfg.out_dir = tmp_path
+        run_pipeline(cfg, _stages_for_all(cfg))
+        assert len(forks) == n_forks
+        assert _tree_bytes(tmp_path) == _tree_bytes(full_run)
+
+    def test_reader_that_exits_without_a_result_is_named(
+        self, fixture_dir, tmp_path, monkeypatch, capsys
+    ) -> None:
+        # Of the six inputs in order of use, two readers take the outage feed
+        # (the sixth) in the forked one.
+        self._cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def dies(fh):
+            if os.getpid() == parent:
+                raise AssertionError("the outage feed was parsed in process")
+            os._exit(3)
+
+        monkeypatch.setattr(ingest, "parse_outages", dies)
+        conf = str(fixture_dir / "fixture.conf")
+        assert main(["all", "--config", conf, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: outage_csv: its reader process exited without a result (exit code 3)\n"
+        )
 
 
 class TestEmitReport:

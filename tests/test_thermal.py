@@ -414,6 +414,38 @@ class TestGridIO:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_grid_raster(path)
 
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"times": "2020-01-01"}, "'times' is not an array: '2020-01-01'"),
+            ({"times": None}, "'times' is not an array: None"),
+            ({"hourly": None}, "no 'hourly'"),
+            ({"lats": None}, "no 'lats'"),
+            ({"lons": 30.0}, "'lons' is not an array: 30.0"),
+            ({"hourly": 0}, "'hourly' is not true or false: 0"),
+        ],
+        ids=["times-text", "times-null", "no-hourly", "no-lats", "lons-number", "hourly-number"],
+    )
+    def test_bad_sidecar_structure_is_named(self, tmp_path, change, problem) -> None:
+        # A value of None in change drops the key, except for times, where it is null.
+        path = tmp_path / "grid.npy"
+        np.save(path, np.zeros((1, 1, 1)))
+        sidecar = {"lats": [30.0], "lons": [-98.0], "times": ["2020-01-01"], "hourly": False}
+        sidecar.update(change)
+        sidecar = {k: v for k, v in sidecar.items() if v is not None or k == "times"}
+        path.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
+        message = f"{path.with_suffix('.json')}: {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_grid_raster(path)
+
+    def test_sidecar_that_is_not_an_object_is_named(self, tmp_path) -> None:
+        path = tmp_path / "grid.npy"
+        np.save(path, np.zeros((1, 1, 1)))
+        path.with_suffix(".json").write_text('["2020-01-01"]', encoding="utf-8")
+        message = f"{path.with_suffix('.json')}: no 'lats'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_grid_raster(path)
+
     def test_raster_shape_must_match_sidecar(self, tmp_path) -> None:
         path = tmp_path / "grid.npy"
         np.save(path, np.zeros((3, 2, 2)))
