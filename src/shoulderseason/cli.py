@@ -3,14 +3,9 @@
 Stages run in the fixed order ingest -> thermal -> shoulder ->
 trends/project/adequacy -> report. Each returns its outputs; run_pipeline
 writes them, each atomically, and hands later stages the typed tables they
-read, which a stage run alone reads from the output directory. Rerunning
-with identical inputs and config reproduces byte-identical outputs.
-
-run_pipeline deals the set CSV inputs its stages read round-robin, in order of use, over
-this process, which parses its share when a stage asks, and a forked reader per further
-CPU, which parses its share meanwhile (see readers): with two CPUs and all set, load, mask
-and ensemble here, fuel mix, population and outages in the reader. The thermal stage
-reads the grid in process: a raster opens lazily, and a grid CSV's table is needed at once.
+read, which a stage run alone reads from the output directory; readers says
+which process parses which CSV input. Rerunning with identical inputs and
+config reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ import sys
 from contextlib import suppress
 from dataclasses import astuple, fields, replace
 from datetime import date, timedelta
-from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
@@ -465,12 +459,14 @@ def emit_report(results: Mapping[str, object]) -> str:
     A table is its typed rows in file column order; a summary, its JSON object.
     """
     lines: list[str] = ["shoulder-season analysis report"]
-    if region := results.get("region"):
+    region = results.get("region")
+    if region:
         lines.append(f"region: {region}")
     lines.append("")
     n_header = len(lines)
 
-    if shoulder_rows := results.get("shoulder"):
+    shoulder_rows = results.get("shoulder") or []
+    if shoulder_rows:
         lines.append("[shoulder windows]")
         for metric in sorted({w.metric for w in shoulder_rows}):
             for season in ("spring", "fall"):
@@ -486,7 +482,8 @@ def emit_report(results: Mapping[str, object]) -> str:
                 )
         lines.append("")
 
-    if trend_rows := results.get("trends"):
+    trend_rows = results.get("trends") or []
+    if trend_rows:
         lines.append("[onset trends]")
         for metric, season, slope, stderr, probability, n, excluded in trend_rows:
             direction = trends.SHIFT_DIRECTION[season]
@@ -496,7 +493,8 @@ def emit_report(results: Mapping[str, object]) -> str:
             )
         lines.append("")
 
-    if corr_rows := results.get("corr"):
+    corr_rows = results.get("corr") or []
+    if corr_rows:
         lines.append("[onset correlations, cutoff-filtered]")
         for season, x_metric, y_metric, r, n_used, excluded_count, cutoff in corr_rows:
             lines.append(
@@ -505,7 +503,8 @@ def emit_report(results: Mapping[str, object]) -> str:
             )
         lines.append("")
 
-    if proj := results.get("proj_summary"):
+    proj = results.get("proj_summary")
+    if proj:
         lines.append("[projection]")
         lines.append(
             f"bias correction: gain {proj['bias_gain']:.3f}, "
@@ -702,7 +701,8 @@ def _check_config(cfg: RunConfig, name: str, selection: Mapping[str, str | None]
     # A stage with required keys reads every stage it lists; one without
     # reads those of them that are selected, and needs one.
     unset += [selection[_PRODUCER[k]] for k in stage.inputs] if stage.needs else [selection[name]]
-    if (key := next(filter(None, unset), None)) is not None:
+    key = next(filter(None, unset), None)
+    if key is not None:
         raise ValueError(f"config key {key}: required for the {name} stage")
 
 
@@ -725,20 +725,20 @@ def _remove_outputs(out: Path, stages: Sequence[str], keep: Sequence[Path] = ())
 
 def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]:
     """Run the requested stages in run order, checking each against STAGES first."""
-    if unknown := [s for s in stages if s not in STAGES]:
+    unknown = [s for s in stages if s not in STAGES]
+    if unknown:
         raise ValueError(f"unknown stage(s): {', '.join(unknown)}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     selection = _selection(cfg)
-    # Each set CSV input the stages read, in order of first use, to its last reader.
+    # Each config key the stages read, in order of first use, to its last reader.
     last_use = {
         key: name
         for name, stage in STAGES.items()
         if name in stages
         for key in (*stage.needs, *stage.reads)
-        if key in readers.PARSERS and getattr(cfg, key) is not None
     }
-    jobs = {key: partial(readers.parse_input, getattr(cfg, key), key) for key in last_use}
+    jobs = readers.input_jobs(cfg, last_use)
     written: dict[str, list[Path]] = {}
     with readers.share_out(jobs) as inputs:
         tables = Tables(out, inputs)
@@ -757,7 +757,7 @@ def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]
                 if OUTPUTS[key].read is not None:  # a later stage may read it
                     tables[key] = value
             _remove_outputs(out, [name], keep=paths)
-            for key in [key for key, user in last_use.items() if user == name]:
+            for key in [key for key in jobs if last_use[key] == name]:
                 tables.pop(key, None)
     return written
 

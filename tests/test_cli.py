@@ -1005,7 +1005,7 @@ class TestForkedReaders:
         assert capsys.readouterr().err == BAD_LINE_ERRORS[bad]
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (3, 2)])
+    @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (3, 1)])
     def test_tree_does_not_depend_on_the_cpus(
         self, fixture_dir, full_run, tmp_path, monkeypatch, n_cpus, n_forks
     ) -> None:

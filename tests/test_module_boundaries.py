@@ -247,11 +247,6 @@ UNREAD = {
     # Written whole, one table row per record, through astuple.
     "windows.ShoulderWindow",
     "adequacy.PeriodOutageStat",
-    # CSV inputs read only by config key, through getattr: cli.run_pipeline
-    # hands each set input's path to its parser in readers.PARSERS.
-    "config.RunConfig.load_csv",
-    "config.RunConfig.mask_csv",
-    "config.RunConfig.ensemble_csv",
 }
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import pickle
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,28 +23,29 @@ def _pid_jobs(n: int) -> dict[str, readers.Job]:
     return {f"job{i}": os.getpid for i in range(n)}
 
 
-@pytest.mark.parametrize("n_cpus", [1, 2, 3])
-def test_jobs_are_dealt_round_robin(monkeypatch, n_cpus) -> None:
+@pytest.mark.parametrize("n_cpus", [2, 3, 8])
+def test_jobs_are_dealt_round_robin_over_two_readers(monkeypatch, n_cpus) -> None:
     _cpus(monkeypatch, n_cpus)
-    with readers.share_out(_pid_jobs(5)) as inputs:
-        pids = [inputs.get(f"job{i}") for i in range(5)]
-    # Reader 0 is this process; each other reader takes every n-th job.
-    assert pids[0::n_cpus] == [os.getpid()] * len(pids[0::n_cpus])
-    children = [pids[i::n_cpus] for i in range(1, n_cpus)]
-    for share in children:
-        assert len(set(share)) == 1 and share[0] != os.getpid()
-    assert len({share[0] for share in children}) == n_cpus - 1
-
-
-def test_no_more_readers_than_jobs(monkeypatch) -> None:
-    _cpus(monkeypatch, 8)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    with readers.share_out(_pid_jobs(2)) as inputs:
-        assert inputs.get("job0") == os.getpid()
-        assert inputs.get("job1") != os.getpid()
+    with readers.share_out(_pid_jobs(5)) as inputs:
+        pids = [inputs.get(f"job{i}") for i in range(5)]
+    # This process takes the first, third and fifth job; one forked child the others.
+    assert pids[0::2] == [os.getpid()] * 3
+    assert pids[1] == pids[3] != os.getpid()
     assert len(forks) == 1
+
+
+def test_one_job_forks_nothing(monkeypatch) -> None:
+    _cpus(monkeypatch, 8)
+
+    def no_fork():
+        raise AssertionError("forked for one job")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with readers.share_out(_pid_jobs(1)) as inputs:
+        assert inputs.get("job0") == os.getpid()
 
 
 def test_results_come_back_whole(monkeypatch) -> None:
@@ -91,6 +94,29 @@ def test_a_reader_that_dies_names_its_job(monkeypatch) -> None:
         message = r"^outage_csv: its reader process exited without a result \(exit code 3\)$"
         with pytest.raises(ChildProcessError, match=message):
             inputs.get("outage_csv")
+
+
+def test_a_result_the_reader_cannot_write_is_parsed_in_process(monkeypatch, tmp_path) -> None:
+    _cpus(monkeypatch, 2)
+    runs = tmp_path / "runs"
+
+    def job():
+        with open(runs, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return os.getpid()
+
+    def no_room(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pickle, "dump", no_room)  # the reader inherits the patch
+    jobs = {"mine": os.getpid, "forked": job, "mine2": os.getpid, "forked2": job}
+    with readers.share_out(jobs) as inputs:
+        assert inputs.get("forked") == os.getpid()
+        assert inputs.get("forked2") == os.getpid()
+    # Each forked job ran in the reader, was not written, and ran again here.
+    pids = Counter(runs.read_text(encoding="utf-8").split())
+    assert pids.pop(str(os.getpid())) == 2
+    assert list(pids.values()) == [2]
 
 
 def test_a_forked_result_is_handed_out_once(monkeypatch) -> None:
