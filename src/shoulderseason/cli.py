@@ -141,10 +141,10 @@ def stage_ingest(cfg: RunConfig, tables: Tables) -> dict[str, object]:
 
 
 def stage_thermal(cfg: RunConfig, tables: Tables) -> dict[str, object]:
-    grid = thermal.load_temperature_grid(cfg.temperature_grid)
+    grid = tables["temperature_grid"]
     # An hourly grid collapses to daily cell means once, for every reduction below.
-    grid.times, grid.values = thermal.daily_cell_means(grid)
-    grid = thermal.attach_mask(grid, tables["mask_csv"])
+    times, values = thermal.daily_cell_means(grid)
+    grid = thermal.attach_mask(replace(grid, times=times, values=values), tables["mask_csv"])
     pop = tables["population_csv"] if cfg.population_csv is not None else None
 
     temps_weighted = thermal.population_weighted_daily_temp(grid, pop)
@@ -569,7 +569,7 @@ class Tables(dict):
         self.out, self.inputs = out, inputs
 
     def __missing__(self, key: str):
-        if key in readers.PARSERS:
+        if key in self.inputs:
             value = self[key] = self.inputs.get(key)
         elif self.cached(key):
             with open(self.out / F[key], encoding="utf-8") as fh:
@@ -751,14 +751,15 @@ def run_pipeline(cfg: RunConfig, stages: Sequence[str]) -> dict[str, list[Path]]
                 needed += [key for key in stage.netted if tables.cached(key)]
             # Read before the stage runs: it finds an input it may lack with get().
             tables.update({key: tables[key] for key in needed})
+            outputs = stage.run(cfg, tables)
+            for key in [key for key in jobs if last_use[key] == name]:
+                tables.pop(key, None)
             paths = written[name] = []
-            for key, value in stage.run(cfg, tables).items():  # formatted and written one at a time
+            for key, value in outputs.items():  # formatted and written one at a time
                 paths.append(write_atomic(out / F[key], _format(key, value)))
                 if OUTPUTS[key].read is not None:  # a later stage may read it
                     tables[key] = value
             _remove_outputs(out, [name], keep=paths)
-            for key in [key for key in jobs if last_use[key] == name]:
-                tables.pop(key, None)
     return written
 
 

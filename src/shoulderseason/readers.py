@@ -1,15 +1,19 @@
-"""The parsers of the CSV inputs, and their parsing on two CPUs.
+"""The parsers of the inputs, and their parsing on two CPUs.
 
 PARSERS holds the parser of each CSV input by its config key, and
-`input_jobs(cfg, keys)` gives a job parsing each that is set. The
-temperature grid is not one of them: the thermal stage opens it in
-process, a raster lazily, and it needs a grid CSV's table as soon as it
-starts, so a reader would save no waiting and add a pickle round trip.
+`input_jobs(cfg, keys)` gives a job reading each that is set. The
+temperature grid's job is Kept: it runs in process, since the thermal
+stage needs the grid as soon as it starts. A grid CSV is split at the
+first line feed at or after its middle byte, and its tail, the part
+after the split, is a job for the forked reader; the process reads the
+part before the split and joins the two (`thermal.load_temperature_grid`).
+A raster is not split: it opens lazily, so there is no parse to share.
 
-`share_out(jobs)` deals the jobs, in the order they will be asked for,
-round-robin over two readers where the process may use two CPUs or
+`share_out(jobs)` deals the other jobs, in the order they will be asked
+for, round-robin over two readers where the process may use two CPUs or
 more: the calling process, which runs each of its jobs when it is asked
-for, and a forked child. The child runs its jobs in turn, writes each
+for, and a forked child, which also runs each Kept job's tail at that
+job's place in the order. The child runs its jobs in turn, writes each
 result, or the exception it raised, to an unlinked temporary file, then
 writes one byte to its pipe, and exits when all are done. A result it
 cannot write (no room in the temporary directory, or nothing pickle can
@@ -24,8 +28,9 @@ Threads would not help: `np.loadtxt` holds the GIL. Readers are forked,
 not spawned: a spawned process would import numpy again on every run.
 Run from the command line, the process's only other threads are
 numpy's BLAS pool, and no parser calls BLAS. With one CPU, or where the
-platform cannot fork, every job runs in process and nothing is forked.
-On leaving the block, a child still running is killed, and it is reaped.
+platform cannot fork, every job runs in process, a Kept job whole, and
+nothing is forked. On leaving the block, a child still running is
+killed, and it is reaped.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import signal
 import tempfile
 from functools import partial
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import ingest, projection, thermal
 from .config import RunConfig
@@ -64,17 +69,51 @@ def parse_input(path: Path, key: str) -> object:
         return PARSERS[key](fh)
 
 
-def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job]:
-    """A job parsing the CSV input of each of these config keys that is set, in their order."""
+class Kept(NamedTuple):
+    """A job run in process when asked for, as run(take): take() hands out
+    the result of its tail, which the forked reader runs at the job's place
+    among its own. take is None where there is no tail, or no reader."""
+
+    run: Callable[[Job | None], object]
+    tail: Job | None
+
+
+def _read_grid(path: Path, split: int | None, take: Job | None) -> object:
+    """The temperature grid at path; take() hands out its rows from byte split on, if given."""
+    return thermal.load_temperature_grid(path, None if take is None else (split, take))
+
+
+def _read_grid_tail(path: Path, split: int) -> object:
+    """The rows of the grid CSV at path from byte split on."""
+    return thermal.read_grid_part(path, split)
+
+
+def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job | Kept]:
+    """A job reading the input of each of these config keys that is set, in their order.
+
+    The temperature grid's job is Kept: a grid CSV that `thermal.grid_split`
+    splits has the rows past the split as its tail.
+    """
     paths = {
         "load_csv": cfg.load_csv,
         "fuel_mix_csv": cfg.fuel_mix_csv,
+        "temperature_grid": cfg.temperature_grid,
         "mask_csv": cfg.mask_csv,
         "population_csv": cfg.population_csv,
         "ensemble_csv": cfg.ensemble_csv,
         "outage_csv": cfg.outage_csv,
     }
-    return {key: partial(parse_input, paths[key], key) for key in keys if paths.get(key) is not None}
+    jobs: dict[str, Job | Kept] = {}
+    for key in keys:
+        if (path := paths.get(key)) is None:
+            continue
+        if key != "temperature_grid":
+            jobs[key] = partial(parse_input, path, key)
+            continue
+        split = thermal.grid_split(path)
+        tail = None if split is None else partial(_read_grid_tail, path, split)
+        jobs[key] = Kept(partial(_read_grid, path, split), tail)
+    return jobs
 
 
 def _cpus() -> int:
@@ -134,13 +173,16 @@ class _Child:
 class Readers:
     """The readers of one share-out; `get(key)` hands out each job's result."""
 
-    def __init__(self, jobs: Mapping[str, Job]) -> None:
+    def __init__(self, jobs: Mapping[str, Job | Kept]) -> None:
         self._jobs = jobs
         self._child: _Child | None = None
 
-    def _fork(self, keys: list[str]) -> None:
+    def __contains__(self, key: str) -> bool:
+        return key in self._jobs
+
+    def _fork(self, jobs: Mapping[str, Job]) -> None:
         """Start a child that runs these jobs; OSError if none can be started."""
-        files = {key: tempfile.TemporaryFile() for key in keys}
+        files = {key: tempfile.TemporaryFile() for key in jobs}
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
@@ -152,16 +194,24 @@ class Readers:
             raise
         if pid == 0:
             os.close(read_fd)
-            _serve(self._jobs, files, write_fd)
+            _serve(jobs, files, write_fd)
         os.close(write_fd)
         self._child = _Child(pid, read_fd, files)
 
     def get(self, key: str) -> object:
         """The job's result, or its exception raised. A forked job's result is
-        handed out once; asked for again, the job runs in process."""
+        handed out once; asked for again, the job runs in process. A Kept job
+        runs in process, and takes its tail's result from the child."""
+        job, child = self._jobs[key], self._child
+        forked = child is not None and key in child.files
+        if isinstance(job, Kept):
+            return job.run(partial(self._take, key, job.tail) if forked else None)
+        return self._take(key, job) if forked else job()
+
+    def _take(self, key: str, job: Job) -> object:
+        """The outcome of the child's job of this key: its result, or its
+        exception raised; job() where the child could not write it."""
         child = self._child
-        if child is None or key not in child.files:
-            return self._jobs[key]()
         index = child.keys.index(key)
         with child.files.pop(key) as file:
             while len(child.marks) <= index:
@@ -173,7 +223,7 @@ class Readers:
                     )
                 child.marks += signals
             if child.marks[index : index + 1] == UNWRITTEN:
-                return self._jobs[key]()
+                return job()
             file.seek(0)
             ok, value = pickle.load(file)
         if not ok:
@@ -188,14 +238,19 @@ class Readers:
 
 
 @contextlib.contextmanager
-def share_out(jobs: Mapping[str, Job]) -> Iterator[Readers]:
+def share_out(jobs: Mapping[str, Job | Kept]) -> Iterator[Readers]:
     """Readers for the jobs, given in the order they will be asked for."""
-    keys = list(jobs)
+    dealt = [key for key, job in jobs.items() if not isinstance(job, Kept)][1::2]
+    forked = {
+        key: job.tail if isinstance(job, Kept) else job
+        for key, job in jobs.items()
+        if key in dealt or (isinstance(job, Kept) and job.tail is not None)
+    }
     readers = Readers(jobs)
     try:
-        if min(_cpus(), len(keys)) > 1:
+        if forked and _cpus() > 1:
             with contextlib.suppress(OSError):  # no child to be had: its jobs run in process
-                readers._fork(keys[1::2])
+                readers._fork(forked)
         yield readers
     finally:
         readers.close()

@@ -9,14 +9,18 @@ days, and spatial temperature variability.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import sys
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from datetime import date, datetime
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -173,9 +177,10 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a non-empty array, sorted (-0.0 equals 0.0).
 
     np.unique sorts and compares the same way for floats, but hashes
-    integers, which is slower on many distinct values.
+    integers, which is slower on many distinct values. The sort is stable,
+    so of equal values (0.0 and -0.0) the first given is kept.
     """
-    values = np.sort(values)
+    values = np.sort(values, kind="stable")
     return values[np.r_[True, values[1:] != values[:-1]]]
 
 
@@ -220,6 +225,29 @@ class _GridBuilder:
         self.cells = _KeyTable(complex)
         self.times = _KeyTable(np.int64)
         self.columns: list[np.ndarray] = []
+        self.repeated: str | None = None  # the error of the first row that hits a filled cell
+
+    def read(self, source: IO[str] | Iterable[str]) -> bool:
+        """Store the rows of a grid CSV read by `ingest.read_csv_chunks`; whether it has any."""
+
+        def convert(rows: np.ndarray) -> None:
+            lat, lon, values = rows["lat"], rows["lon"], rows["t2m_c"]
+            if not all(np.isfinite(column).all() for column in (lat, lon, values)):
+                raise ValueError("non-finite value")
+            keys = _time_keys(rows["date"])
+            row = self.add(lat, lon, keys, values)
+            if row is not None and self.repeated is None:
+                at = f"{float(lat[row])}, {float(lon[row])}, {_times(keys[row : row + 1]).item()}"
+                self.repeated = f"duplicate grid entry for ({at})"
+
+        def from_rows(rows: list[tuple]) -> None:
+            # The checked rows, each time as its isoformat() text, which the bytes path reads.
+            texts = [(lat, lon, t.isoformat(), v) for lat, lon, t, v in rows]
+            convert(np.array(texts, _GRID_DTYPE))
+
+        return bool(
+            read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row, from_rows)
+        )
 
     def add(self, lat: np.ndarray, lon: np.ndarray, keys: np.ndarray, values: np.ndarray):
         """Store a chunk of rows, all finite; the index of its first row
@@ -285,28 +313,105 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     its first bad line or gives the same values.
     """
     builder = _GridBuilder()
-    repeated: list[str] = []  # the error of the first row that hits a filled cell
-
-    def convert(rows: np.ndarray) -> None:
-        lat, lon, values = rows["lat"], rows["lon"], rows["t2m_c"]
-        if not all(np.isfinite(column).all() for column in (lat, lon, values)):
-            raise ValueError("non-finite value")
-        keys = _time_keys(rows["date"])
-        row = builder.add(lat, lon, keys, values)
-        if row is not None and not repeated:
-            where = f"{float(lat[row])}, {float(lon[row])}, {_times(keys[row : row + 1]).item()}"
-            repeated.append(f"duplicate grid entry for ({where})")
-
-    def from_rows(rows: list[tuple]) -> None:
-        # The checked rows, each time as its isoformat() text, which the bytes path reads.
-        convert(np.array([(lat, lon, t.isoformat(), v) for lat, lon, t, v in rows], _GRID_DTYPE))
-
-    if not read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row, from_rows):
+    if not builder.read(source):
         raise ValueError("grid file has no data rows")
     grid = builder.grid()
-    if repeated:
-        raise ValueError(repeated[0])
+    if builder.repeated is not None:
+        raise ValueError(builder.repeated)
     return grid
+
+
+def grid_split(path: Path | str) -> int | None:
+    """Where a grid CSV is read in two parts: just past the first line feed
+    at or after its middle byte. None for a raster, or a file with no line
+    feed past its middle (a tiny, header-only or CR-only file), or one that
+    cannot be read, whose error a whole read gives."""
+    path = Path(path)
+    if path.suffix == ".npy":
+        return None
+    with suppress(OSError), open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(size // 2)
+        while block := fh.read(1 << 16):
+            if (at := block.find(b"\n")) >= 0:
+                split = fh.tell() - len(block) + at + 1
+                return split if split < size else None
+    return None
+
+
+# The bytes a grid part is read in at a time, each block then decoded as open()
+# decodes a file; a Python stream over the part would run a call per 8 KiB read.
+GRID_BLOCK_BYTES = 1 << 20
+
+
+def _line_blocks(fh: IO[bytes], size: int | None) -> Iterator[bytes]:
+    """The next size bytes of a file (the rest if None) in blocks of about
+    GRID_BLOCK_BYTES, each completed to the line feed after it, so no line
+    break or character straddles two blocks."""
+    left = sys.maxsize if size is None else size
+    while left > 0 and (block := fh.read(min(left, GRID_BLOCK_BYTES))):
+        if len(block) < left:
+            block += fh.readline(left - len(block))
+        left -= len(block)
+        yield block
+
+
+def read_grid_part(path: Path | str, start: int, stop: int | None = None) -> _GridBuilder:
+    """The rows of a grid CSV's bytes start to stop (its end if None), for
+    `join_grid_parts`; start and stop each follow a line feed, or are an end
+    of the file. A part that starts at a line past the header is read as if
+    the header came before it. Each column is cut to the part's times, so no
+    spare slot crosses a pipe. A part that gives a (cell, time) twice raises,
+    with no line number."""
+    builder = _GridBuilder()
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        blocks = _line_blocks(fh, None if stop is None else stop - start)
+        text = chain.from_iterable(io.TextIOWrapper(io.BytesIO(b), "utf-8") for b in blocks)
+        builder.read(text if start == 0 else chain([GRID_HEADER + "\n"], text))
+    if builder.repeated is not None:
+        raise ValueError(builder.repeated)
+    builder.columns = [column[: len(builder.times.keys)] for column in builder.columns]
+    return builder
+
+
+def join_grid_parts(head: _GridBuilder, tail: _GridBuilder) -> TemperatureGrid:
+    """The grid of a file whose rows are the head's, then the tail's.
+
+    The tail's keys are numbered into the head's tables, so a key keeps its
+    first spelling (0.0 or -0.0), as in a whole read. The column of a cell
+    the head lacks is taken as it is if the tail's time slots are the
+    head's, as in a cell-major file; any other is scattered into place.
+    A (cell, time) that both parts give, or a file with no rows, raises,
+    with no line number; so does a file mixing daily and hourly rows.
+    """
+    n_cells = len(head.cells.keys)
+    slots = np.empty(len(tail.times.keys), np.intp)  # the head's slot of each tail slot
+    slots[tail.times.slots] = head.times.number(tail.times.keys)
+    cells = np.empty(len(tail.cells.keys), np.intp)  # the head's cell of each tail column
+    cells[tail.cells.slots] = head.cells.number(tail.cells.keys)
+    length = len(head.times.keys)
+    if not length:
+        raise ValueError("grid file has no data rows")
+    columns: list[np.ndarray | None] = [
+        column if len(column) >= length else np.r_[column, np.full(length - len(column), np.nan)]
+        for column in head.columns
+    ]
+    columns.extend(None for _ in range(len(head.cells.keys) - n_cells))
+    same_slots = len(slots) == length and bool((slots == np.arange(length)).all())
+    for cell, column in zip(cells.tolist(), tail.columns):
+        if columns[cell] is None:
+            if same_slots:
+                columns[cell] = column
+                continue
+            columns[cell] = np.full(length, np.nan)
+        given = ~np.isnan(column)
+        at = slots[given]
+        if not np.isnan(columns[cell][at]).all():
+            raise ValueError("duplicate grid entry")
+        columns[cell][at] = column[given]
+    head.columns = columns
+    return head.grid()
 
 
 class _DayReader:
@@ -436,11 +541,24 @@ def load_grid_raster(path: Path | str) -> TemperatureGrid:
     return TemperatureGrid(lats, lons, times, values)
 
 
-def load_temperature_grid(path: Path | str) -> TemperatureGrid:
-    """Load a grid from either format, dispatching on the file suffix."""
+def load_temperature_grid(
+    path: Path | str, tail: tuple[int, Callable[[], _GridBuilder]] | None = None
+) -> TemperatureGrid:
+    """Load a grid from either format, dispatching on the file suffix.
+
+    With tail = (split, take), a grid CSV is read in two parts: take()
+    gives `read_grid_part(path, split)`, read elsewhere, and the part
+    before split is read here and joined to it. If either part or the join
+    raises ValueError or OSError, the whole file is read here, which raises
+    the error, with the line number, that a whole read gives.
+    """
     path = Path(path)
     if path.suffix == ".npy":
         return load_grid_raster(path)
+    if tail is not None:
+        split, take = tail
+        with suppress(ValueError, OSError):
+            return join_grid_parts(read_grid_part(path, 0, split), take())
     with open(path, encoding="utf-8") as fh:
         return read_grid_csv(fh)
 

@@ -42,6 +42,15 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
+def _fake_cpus(monkeypatch, n: int) -> list[int]:
+    """Make the host look like n CPUs; the returned list grows by one per fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks: list[int] = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
 def _config_variant(fixture_dir: Path, path: Path, **overrides: str | None) -> Path:
     """Write the fixture config to path with keys replaced or added; None drops a key."""
     lines = []
@@ -328,6 +337,7 @@ class TestPipeline:
             (thermal, "read_mask_csv"),
             (thermal, "read_population_csv"),
             (projection, "parse_ensemble_csv"),
+            (thermal, "read_grid_csv"),
             (ingest, "read_daily_summaries"),
             (ingest, "read_daily_series"),
             (cli, "_windows"),
@@ -341,13 +351,19 @@ class TestPipeline:
 
             monkeypatch.setattr(module, name, counted)
 
+        def grid_part(path, start, *args, _fn=thermal.read_grid_part):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("grid_head\n" if start == 0 else "grid_tail\n")
+            return _fn(path, start, *args)
+
+        monkeypatch.setattr(thermal, "read_grid_part", grid_part)
+
         def calls() -> Counter[str]:
             counts = Counter(log.read_text(encoding="utf-8").split()) if log.exists() else Counter()
             log.unlink(missing_ok=True)
             return counts
 
         conf, out = str(fixture_dir / "fixture.conf"), str(tmp_path / "out")
-        assert main(["all", "--config", conf, "--out", out]) == 0
         csv_parsers = (
             "parse_hourly_load",
             "parse_fuel_mix",
@@ -356,7 +372,13 @@ class TestPipeline:
             "read_population_csv",
             "parse_ensemble_csv",
         )
-        assert calls() == dict.fromkeys(csv_parsers, 1)
+        # With two CPUs the grid is read in two parts, the tail in the forked
+        # reader; with one it is read whole, and nothing forks.
+        for n_cpus, grid_reads in ((2, ("grid_head", "grid_tail")), (1, ("read_grid_csv",))):
+            forks = _fake_cpus(monkeypatch, n_cpus)
+            assert main(["all", "--config", conf, "--out", out]) == 0
+            assert calls() == dict.fromkeys(csv_parsers + grid_reads, 1)
+            assert len(forks) == n_cpus - 1
         # A stage run on its own reads its inputs from the cached files.
         for stage in ("shoulder", "adequacy"):
             assert main([stage, "--config", conf, "--out", out]) == 0
@@ -962,8 +984,9 @@ class TestMainEntry:
 
 
 # The config keys of fixture copies with one bad line (the last field of line
-# 3), and the stderr of `all` on each, as the pipeline gave it when it parsed
-# every input in process.
+# 3; of the grid, its last line, which a split read leaves to the forked
+# reader), and the stderr of `all` on each, as the pipeline gave it when it
+# parsed every input in process.
 BAD_LINE_ERRORS = {
     ("load_csv",): "error: line 3: bad load_mw value 'oops'\n",
     ("fuel_mix_csv",): "error: line 3: bad other_mw value 'oops'\n",
@@ -971,33 +994,53 @@ BAD_LINE_ERRORS = {
     ("mask_csv",): "error: line 3: in_region must be 0 or 1, got 'oops'\n",
     ("population_csv",): "error: line 3: bad persons value 'oops'\n",
     ("ensemble_csv",): "error: line 3: bad t2m_c value 'oops'\n",
+    ("temperature_grid",): "error: line 92044: bad t2m_c value 'oops'\n",
     # The earliest stage's error wins.
     ("fuel_mix_csv", "outage_csv"): "error: line 3: bad other_mw value 'oops'\n",
+}
+
+
+def _hourly(line: str) -> str:
+    """The grid row at midnight of its day, as an hourly row."""
+    lat, lon, day, value = line.split(",")
+    return f"{lat},{lon},{day}T00:00,{value}"
+
+
+# Rewrites of the fixture grid's lines whose outcome depends on both parts of
+# a split read, and the stderr of `all` on each as the whole-file read gave it
+# (None: the fixture's tree). Of a CR-only file, no part follows a line feed.
+SPLIT_GRIDS = {
+    "duplicate-across-the-split": (
+        lambda lines: lines + lines[1:2],
+        "error: duplicate grid entry for (30.0, -98.0, 1995-01-01)\n",
+    ),
+    "hourly-row-in-the-tail": (
+        lambda lines: lines[:-1] + [_hourly(lines[-1])],
+        "error: grid file mixes daily and hourly rows\n",
+    ),
+    "only-row-past-the-middle": (
+        lambda lines: lines[:1] + ["\n"] * 40 + lines[1:2],
+        "error: region mask is not co-registered with the temperature grid\n",
+    ),
+    "header-only": (lambda lines: lines[:1], "error: grid file has no data rows\n"),
+    "cr-only": (lambda lines: [line.replace("\n", "\r") for line in lines], None),
 }
 
 
 class TestForkedReaders:
     """`all` with the CSV inputs shared out between the process and forked readers."""
 
-    @staticmethod
-    def _cpus(monkeypatch, n: int) -> list[int]:
-        """Make the host look like n CPUs; the returned list grows by one per fork."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        forks: list[int] = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        return forks
-
     @pytest.mark.parametrize("bad", list(BAD_LINE_ERRORS), ids="+".join)
     def test_bad_line_gives_the_in_process_error(
         self, fixture_dir, tmp_path, monkeypatch, capsys, bad
     ) -> None:
-        forks = self._cpus(monkeypatch, 2)
+        forks = _fake_cpus(monkeypatch, 2)
         cfg = load_config(fixture_dir / "fixture.conf")
         copies = {}
         for key in bad:
             lines = Path(getattr(cfg, key)).read_text(encoding="utf-8").splitlines(keepends=True)
-            lines[2] = lines[2].rpartition(",")[0] + ",oops\n"
+            row = -1 if key == "temperature_grid" else 2
+            lines[row] = lines[row].rpartition(",")[0] + ",oops\n"
             copies[key] = tmp_path / f"{key}.csv"
             copies[key].write_text("".join(lines), encoding="utf-8")
         conf = _config_variant(fixture_dir, tmp_path / "bad.conf", **copies)
@@ -1005,11 +1048,28 @@ class TestForkedReaders:
         assert capsys.readouterr().err == BAD_LINE_ERRORS[bad]
         assert len(forks) == 1
 
+    @pytest.mark.parametrize("case", SPLIT_GRIDS)
+    def test_split_grid_gives_the_whole_read_outcome(
+        self, fixture_dir, full_run, tmp_path, monkeypatch, capsys, case
+    ) -> None:
+        forks = _fake_cpus(monkeypatch, 2)
+        rewrite, error = SPLIT_GRIDS[case]
+        text = (fixture_dir / "fixture_temperature.csv").read_text(encoding="utf-8")
+        grid = tmp_path / "grid.csv"
+        grid.write_text("".join(rewrite(text.splitlines(keepends=True))), encoding="utf-8")
+        conf = _config_variant(fixture_dir, tmp_path / "x.conf", temperature_grid=str(grid))
+        out = tmp_path / "out"
+        code = main(["all", "--config", str(conf), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == ((0, "") if error is None else (1, error))
+        if error is None:
+            assert _tree_bytes(out) == _tree_bytes(full_run)
+        assert len(forks) == 1
+
     @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (3, 1)])
     def test_tree_does_not_depend_on_the_cpus(
         self, fixture_dir, full_run, tmp_path, monkeypatch, n_cpus, n_forks
     ) -> None:
-        forks = self._cpus(monkeypatch, n_cpus)
+        forks = _fake_cpus(monkeypatch, n_cpus)
         cfg = load_config(fixture_dir / "fixture.conf")
         cfg.out_dir = tmp_path
         run_pipeline(cfg, _stages_for_all(cfg))
@@ -1021,7 +1081,7 @@ class TestForkedReaders:
     ) -> None:
         # Of the six inputs in order of use, two readers take the outage feed
         # (the sixth) in the forked one.
-        self._cpus(monkeypatch, 2)
+        _fake_cpus(monkeypatch, 2)
         parent = os.getpid()
 
         def dies(fh):

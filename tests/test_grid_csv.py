@@ -15,8 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_read_grid_csv
-from shoulderseason import ingest
-from shoulderseason.thermal import TemperatureGrid, load_temperature_grid, read_grid_csv
+from shoulderseason import ingest, thermal
+from shoulderseason.thermal import (
+    TemperatureGrid,
+    grid_split,
+    join_grid_parts,
+    load_temperature_grid,
+    read_grid_csv,
+    read_grid_part,
+)
 
 HEADER = "lat,lon,date,t2m_c"
 
@@ -66,9 +73,10 @@ def _pad_date(draw, text: str) -> str:
 
 
 @st.composite
-def grid_files(draw):
+def grid_files(draw, signed_zero: bool = False):
     """A grid CSV with holes and assorted spellings, its rows time-major
-    (by time, then cell), cell-major or shuffled."""
+    (by time, then cell), cell-major or shuffled. With signed_zero, the
+    first lat is 0.0, spelled 0.0 or -0.0 row by row."""
     n_lat = draw(st.integers(1, 3))
     n_lon = draw(st.integers(1, 3))
     n_times = draw(st.integers(1, 4))
@@ -77,7 +85,7 @@ def grid_files(draw):
     start = datetime(2020, 3, 1, 22) if hourly else date(2020, 2, 27)
     step = timedelta(hours=1, microseconds=draw(st.integers(0, 999_999)) if micro else 0)
     times = [start + i * (step if hourly else timedelta(days=1)) for i in range(n_times)]
-    lats = [30.0 + 0.25 * i for i in range(n_lat)]
+    lats = [(0.0 if signed_zero else 30.0) + 0.25 * i for i in range(n_lat)]
     lons = [-98.0 + 0.25 * k for k in range(n_lon)]
     cells = [(t, la, lo) for t in times for la in lats for lo in lons]
     present = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
@@ -97,6 +105,8 @@ def grid_files(draw):
     rows = []
     for t, la, lo in kept:
         when = draw(st.sampled_from(spell_time))(t)
+        if la == 0.0 and draw(st.booleans()):
+            la = -0.0
         fields = [
             draw(st.sampled_from(_COORD_SPELLINGS))(la),
             draw(st.sampled_from(_COORD_SPELLINGS))(lo),
@@ -123,6 +133,56 @@ def test_matches_reference_reader(text: str, chunk_lines: int) -> None:
         assert got == want
     else:
         _assert_same_grid(got, want)
+
+
+def _grid_bytes(grid: TemperatureGrid) -> list[bytes]:
+    """The grid's axes, and each day slice of its values, as bytes."""
+    days = [grid.values[i : i + 1].tobytes() for i in range(len(grid.times))]
+    return [grid.lats.tobytes(), grid.lons.tobytes(), grid.times.tobytes(), *days]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=st.one_of(grid_files(), grid_files(signed_zero=True)),
+    chunk_lines=st.integers(1, 7),
+    block_bytes=st.integers(1, 64),
+)
+def test_split_read_equals_whole_read(
+    tmp_path_factory, text: str, chunk_lines: int, block_bytes: int
+) -> None:
+    # Split at every line boundary, each part read as a forked reader would.
+    path = tmp_path_factory.mktemp("split") / "grid.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    data = path.read_bytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "CSV_CHUNK_LINES", chunk_lines)
+        mp.setattr(thermal, "GRID_BLOCK_BYTES", block_bytes)
+        try:
+            want = load_temperature_grid(path)
+        except ValueError:
+            want = None
+        for split in [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]:
+            try:
+                got = join_grid_parts(read_grid_part(path, 0, split), read_grid_part(path, split))
+            except ValueError:
+                assert want is None, split  # the whole read then raises its own error
+                continue
+            assert want is not None, split
+            assert got.times.dtype == want.times.dtype
+            assert _grid_bytes(got) == _grid_bytes(want), split
+
+
+@pytest.mark.parametrize("head, tail", [("0.0", "-0.0"), ("-0.0", "0")])
+def test_split_read_keeps_the_heads_signed_zero(tmp_path, head: str, tail: str) -> None:
+    # The cell (0, -98) is spelled one way before the split and the other after it.
+    rows = [f"{head},-98.0,2020-01-01,1.5", f"{tail},-98.0,2020-01-02,2.5"]
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    split = len(HEADER) + len(rows[0]) + 2
+    got = join_grid_parts(read_grid_part(path, 0, split), read_grid_part(path, split))
+    want = load_temperature_grid(path)
+    assert np.signbit(got.lats[0]) == head.startswith("-")
+    assert _grid_bytes(got) == _grid_bytes(want)
 
 
 @pytest.mark.parametrize("chunk_lines", [1, 2, 5])
@@ -342,3 +402,27 @@ def test_narrower_grammar_names_the_line(row: str, message: str) -> None:
     with pytest.raises(ValueError) as got:
         read_grid_csv(lines)
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    ("text", "split"),
+    [
+        ("", None),
+        (HEADER, None),
+        (HEADER + "\n", None),  # header only: its line feed ends the file
+        (f"{HEADER}\r{OK}\r{OK}\r", None),  # no line feed at all
+        (f"{HEADER}\n{OK}\n", None),  # the line feed past the middle ends the file
+        (f"{HEADER}\n{OK}\n{OK}\n", len(HEADER) + len(OK) + 2),
+        (f"{HEADER}\r\n{OK}\r\n{OK}", len(HEADER) + len(OK) + 4),
+    ],
+)
+def test_grid_split_is_past_the_first_line_feed_from_the_middle(tmp_path, text, split) -> None:
+    path = tmp_path / "grid.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert grid_split(path) == split
+
+
+def test_grid_split_leaves_a_raster_and_a_missing_file_whole(tmp_path) -> None:
+    np.save(tmp_path / "grid.npy", np.zeros((1, 1, 1)))
+    assert grid_split(tmp_path / "grid.npy") is None
+    assert grid_split(tmp_path / "missing.csv") is None

@@ -159,3 +159,35 @@ def test_jobs_run_in_process_when_no_reader_can_be_forked(monkeypatch) -> None:
     monkeypatch.setattr(os, "fork", no_fork)
     with readers.share_out(_pid_jobs(3)) as inputs:
         assert [inputs.get(f"job{i}") for i in range(3)] == [os.getpid()] * 3
+
+
+def test_a_kept_job_runs_in_process_and_its_tail_in_the_reader(monkeypatch) -> None:
+    _cpus(monkeypatch, 2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    jobs = {
+        "job0": os.getpid,
+        "kept": readers.Kept(lambda take: (os.getpid(), take()), os.getpid),
+        "job1": os.getpid,
+        "job2": os.getpid,
+    }
+    with readers.share_out(jobs) as inputs:
+        here, tail = inputs.get("kept")
+        pids = [inputs.get(f"job{i}") for i in range(3)]
+    assert here == os.getpid() != tail
+    # The kept job is not dealt: the others are, round-robin, as if it were not there.
+    assert pids == [os.getpid(), tail, os.getpid()]
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("n_cpus, tail", [(1, os.getpid), (8, None)], ids=["one-cpu", "no-tail"])
+def test_a_kept_job_without_a_reader_runs_whole(monkeypatch, n_cpus, tail) -> None:
+    _cpus(monkeypatch, n_cpus)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with readers.share_out({"kept": readers.Kept(lambda take: take, tail)}) as inputs:
+        assert inputs.get("kept") is None
