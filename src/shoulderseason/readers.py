@@ -2,23 +2,26 @@
 
 PARSERS holds the parser of each CSV input by its config key, and
 `input_jobs(cfg, keys)` gives a job reading each that is set. The
-temperature grid's job is Kept: it runs in process, since the thermal
-stage needs the grid as soon as it starts. A grid CSV is split at the
-first line feed at or after its middle byte, and its tail, the part
-after the split, is a job for the forked reader; the process reads the
-part before the split and joins the two (`thermal.load_temperature_grid`).
-A raster is not split: it opens lazily, so there is no parse to share.
+temperature grid's job is Shared: a grid CSV is cut into parts of about
+2 MiB (`thermal.grid_cuts`), which the process and the forked reader
+share. Each claims the next part no one has claimed, the reader from the
+back from the time it reaches the job, the process from the front when
+the thermal stage asks for the grid, until none is left; the process
+then joins the parts (`thermal.load_temperature_grid`). So the one given
+more CPU reads more parts, and a reader slowed by other work on the host
+costs the process at most the part it is reading, not half the file. A
+raster is not cut: it opens lazily, so there is no parse to share.
 
 `share_out(jobs)` deals the other jobs, in the order they will be asked
 for, round-robin over two readers where the process may use two CPUs or
 more: the calling process, which runs each of its jobs when it is asked
-for, and a forked child, which also runs each Kept job's tail at that
-job's place in the order. The child runs its jobs in turn, writes each
-result, or the exception it raised, to an unlinked temporary file, then
-writes one byte to its pipe, and exits when all are done. A result it
-cannot write (no room in the temporary directory, or nothing pickle can
-store) it marks with another byte, and that job runs in process when it
-is asked for. `Readers.get` waits on the pipe only for the job asked
+for, and a forked child, which also runs its side of each Shared job at
+that job's place in the order. The child runs its jobs in turn, writes
+each result, or the exception it raised, to an unlinked temporary file,
+then writes one byte to its pipe, and exits when all are done. A result
+it cannot write (no room in the temporary directory, or nothing pickle
+can store) it marks with another byte, and that job runs in process when
+it is asked for. `Readers.get` waits on the pipe only for the job asked
 for, then loads its result in the calling thread, or raises its
 exception there. So a result arrives no earlier than it is asked for,
 and an error comes when, and as, it would in process. Only the two-CPU
@@ -28,8 +31,8 @@ Threads would not help: `np.loadtxt` holds the GIL. Readers are forked,
 not spawned: a spawned process would import numpy again on every run.
 Run from the command line, the process's only other threads are
 numpy's BLAS pool, and no parser calls BLAS. With one CPU, or where the
-platform cannot fork, every job runs in process, a Kept job whole, and
-nothing is forked. On leaving the block, a child still running is
+platform cannot fork, every job runs in process, a Shared job whole,
+and nothing is forked. On leaving the block, a child still running is
 killed, and it is reaped.
 """
 
@@ -69,30 +72,82 @@ def parse_input(path: Path, key: str) -> object:
         return PARSERS[key](fh)
 
 
-class Kept(NamedTuple):
-    """A job run in process when asked for, as run(take): take() hands out
-    the result of its tail, which the forked reader runs at the job's place
-    among its own. take is None where there is no tail, or no reader."""
-
-    run: Callable[[Job | None], object]
-    tail: Job | None
+Claim = Callable[[], int | None]  # the index of the next part claimed, or None: none is left
 
 
-def _read_grid(path: Path, split: int | None, take: Job | None) -> object:
-    """The temperature grid at path; take() hands out its rows from byte split on, if given."""
-    return thermal.load_temperature_grid(path, None if take is None else (split, take))
+class Shared(NamedTuple):
+    """A job of `parts` parts, which the process and the forked reader share.
+
+    run(claim, take) runs in process when the job is asked for: it reads
+    each part that claim() gives, from the front, then take() hands out
+    tail(claim) as the reader ran it, on the parts it claimed from the
+    back. With no reader, or no tail, run(None, None) reads the job whole.
+    """
+
+    run: Callable[[Claim | None, Job | None], object]
+    tail: Callable[[Claim], object] | None
+    parts: int
 
 
-def _read_grid_tail(path: Path, split: int) -> object:
-    """The rows of the grid CSV at path from byte split on."""
-    return thermal.read_grid_part(path, split)
+class _Claims:
+    """The parts of a Shared job, one byte each in a pipe whose write end is
+    closed: a read of a byte claims a part, and a read at the end finds none
+    left. Each process counts its own claims, the calling process numbering
+    them from the front and the forked reader from the back."""
+
+    def __init__(self, parts: int) -> None:
+        self.parts, self.taken = parts, 0
+        self.fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, b"." * parts)  # fewer bytes than a pipe holds
+        finally:
+            os.close(write_fd)
+
+    def _claim(self) -> bool:
+        got = bool(os.read(self.fd, 1))
+        self.taken += got
+        return got
+
+    def front(self) -> int | None:
+        return self.taken - 1 if self._claim() else None
+
+    def back(self) -> int | None:
+        return self.parts - self.taken if self._claim() else None
+
+    def rest(self) -> Claim:
+        """The other side's claims, from the back, once none is left here."""
+        return partial(next, iter(range(self.parts - 1, self.taken - 1, -1)), None)
 
 
-def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job | Kept]:
+def _read_grid(path: Path, cuts: list[int] | None, claim: Claim | None, take: Job | None) -> object:
+    """The temperature grid at path: the parts claim() gives, read here into
+    one table, joined to the table take() gives; read whole without claim."""
+    if claim is None:
+        return thermal.load_temperature_grid(path)
+
+    def parts() -> list:
+        head = None
+        while (i := claim()) is not None:
+            head = thermal.read_grid_part(path, cuts[i], cuts[i + 1], head)
+        return [part for part in (head, take()) if part is not None]
+
+    return thermal.load_temperature_grid(path, parts)
+
+
+def _read_grid_tail(path: Path, cuts: list[int], claim: Claim) -> object:
+    """The rows of the parts of the grid CSV at path that claim() gives, from
+    the back, joined into one table; None if it gives none."""
+    parts = []
+    while (i := claim()) is not None:
+        parts.append(thermal.read_grid_part(path, cuts[i], cuts[i + 1]))
+    return thermal.join_grid_parts(*parts[::-1]) if parts else None
+
+
+def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job | Shared]:
     """A job reading the input of each of these config keys that is set, in their order.
 
-    The temperature grid's job is Kept: a grid CSV that `thermal.grid_split`
-    splits has the rows past the split as its tail.
+    The temperature grid's job is Shared: a grid CSV that `thermal.grid_cuts`
+    cuts has a part per cut; a raster has no tail.
     """
     paths = {
         "load_csv": cfg.load_csv,
@@ -103,16 +158,17 @@ def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job | Kept]:
         "ensemble_csv": cfg.ensemble_csv,
         "outage_csv": cfg.outage_csv,
     }
-    jobs: dict[str, Job | Kept] = {}
+    jobs: dict[str, Job | Shared] = {}
     for key in keys:
         if (path := paths.get(key)) is None:
             continue
         if key != "temperature_grid":
             jobs[key] = partial(parse_input, path, key)
             continue
-        split = thermal.grid_split(path)
-        tail = None if split is None else partial(_read_grid_tail, path, split)
-        jobs[key] = Kept(partial(_read_grid, path, split), tail)
+        cuts = thermal.grid_cuts(path)
+        tail = None if cuts is None else partial(_read_grid_tail, path, cuts)
+        parts = 0 if cuts is None else len(cuts) - 1
+        jobs[key] = Shared(partial(_read_grid, path, cuts), tail, parts)
     return jobs
 
 
@@ -173,15 +229,28 @@ class _Child:
 class Readers:
     """The readers of one share-out; `get(key)` hands out each job's result."""
 
-    def __init__(self, jobs: Mapping[str, Job | Kept]) -> None:
+    def __init__(self, jobs: Mapping[str, Job | Shared]) -> None:
         self._jobs = jobs
         self._child: _Child | None = None
+        self._claims: dict[str, _Claims] = {}
 
     def __contains__(self, key: str) -> bool:
         return key in self._jobs
 
-    def _fork(self, jobs: Mapping[str, Job]) -> None:
-        """Start a child that runs these jobs; OSError if none can be started."""
+    def _fork(self) -> None:
+        """Start a child that runs every other job that is not Shared, and its
+        side of each Shared job with a tail; OSError if none can be started."""
+        dealt = [key for key, job in self._jobs.items() if not isinstance(job, Shared)][1::2]
+        for key, job in self._jobs.items():
+            if isinstance(job, Shared) and job.tail is not None:
+                self._claims[key] = _Claims(job.parts)
+        jobs = {
+            key: partial(job.tail, self._claims[key].back) if key in self._claims else job
+            for key, job in self._jobs.items()
+            if key in dealt or key in self._claims
+        }
+        if not jobs:
+            return
         files = {key: tempfile.TemporaryFile() for key in jobs}
         read_fd, write_fd = os.pipe()
         try:
@@ -200,13 +269,25 @@ class Readers:
 
     def get(self, key: str) -> object:
         """The job's result, or its exception raised. A forked job's result is
-        handed out once; asked for again, the job runs in process. A Kept job
-        runs in process, and takes its tail's result from the child."""
+        handed out once; asked for again, the job runs in process. A Shared
+        job runs in process, and takes the child's side from the child, or,
+        if the child claimed no part, runs it in process without waiting."""
         job, child = self._jobs[key], self._child
         forked = child is not None and key in child.files
-        if isinstance(job, Kept):
-            return job.run(partial(self._take, key, job.tail) if forked else None)
-        return self._take(key, job) if forked else job()
+        if not isinstance(job, Shared):
+            return self._take(key, job) if forked else job()
+        if not forked:
+            return job.run(None, None)
+        claims = self._claims[key]
+
+        def take() -> object:
+            rest = partial(job.tail, claims.rest())  # the child's side, run in process
+            if claims.taken < claims.parts:
+                return self._take(key, rest)
+            child.files.pop(key).close()
+            return rest()
+
+        return job.run(claims.front, take)
 
     def _take(self, key: str, job: Job) -> object:
         """The outcome of the child's job of this key: its result, or its
@@ -235,22 +316,19 @@ class Readers:
         if self._child is not None:
             self._child.close()
             self._child = None
+        for claims in self._claims.values():
+            os.close(claims.fd)
+        self._claims.clear()
 
 
 @contextlib.contextmanager
-def share_out(jobs: Mapping[str, Job | Kept]) -> Iterator[Readers]:
+def share_out(jobs: Mapping[str, Job | Shared]) -> Iterator[Readers]:
     """Readers for the jobs, given in the order they will be asked for."""
-    dealt = [key for key, job in jobs.items() if not isinstance(job, Kept)][1::2]
-    forked = {
-        key: job.tail if isinstance(job, Kept) else job
-        for key, job in jobs.items()
-        if key in dealt or (isinstance(job, Kept) and job.tail is not None)
-    }
     readers = Readers(jobs)
     try:
-        if forked and _cpus() > 1:
+        if _cpus() > 1:
             with contextlib.suppress(OSError):  # no child to be had: its jobs run in process
-                readers._fork(forked)
+                readers._fork()
         yield readers
     finally:
         readers.close()

@@ -321,21 +321,36 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     return grid
 
 
-def grid_split(path: Path | str) -> int | None:
-    """Where a grid CSV is read in two parts: just past the first line feed
-    at or after its middle byte. None for a raster, or a file with no line
-    feed past its middle (a tiny, header-only or CR-only file), or one that
-    cannot be read, whose error a whole read gives."""
+# The bytes of a part of a grid CSV (see grid_cuts): the process and the forked
+# reader each claim the next part as they finish one, so the one given more CPU
+# reads more, and neither waits long on the other's last part.
+GRID_PART_BYTES = 1 << 21
+GRID_MAX_PARTS = 256
+
+
+def grid_cuts(path: Path | str) -> list[int] | None:
+    """Where the parts of a grid CSV start, then its size. The file is cut
+    into about one part per GRID_PART_BYTES, two at least and GRID_MAX_PARTS
+    at most, each cut just past the first line feed at or after its share
+    of the bytes (or after the part before it). None for a raster, a file
+    that gives fewer than two parts (a tiny, header-only or CR-only file),
+    or one that cannot be read, whose error a whole read gives."""
     path = Path(path)
     if path.suffix == ".npy":
         return None
+    cuts = [0]
     with suppress(OSError), open(path, "rb") as fh:
         size = fh.seek(0, os.SEEK_END)
-        fh.seek(size // 2)
-        while block := fh.read(1 << 16):
-            if (at := block.find(b"\n")) >= 0:
-                split = fh.tell() - len(block) + at + 1
-                return split if split < size else None
+        n = min(max(2, -(-size // GRID_PART_BYTES)), GRID_MAX_PARTS)
+        for k in range(1, n):
+            fh.seek(max(size * k // n, cuts[-1]))
+            while (block := fh.read(1 << 16)) and (at := block.find(b"\n")) < 0:
+                pass
+            cut = fh.tell() - len(block) + at + 1 if block else size
+            if cut >= size:
+                break
+            cuts.append(cut)
+        return cuts + [size] if len(cuts) > 1 else None
     return None
 
 
@@ -356,14 +371,18 @@ def _line_blocks(fh: IO[bytes], size: int | None) -> Iterator[bytes]:
         yield block
 
 
-def read_grid_part(path: Path | str, start: int, stop: int | None = None) -> _GridBuilder:
+def read_grid_part(
+    path: Path | str, start: int, stop: int | None = None, builder: _GridBuilder | None = None
+) -> _GridBuilder:
     """The rows of a grid CSV's bytes start to stop (its end if None), for
-    `join_grid_parts`; start and stop each follow a line feed, or are an end
-    of the file. A part that starts at a line past the header is read as if
-    the header came before it. Each column is cut to the part's times, so no
-    spare slot crosses a pipe. A part that gives a (cell, time) twice raises,
-    with no line number."""
-    builder = _GridBuilder()
+    `join_grid_parts`, added to builder if given: the rows of the bytes up
+    to start, read in the same way. start and stop each follow a line feed,
+    or are an end of the file. A part that starts at a line past the header
+    is read as if the header came before it. Each column is then put in
+    time order, with no spare slot to cross a pipe, so parts with the same
+    times have the same slots. A part that gives a (cell, time) twice
+    raises, with no line number."""
+    builder = _GridBuilder() if builder is None else builder
     with open(path, "rb") as fh:
         fh.seek(start)
         blocks = _line_blocks(fh, None if stop is None else stop - start)
@@ -371,25 +390,34 @@ def read_grid_part(path: Path | str, start: int, stop: int | None = None) -> _Gr
         builder.read(text if start == 0 else chain([GRID_HEADER + "\n"], text))
     if builder.repeated is not None:
         raise ValueError(builder.repeated)
-    builder.columns = [column[: len(builder.times.keys)] for column in builder.columns]
+    order = builder.times.slots  # the slot of each time, in time order
+    if not (order == np.arange(len(order))).all():
+        builder.columns = [column[order] for column in builder.columns]
+        builder.times.slots = np.arange(len(order))
+    builder.columns = [column[: len(order)] for column in builder.columns]
     return builder
 
 
-def join_grid_parts(head: _GridBuilder, tail: _GridBuilder) -> TemperatureGrid:
-    """The grid of a file whose rows are the head's, then the tail's.
+def join_grid_parts(head: _GridBuilder, *tails: _GridBuilder) -> _GridBuilder:
+    """The rows of a file whose rows are the head's, then each tail's in
+    turn: the head, with the tails' rows added; its grid() is the file's.
 
-    The tail's keys are numbered into the head's tables, so a key keeps its
-    first spelling (0.0 or -0.0), as in a whole read. The column of a cell
-    the head lacks is taken as it is if the tail's time slots are the
-    head's, as in a cell-major file; any other is scattered into place.
-    A (cell, time) that both parts give, or a file with no rows, raises,
-    with no line number; so does a file mixing daily and hourly rows.
+    The tails' keys are numbered into the head's tables in that order, so a
+    key keeps its first spelling (0.0 or -0.0), as in a whole read. The
+    column of a cell no part before has is taken as it is if the tail's
+    time slots are the joined ones, as in a cell-major file; any other is
+    scattered into place. A (cell, time) that two parts give, or a file
+    with no rows, raises, with no line number; grid() raises for a file
+    mixing daily and hourly rows.
     """
     n_cells = len(head.cells.keys)
-    slots = np.empty(len(tail.times.keys), np.intp)  # the head's slot of each tail slot
-    slots[tail.times.slots] = head.times.number(tail.times.keys)
-    cells = np.empty(len(tail.cells.keys), np.intp)  # the head's cell of each tail column
-    cells[tail.cells.slots] = head.cells.number(tail.cells.keys)
+    numbered = []
+    for tail in tails:
+        slots = np.empty(len(tail.times.keys), np.intp)  # the head's slot of each tail slot
+        slots[tail.times.slots] = head.times.number(tail.times.keys)
+        cells = np.empty(len(tail.cells.keys), np.intp)  # the head's cell of each tail column
+        cells[tail.cells.slots] = head.cells.number(tail.cells.keys)
+        numbered.append((slots, cells.tolist(), tail.columns))
     length = len(head.times.keys)
     if not length:
         raise ValueError("grid file has no data rows")
@@ -398,20 +426,21 @@ def join_grid_parts(head: _GridBuilder, tail: _GridBuilder) -> TemperatureGrid:
         for column in head.columns
     ]
     columns.extend(None for _ in range(len(head.cells.keys) - n_cells))
-    same_slots = len(slots) == length and bool((slots == np.arange(length)).all())
-    for cell, column in zip(cells.tolist(), tail.columns):
-        if columns[cell] is None:
-            if same_slots:
-                columns[cell] = column
-                continue
-            columns[cell] = np.full(length, np.nan)
-        given = ~np.isnan(column)
-        at = slots[given]
-        if not np.isnan(columns[cell][at]).all():
-            raise ValueError("duplicate grid entry")
-        columns[cell][at] = column[given]
+    for slots, cells, tail_columns in numbered:
+        same_slots = len(slots) == length and bool((slots == np.arange(length)).all())
+        for cell, column in zip(cells, tail_columns):
+            if columns[cell] is None:
+                if same_slots:
+                    columns[cell] = column
+                    continue
+                columns[cell] = np.full(length, np.nan)
+            given = ~np.isnan(column)
+            at = slots[given]
+            if not np.isnan(columns[cell][at]).all():
+                raise ValueError("duplicate grid entry")
+            columns[cell][at] = column[given]
     head.columns = columns
-    return head.grid()
+    return head
 
 
 class _DayReader:
@@ -542,23 +571,22 @@ def load_grid_raster(path: Path | str) -> TemperatureGrid:
 
 
 def load_temperature_grid(
-    path: Path | str, tail: tuple[int, Callable[[], _GridBuilder]] | None = None
+    path: Path | str, parts: Callable[[], list[_GridBuilder]] | None = None
 ) -> TemperatureGrid:
     """Load a grid from either format, dispatching on the file suffix.
 
-    With tail = (split, take), a grid CSV is read in two parts: take()
-    gives `read_grid_part(path, split)`, read elsewhere, and the part
-    before split is read here and joined to it. If either part or the join
-    raises ValueError or OSError, the whole file is read here, which raises
-    the error, with the line number, that a whole read gives.
+    With parts, a grid CSV is read in parts: parts() gives the rows of its
+    parts in file order, each read by `read_grid_part` here or elsewhere,
+    or joined by `join_grid_parts`, and they are joined here. If a part or
+    the join raises ValueError or OSError, the whole file is read here,
+    which raises the error, with the line number, that a whole read gives.
     """
     path = Path(path)
     if path.suffix == ".npy":
         return load_grid_raster(path)
-    if tail is not None:
-        split, take = tail
+    if parts is not None:
         with suppress(ValueError, OSError):
-            return join_grid_parts(read_grid_part(path, 0, split), take())
+            return join_grid_parts(*parts()).grid()
     with open(path, encoding="utf-8") as fh:
         return read_grid_csv(fh)
 

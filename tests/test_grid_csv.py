@@ -18,7 +18,7 @@ from oracles import reference_read_grid_csv
 from shoulderseason import ingest, thermal
 from shoulderseason.thermal import (
     TemperatureGrid,
-    grid_split,
+    grid_cuts,
     join_grid_parts,
     load_temperature_grid,
     read_grid_csv,
@@ -163,13 +163,46 @@ def test_split_read_equals_whole_read(
             want = None
         for split in [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]:
             try:
-                got = join_grid_parts(read_grid_part(path, 0, split), read_grid_part(path, split))
+                head, tail = read_grid_part(path, 0, split), read_grid_part(path, split)
+                got = join_grid_parts(head, tail).grid()
             except ValueError:
                 assert want is None, split  # the whole read then raises its own error
                 continue
             assert want is not None, split
             assert got.times.dtype == want.times.dtype
             assert _grid_bytes(got) == _grid_bytes(want), split
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(grid_files(), grid_files(signed_zero=True)), data=st.data())
+def test_parts_read_equals_whole_read(tmp_path_factory, text: str, data) -> None:
+    # Parts cut at any line boundaries: the first few read into one table,
+    # as the process reads the parts it claims, the rest each on its own.
+    path = tmp_path_factory.mktemp("parts") / "grid.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    data_bytes = path.read_bytes()
+    feeds = [i + 1 for i, byte in enumerate(data_bytes[:-1]) if byte == ord("\n")]
+    inner = data.draw(st.lists(st.sampled_from(feeds), unique=True)) if feeds else []
+    cuts = [0, *sorted(inner), len(data_bytes)]
+    front = data.draw(st.integers(0, len(cuts) - 1))
+    try:
+        want = load_temperature_grid(path)
+    except ValueError:
+        want = None
+    try:
+        head = None
+        for start, stop in zip(cuts[:front], cuts[1 : front + 1]):
+            head = read_grid_part(path, start, stop, head)
+        tails = [read_grid_part(path, a, b) for a, b in zip(cuts[front:-1], cuts[front + 1 :])]
+        if len(tails) > 1 and data.draw(st.booleans()):
+            tails = [join_grid_parts(*tails)]  # joined where they were read, as a reader does
+        got = join_grid_parts(*([] if head is None else [head]), *tails).grid()
+    except ValueError:
+        assert want is None, cuts  # the whole read then raises its own error
+        return
+    assert want is not None, cuts
+    assert got.times.dtype == want.times.dtype
+    assert _grid_bytes(got) == _grid_bytes(want), cuts
 
 
 @pytest.mark.parametrize("head, tail", [("0.0", "-0.0"), ("-0.0", "0")])
@@ -179,7 +212,7 @@ def test_split_read_keeps_the_heads_signed_zero(tmp_path, head: str, tail: str) 
     path = tmp_path / "grid.csv"
     path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
     split = len(HEADER) + len(rows[0]) + 2
-    got = join_grid_parts(read_grid_part(path, 0, split), read_grid_part(path, split))
+    got = join_grid_parts(read_grid_part(path, 0, split), read_grid_part(path, split)).grid()
     want = load_temperature_grid(path)
     assert np.signbit(got.lats[0]) == head.startswith("-")
     assert _grid_bytes(got) == _grid_bytes(want)
@@ -416,13 +449,40 @@ def test_narrower_grammar_names_the_line(row: str, message: str) -> None:
         (f"{HEADER}\r\n{OK}\r\n{OK}", len(HEADER) + len(OK) + 4),
     ],
 )
-def test_grid_split_is_past_the_first_line_feed_from_the_middle(tmp_path, text, split) -> None:
+def test_a_small_grid_is_cut_past_the_first_line_feed_from_the_middle(
+    tmp_path, text, split
+) -> None:
     path = tmp_path / "grid.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert grid_split(path) == split
+    assert grid_cuts(path) == (None if split is None else [0, split, len(text)])
 
 
-def test_grid_split_leaves_a_raster_and_a_missing_file_whole(tmp_path) -> None:
+@pytest.mark.parametrize("part_bytes, max_parts", [(10, 256), (25, 256), (1, 3)])
+def test_grid_cuts_follow_line_feeds_near_each_share(
+    tmp_path, monkeypatch, part_bytes: int, max_parts: int
+) -> None:
+    monkeypatch.setattr(thermal, "GRID_PART_BYTES", part_bytes)
+    monkeypatch.setattr(thermal, "GRID_MAX_PARTS", max_parts)
+    text = "\n".join([HEADER, OK, OK + "   ", OK, "", OK + "\r", OK]) + "\n"
+    path = tmp_path / "grid.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    cuts = grid_cuts(path)
+    size = len(text)
+    n = min(max(2, -(-size // part_bytes)), max_parts)
+    # Each cut is past the first line feed at or after its share of the
+    # bytes, or after the cut before it, so no part is empty.
+    want, at = [0], 0
+    for k in range(1, n):
+        at = text.find("\n", max(size * k // n, want[-1])) + 1
+        if not 0 < at < size:
+            break
+        want.append(at)
+    assert cuts == [*want, size]
+    assert len(cuts) - 1 <= max_parts
+    assert all(text[cut - 1] == "\n" for cut in cuts[1:])
+
+
+def test_grid_cuts_leave_a_raster_and_a_missing_file_whole(tmp_path) -> None:
     np.save(tmp_path / "grid.npy", np.zeros((1, 1, 1)))
-    assert grid_split(tmp_path / "grid.npy") is None
-    assert grid_split(tmp_path / "missing.csv") is None
+    assert grid_cuts(tmp_path / "grid.npy") is None
+    assert grid_cuts(tmp_path / "missing.csv") is None

@@ -161,33 +161,114 @@ def test_jobs_run_in_process_when_no_reader_can_be_forked(monkeypatch) -> None:
         assert [inputs.get(f"job{i}") for i in range(3)] == [os.getpid()] * 3
 
 
-def test_a_kept_job_runs_in_process_and_its_tail_in_the_reader(monkeypatch) -> None:
+def _claimed(claim) -> list[int]:
+    indices = []
+    while (i := claim()) is not None:
+        indices.append(i)
+    return indices
+
+
+def _wait_for(path, seconds: float = 10.0) -> None:
+    deadline = time.perf_counter() + seconds
+    while not path.exists() and time.perf_counter() < deadline:
+        time.sleep(0.005)
+
+
+def test_a_reader_that_reaches_a_shared_job_first_claims_every_part(monkeypatch, tmp_path) -> None:
     _cpus(monkeypatch, 2)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    jobs = {
-        "job0": os.getpid,
-        "kept": readers.Kept(lambda take: (os.getpid(), take()), os.getpid),
-        "job1": os.getpid,
-        "job2": os.getpid,
-    }
+    done = tmp_path / "claimed"
+
+    def tail(claim):
+        indices = _claimed(claim)
+        done.touch()
+        return os.getpid(), indices
+
+    def run(claim, take):
+        _wait_for(done)  # the reader has claimed every part
+        return _claimed(claim), take()
+
+    jobs = {"job0": os.getpid, "shared": readers.Shared(run, tail, 5), "job1": os.getpid}
     with readers.share_out(jobs) as inputs:
-        here, tail = inputs.get("kept")
-        pids = [inputs.get(f"job{i}") for i in range(3)]
-    assert here == os.getpid() != tail
-    # The kept job is not dealt: the others are, round-robin, as if it were not there.
-    assert pids == [os.getpid(), tail, os.getpid()]
-    assert len(forks) == 1
+        mine, (pid, theirs) = inputs.get("shared")
+        pids = [inputs.get("job0"), inputs.get("job1")]
+    assert (mine, theirs) == ([], [4, 3, 2, 1, 0])
+    # The shared job is not dealt: the others are, round-robin, as if it were not there.
+    assert pids == [os.getpid(), pid] and pid != os.getpid()
 
 
-@pytest.mark.parametrize("n_cpus, tail", [(1, os.getpid), (8, None)], ids=["one-cpu", "no-tail"])
-def test_a_kept_job_without_a_reader_runs_whole(monkeypatch, n_cpus, tail) -> None:
+def test_a_shared_job_does_not_wait_for_a_reader_that_claimed_no_part(
+    monkeypatch, tmp_path
+) -> None:
+    _cpus(monkeypatch, 2)
+    go = tmp_path / "go"
+
+    def tail(claim):
+        return os.getpid(), _claimed(claim)
+
+    # The reader reaches the shared job only once the process has asked for it.
+    shared = readers.Shared(lambda claim, take: (_claimed(claim), take()), tail, 3)
+    jobs = {"job0": os.getpid, "job1": lambda: _wait_for(go), "shared": shared}
+    with readers.share_out(jobs) as inputs:
+        start = time.perf_counter()
+        mine, (pid, theirs) = inputs.get("shared")
+        waited = time.perf_counter() - start
+        go.touch()
+        inputs.get("job1")
+    assert (mine, pid, theirs) == ([0, 1, 2], os.getpid(), [])
+    assert waited < 5
+
+
+def test_shared_parts_are_each_claimed_once_from_both_ends(monkeypatch) -> None:
+    _cpus(monkeypatch, 2)
+
+    def tail(claim):
+        indices = []
+        while (i := claim()) is not None:
+            indices.append(i)
+            time.sleep(0.001)
+        return indices
+
+    def run(claim, take):
+        time.sleep(0.01)
+        return tail(claim), take()
+
+    for _ in range(5):
+        with readers.share_out({"shared": readers.Shared(run, tail, 40)}) as inputs:
+            mine, theirs = inputs.get("shared")
+        # The process's from the front, the reader's from the back.
+        assert mine + theirs[::-1] == list(range(40))
+
+
+@pytest.mark.parametrize("n_cpus, tail", [(1, _claimed), (8, None)], ids=["one-cpu", "no-tail"])
+def test_a_shared_job_without_a_reader_runs_whole(monkeypatch, n_cpus, tail) -> None:
     _cpus(monkeypatch, n_cpus)
 
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    with readers.share_out({"kept": readers.Kept(lambda take: take, tail)}) as inputs:
-        assert inputs.get("kept") is None
+    shared = readers.Shared(lambda claim, take: (claim, take), tail, 3)
+    with readers.share_out({"shared": shared}) as inputs:
+        assert inputs.get("shared") == (None, None)
+
+
+def test_a_shared_side_the_reader_cannot_write_is_read_in_process(monkeypatch, tmp_path) -> None:
+    _cpus(monkeypatch, 2)
+    done = tmp_path / "claimed"
+
+    def tail(claim):
+        indices = _claimed(claim)
+        done.touch()
+        return os.getpid(), indices
+
+    def run(claim, take):
+        _wait_for(done)
+        return _claimed(claim), take()
+
+    def no_room(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pickle, "dump", no_room)  # the reader inherits the patch
+    with readers.share_out({"shared": readers.Shared(run, tail, 4)}) as inputs:
+        # The reader's parts are read again here, from the back.
+        assert inputs.get("shared") == ([], (os.getpid(), [3, 2, 1, 0]))
