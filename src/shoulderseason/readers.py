@@ -1,39 +1,40 @@
-"""The parsers of the inputs, and their parsing on two CPUs.
+"""The parsers of the inputs, and their reading on two CPUs.
 
 PARSERS holds the parser of each CSV input by its config key, and
-`input_jobs(cfg, keys)` gives a job reading each that is set. The
-temperature grid's job is Shared: a grid CSV is cut into parts of about
-2 MiB (`thermal.grid_cuts`), which the process and the forked reader
-share. Each claims the next part no one has claimed, the reader from the
-back from the time it reaches the job, the process from the front when
-the thermal stage asks for the grid, until none is left; the process
-then joins the parts (`thermal.load_temperature_grid`). So the one given
-more CPU reads more parts, and a reader slowed by other work on the host
-costs the process at most the part it is reading, not half the file. A
-raster is not cut: it opens lazily, so there is no parse to share.
+`input_jobs(cfg, keys)` gives a job reading each that is set. A grid CSV's
+job has a part per about 2 MiB of the file (`thermal.grid_cuts`); every
+other input's, a raster's included, has one part.
 
-`share_out(jobs)` deals the other jobs, in the order they will be asked
-for, round-robin over two readers where the process may use two CPUs or
-more: the calling process, which runs each of its jobs when it is asked
-for, and a forked child, which also runs its side of each Shared job at
-that job's place in the order. The child runs its jobs in turn, writes
-each result, or the exception it raised, to an unlinked temporary file,
-then writes one byte to its pipe, and exits when all are done. A result
-it cannot write (no room in the temporary directory, or nothing pickle
-can store) it marks with another byte, and that job runs in process when
-it is asked for. `Readers.get` waits on the pipe only for the job asked
-for, then loads its result in the calling thread, or raises its
-exception there. So a result arrives no earlier than it is asked for,
-and an error comes when, and as, it would in process. Only the two-CPU
-deal was measured, so a host with more CPUs forks one child too.
+`share_out(jobs)`, given the jobs in the order they will be asked for,
+shares their parts between the calling process and a forked reader where
+the process may use two CPUs or more: each claims the next part no one
+has claimed. The reader goes through the jobs in order, claiming each
+one's parts from the back; the process claims a job's parts from the
+front when it is asked for, and joins to them what the reader read of it.
+The process holds the first part of the first job from the start, so the
+reader never takes all of the job asked for first, and a lone job of
+several parts is still shared. So the process never waits for a job the
+reader has not begun, and a reader slowed by other work on the host costs
+it at most the part the reader is reading. Only two CPUs were measured,
+so a host with more CPUs forks one reader too.
+
+The reader writes what it read of each job, or the exception it raised,
+to an unlinked temporary file, then one byte to its pipe, and exits when
+all are done. A result it cannot write (no room in the temporary
+directory, or nothing pickle can store) it marks with another byte, and
+the process reads those parts again. `Readers.get` waits on the pipe only
+for a job of which the reader claimed a part, then loads its result in
+the calling thread, or raises its exception there. So a result arrives no
+earlier than it is asked for, and an error comes when, and as, it would
+in process.
 
 Threads would not help: `np.loadtxt` holds the GIL. Readers are forked,
 not spawned: a spawned process would import numpy again on every run.
 Run from the command line, the process's only other threads are
 numpy's BLAS pool, and no parser calls BLAS. With one CPU, or where the
-platform cannot fork, every job runs in process, a Shared job whole,
-and nothing is forked. On leaving the block, a child still running is
-killed, and it is reaped.
+platform cannot fork, every job is read whole in process, and nothing is
+forked. On leaving the block, a reader still running is killed, and it
+is reaped.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import ingest, projection, thermal
 from .config import RunConfig
-
-Job = Callable[[], object]
 
 # The byte a reader writes to its pipe per job: its outcome is in its file, or is not.
 WRITTEN, UNWRITTEN = b".", b"-"
@@ -73,53 +72,66 @@ def parse_input(path: Path, key: str) -> object:
 
 
 Claim = Callable[[], int | None]  # the index of the next part claimed, or None: none is left
+Take = Callable[[], object]
 
 
-class Shared(NamedTuple):
-    """A job of `parts` parts, which the process and the forked reader share.
+class Job(NamedTuple):
+    """An input read in `parts` parts, which the process and the forked reader share.
 
     run(claim, take) runs in process when the job is asked for: it reads
     each part that claim() gives, from the front, then take() hands out
     tail(claim) as the reader ran it, on the parts it claimed from the
-    back. With no reader, or no tail, run(None, None) reads the job whole.
+    back, or None if it claimed none. With no reader, run(None, None)
+    reads the job whole.
     """
 
-    run: Callable[[Claim | None, Job | None], object]
-    tail: Callable[[Claim], object] | None
+    run: Callable[[Claim | None, Take | None], object]
+    tail: Callable[[Claim], object]
     parts: int
 
 
-class _Claims:
-    """The parts of a Shared job, one byte each in a pipe whose write end is
-    closed: a read of a byte claims a part, and a read at the end finds none
-    left. Each process counts its own claims, the calling process numbering
-    them from the front and the forked reader from the back."""
+def _read_whole(read: Take, claim: Claim | None, take: Take | None) -> object:
+    """read(), without claim or where claim() gives the part; else take()."""
+    return take() if claim is not None and claim() is None else read()
 
-    def __init__(self, parts: int) -> None:
-        self.parts, self.taken = parts, 0
+
+def whole(read: Take) -> Job:
+    """A job of one part, read() in whichever process claims it."""
+    return Job(partial(_read_whole, read), partial(_read_whole, read, take=lambda: None), 1)
+
+
+class _Claims:
+    """The parts of a job, one byte each in a pipe whose write end is
+    closed, but for the parts the process holds from the start: a read of
+    a byte claims a part, and a read at the end finds none left. Each
+    process counts its own claims, the calling process numbering them from
+    the front, its held parts first, and the forked reader from the back."""
+
+    def __init__(self, parts: int, held: int) -> None:
+        self.parts, self.held, self.taken = parts, held, 0
         self.fd, write_fd = os.pipe()
         try:
-            os.write(write_fd, b"." * parts)  # fewer bytes than a pipe holds
+            os.write(write_fd, b"." * (parts - held))  # fewer bytes than a pipe holds
         finally:
             os.close(write_fd)
 
-    def _claim(self) -> bool:
-        got = bool(os.read(self.fd, 1))
+    def _claim(self, held: int) -> bool:
+        got = self.taken < held or bool(os.read(self.fd, 1))
         self.taken += got
         return got
 
     def front(self) -> int | None:
-        return self.taken - 1 if self._claim() else None
+        return self.taken - 1 if self._claim(self.held) else None
 
     def back(self) -> int | None:
-        return self.parts - self.taken if self._claim() else None
+        return self.parts - self.taken if self._claim(0) else None
 
     def rest(self) -> Claim:
-        """The other side's claims, from the back, once none is left here."""
+        """The reader's claims, from the back, once none is left here."""
         return partial(next, iter(range(self.parts - 1, self.taken - 1, -1)), None)
 
 
-def _read_grid(path: Path, cuts: list[int] | None, claim: Claim | None, take: Job | None) -> object:
+def _read_grid(path: Path, cuts: list[int], claim: Claim | None, take: Take | None) -> object:
     """The temperature grid at path: the parts claim() gives, read here into
     one table, joined to the table take() gives; read whole without claim."""
     if claim is None:
@@ -143,12 +155,10 @@ def _read_grid_tail(path: Path, cuts: list[int], claim: Claim) -> object:
     return thermal.join_grid_parts(*parts[::-1]) if parts else None
 
 
-def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job | Shared]:
-    """A job reading the input of each of these config keys that is set, in their order.
-
-    The temperature grid's job is Shared: a grid CSV that `thermal.grid_cuts`
-    cuts has a part per cut; a raster has no tail.
-    """
+def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job]:
+    """A job reading the input of each of these config keys that is set, in
+    their order: a part per cut of a grid CSV that `thermal.grid_cuts` cuts,
+    one part of any other input."""
     paths = {
         "load_csv": cfg.load_csv,
         "fuel_mix_csv": cfg.fuel_mix_csv,
@@ -158,17 +168,17 @@ def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job | Shared]:
         "ensemble_csv": cfg.ensemble_csv,
         "outage_csv": cfg.outage_csv,
     }
-    jobs: dict[str, Job | Shared] = {}
+    jobs: dict[str, Job] = {}
     for key in keys:
         if (path := paths.get(key)) is None:
             continue
         if key != "temperature_grid":
-            jobs[key] = partial(parse_input, path, key)
-            continue
-        cuts = thermal.grid_cuts(path)
-        tail = None if cuts is None else partial(_read_grid_tail, path, cuts)
-        parts = 0 if cuts is None else len(cuts) - 1
-        jobs[key] = Shared(partial(_read_grid, path, cuts), tail, parts)
+            jobs[key] = whole(partial(parse_input, path, key))
+        elif (cuts := thermal.grid_cuts(path)) is None:
+            jobs[key] = whole(partial(thermal.load_temperature_grid, path))
+        else:
+            read, tail = partial(_read_grid, path, cuts), partial(_read_grid_tail, path, cuts)
+            jobs[key] = Job(read, tail, len(cuts) - 1)
     return jobs
 
 
@@ -181,7 +191,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(jobs: Mapping[str, Job], files: Mapping[str, IO[bytes]], signal_fd: int) -> None:
+def _serve(jobs: Mapping[str, Take], files: Mapping[str, IO[bytes]], signal_fd: int) -> None:
     """A forked reader's life: each job's outcome to its file, then a byte; never returns."""
     code = 1
     try:
@@ -203,11 +213,10 @@ def _serve(jobs: Mapping[str, Job], files: Mapping[str, IO[bytes]], signal_fd: i
 
 
 class _Child:
-    """A forked reader: its jobs' files in order, and the read end of its pipe."""
+    """A forked reader: its jobs' files, and the read end of its pipe."""
 
     def __init__(self, pid: int, fd: int, files: dict[str, IO[bytes]]) -> None:
         self.pid, self.fd, self.files = pid, fd, files
-        self.keys = list(files)
         self.marks = b""  # the bytes read so far, one per job in order
         self.exit_code: int | None = None  # set once reaped
 
@@ -229,7 +238,7 @@ class _Child:
 class Readers:
     """The readers of one share-out; `get(key)` hands out each job's result."""
 
-    def __init__(self, jobs: Mapping[str, Job | Shared]) -> None:
+    def __init__(self, jobs: Mapping[str, Job]) -> None:
         self._jobs = jobs
         self._child: _Child | None = None
         self._claims: dict[str, _Claims] = {}
@@ -238,19 +247,15 @@ class Readers:
         return key in self._jobs
 
     def _fork(self) -> None:
-        """Start a child that runs every other job that is not Shared, and its
-        side of each Shared job with a tail; OSError if none can be started."""
-        dealt = [key for key, job in self._jobs.items() if not isinstance(job, Shared)][1::2]
-        for key, job in self._jobs.items():
-            if isinstance(job, Shared) and job.tail is not None:
-                self._claims[key] = _Claims(job.parts)
-        jobs = {
-            key: partial(job.tail, self._claims[key].back) if key in self._claims else job
-            for key, job in self._jobs.items()
-            if key in dealt or key in self._claims
-        }
-        if not jobs:
+        """Start a child that claims each job's parts from the back, in turn,
+        but the first part of the first job, which the process holds; none
+        if that leaves no part. OSError if none can be started."""
+        if sum(job.parts for job in self._jobs.values()) < 2:
             return
+        first = next(iter(self._jobs))
+        for key, job in self._jobs.items():
+            self._claims[key] = _Claims(job.parts, held=int(key == first))
+        jobs = {key: partial(job.tail, self._claims[key].back) for key, job in self._jobs.items()}
         files = {key: tempfile.TemporaryFile() for key in jobs}
         read_fd, write_fd = os.pipe()
         try:
@@ -268,45 +273,39 @@ class Readers:
         self._child = _Child(pid, read_fd, files)
 
     def get(self, key: str) -> object:
-        """The job's result, or its exception raised. A forked job's result is
-        handed out once; asked for again, the job runs in process. A Shared
-        job runs in process, and takes the child's side from the child, or,
-        if the child claimed no part, runs it in process without waiting."""
+        """The job's result, or its exception raised: the parts claimed here,
+        joined to what the reader read, waited for only if it claimed a part.
+        Asked for again, or with no child, the job is read whole here."""
         job, child = self._jobs[key], self._child
-        forked = child is not None and key in child.files
-        if not isinstance(job, Shared):
-            return self._take(key, job) if forked else job()
-        if not forked:
+        file = None if child is None else child.files.pop(key, None)
+        if file is None:
             return job.run(None, None)
         claims = self._claims[key]
+        with file:
+            return job.run(claims.front, partial(self._take, key, file))
 
-        def take() -> object:
-            rest = partial(job.tail, claims.rest())  # the child's side, run in process
-            if claims.taken < claims.parts:
-                return self._take(key, rest)
-            child.files.pop(key).close()
-            return rest()
-
-        return job.run(claims.front, take)
-
-    def _take(self, key: str, job: Job) -> object:
-        """The outcome of the child's job of this key: its result, or its
-        exception raised; job() where the child could not write it."""
+    def _take(self, key: str, file: IO[bytes]) -> object:
+        """The child's side of the job of this key, once none is left here:
+        None if it claimed no part, without a wait; else its outcome, in its
+        file: its result, or its exception raised; or, where the child could
+        not write it, tail() on the child's parts, run here."""
+        claims = self._claims[key]
+        if claims.taken == claims.parts:
+            return None
         child = self._child
-        index = child.keys.index(key)
-        with child.files.pop(key) as file:
-            while len(child.marks) <= index:
-                signals = os.read(child.fd, 64)
-                if not signals:
-                    raise ChildProcessError(
-                        f"{key}: its reader process exited without a result "
-                        f"(exit code {child.reap()})"
-                    )
-                child.marks += signals
-            if child.marks[index : index + 1] == UNWRITTEN:
-                return job()
-            file.seek(0)
-            ok, value = pickle.load(file)
+        index = list(self._jobs).index(key)
+        while len(child.marks) <= index:
+            signals = os.read(child.fd, 64)
+            if not signals:
+                raise ChildProcessError(
+                    f"{key}: its reader process exited without a result "
+                    f"(exit code {child.reap()})"
+                )
+            child.marks += signals
+        if child.marks[index : index + 1] == UNWRITTEN:
+            return self._jobs[key].tail(claims.rest())
+        file.seek(0)
+        ok, value = pickle.load(file)
         if not ok:
             raise value
         return value
@@ -322,7 +321,7 @@ class Readers:
 
 
 @contextlib.contextmanager
-def share_out(jobs: Mapping[str, Job | Shared]) -> Iterator[Readers]:
+def share_out(jobs: Mapping[str, Job]) -> Iterator[Readers]:
     """Readers for the jobs, given in the order they will be asked for."""
     readers = Readers(jobs)
     try:

@@ -579,14 +579,19 @@ def load_temperature_grid(
     parts in file order, each read by `read_grid_part` here or elsewhere,
     or joined by `join_grid_parts`, and they are joined here. If a part or
     the join raises ValueError or OSError, the whole file is read here,
-    which raises the error, with the line number, that a whole read gives.
+    which raises the error, with the line number, that a whole read gives;
+    a ChildProcessError, which names a reader that died, is raised as it is.
     """
     path = Path(path)
     if path.suffix == ".npy":
         return load_grid_raster(path)
     if parts is not None:
-        with suppress(ValueError, OSError):
+        try:
             return join_grid_parts(*parts()).grid()
+        except ChildProcessError:
+            raise
+        except (ValueError, OSError):
+            pass
     with open(path, encoding="utf-8") as fh:
         return read_grid_csv(fh)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,34 @@ def no_child_process_left():
         return  # no child at all
     state = "still running" if pid == 0 else f"pid {pid}, exited but not reaped"
     pytest.fail(f"the test left a child process behind ({state})")
+
+
+@pytest.fixture
+def fake_cpus(monkeypatch):
+    """fake_cpus(n) makes the host look like n CPUs to the readers, and
+    returns a list that grows by one per fork."""
+
+    def fake(n: int) -> list[int]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks: list[int] = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    return fake
+
+
+@pytest.fixture
+def wait_for():
+    """wait_for(path) waits until path exists, ten seconds at most: a reader
+    touches a file to say how far it got."""
+
+    def wait(path: Path) -> None:
+        deadline = time.perf_counter() + 10.0
+        while not path.exists() and time.perf_counter() < deadline:
+            time.sleep(0.005)
+
+    return wait
 
 
 @pytest.fixture(scope="session")

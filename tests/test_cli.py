@@ -42,15 +42,6 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
-def _fake_cpus(monkeypatch, n: int) -> list[int]:
-    """Make the host look like n CPUs; the returned list grows by one per fork."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    forks: list[int] = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
 def _config_variant(fixture_dir: Path, path: Path, **overrides: str | None) -> Path:
     """Write the fixture config to path with keys replaced or added; None drops a key."""
     lines = []
@@ -327,7 +318,9 @@ class TestPipeline:
         assert max(days_read) <= thermal._BLOCK_DAYS
         assert sum(days_read) == 3 * len(grid.times)
 
-    def test_all_parses_each_input_once(self, fixture_dir, tmp_path, monkeypatch) -> None:
+    def test_all_parses_each_input_once(
+        self, fixture_dir, tmp_path, monkeypatch, fake_cpus
+    ) -> None:
         # Each call appends its name to a file, so a parse in a forked reader counts too.
         log = tmp_path / "calls.txt"
         for module, name in (
@@ -372,10 +365,10 @@ class TestPipeline:
             "read_population_csv",
             "parse_ensemble_csv",
         )
-        # With two CPUs the grid is read in two parts, the tail in the forked
-        # reader; with one it is read whole, and nothing forks.
+        # With two CPUs each of the grid's two parts is read once, by the
+        # process or the forked reader; with one it is read whole, and nothing forks.
         for n_cpus, grid_reads in ((2, ("grid_head", "grid_tail")), (1, ("read_grid_csv",))):
-            forks = _fake_cpus(monkeypatch, n_cpus)
+            forks = fake_cpus(n_cpus)
             assert main(["all", "--config", conf, "--out", out]) == 0
             assert calls() == dict.fromkeys(csv_parsers + grid_reads, 1)
             assert len(forks) == n_cpus - 1
@@ -1032,9 +1025,9 @@ class TestForkedReaders:
 
     @pytest.mark.parametrize("bad", list(BAD_LINE_ERRORS), ids="+".join)
     def test_bad_line_gives_the_in_process_error(
-        self, fixture_dir, tmp_path, monkeypatch, capsys, bad
+        self, fixture_dir, tmp_path, fake_cpus, capsys, bad
     ) -> None:
-        forks = _fake_cpus(monkeypatch, 2)
+        forks = fake_cpus(2)
         cfg = load_config(fixture_dir / "fixture.conf")
         copies = {}
         for key in bad:
@@ -1050,9 +1043,9 @@ class TestForkedReaders:
 
     @pytest.mark.parametrize("case", SPLIT_GRIDS)
     def test_split_grid_gives_the_whole_read_outcome(
-        self, fixture_dir, full_run, tmp_path, monkeypatch, capsys, case
+        self, fixture_dir, full_run, tmp_path, fake_cpus, capsys, case
     ) -> None:
-        forks = _fake_cpus(monkeypatch, 2)
+        forks = fake_cpus(2)
         rewrite, error = SPLIT_GRIDS[case]
         text = (fixture_dir / "fixture_temperature.csv").read_text(encoding="utf-8")
         grid = tmp_path / "grid.csv"
@@ -1067,9 +1060,9 @@ class TestForkedReaders:
 
     @pytest.mark.parametrize("n_cpus, n_forks", [(1, 0), (3, 1)])
     def test_tree_does_not_depend_on_the_cpus(
-        self, fixture_dir, full_run, tmp_path, monkeypatch, n_cpus, n_forks
+        self, fixture_dir, full_run, tmp_path, fake_cpus, n_cpus, n_forks
     ) -> None:
-        forks = _fake_cpus(monkeypatch, n_cpus)
+        forks = fake_cpus(n_cpus)
         cfg = load_config(fixture_dir / "fixture.conf")
         cfg.out_dir = tmp_path
         run_pipeline(cfg, _stages_for_all(cfg))
@@ -1077,23 +1070,52 @@ class TestForkedReaders:
         assert _tree_bytes(tmp_path) == _tree_bytes(full_run)
 
     def test_reader_that_exits_without_a_result_is_named(
-        self, fixture_dir, tmp_path, monkeypatch, capsys
+        self, fixture_dir, tmp_path, monkeypatch, fake_cpus, wait_for, capsys
     ) -> None:
-        # Of the six inputs in order of use, two readers take the outage feed
-        # (the sixth) in the forked one.
-        _fake_cpus(monkeypatch, 2)
-        parent = os.getpid()
+        # The outage feed, the last input used, is claimed by the forked
+        # reader, which the project stage waits for.
+        fake_cpus(2)
+        parent, claimed = os.getpid(), tmp_path / "claimed"
 
         def dies(fh):
             if os.getpid() == parent:
                 raise AssertionError("the outage feed was parsed in process")
+            claimed.touch()
             os._exit(3)
 
+        def project(cfg, tables, _run=STAGES["project"].run):
+            wait_for(claimed)
+            return _run(cfg, tables)
+
         monkeypatch.setattr(ingest, "parse_outages", dies)
+        monkeypatch.setitem(STAGES, "project", STAGES["project"]._replace(run=project))
         conf = str(fixture_dir / "fixture.conf")
-        assert main(["all", "--config", conf, "--out", str(tmp_path)]) == 1
+        assert main(["all", "--config", conf, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             "error: outage_csv: its reader process exited without a result (exit code 3)\n"
+        )
+
+    def test_reader_that_exits_holding_grid_parts_is_named(
+        self, fixture_dir, tmp_path, monkeypatch, fake_cpus, wait_for, capsys
+    ) -> None:
+        # Run alone, thermal uses the grid first: the process holds its first
+        # part, and the forked reader claims the second.
+        fake_cpus(2)
+        parent, claimed = os.getpid(), tmp_path / "claimed"
+
+        def read_grid_part(path, start, *args, _read=thermal.read_grid_part):
+            if os.getpid() != parent:
+                claimed.touch()
+                os._exit(3)
+            wait_for(claimed)
+            return _read(path, start, *args)
+
+        monkeypatch.setattr(thermal, "read_grid_part", read_grid_part)
+        conf, out = str(fixture_dir / "fixture.conf"), str(tmp_path / "out")
+        assert main(["ingest", "--config", conf, "--out", out]) == 0
+        assert main(["thermal", "--config", conf, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: temperature_grid: its reader process exited without a result (exit code 3)\n"
         )
 
 
