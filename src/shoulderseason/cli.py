@@ -594,7 +594,11 @@ def _format(key: str, value: object) -> str:
     if isinstance(value, (ingest.DailySeries, ingest.DailyLoad)):
         return value.format(header)
     if header == SHOULDER_HEADER:  # each window with its onset's day of year after the onset
-        value = ((*row[:4], trends.day_of_year(row[3]), *row[4:]) for row in map(astuple, value))
+        value = (
+            (w.year, w.season, w.metric, w.onset, trends.day_of_year(w.onset))
+            + (w.window_mean, w.days_used)
+            for w in value
+        )
     return format_table(header, value.items() if isinstance(value, dict) else value)
 
 

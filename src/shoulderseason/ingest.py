@@ -10,16 +10,23 @@ arrays of equal length) by `read_csv_chunks`, which parses many lines per
 columns at once. A chunk that this fast path turns down is read row by
 row, with the same result. The fuel-mix samples are folded into hourly
 means as each chunk is read, so no table of the samples is built.
+A file may be read in the parts that `cuts` makes, each a `Part`, and a
+feed's join makes its parts' tables into the one a whole read gives.
 """
 
 from __future__ import annotations
 
-import math
 import dataclasses
+import io
+import math
+import os
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from itertools import islice
-from typing import IO, Callable, Iterable, Mapping, TypeVar
+from itertools import chain, islice
+from pathlib import Path
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -204,9 +211,75 @@ class DailyLoad(_DayTable):
 
 T = TypeVar("T")
 
+# The bytes of a part of a CSV input (see cuts): the process and the forked
+# reader each claim the next part as they finish one, so the one given more CPU
+# reads more, and neither waits long on the other's last part.
+PART_BYTES = 1 << 21
+MAX_PARTS = 256
+
+# The bytes a part is read in at a time, each block then decoded as open()
+# decodes a file; a Python stream over the part would run a call per 8 KiB read.
+BLOCK_BYTES = 1 << 20
+
+
+def cuts(path: Path | str) -> list[int] | None:
+    """Where the parts of a CSV file start, then its size. The file is cut
+    into about one part per PART_BYTES, two at least and MAX_PARTS at most,
+    each cut just past the first line feed at or after its share of the
+    bytes (or after the part before it). None for a `.npy` raster, a file
+    that gives fewer than two parts (a tiny, header-only or CR-only file),
+    or one that cannot be read, whose error a whole read gives."""
+    path = Path(path)
+    if path.suffix == ".npy":
+        return None
+    cuts = [0]
+    with suppress(OSError), open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        n = min(max(2, -(-size // PART_BYTES)), MAX_PARTS)
+        for k in range(1, n):
+            fh.seek(max(size * k // n, cuts[-1]))
+            while (block := fh.read(1 << 16)) and (at := block.find(b"\n")) < 0:
+                pass
+            cut = fh.tell() - len(block) + at + 1 if block else size
+            if cut >= size:
+                break
+            cuts.append(cut)
+        return cuts + [size] if len(cuts) > 1 else None
+    return None
+
+
+class Part(NamedTuple):
+    """A source for read_csv_chunks: the bytes of a CSV file from start to
+    stop (its end if None), read as if the file's header came before them.
+    start and stop each follow a line feed, or are an end of the file."""
+
+    path: Path | str
+    start: int = 0
+    stop: int | None = None
+
+    def lines(self) -> Iterator[str]:
+        """The part's lines, each block decoded as open() decodes the file."""
+        return chain.from_iterable(io.TextIOWrapper(io.BytesIO(b), "utf-8") for b in self._blocks())
+
+    def _blocks(self) -> Iterator[bytes]:
+        """The part's bytes in blocks of about BLOCK_BYTES, each completed to
+        the line feed after it, so no line break or character straddles two
+        blocks. A block holding a NUL is a ValueError: a whole read names its
+        line."""
+        with open(self.path, "rb") as fh:
+            fh.seek(self.start)
+            left = sys.maxsize if self.stop is None else self.stop - self.start
+            while left > 0 and (block := fh.read(min(left, BLOCK_BYTES))):
+                if len(block) < left:
+                    block += fh.readline(left - len(block))
+                left -= len(block)
+                if b"\0" in block:
+                    raise ValueError("NUL in a part")
+                yield block
+
 
 def read_csv_chunks(
-    source: IO[str] | Iterable[str],
+    source: IO[str] | Iterable[str] | Part,
     header: str,
     dtype: np.dtype,
     convert: Callable[[np.ndarray], T],
@@ -224,20 +297,23 @@ def read_csv_chunks(
     the error of the first offending row. If no row is bad, the chunk's
     result is `from_rows` of the values check_row returned, one per row.
     A chunk holding a NUL is rescanned when `dtype` has a bytes field,
-    since loadtxt drops the trailing NULs of such a field. `convert` and
-    `check_row` see the chunks in file order, so state they share (such
-    as the last timestamp read) carries across chunk boundaries.
+    since loadtxt drops the trailing NULs of such a field; a Part holds
+    none. `convert` and `check_row` see the chunks in file order, so
+    state they share (such as the last timestamp read) carries across
+    chunk boundaries. A Part past the file's start numbers its lines as
+    if the header were line 1.
     """
-    lines = iter(source)
-    lineno = read_header(lines, header)
-    has_bytes = any(dtype[name].kind == "S" for name in dtype.names)
+    part = isinstance(source, Part)
+    lines = source.lines() if part else iter(source)
+    lineno = 1 if part and source.start else read_header(lines, header)
+    probe_nul = not part and any(dtype[name].kind == "S" for name in dtype.names)
     results = []
     while chunk := list(islice(lines, CSV_CHUNK_LINES)):
         first_lineno, lineno = lineno + 1, lineno + len(chunk)
         if not any(raw.rstrip("\r\n") for raw in chunk):
             continue  # loadtxt warns on input with no rows
         try:
-            if has_bytes and "\x00" in "".join(chunk):
+            if probe_nul and "\x00" in "".join(chunk):
                 raise ValueError("NUL in a bytes field")
             # No name holds loadtxt's rows, so they go once converted.
             results.append(
@@ -473,20 +549,27 @@ def _read_timed_feed(
     The table is built from the columns, or, given `by_hour`, from what
     `by_hour` returns for the columns of whole hours. Then each chunk's
     rows are folded as they are read, up to its last hour, whose rows
-    wait for the next chunk: it may hold more of that hour.
+    wait for the next chunk: it may hold more of that hour. The table
+    then also gets the rows of the first hour and of the last (the same
+    if there is one), so that an hour across a seam of parts can be
+    folded again.
     """
     last: datetime | None = None  # time of the last row accepted so far
     # The columns of a file without rows, and the dtypes of every chunk's.
     empty = convert(np.empty(0, dtype))
     carry = empty  # with by_hour: the rows of the last hour read so far
+    first = None  # with by_hour: the rows of the first hour, once a later one is read
 
     def fold(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        nonlocal carry
+        nonlocal carry, first
         if by_hour is None:
             return columns
         columns = [np.concatenate(pair) for pair in zip(carry, columns)]
         hours = columns[0].astype("datetime64[h]")
         whole = np.searchsorted(hours, hours[-1])  # the rows before the last hour
+        if first is None and whole:
+            n = np.searchsorted(hours, hours[0], "right")
+            first = [column[:n].copy() for column in columns]
         carry = [column[whole:].copy() for column in columns]
         return by_hour(*(column[:whole] for column in columns))
 
@@ -523,10 +606,11 @@ def _read_timed_feed(
     for column in parts:
         columns.append(np.concatenate(column))
         column.clear()
-    return table(*columns)
+    edges = () if by_hour is None else (carry if first is None else first, carry)
+    return table(*columns, *edges)
 
 
-def parse_hourly_load(source: IO[str] | Iterable[str]) -> HourlyLoad:
+def parse_hourly_load(source: IO[str] | Iterable[str] | Part) -> HourlyLoad:
     """Parse a `date,hour,load_mw` stream into hourly load columns.
 
     Timestamps must be strictly increasing; loads must be finite and
@@ -586,23 +670,74 @@ def _read_columns(
     return _read_timed_feed(table, source, header, dtype, convert, check_row, by_hour)
 
 
-def parse_fuel_mix(source: IO[str] | Iterable[str]) -> FuelMix:
+class MixPart(NamedTuple):
+    """A fuel-mix stream's hours and their means, and the samples (columns,
+    times first) of its first hour and of its last, the same if it has one."""
+
+    hours: np.ndarray
+    non_thermal_mw: np.ndarray
+    first: list[np.ndarray]
+    last: list[np.ndarray]
+
+
+def read_fuel_mix_part(source: IO[str] | Iterable[str] | Part) -> MixPart:
+    """A fuel-mix stream, such as a part of a file, for `join_fuel_mix`."""
+    kinds = (_QUARTER, _MW, _MW, _MW, _MW)
+    return _read_columns(MixPart, source, FUEL_MIX_HEADER, *kinds, by_hour=_hourly_means)
+
+
+def join_fuel_mix(*parts: MixPart) -> FuelMix:
+    """The fuel mix of a file from the reads of its parts, in file order.
+
+    An hour on both sides of a seam is folded from its samples on each
+    side, in quarter order, as a whole read folds it. A time that does not
+    increase across a seam is a ValueError, with no line number.
+    """
+    parts = [part for part in parts if len(part.hours)] or parts[:1]
+    hours, means, last = [parts[0].hours], [parts[0].non_thermal_mw], parts[0].last
+    for part in parts[1:]:
+        if last[0][-1] >= part.first[0][0]:
+            raise ValueError("timestamps not increasing across a seam")
+        part_hours, part_means = part.hours, part.non_thermal_mw
+        if last[0][-1].astype("datetime64[h]") == part_hours[0]:  # an hour across the seam
+            samples = [np.concatenate(pair) for pair in zip(last, part.first)]
+            hour, mean = _hourly_means(*samples)
+            hours[-1], means[-1] = hours[-1][:-1], means[-1][:-1]
+            part_hours, part_means = np.r_[hour, part_hours[1:]], np.r_[mean, part_means[1:]]
+            last = samples if len(part.hours) == 1 else part.last
+        else:
+            last = part.last
+        hours.append(part_hours)
+        means.append(part_means)
+    return FuelMix(np.concatenate(hours), np.concatenate(means))
+
+
+def parse_fuel_mix(source: IO[str] | Iterable[str] | Part) -> FuelMix:
     """Parse a fuel-mix stream (15-minute ISO timestamps, MW per source)
     into the mean non-thermal output of each hour with samples.
 
     The samples are folded into hourly means a chunk at a time, so memory
     follows the hours, not the samples.
     """
-    kinds = (_QUARTER, _MW, _MW, _MW, _MW)
-    return _read_columns(FuelMix, source, FUEL_MIX_HEADER, *kinds, by_hour=_hourly_means)
+    return join_fuel_mix(read_fuel_mix_part(source))
 
 
-def parse_outages(source: IO[str] | Iterable[str]) -> Outages:
+def parse_outages(source: IO[str] | Iterable[str] | Part) -> Outages:
     """Parse a generation-outage stream at 15-minute resolution.
 
     An empty telemetered_output_mw field reads as NaN.
     """
     return _read_columns(Outages, source, OUTAGE_HEADER, _QUARTER, _MW, _OPTIONAL_MW)
+
+
+def join_tables(*tables: T) -> T:
+    """The load or outage table of a file from the reads of its parts, in
+    file order; ValueError, with no line number, where times do not increase."""
+    names = [f.name for f in dataclasses.fields(tables[0])]
+    times = [getattr(table, names[0]) for table in tables if len(table)]
+    if any(a[-1] >= b[0] for a, b in zip(times, times[1:])):
+        raise ValueError("timestamps not increasing across a seam")
+    return type(tables[0])(*(np.concatenate([getattr(t, name) for t in tables]) for name in names))
 
 
 def runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
 """The parsers of the inputs, and their reading on two CPUs.
 
-PARSERS holds the parser of each CSV input by its config key, and
-`input_jobs(cfg, keys)` gives a job reading each that is set. A grid CSV's
-job has a part per about 2 MiB of the file (`thermal.grid_cuts`); every
-other input's, a raster's included, has one part.
+PARSERS holds how the input of each config key is read, and
+`input_jobs(cfg, keys)` gives a job reading each that is set. The job of
+the load, fuel-mix or outage feed, or of a grid CSV, has a part per about
+2 MiB of the file (`ingest.cuts`), and joins the rows of its parts as a
+whole read gives them; every other input's, a raster's or a tiny file's
+included, has one part.
 
 `share_out(jobs)`, given the jobs in the order they will be asked for,
 shares their parts between the calling process and a forked reader where
@@ -54,21 +56,45 @@ from .config import RunConfig
 # The byte a reader writes to its pipe per job: its outcome is in its file, or is not.
 WRITTEN, UNWRITTEN = b".", b"-"
 
+
+class Parser(NamedTuple):
+    """How the input of a config key is read: parse(fh) reads its text
+    stream. Given join, it may be read in parts (see `ingest.cuts`): part(p),
+    parse if not given, reads the rows of an `ingest.Part` p of it, and
+    join(*rows) makes its table of the rows of all its parts, in file order."""
+
+    parse: Callable[[IO[str]], object]
+    join: Callable[..., object] | None = None
+    part: Callable[[ingest.Part], object] | None = None
+
+
 # Each looks its parser up when called, so a patched parser (a spy, a tracer) is the one run.
-PARSERS: dict[str, Callable[[IO[str]], object]] = {
-    "load_csv": lambda fh: ingest.parse_hourly_load(fh),
-    "fuel_mix_csv": lambda fh: ingest.parse_fuel_mix(fh),
-    "mask_csv": lambda fh: thermal.read_mask_csv(fh),
-    "population_csv": lambda fh: thermal.read_population_csv(fh),
-    "ensemble_csv": lambda fh: projection.parse_ensemble_csv(fh),
-    "outage_csv": lambda fh: ingest.parse_outages(fh),
+PARSERS: dict[str, Parser] = {
+    "load_csv": Parser(lambda source: ingest.parse_hourly_load(source), ingest.join_tables),
+    "fuel_mix_csv": Parser(
+        lambda fh: ingest.parse_fuel_mix(fh),
+        ingest.join_fuel_mix,
+        lambda part: ingest.read_fuel_mix_part(part),
+    ),
+    "temperature_grid": Parser(
+        lambda fh: thermal.read_grid_csv(fh),
+        lambda *rows: thermal.join_grid_parts(*rows).grid(),
+        lambda part: thermal.read_grid_part(*part),
+    ),
+    "mask_csv": Parser(lambda fh: thermal.read_mask_csv(fh)),
+    "population_csv": Parser(lambda fh: thermal.read_population_csv(fh)),
+    "ensemble_csv": Parser(lambda fh: projection.parse_ensemble_csv(fh)),
+    "outage_csv": Parser(lambda source: ingest.parse_outages(source), ingest.join_tables),
 }
 
 
 def parse_input(path: Path, key: str) -> object:
-    """The table of the CSV input at path, read by the parser of its config key."""
+    """The table of the input at path, read whole by the parser of its
+    config key, or, for a `.npy` raster grid, by `thermal.load_temperature_grid`."""
+    if Path(path).suffix == ".npy":
+        return thermal.load_temperature_grid(path)
     with open(path, encoding="utf-8") as fh:
-        return PARSERS[key](fh)
+        return PARSERS[key].parse(fh)
 
 
 Claim = Callable[[], int | None]  # the index of the next part claimed, or None: none is left
@@ -131,53 +157,43 @@ class _Claims:
         return partial(next, iter(range(self.parts - 1, self.taken - 1, -1)), None)
 
 
-def _read_grid(path: Path, cuts: list[int], claim: Claim | None, take: Take | None) -> object:
-    """The temperature grid at path: the parts claim() gives, read here into
-    one table, joined to the table take() gives; read whole without claim."""
-    if claim is None:
-        return thermal.load_temperature_grid(path)
+def _read_parts(key: str, path: Path, cuts: list[int], claim: Claim | None, take: Take | None):
+    """The table of the input of this key at path: the rows of the parts
+    claim() gives, read here, joined to the rows take() gives, those of the
+    parts the reader claimed from the back; read whole without claim. If a
+    part or the join raises ValueError or OSError, the input is read whole
+    here, which raises the error, with the line number, that a whole read
+    gives; a ChildProcessError, which names a reader that died, is raised as
+    it is."""
+    if claim is not None:
+        try:
+            rows = _read_claimed(key, path, cuts, claim)
+            return PARSERS[key].join(*rows, *reversed(take() or ()))
+        except ChildProcessError:
+            raise
+        except (ValueError, OSError):
+            pass
+    return parse_input(path, key)
 
-    def parts() -> list:
-        head = None
-        while (i := claim()) is not None:
-            head = thermal.read_grid_part(path, cuts[i], cuts[i + 1], head)
-        return [part for part in (head, take()) if part is not None]
 
-    return thermal.load_temperature_grid(path, parts)
-
-
-def _read_grid_tail(path: Path, cuts: list[int], claim: Claim) -> object:
-    """The rows of the parts of the grid CSV at path that claim() gives, from
-    the back, joined into one table; None if it gives none."""
-    parts = []
-    while (i := claim()) is not None:
-        parts.append(thermal.read_grid_part(path, cuts[i], cuts[i + 1]))
-    return thermal.join_grid_parts(*parts[::-1]) if parts else None
+def _read_claimed(key: str, path: Path, cuts: list[int], claim: Claim) -> list:
+    """The rows of the parts that claim() gives, read here, in that order."""
+    read = PARSERS[key].part or PARSERS[key].parse
+    return [read(ingest.Part(path, cuts[i], cuts[i + 1])) for i in iter(claim, None)]
 
 
 def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job]:
     """A job reading the input of each of these config keys that is set, in
-    their order: a part per cut of a grid CSV that `thermal.grid_cuts` cuts,
-    one part of any other input."""
-    paths = {
-        "load_csv": cfg.load_csv,
-        "fuel_mix_csv": cfg.fuel_mix_csv,
-        "temperature_grid": cfg.temperature_grid,
-        "mask_csv": cfg.mask_csv,
-        "population_csv": cfg.population_csv,
-        "ensemble_csv": cfg.ensemble_csv,
-        "outage_csv": cfg.outage_csv,
-    }
+    their order: a part per cut that `ingest.cuts` makes of an input with a
+    join, one part of any other."""
     jobs: dict[str, Job] = {}
     for key in keys:
-        if (path := paths.get(key)) is None:
+        if (path := getattr(cfg, key)) is None:
             continue
-        if key != "temperature_grid":
+        if PARSERS[key].join is None or (cuts := ingest.cuts(path)) is None:
             jobs[key] = whole(partial(parse_input, path, key))
-        elif (cuts := thermal.grid_cuts(path)) is None:
-            jobs[key] = whole(partial(thermal.load_temperature_grid, path))
         else:
-            read, tail = partial(_read_grid, path, cuts), partial(_read_grid_tail, path, cuts)
+            read, tail = (partial(f, key, path, cuts) for f in (_read_parts, _read_claimed))
             jobs[key] = Job(read, tail, len(cuts) - 1)
     return jobs
 

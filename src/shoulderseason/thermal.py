@@ -9,23 +9,20 @@ days, and spatial temperature variability.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import os
-import sys
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from datetime import date, datetime
-from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .ingest import (
     DailySeries,
+    Part,
     date_numbers,
     numbers_to_days,
     parse_loadtxt_float,
@@ -321,73 +318,14 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     return grid
 
 
-# The bytes of a part of a grid CSV (see grid_cuts): the process and the forked
-# reader each claim the next part as they finish one, so the one given more CPU
-# reads more, and neither waits long on the other's last part.
-GRID_PART_BYTES = 1 << 21
-GRID_MAX_PARTS = 256
-
-
-def grid_cuts(path: Path | str) -> list[int] | None:
-    """Where the parts of a grid CSV start, then its size. The file is cut
-    into about one part per GRID_PART_BYTES, two at least and GRID_MAX_PARTS
-    at most, each cut just past the first line feed at or after its share
-    of the bytes (or after the part before it). None for a raster, a file
-    that gives fewer than two parts (a tiny, header-only or CR-only file),
-    or one that cannot be read, whose error a whole read gives."""
-    path = Path(path)
-    if path.suffix == ".npy":
-        return None
-    cuts = [0]
-    with suppress(OSError), open(path, "rb") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        n = min(max(2, -(-size // GRID_PART_BYTES)), GRID_MAX_PARTS)
-        for k in range(1, n):
-            fh.seek(max(size * k // n, cuts[-1]))
-            while (block := fh.read(1 << 16)) and (at := block.find(b"\n")) < 0:
-                pass
-            cut = fh.tell() - len(block) + at + 1 if block else size
-            if cut >= size:
-                break
-            cuts.append(cut)
-        return cuts + [size] if len(cuts) > 1 else None
-    return None
-
-
-# The bytes a grid part is read in at a time, each block then decoded as open()
-# decodes a file; a Python stream over the part would run a call per 8 KiB read.
-GRID_BLOCK_BYTES = 1 << 20
-
-
-def _line_blocks(fh: IO[bytes], size: int | None) -> Iterator[bytes]:
-    """The next size bytes of a file (the rest if None) in blocks of about
-    GRID_BLOCK_BYTES, each completed to the line feed after it, so no line
-    break or character straddles two blocks."""
-    left = sys.maxsize if size is None else size
-    while left > 0 and (block := fh.read(min(left, GRID_BLOCK_BYTES))):
-        if len(block) < left:
-            block += fh.readline(left - len(block))
-        left -= len(block)
-        yield block
-
-
-def read_grid_part(
-    path: Path | str, start: int, stop: int | None = None, builder: _GridBuilder | None = None
-) -> _GridBuilder:
-    """The rows of a grid CSV's bytes start to stop (its end if None), for
-    `join_grid_parts`, added to builder if given: the rows of the bytes up
-    to start, read in the same way. start and stop each follow a line feed,
-    or are an end of the file. A part that starts at a line past the header
-    is read as if the header came before it. Each column is then put in
+def read_grid_part(path: Path | str, start: int, stop: int | None = None) -> _GridBuilder:
+    """The rows of a grid CSV's bytes start to stop (its end if None), read
+    as an `ingest.Part`, for `join_grid_parts`. Each column is then put in
     time order, with no spare slot to cross a pipe, so parts with the same
     times have the same slots. A part that gives a (cell, time) twice
     raises, with no line number."""
-    builder = _GridBuilder() if builder is None else builder
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        blocks = _line_blocks(fh, None if stop is None else stop - start)
-        text = chain.from_iterable(io.TextIOWrapper(io.BytesIO(b), "utf-8") for b in blocks)
-        builder.read(text if start == 0 else chain([GRID_HEADER + "\n"], text))
+    builder = _GridBuilder()
+    builder.read(Part(path, start, stop))
     if builder.repeated is not None:
         raise ValueError(builder.repeated)
     order = builder.times.slots  # the slot of each time, in time order
@@ -570,28 +508,11 @@ def load_grid_raster(path: Path | str) -> TemperatureGrid:
     return TemperatureGrid(lats, lons, times, values)
 
 
-def load_temperature_grid(
-    path: Path | str, parts: Callable[[], list[_GridBuilder]] | None = None
-) -> TemperatureGrid:
-    """Load a grid from either format, dispatching on the file suffix.
-
-    With parts, a grid CSV is read in parts: parts() gives the rows of its
-    parts in file order, each read by `read_grid_part` here or elsewhere,
-    or joined by `join_grid_parts`, and they are joined here. If a part or
-    the join raises ValueError or OSError, the whole file is read here,
-    which raises the error, with the line number, that a whole read gives;
-    a ChildProcessError, which names a reader that died, is raised as it is.
-    """
+def load_temperature_grid(path: Path | str) -> TemperatureGrid:
+    """Load a grid from either format, dispatching on the file suffix."""
     path = Path(path)
     if path.suffix == ".npy":
         return load_grid_raster(path)
-    if parts is not None:
-        try:
-            return join_grid_parts(*parts()).grid()
-        except ChildProcessError:
-            raise
-        except (ValueError, OSError):
-            pass
     with open(path, encoding="utf-8") as fh:
         return read_grid_csv(fh)
 

@@ -76,6 +76,26 @@ VARIANTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def variant_run(fixture_dir, tmp_path_factory):
+    """variant_run(name): the tree that `all` writes for the fixture with the
+    VARIANTS overrides of that name, on one CPU; run once, when first asked for."""
+    trees: dict[str, dict[str, bytes]] = {}
+
+    def run(name: str) -> dict[str, bytes]:
+        if name not in trees:
+            root = tmp_path_factory.mktemp(name)
+            cfg = load_config(_config_variant(fixture_dir, root / "x.conf", **VARIANTS[name]))
+            cfg.out_dir = root / "all"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+                run_pipeline(cfg, _stages_for_all(cfg))
+            trees[name] = _tree_bytes(cfg.out_dir)
+        return trees[name]
+
+    return run
+
+
 def _blank_january_telemetry(lines: list[str]) -> list[str]:
     return [line.rpartition(",")[0] + "," if line[4:8] == "-01-" else line for line in lines]
 
@@ -274,18 +294,15 @@ class TestPipeline:
             run_pipeline(cfg, [stage])
         assert _tree_bytes(cfg.out_dir) == _tree_bytes(full_run)
 
-    @pytest.mark.parametrize("overrides", VARIANTS.values(), ids=VARIANTS.keys())
+    @pytest.mark.parametrize("name", list(VARIANTS))
     def test_stage_isolation_matches_full_run_of_variant(
-        self, fixture_dir, tmp_path, overrides
+        self, fixture_dir, tmp_path, variant_run, name
     ) -> None:
-        cfg = load_config(_config_variant(fixture_dir, tmp_path / "x.conf", **overrides))
-        stages = _stages_for_all(cfg)
-        cfg.out_dir = tmp_path / "all"
-        run_pipeline(cfg, stages)
+        cfg = load_config(_config_variant(fixture_dir, tmp_path / "x.conf", **VARIANTS[name]))
         cfg.out_dir = tmp_path / "staged"
-        for stage in stages:
+        for stage in _stages_for_all(cfg):
             run_pipeline(cfg, [stage])
-        assert _tree_bytes(tmp_path / "staged") == _tree_bytes(tmp_path / "all")
+        assert _tree_bytes(cfg.out_dir) == variant_run(name)
 
     @pytest.mark.parametrize("block_days", [None, 7])
     def test_raster_grid_gives_the_csv_tree(
@@ -326,6 +343,7 @@ class TestPipeline:
         for module, name in (
             (ingest, "parse_hourly_load"),
             (ingest, "parse_fuel_mix"),
+            (ingest, "read_fuel_mix_part"),
             (ingest, "parse_outages"),
             (thermal, "read_mask_csv"),
             (thermal, "read_population_csv"),
@@ -365,12 +383,25 @@ class TestPipeline:
             "read_population_csv",
             "parse_ensemble_csv",
         )
-        # With two CPUs each of the grid's two parts is read once, by the
-        # process or the forked reader; with one it is read whole, and nothing forks.
-        for n_cpus, grid_reads in ((2, ("grid_head", "grid_tail")), (1, ("read_grid_csv",))):
+        # With two CPUs each part of a cut input is read once, by the process
+        # or the forked reader: the grid's two, and each feed's, the fuel
+        # mix's by its part reader. With one CPU every input is read whole
+        # (parse_fuel_mix reads its file as one part), and nothing forks.
+        cfg = load_config(conf)
+        n_parts = {
+            name: len(ingest.cuts(getattr(cfg, key))) - 1
+            for name, key in (
+                ("parse_hourly_load", "load_csv"),
+                ("read_fuel_mix_part", "fuel_mix_csv"),
+                ("parse_outages", "outage_csv"),
+            )
+        }
+        parts = {**dict.fromkeys(csv_parsers[3:] + ("grid_head", "grid_tail"), 1), **n_parts}
+        whole = dict.fromkeys(csv_parsers + ("read_fuel_mix_part", "read_grid_csv"), 1)
+        for n_cpus, reads in ((2, parts), (1, whole)):
             forks = fake_cpus(n_cpus)
             assert main(["all", "--config", conf, "--out", out]) == 0
-            assert calls() == dict.fromkeys(csv_parsers + grid_reads, 1)
+            assert calls() == reads
             assert len(forks) == n_cpus - 1
         # A stage run on its own reads its inputs from the cached files.
         for stage in ("shoulder", "adequacy"):
@@ -654,35 +685,25 @@ class TestPipeline:
             assert 0.0 <= pct <= 100.0
 
     def test_rerun_without_fuel_mix_drops_netted_outputs(
-        self, fixture_dir, full_run, tmp_path
+        self, fixture_dir, full_run, tmp_path, variant_run
     ) -> None:
-        conf = _config_variant(fixture_dir, tmp_path / "no_mix.conf", fuel_mix_csv=None)
+        conf = _config_variant(fixture_dir, tmp_path / "no_mix.conf", **VARIANTS["no-fuel-mix"])
         cfg = load_config(conf)
-        cfg.out_dir = tmp_path / "fresh"
-        run_pipeline(cfg, _stages_for_all(cfg))
         cfg.out_dir = tmp_path / "rerun"
         shutil.copytree(full_run, cfg.out_dir)
         run_pipeline(cfg, _stages_for_all(cfg))
         assert not (cfg.out_dir / F["daily_net"]).exists()
-        assert _tree_bytes(cfg.out_dir) == _tree_bytes(tmp_path / "fresh")
+        assert _tree_bytes(cfg.out_dir) == variant_run("no-fuel-mix")
 
     def test_rerun_without_grid_and_ensemble_equals_fresh_run(
-        self, fixture_dir, full_run, tmp_path
+        self, fixture_dir, full_run, tmp_path, variant_run
     ) -> None:
-        conf = _config_variant(
-            fixture_dir,
-            tmp_path / "load_only.conf",
-            temperature_grid=None,
-            mask_csv=None,
-            population_csv=None,
-            ensemble_csv=None,
-        )
-        fresh = tmp_path / "fresh"
-        assert main(["all", "--config", str(conf), "--out", str(fresh)]) == 0
+        no_grid = VARIANTS["no-grid-chain"]
+        conf = _config_variant(fixture_dir, tmp_path / "load_only.conf", **no_grid)
         rerun = tmp_path / "rerun"
         shutil.copytree(full_run, rerun)
         assert main(["all", "--config", str(conf), "--out", str(rerun)]) == 0
-        assert _tree_bytes(rerun) == _tree_bytes(fresh)
+        assert _tree_bytes(rerun) == variant_run("no-grid-chain")
         report = (rerun / F["report"]).read_text()
         assert "[onset correlations" not in report and "[projection]" not in report
 
@@ -1069,17 +1090,32 @@ class TestForkedReaders:
         assert len(forks) == n_forks
         assert _tree_bytes(tmp_path) == _tree_bytes(full_run)
 
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_variant_tree_does_not_depend_on_the_cpus(
+        self, fixture_dir, tmp_path, monkeypatch, fake_cpus, variant_run, name
+    ) -> None:
+        # variant_run reads every input whole, on one CPU; two CPUs share the
+        # inputs' parts, and three the parts of inputs cut eight times finer.
+        cfg = load_config(_config_variant(fixture_dir, tmp_path / "x.conf", **VARIANTS[name]))
+        for n_cpus, part_bytes in ((2, ingest.PART_BYTES), (3, 1 << 18)):
+            forks = fake_cpus(n_cpus)
+            monkeypatch.setattr(ingest, "PART_BYTES", part_bytes)
+            cfg.out_dir = tmp_path / f"cpus{n_cpus}"
+            run_pipeline(cfg, _stages_for_all(cfg))
+            assert len(forks) == 1
+            assert _tree_bytes(cfg.out_dir) == variant_run(name), n_cpus
+
     def test_reader_that_exits_without_a_result_is_named(
         self, fixture_dir, tmp_path, monkeypatch, fake_cpus, wait_for, capsys
     ) -> None:
-        # The outage feed, the last input used, is claimed by the forked
-        # reader, which the project stage waits for.
+        # The outage feed, the last input used, is read by the forked reader
+        # from its back part, on which it dies; the project stage waits for that.
         fake_cpus(2)
         parent, claimed = os.getpid(), tmp_path / "claimed"
 
-        def dies(fh):
+        def dies(source, _parse=ingest.parse_outages):
             if os.getpid() == parent:
-                raise AssertionError("the outage feed was parsed in process")
+                return _parse(source)  # the part the process claims
             claimed.touch()
             os._exit(3)
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from shoulderseason import adequacy, ingest
+from shoulderseason import adequacy, ingest, readers
+from shoulderseason.config import RunConfig
 from shoulderseason.ingest import FUEL_MIX_HEADER, LOAD_HEADER, OUTAGE_HEADER
 
 
@@ -797,6 +798,92 @@ def test_trailing_nul_in_a_text_field_is_named(feed: str, row: str, message: str
     with pytest.raises(ValueError) as got:
         PARSERS[feed][0]([*first, row])
     assert str(got.value) == message
+
+# -- reading in parts ---------------------------------------------------------------
+
+# Each feed's part reader and join, as the pipeline reads it on two CPUs.
+PART_READERS = {
+    "load": (ingest.parse_hourly_load, ingest.join_tables),
+    "fuel_mix": (ingest.read_fuel_mix_part, ingest.join_fuel_mix),
+    "outages": (ingest.parse_outages, ingest.join_tables),
+}
+PART_FILES = {**FILES, "fuel_mix": st.one_of(fuel_mix_files(), fuel_mix_files(gaps=True))}
+
+
+@pytest.fixture(scope="module")
+def feed_path(tmp_path_factory) -> Path:
+    """A path for a feed file, written again by each example that uses it."""
+    return tmp_path_factory.mktemp("feed") / "feed.csv"
+
+
+@pytest.mark.parametrize("feed", list(FILES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), chunk_lines=st.integers(1, 7))
+def test_parts_joined_read_as_the_whole_file(
+    feed_path: Path, feed: str, data, chunk_lines: int
+) -> None:
+    # Cut at each line feed or not, as drawn: on hour seams, between an
+    # hour's quarters, and between repeated or swapped rows. The joined parts
+    # give the whole read's rows, bit for bit, or, where it raises, raise too.
+    path = feed_path
+    path.write_text(data.draw(PART_FILES[feed]), encoding="utf-8", newline="")
+    raw = path.read_bytes()
+    feeds = [i + 1 for i, byte in enumerate(raw[:-1]) if byte == ord("\n")]
+    cut = data.draw(st.lists(st.booleans(), min_size=len(feeds), max_size=len(feeds)))
+    cuts = [0, *(at for at, c in zip(feeds, cut) if c), len(raw)]
+    read, join = PART_READERS[feed]
+    with open(path, encoding="utf-8") as fh:
+        want = _chunked(chunk_lines, PARSERS[feed][0], fh)
+
+    def joined():
+        return join(*(read(ingest.Part(path, a, b)) for a, b in zip(cuts[:-1], cuts[1:])))
+
+    got = _chunked(chunk_lines, joined)
+    if isinstance(want, str):
+        assert isinstance(got, str), cuts
+        return
+    assert _table_rows(got) == _table_rows(want), cuts
+
+
+@pytest.mark.parametrize(
+    ("feed", "row"),
+    [
+        ("load", "2020-01-01,0,1"),
+        ("fuel_mix", "2022-01-01T00:00,1,0,0,0"),
+        ("outages", "2022-01-01T00:00,1,"),
+    ],
+)
+def test_a_row_repeated_across_a_cut_is_refused(feed_path: Path, feed: str, row: str) -> None:
+    header = {"load": LOAD_HEADER, "fuel_mix": FUEL_MIX_HEADER, "outages": OUTAGE_HEADER}[feed]
+    feed_path.write_text(f"{header}\n{row}\n{row}\n", encoding="utf-8")
+    cut = len(header) + len(row) + 2
+    read, join = PART_READERS[feed]
+    with pytest.raises(ValueError, match="not increasing across a seam"):
+        join(read(ingest.Part(feed_path, 0, cut)), read(ingest.Part(feed_path, cut)))
+
+
+_FEED_KEYS = {"load": "load_csv", "fuel_mix": "fuel_mix_csv", "outages": "outage_csv"}
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("case", ERROR_CASES, ids=list(ERROR_CASES))
+def test_error_read_in_tiny_parts_names_the_line(
+    case: str, eol: str, tmp_path, monkeypatch, fake_cpus
+) -> None:
+    # Each part a line or two, shared by the process and a forked reader:
+    # a part that raises sends the feed to a whole read in process.
+    feed, lines, message = ERROR_CASES[case]
+    path = tmp_path / "feed.csv"
+    path.write_text("".join(line + eol for line in lines), encoding="utf-8", newline="")
+    monkeypatch.setattr(ingest, "PART_BYTES", 1)
+    forks = fake_cpus(2)
+    jobs = readers.input_jobs(RunConfig(**{_FEED_KEYS[feed]: path}), [_FEED_KEYS[feed]])
+    with readers.share_out(jobs) as inputs:
+        with pytest.raises(ValueError) as got:
+            inputs.get(_FEED_KEYS[feed])
+    assert str(got.value) == message
+    assert len(forks) == (jobs[_FEED_KEYS[feed]].parts > 1)
+
 
 # -- memory -------------------------------------------------------------------------
 

@@ -18,7 +18,6 @@ from oracles import reference_read_grid_csv
 from shoulderseason import ingest, thermal
 from shoulderseason.thermal import (
     TemperatureGrid,
-    grid_cuts,
     join_grid_parts,
     load_temperature_grid,
     read_grid_csv,
@@ -156,7 +155,7 @@ def test_split_read_equals_whole_read(
     data = path.read_bytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "CSV_CHUNK_LINES", chunk_lines)
-        mp.setattr(thermal, "GRID_BLOCK_BYTES", block_bytes)
+        mp.setattr(ingest, "BLOCK_BYTES", block_bytes)
         try:
             want = load_temperature_grid(path)
         except ValueError:
@@ -176,27 +175,21 @@ def test_split_read_equals_whole_read(
 @settings(max_examples=100, deadline=None)
 @given(text=st.one_of(grid_files(), grid_files(signed_zero=True)), data=st.data())
 def test_parts_read_equals_whole_read(tmp_path_factory, text: str, data) -> None:
-    # Parts cut at any line boundaries: the first few read into one table,
-    # as the process reads the parts it claims, the rest each on its own.
+    # Parts cut at any line boundaries, each read on its own, as the process
+    # and the reader read the parts they claim, and joined at once.
     path = tmp_path_factory.mktemp("parts") / "grid.csv"
     path.write_text(text, encoding="utf-8", newline="")
     data_bytes = path.read_bytes()
     feeds = [i + 1 for i, byte in enumerate(data_bytes[:-1]) if byte == ord("\n")]
     inner = data.draw(st.lists(st.sampled_from(feeds), unique=True)) if feeds else []
     cuts = [0, *sorted(inner), len(data_bytes)]
-    front = data.draw(st.integers(0, len(cuts) - 1))
     try:
         want = load_temperature_grid(path)
     except ValueError:
         want = None
     try:
-        head = None
-        for start, stop in zip(cuts[:front], cuts[1 : front + 1]):
-            head = read_grid_part(path, start, stop, head)
-        tails = [read_grid_part(path, a, b) for a, b in zip(cuts[front:-1], cuts[front + 1 :])]
-        if len(tails) > 1 and data.draw(st.booleans()):
-            tails = [join_grid_parts(*tails)]  # joined where they were read, as a reader does
-        got = join_grid_parts(*([] if head is None else [head]), *tails).grid()
+        parts = [read_grid_part(path, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+        got = join_grid_parts(*parts).grid()
     except ValueError:
         assert want is None, cuts  # the whole read then raises its own error
         return
@@ -454,19 +447,19 @@ def test_a_small_grid_is_cut_past_the_first_line_feed_from_the_middle(
 ) -> None:
     path = tmp_path / "grid.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert grid_cuts(path) == (None if split is None else [0, split, len(text)])
+    assert ingest.cuts(path) == (None if split is None else [0, split, len(text)])
 
 
 @pytest.mark.parametrize("part_bytes, max_parts", [(10, 256), (25, 256), (1, 3)])
 def test_grid_cuts_follow_line_feeds_near_each_share(
     tmp_path, monkeypatch, part_bytes: int, max_parts: int
 ) -> None:
-    monkeypatch.setattr(thermal, "GRID_PART_BYTES", part_bytes)
-    monkeypatch.setattr(thermal, "GRID_MAX_PARTS", max_parts)
+    monkeypatch.setattr(ingest, "PART_BYTES", part_bytes)
+    monkeypatch.setattr(ingest, "MAX_PARTS", max_parts)
     text = "\n".join([HEADER, OK, OK + "   ", OK, "", OK + "\r", OK]) + "\n"
     path = tmp_path / "grid.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    cuts = grid_cuts(path)
+    cuts = ingest.cuts(path)
     size = len(text)
     n = min(max(2, -(-size // part_bytes)), max_parts)
     # Each cut is past the first line feed at or after its share of the
@@ -484,5 +477,5 @@ def test_grid_cuts_follow_line_feeds_near_each_share(
 
 def test_grid_cuts_leave_a_raster_and_a_missing_file_whole(tmp_path) -> None:
     np.save(tmp_path / "grid.npy", np.zeros((1, 1, 1)))
-    assert grid_cuts(tmp_path / "grid.npy") is None
-    assert grid_cuts(tmp_path / "missing.csv") is None
+    assert ingest.cuts(tmp_path / "grid.npy") is None
+    assert ingest.cuts(tmp_path / "missing.csv") is None

@@ -245,8 +245,13 @@ def unread_fields(modules: dict[str, str], others: list[str]) -> list[str]:
 # Records whose fields are not each read by name, each kept on purpose.
 UNREAD = {
     # Written whole, one table row per record, through astuple.
-    "windows.ShoulderWindow",
     "adequacy.PeriodOutageStat",
+    # Input paths that only readers.input_jobs reads, by config key through getattr.
+    "config.RunConfig.ensemble_csv",
+    "config.RunConfig.load_csv",
+    "config.RunConfig.mask_csv",
+    "config.RunConfig.population_csv",
+    "config.RunConfig.temperature_grid",
 }
 
 
