@@ -42,11 +42,12 @@ is reaped.
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
 import pickle
 import signal
 import tempfile
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -59,32 +60,44 @@ WRITTEN, UNWRITTEN = b".", b"-"
 
 class Parser(NamedTuple):
     """How the input of a config key is read: parse(fh) reads its text
-    stream. Given join, it may be read in parts (see `ingest.cuts`): part(p),
-    parse if not given, reads the rows of an `ingest.Part` p of it, and
-    join(*rows) makes its table of the rows of all its parts, in file order."""
+    stream. An input with a part reader may be read in parts (see
+    `ingest.cuts`): part(p) reads the rows of an `ingest.Part` p of it,
+    join(rows, later) adds to rows those of the parts that follow, and
+    table(rows) makes the input's table of the rows of all its parts. A
+    feed's rows are a list of its parts' tables, joined once at the end."""
 
     parse: Callable[[IO[str]], object]
-    join: Callable[..., object] | None = None
     part: Callable[[ingest.Part], object] | None = None
+    join: Callable[[object, object], object] = operator.add
+    table: Callable[[object], object] | None = None
 
 
 # Each looks its parser up when called, so a patched parser (a spy, a tracer) is the one run.
 PARSERS: dict[str, Parser] = {
-    "load_csv": Parser(lambda source: ingest.parse_hourly_load(source), ingest.join_tables),
+    "load_csv": Parser(
+        lambda fh: ingest.parse_hourly_load(fh),
+        lambda part: [ingest.parse_hourly_load(part)],
+        table=lambda rows: ingest.join_tables(*rows),
+    ),
     "fuel_mix_csv": Parser(
         lambda fh: ingest.parse_fuel_mix(fh),
-        ingest.join_fuel_mix,
-        lambda part: ingest.read_fuel_mix_part(part),
+        lambda part: [ingest.read_fuel_mix_part(part)],
+        table=lambda rows: ingest.join_fuel_mix(*rows),
     ),
     "temperature_grid": Parser(
         lambda fh: thermal.read_grid_csv(fh),
-        lambda *rows: thermal.join_grid_parts(*rows).grid(),
         lambda part: thermal.read_grid_part(*part),
+        thermal.join_grid_parts,
+        lambda rows: rows.grid(),
     ),
     "mask_csv": Parser(lambda fh: thermal.read_mask_csv(fh)),
     "population_csv": Parser(lambda fh: thermal.read_population_csv(fh)),
     "ensemble_csv": Parser(lambda fh: projection.parse_ensemble_csv(fh)),
-    "outage_csv": Parser(lambda source: ingest.parse_outages(source), ingest.join_tables),
+    "outage_csv": Parser(
+        lambda fh: ingest.parse_outages(fh),
+        lambda part: [ingest.parse_outages(part)],
+        table=lambda rows: ingest.join_tables(*rows),
+    ),
 }
 
 
@@ -160,15 +173,15 @@ class _Claims:
 def _read_parts(key: str, path: Path, cuts: list[int], claim: Claim | None, take: Take | None):
     """The table of the input of this key at path: the rows of the parts
     claim() gives, read here, joined to the rows take() gives, those of the
-    parts the reader claimed from the back; read whole without claim. If a
-    part or the join raises ValueError or OSError, the input is read whole
-    here, which raises the error, with the line number, that a whole read
-    gives; a ChildProcessError, which names a reader that died, is raised as
-    it is."""
+    parts the reader claimed; read whole without claim. If a part or a join
+    raises ValueError or OSError, the input is read whole here, which
+    raises the error, with the line number, that a whole read gives; a
+    ChildProcessError, which names a reader that died, is raised as it is."""
+    parser = PARSERS[key]
     if claim is not None:
         try:
-            rows = _read_claimed(key, path, cuts, claim)
-            return PARSERS[key].join(*rows, *reversed(take() or ()))
+            rows = (_read_claimed(key, path, cuts, False, claim), take())
+            return parser.table(reduce(parser.join, [r for r in rows if r is not None]))
         except ChildProcessError:
             raise
         except (ValueError, OSError):
@@ -176,25 +189,30 @@ def _read_parts(key: str, path: Path, cuts: list[int], claim: Claim | None, take
     return parse_input(path, key)
 
 
-def _read_claimed(key: str, path: Path, cuts: list[int], claim: Claim) -> list:
-    """The rows of the parts that claim() gives, read here, in that order."""
-    read = PARSERS[key].part or PARSERS[key].parse
-    return [read(ingest.Part(path, cuts[i], cuts[i + 1])) for i in iter(claim, None)]
+def _read_claimed(key: str, path: Path, cuts: list[int], back: bool, claim: Claim):
+    """The rows of the parts that claim() gives, from the front, or, if
+    back, from the back, read here and joined in file order as each is
+    read; None if it gives none."""
+    parser, rows = PARSERS[key], None
+    for i in iter(claim, None):
+        part = parser.part(ingest.Part(path, cuts[i], cuts[i + 1]))
+        rows = part if rows is None else parser.join(part, rows) if back else parser.join(rows, part)
+    return rows
 
 
 def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job]:
     """A job reading the input of each of these config keys that is set, in
     their order: a part per cut that `ingest.cuts` makes of an input with a
-    join, one part of any other."""
+    part reader, one part of any other."""
     jobs: dict[str, Job] = {}
     for key in keys:
         if (path := getattr(cfg, key)) is None:
             continue
-        if PARSERS[key].join is None or (cuts := ingest.cuts(path)) is None:
+        if PARSERS[key].part is None or (cuts := ingest.cuts(path)) is None:
             jobs[key] = whole(partial(parse_input, path, key))
         else:
-            read, tail = (partial(f, key, path, cuts) for f in (_read_parts, _read_claimed))
-            jobs[key] = Job(read, tail, len(cuts) - 1)
+            read = partial(_read_parts, key, path, cuts)
+            jobs[key] = Job(read, partial(_read_claimed, key, path, cuts, True), len(cuts) - 1)
     return jobs
 
 
