@@ -549,10 +549,10 @@ def _read_timed_feed(
     The table is built from the columns, or, given `by_hour`, from what
     `by_hour` returns for the columns of whole hours. Then each chunk's
     rows are folded as they are read, up to its last hour, whose rows
-    wait for the next chunk: it may hold more of that hour. The table
-    then also gets the rows of the first hour and of the last (the same
-    if there is one), so that an hour across a seam of parts can be
-    folded again.
+    wait for the next chunk: it may hold more of that hour. The rows of
+    the first hour and of the last are not folded but given to the table
+    after the columns, the last empty if there is one hour, so that an
+    hour across a seam of parts can be folded whole.
     """
     last: datetime | None = None  # time of the last row accepted so far
     # The columns of a file without rows, and the dtypes of every chunk's.
@@ -567,11 +567,12 @@ def _read_timed_feed(
         columns = [np.concatenate(pair) for pair in zip(carry, columns)]
         hours = columns[0].astype("datetime64[h]")
         whole = np.searchsorted(hours, hours[-1])  # the rows before the last hour
+        start = 0
         if first is None and whole:
-            n = np.searchsorted(hours, hours[0], "right")
-            first = [column[:n].copy() for column in columns]
+            start = np.searchsorted(hours, hours[0], "right")
+            first = [column[:start].copy() for column in columns]
         carry = [column[whole:].copy() for column in columns]
-        return by_hour(*(column[:whole] for column in columns))
+        return by_hour(*(column[start:whole] for column in columns))
 
     def accept(rows: np.ndarray) -> tuple[np.ndarray, ...]:
         nonlocal last
@@ -595,9 +596,7 @@ def _read_timed_feed(
         return fold(tuple(np.array(values, e.dtype) for values, e in zip(zip(*rows), empty)))
 
     chunks = read_csv_chunks(source, header, dtype, accept, check, from_rows)
-    if by_hour is not None:
-        chunks.append(by_hour(*carry))
-    chunks = chunks or [empty]
+    chunks = chunks or [empty if by_hour is None else by_hour(*empty)]
     # One column at a time, each dropping its chunk parts once it is whole,
     # so that memory holds the table and one column, not two tables.
     parts = [list(column) for column in zip(*chunks)]
@@ -606,7 +605,7 @@ def _read_timed_feed(
     for column in parts:
         columns.append(np.concatenate(column))
         column.clear()
-    edges = () if by_hour is None else (carry if first is None else first, carry)
+    edges = () if by_hour is None else (carry, empty) if first is None else (first, carry)
     return table(*columns, *edges)
 
 
@@ -671,8 +670,9 @@ def _read_columns(
 
 
 class MixPart(NamedTuple):
-    """A fuel-mix stream's hours and their means, and the samples (columns,
-    times first) of its first hour and of its last, the same if it has one."""
+    """A fuel-mix stream's hours and their means, but for its first hour
+    and its last, whose samples (columns, times first) are kept; the last
+    hour's are empty if the stream has one hour."""
 
     hours: np.ndarray
     non_thermal_mw: np.ndarray
@@ -689,27 +689,20 @@ def read_fuel_mix_part(source: IO[str] | Iterable[str] | Part) -> MixPart:
 def join_fuel_mix(*parts: MixPart) -> FuelMix:
     """The fuel mix of a file from the reads of its parts, in file order.
 
-    An hour on both sides of a seam is folded from its samples on each
-    side, in quarter order, as a whole read folds it. A time that does not
-    increase across a seam is a ValueError, with no line number.
+    The samples kept at each seam are folded once joined, in quarter
+    order, as a whole read folds them. A time that does not increase
+    across a seam is a ValueError, with no line number.
     """
-    parts = [part for part in parts if len(part.hours)] or parts[:1]
-    hours, means, last = [parts[0].hours], [parts[0].non_thermal_mw], parts[0].last
-    for part in parts[1:]:
-        if last[0][-1] >= part.first[0][0]:
+    tables, rows = [], [column[:0] for column in parts[0].first]
+    for part in parts:
+        if len(rows[0]) and len(part.first[0]) and rows[0][-1] >= part.first[0][0]:
             raise ValueError("timestamps not increasing across a seam")
-        part_hours, part_means = part.hours, part.non_thermal_mw
-        if last[0][-1].astype("datetime64[h]") == part_hours[0]:  # an hour across the seam
-            samples = [np.concatenate(pair) for pair in zip(last, part.first)]
-            hour, mean = _hourly_means(*samples)
-            hours[-1], means[-1] = hours[-1][:-1], means[-1][:-1]
-            part_hours, part_means = np.r_[hour, part_hours[1:]], np.r_[mean, part_means[1:]]
-            last = samples if len(part.hours) == 1 else part.last
-        else:
-            last = part.last
-        hours.append(part_hours)
-        means.append(part_means)
-    return FuelMix(np.concatenate(hours), np.concatenate(means))
+        rows = [np.concatenate(pair) for pair in zip(rows, part.first)]
+        if len(part.last[0]):  # the part has a later hour than rows has
+            tables += [_hourly_means(*rows), part[:2]]
+            rows = part.last
+    tables.append(_hourly_means(*rows))
+    return FuelMix(*(np.concatenate(column) for column in zip(*tables)))
 
 
 def parse_fuel_mix(source: IO[str] | Iterable[str] | Part) -> FuelMix:

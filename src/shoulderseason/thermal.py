@@ -224,8 +224,8 @@ class _GridBuilder:
         self.columns: list[np.ndarray] = []
         self.repeated: str | None = None  # the error of the first row that hits a filled cell
 
-    def read(self, source: IO[str] | Iterable[str]) -> bool:
-        """Store the rows of a grid CSV read by `ingest.read_csv_chunks`; whether it has any."""
+    def read(self, source: IO[str] | Iterable[str] | Part) -> None:
+        """Store the rows of a grid CSV read by `ingest.read_csv_chunks`."""
 
         def convert(rows: np.ndarray) -> None:
             lat, lon, values = rows["lat"], rows["lon"], rows["t2m_c"]
@@ -242,9 +242,7 @@ class _GridBuilder:
             texts = [(lat, lon, t.isoformat(), v) for lat, lon, t, v in rows]
             convert(np.array(texts, _GRID_DTYPE))
 
-        return bool(
-            read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row, from_rows)
-        )
+        read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row, from_rows)
 
     def add(self, lat: np.ndarray, lon: np.ndarray, keys: np.ndarray, values: np.ndarray):
         """Store a chunk of rows, all finite; the index of its first row
@@ -280,6 +278,8 @@ class _GridBuilder:
 
     def grid(self) -> TemperatureGrid:
         times, cells = self.times.keys, self.cells.keys
+        if not len(times):
+            raise ValueError("grid file has no data rows")
         if times[0] < _HOURLY <= times[-1]:
             raise ValueError("grid file mixes daily and hourly rows")
         lats, lons = _distinct(cells.real), _distinct(cells.imag)
@@ -310,8 +310,7 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     its first bad line or gives the same values.
     """
     builder = _GridBuilder()
-    if not builder.read(source):
-        raise ValueError("grid file has no data rows")
+    builder.read(source)
     grid = builder.grid()
     if builder.repeated is not None:
         raise ValueError(builder.repeated)
@@ -344,9 +343,9 @@ def join_grid_parts(head: _GridBuilder, *tails: _GridBuilder) -> _GridBuilder:
     key keeps its first spelling (0.0 or -0.0), as in a whole read. The
     column of a cell no part before has is taken as it is if the tail's
     time slots are the joined ones, as in a cell-major file; any other is
-    scattered into place. A (cell, time) that two parts give, or a file
-    with no rows, raises, with no line number; grid() raises for a file
-    mixing daily and hourly rows.
+    scattered into place. A (cell, time) that two parts give raises, with
+    no line number; grid() raises for a file with no rows or one mixing
+    daily and hourly rows.
     """
     n_cells = len(head.cells.keys)
     numbered = []
@@ -357,8 +356,6 @@ def join_grid_parts(head: _GridBuilder, *tails: _GridBuilder) -> _GridBuilder:
         cells[tail.cells.slots] = head.cells.number(tail.cells.keys)
         numbered.append((slots, cells.tolist(), tail.columns))
     length = len(head.times.keys)
-    if not length:
-        raise ValueError("grid file has no data rows")
     columns: list[np.ndarray | None] = [
         column if len(column) >= length else np.r_[column, np.full(length - len(column), np.nan)]
         for column in head.columns

@@ -817,7 +817,7 @@ def feed_path(tmp_path_factory) -> Path:
 
 
 @pytest.mark.parametrize("feed", list(FILES))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(data=st.data(), chunk_lines=st.integers(1, 7))
 def test_parts_joined_read_as_the_whole_file(
     feed_path: Path, feed: str, data, chunk_lines: int

@@ -175,21 +175,32 @@ def test_split_read_equals_whole_read(
 @settings(max_examples=100, deadline=None)
 @given(text=st.one_of(grid_files(), grid_files(signed_zero=True)), data=st.data())
 def test_parts_read_equals_whole_read(tmp_path_factory, text: str, data) -> None:
-    # Parts cut at any line boundaries, each read on its own, as the process
-    # and the reader read the parts they claim, and joined at once.
+    # Parts cut at any line boundaries: the first few joined as each is read,
+    # as the process reads the parts it claims, the rest from the back, as
+    # the reader does, or each on its own.
     path = tmp_path_factory.mktemp("parts") / "grid.csv"
     path.write_text(text, encoding="utf-8", newline="")
     data_bytes = path.read_bytes()
     feeds = [i + 1 for i, byte in enumerate(data_bytes[:-1]) if byte == ord("\n")]
     inner = data.draw(st.lists(st.sampled_from(feeds), unique=True)) if feeds else []
     cuts = [0, *sorted(inner), len(data_bytes)]
+    front = data.draw(st.integers(0, len(cuts) - 1))
     try:
         want = load_temperature_grid(path)
     except ValueError:
         want = None
     try:
-        parts = [read_grid_part(path, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-        got = join_grid_parts(*parts).grid()
+        head = None
+        for start, stop in zip(cuts[:front], cuts[1 : front + 1]):
+            part = read_grid_part(path, start, stop)
+            head = part if head is None else join_grid_parts(head, part)
+        tails = [read_grid_part(path, a, b) for a, b in zip(cuts[front:-1], cuts[front + 1 :])]
+        if len(tails) > 1 and data.draw(st.booleans()):
+            tail = tails.pop()
+            while tails:  # joined where they were read, from the back, as a reader does
+                tail = join_grid_parts(tails.pop(), tail)
+            tails = [tail]
+        got = join_grid_parts(*([] if head is None else [head]), *tails).grid()
     except ValueError:
         assert want is None, cuts  # the whole read then raises its own error
         return
