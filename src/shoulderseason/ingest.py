@@ -8,10 +8,12 @@ The load, fuel-mix and outage feeds are read into column tables (numpy
 arrays of equal length) by `read_csv_chunks`, which parses many lines per
 `np.loadtxt` call, text fields as fixed-width bytes, and validates whole
 columns at once. A chunk that this fast path turns down is read row by
-row, with the same result. The fuel-mix samples are folded into hourly
-means as each chunk is read, so no table of the samples is built.
-A file may be read in the parts that `cuts` makes, each a `Part`, and a
-feed's join makes its parts' tables into the one a whole read gives.
+row, with the same result. A file may be read in the parts that `cuts`
+makes, each a `Part`, and a feed's join makes its parts' tables into the
+one a whole read gives. Each fuel-mix chunk is folded into hourly means
+as it is read, so no table of the samples is built: a `MixPart` keeps
+only its first and last hours' samples, which `join_fuel_mix` folds at
+every seam, of chunks or of parts.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
@@ -285,29 +287,28 @@ def read_csv_chunks(
     convert: Callable[[np.ndarray], T],
     check_row: Callable[[int, list[str]], object],
     from_rows: Callable[[list], T],
-) -> list[T]:
+) -> Iterator[T]:
     """Read a CSV stream with one header line, CSV_CHUNK_LINES lines at a time.
 
     Each chunk's rows are parsed by one `np.loadtxt` call into the
     structured `dtype` (one field per column) and handed to `convert`,
-    whose results are returned in file order. Blank lines are skipped
-    but count in line numbers. When loadtxt or `convert` raises
-    ValueError, the chunk is rescanned row by row: each row is split
-    and its fields trimmed, and `check_row(lineno, fields)` must raise
-    the error of the first offending row. If no row is bad, the chunk's
-    result is `from_rows` of the values check_row returned, one per row.
-    A chunk holding a NUL is rescanned when `dtype` has a bytes field,
-    since loadtxt drops the trailing NULs of such a field; a Part holds
-    none. `convert` and `check_row` see the chunks in file order, so
-    state they share (such as the last timestamp read) carries across
-    chunk boundaries. A Part past the file's start numbers its lines as
-    if the header were line 1.
+    whose results are yielded in file order, a chunk read as the one
+    before is taken. Blank lines are skipped but count in line numbers.
+    When loadtxt or `convert` raises ValueError, the chunk is rescanned
+    row by row: each row is split and its fields trimmed, and
+    `check_row(lineno, fields)` must raise the error of the first
+    offending row. If no row is bad, the chunk's result is `from_rows` of
+    the values check_row returned, one per row. A chunk holding a NUL is
+    rescanned when `dtype` has a bytes field, since loadtxt drops the
+    trailing NULs of such a field; a Part holds none. `convert` and
+    `check_row` see the chunks in file order, so state they share (such
+    as the last timestamp read) carries across chunk boundaries. A Part
+    past the file's start numbers its lines as if the header were line 1.
     """
     part = isinstance(source, Part)
     lines = source.lines() if part else iter(source)
     lineno = 1 if part and source.start else read_header(lines, header)
     probe_nul = not part and any(dtype[name].kind == "S" for name in dtype.names)
-    results = []
     while chunk := list(islice(lines, CSV_CHUNK_LINES)):
         first_lineno, lineno = lineno + 1, lineno + len(chunk)
         if not any(raw.rstrip("\r\n") for raw in chunk):
@@ -316,16 +317,13 @@ def read_csv_chunks(
             if probe_nul and "\x00" in "".join(chunk):
                 raise ValueError("NUL in a bytes field")
             # No name holds loadtxt's rows, so they go once converted.
-            results.append(
-                convert(np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=dtype))
-            )
+            result = convert(np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1, dtype=dtype))
         except ValueError:
-            rows = _rescan(chunk, first_lineno, len(dtype.names), check_row)
-            results.append(from_rows(rows))
-            del rows
+            result = from_rows(_rescan(chunk, first_lineno, len(dtype.names), check_row))
         # Dropped before the next chunk is read, so one chunk's lines are held at a time.
         del chunk
-    return results
+        yield result
+        del result  # held only by the caller, which may drop it before the next chunk
 
 
 def _rescan(
@@ -532,47 +530,22 @@ def _optional_mw(column: np.ndarray) -> np.ndarray:
 
 
 def _read_timed_feed(
-    table: Callable[..., T],
     source: IO[str] | Iterable[str],
     header: str,
     dtype: np.dtype,
     convert: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     check_row: Callable[[int, list[str]], list],
-    by_hour: Callable[..., tuple[np.ndarray, ...]] | None = None,
-) -> T:
+) -> Iterator[tuple[np.ndarray, ...]]:
     """read_csv_chunks for a table whose first column is a strictly increasing time.
 
     `convert` returns a chunk's columns, times first, and `check_row`
     validates one row and returns its values, the time first. A chunk
-    that `convert` turns down is built from those values.
-
-    The table is built from the columns, or, given `by_hour`, from what
-    `by_hour` returns for the columns of whole hours. Then each chunk's
-    rows are folded as they are read, up to its last hour, whose rows
-    wait for the next chunk: it may hold more of that hour. The rows of
-    the first hour and of the last are not folded but given to the table
-    after the columns, the last empty if there is one hour, so that an
-    hour across a seam of parts can be folded whole.
+    that `convert` turns down is built from those values. Yields the
+    columns of each chunk, or, for a file without rows, those of none.
     """
     last: datetime | None = None  # time of the last row accepted so far
     # The columns of a file without rows, and the dtypes of every chunk's.
     empty = convert(np.empty(0, dtype))
-    carry = empty  # with by_hour: the rows of the last hour read so far
-    first = None  # with by_hour: the rows of the first hour, once a later one is read
-
-    def fold(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        nonlocal carry, first
-        if by_hour is None:
-            return columns
-        columns = [np.concatenate(pair) for pair in zip(carry, columns)]
-        hours = columns[0].astype("datetime64[h]")
-        whole = np.searchsorted(hours, hours[-1])  # the rows before the last hour
-        start = 0
-        if first is None and whole:
-            start = np.searchsorted(hours, hours[0], "right")
-            first = [column[:start].copy() for column in columns]
-        carry = [column[whole:].copy() for column in columns]
-        return by_hour(*(column[start:whole] for column in columns))
 
     def accept(rows: np.ndarray) -> tuple[np.ndarray, ...]:
         nonlocal last
@@ -583,7 +556,7 @@ def _read_timed_feed(
         ):
             raise ValueError("timestamps not increasing")
         last = times[-1].item()
-        return fold(columns)
+        return columns
 
     def check(lineno: int, fields: list[str]) -> list:
         nonlocal last
@@ -593,20 +566,23 @@ def _read_timed_feed(
         return row
 
     def from_rows(rows: list[list]) -> tuple[np.ndarray, ...]:
-        return fold(tuple(np.array(values, e.dtype) for values, e in zip(zip(*rows), empty)))
+        return tuple(np.array(values, e.dtype) for values, e in zip(zip(*rows), empty))
 
     chunks = read_csv_chunks(source, header, dtype, accept, check, from_rows)
-    chunks = chunks or [empty if by_hour is None else by_hour(*empty)]
-    # One column at a time, each dropping its chunk parts once it is whole,
-    # so that memory holds the table and one column, not two tables.
+    yield next(chunks, empty)
+    yield from chunks
+
+
+def _joined(table: Callable[..., T], chunks: Iterable[tuple[np.ndarray, ...]]) -> T:
+    """table of the chunks' columns, each joined end to end. One column at
+    a time, each dropping its chunk parts once it is whole, so that memory
+    holds the table and one column, not two tables."""
     parts = [list(column) for column in zip(*chunks)]
-    chunks.clear()
     columns = []
     for column in parts:
         columns.append(np.concatenate(column))
         column.clear()
-    edges = () if by_hour is None else (carry, empty) if first is None else (first, carry)
-    return table(*columns, *edges)
+    return table(*columns)
 
 
 def parse_hourly_load(source: IO[str] | Iterable[str] | Part) -> HourlyLoad:
@@ -633,7 +609,8 @@ def parse_hourly_load(source: IO[str] | Iterable[str] | Part) -> HourlyLoad:
             raise ValueError(f"line {lineno}: negative load {load_s!r}")
         return datetime(day.year, day.month, day.day, hour), load
 
-    return _read_timed_feed(HourlyLoad, source, LOAD_HEADER, _LOAD_DTYPE, convert, check_row)
+    chunks = _read_timed_feed(source, LOAD_HEADER, _LOAD_DTYPE, convert, check_row)
+    return _joined(HourlyLoad, chunks)
 
 
 # Column kinds of _read_columns: (loadtxt type, row validator (text, lineno,
@@ -649,13 +626,7 @@ _FINITE = ("f8", parse_loadtxt_float, _column(np.isfinite))
 _HOURS = ("i8", _parse_hours, _column(lambda hours: (hours >= 0) & (hours <= 24)))
 
 
-def _read_columns(
-    table: Callable[..., T],
-    source: IO[str] | Iterable[str],
-    header: str,
-    *kinds,
-    by_hour: Callable[..., tuple[np.ndarray, ...]] | None = None,
-) -> T:
+def _read_columns(source: IO[str] | Iterable[str], header: str, *kinds) -> Iterator[tuple]:
     """_read_timed_feed for a table with one column of each kind, the time first."""
     names = header.split(",")
     dtype = np.dtype([(name, kind[0]) for name, kind in zip(names, kinds)])
@@ -666,13 +637,13 @@ def _read_columns(
     def check_row(lineno: int, fields: list[str]) -> list:
         return [kind[1](text, lineno, name) for text, name, kind in zip(fields, names, kinds)]
 
-    return _read_timed_feed(table, source, header, dtype, convert, check_row, by_hour)
+    return _read_timed_feed(source, header, dtype, convert, check_row)
 
 
 class MixPart(NamedTuple):
-    """A fuel-mix stream's hours and their means, but for its first hour
-    and its last, whose samples (columns, times first) are kept; the last
-    hour's are empty if the stream has one hour."""
+    """A fuel-mix chunk's hours and their means, but for its first hour and
+    its last, whose samples (columns, times first) are kept; the last
+    hour's are empty if the chunk has one hour."""
 
     hours: np.ndarray
     non_thermal_mw: np.ndarray
@@ -680,29 +651,45 @@ class MixPart(NamedTuple):
     last: list[np.ndarray]
 
 
-def read_fuel_mix_part(source: IO[str] | Iterable[str] | Part) -> MixPart:
-    """A fuel-mix stream, such as a part of a file, for `join_fuel_mix`."""
+def _mix_part(*columns: np.ndarray) -> MixPart:
+    """The MixPart of a chunk's samples (columns, times first)."""
+    hours = columns[0].astype("datetime64[h]")
+    # The rows of the first hour, and of the hours before the last.
+    one, whole = np.searchsorted(hours, [hours[0] + 1, hours[-1]]) if len(hours) else (0, 0)
+    whole = max(one, whole)
+    return MixPart(
+        *_hourly_means(*(column[one:whole] for column in columns)),
+        [column[:one].copy() for column in columns],
+        [column[whole:].copy() for column in columns],
+    )
+
+
+def read_fuel_mix_part(source: IO[str] | Iterable[str] | Part) -> Iterator[MixPart]:
+    """The MixPart of each chunk of a fuel-mix stream, such as a part of a
+    file, each read when it is asked for, for `join_fuel_mix`."""
     kinds = (_QUARTER, _MW, _MW, _MW, _MW)
-    return _read_columns(MixPart, source, FUEL_MIX_HEADER, *kinds, by_hour=_hourly_means)
+    return starmap(_mix_part, _read_columns(source, FUEL_MIX_HEADER, *kinds))
 
 
-def join_fuel_mix(*parts: MixPart) -> FuelMix:
-    """The fuel mix of a file from the reads of its parts, in file order.
+def join_fuel_mix(*parts: Iterable[MixPart]) -> FuelMix:
+    """The fuel mix of a file from the chunks of its parts, in file order.
 
-    The samples kept at each seam are folded once joined, in quarter
-    order, as a whole read folds them. A time that does not increase
-    across a seam is a ValueError, with no line number.
+    The samples kept at each seam, between chunks or parts, are folded
+    once joined, in quarter order, as a read in one piece folds them. A
+    time that does not increase across a seam is a ValueError, with no
+    line number.
     """
-    tables, rows = [], [column[:0] for column in parts[0].first]
-    for part in parts:
-        if len(rows[0]) and len(part.first[0]) and rows[0][-1] >= part.first[0][0]:
+    tables, rows = [], None
+    for chunk in chain.from_iterable(parts):
+        if rows is not None and (rows[0][-1:] >= chunk.first[0][:1]).any():
             raise ValueError("timestamps not increasing across a seam")
-        rows = [np.concatenate(pair) for pair in zip(rows, part.first)]
-        if len(part.last[0]):  # the part has a later hour than rows has
-            tables += [_hourly_means(*rows), part[:2]]
-            rows = part.last
+        rows = chunk.first if rows is None else [np.concatenate(p) for p in zip(rows, chunk.first)]
+        if len(chunk.last[0]):  # the chunk has a later hour than rows has
+            # One table of rows' hours and the chunk's, so that a chunk adds one table.
+            tables.append([np.concatenate(p) for p in zip(_hourly_means(*rows), chunk[:2])])
+            rows = chunk.last
     tables.append(_hourly_means(*rows))
-    return FuelMix(*(np.concatenate(column) for column in zip(*tables)))
+    return _joined(FuelMix, tables)
 
 
 def parse_fuel_mix(source: IO[str] | Iterable[str] | Part) -> FuelMix:
@@ -720,7 +707,7 @@ def parse_outages(source: IO[str] | Iterable[str] | Part) -> Outages:
 
     An empty telemetered_output_mw field reads as NaN.
     """
-    return _read_columns(Outages, source, OUTAGE_HEADER, _QUARTER, _MW, _OPTIONAL_MW)
+    return _joined(Outages, _read_columns(source, OUTAGE_HEADER, _QUARTER, _MW, _OPTIONAL_MW))
 
 
 def join_tables(*tables: T) -> T:
@@ -813,9 +800,10 @@ def net_non_thermal(hourly: HourlyLoad, mix: FuelMix) -> HourlyLoad:
 
 
 def read_daily_summaries(source: IO[str] | Iterable[str]) -> DailyLoad:
-    return _read_columns(DailyLoad.from_days, source, DAILY_HEADER, _DAY, _FINITE, _FINITE, _HOURS)
+    chunks = _read_columns(source, DAILY_HEADER, _DAY, _FINITE, _FINITE, _HOURS)
+    return _joined(DailyLoad.from_days, chunks)
 
 
 def read_daily_series(source: IO[str] | Iterable[str], header: str) -> DailySeries:
     """Read a `date,<value>` table, such as `degree_days.csv`."""
-    return _read_columns(DailySeries.from_days, source, header, _DAY, _FINITE)
+    return _joined(DailySeries.from_days, _read_columns(source, header, _DAY, _FINITE))

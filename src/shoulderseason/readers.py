@@ -5,7 +5,9 @@ PARSERS holds how the input of each config key is read, and
 the load, fuel-mix or outage feed, or of a grid CSV, has a part per about
 2 MiB of the file (`ingest.cuts`), and joins the rows of its parts as a
 whole read gives them; every other input's, a raster's or a tiny file's
-included, has one part.
+included, has one part, read whole. One loop reads the parts a claim
+gives: in the process, in the forked reader, and for a result it could
+not write.
 
 `share_out(jobs)`, given the jobs in the order they will be asked for,
 shares their parts between the calling process and a forked reader where
@@ -59,84 +61,80 @@ WRITTEN, UNWRITTEN = b".", b"-"
 
 
 class Parser(NamedTuple):
-    """How the input of a config key is read: parse(fh) reads its text
-    stream. An input with a part reader may be read in parts (see
+    """How the input of a config key is read: read(path) reads its file
+    whole. An input with a part reader may be read in parts (see
     `ingest.cuts`): part(p) reads the rows of an `ingest.Part` p of it,
     join(rows, later) adds to rows those of the parts that follow, and
     table(rows) makes the input's table of the rows of all its parts. A
-    feed's rows are a list of its parts' tables, joined once at the end."""
+    feed's rows are a list of tables (the fuel mix's, of its parts' chunks),
+    joined once at the end."""
 
-    parse: Callable[[IO[str]], object]
+    read: Callable[[Path], object]
     part: Callable[[ingest.Part], object] | None = None
     join: Callable[[object, object], object] = operator.add
     table: Callable[[object], object] | None = None
+
+    def job(self, path: Path) -> Job:
+        """A job reading the input at path: a part per cut that `ingest.cuts`
+        makes of it, given a part reader, or else one part."""
+        whole = partial(self.read, path)
+        if self.part is None or (cuts := ingest.cuts(path)) is None:
+            return Job(whole)
+        parts = [ingest.Part(path, a, b) for a, b in zip(cuts, cuts[1:])]
+        return Job(whole, lambda i: self.part(parts[i]), len(parts), self.join, self.table)
+
+
+def _text(parse: Callable[[IO[str]], object], path: Path) -> object:
+    """parse(fh) of the text of the file at path."""
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh)
 
 
 # Each looks its parser up when called, so a patched parser (a spy, a tracer) is the one run.
 PARSERS: dict[str, Parser] = {
     "load_csv": Parser(
-        lambda fh: ingest.parse_hourly_load(fh),
+        lambda path: _text(ingest.parse_hourly_load, path),
         lambda part: [ingest.parse_hourly_load(part)],
         table=lambda rows: ingest.join_tables(*rows),
     ),
     "fuel_mix_csv": Parser(
-        lambda fh: ingest.parse_fuel_mix(fh),
-        lambda part: [ingest.read_fuel_mix_part(part)],
-        table=lambda rows: ingest.join_fuel_mix(*rows),
+        lambda path: _text(ingest.parse_fuel_mix, path),
+        lambda part: list(ingest.read_fuel_mix_part(part)),
+        table=lambda rows: ingest.join_fuel_mix(rows),
     ),
+    # A `.npy` raster or a CSV, as the file's suffix says.
     "temperature_grid": Parser(
-        lambda fh: thermal.read_grid_csv(fh),
-        lambda part: thermal.read_grid_part(*part),
+        lambda path: thermal.load_temperature_grid(path),
+        lambda part: thermal.read_grid_part(part),
         thermal.join_grid_parts,
         lambda rows: rows.grid(),
     ),
-    "mask_csv": Parser(lambda fh: thermal.read_mask_csv(fh)),
-    "population_csv": Parser(lambda fh: thermal.read_population_csv(fh)),
-    "ensemble_csv": Parser(lambda fh: projection.parse_ensemble_csv(fh)),
+    "mask_csv": Parser(lambda path: _text(thermal.read_mask_csv, path)),
+    "population_csv": Parser(lambda path: _text(thermal.read_population_csv, path)),
+    "ensemble_csv": Parser(lambda path: _text(projection.parse_ensemble_csv, path)),
     "outage_csv": Parser(
-        lambda fh: ingest.parse_outages(fh),
+        lambda path: _text(ingest.parse_outages, path),
         lambda part: [ingest.parse_outages(part)],
         table=lambda rows: ingest.join_tables(*rows),
     ),
 }
 
 
-def parse_input(path: Path, key: str) -> object:
-    """The table of the input at path, read whole by the parser of its
-    config key, or, for a `.npy` raster grid, by `thermal.load_temperature_grid`."""
-    if Path(path).suffix == ".npy":
-        return thermal.load_temperature_grid(path)
-    with open(path, encoding="utf-8") as fh:
-        return PARSERS[key].parse(fh)
+class Job(NamedTuple):
+    """How an input is read: whole(), or, in `parts` parts that the process
+    and the forked reader share, part(i) reads the rows of part i,
+    join(rows, later) adds to rows those of the parts after them, and
+    table(rows) makes the input's table of the rows of all its parts. A
+    job without a part reader has one part, read by whole()."""
+
+    whole: Callable[[], object]
+    part: Callable[[int], object] | None = None
+    parts: int = 1
+    join: Callable[[object, object], object] = operator.add
+    table: Callable[[object], object] = lambda rows: rows
 
 
 Claim = Callable[[], int | None]  # the index of the next part claimed, or None: none is left
-Take = Callable[[], object]
-
-
-class Job(NamedTuple):
-    """An input read in `parts` parts, which the process and the forked reader share.
-
-    run(claim, take) runs in process when the job is asked for: it reads
-    each part that claim() gives, from the front, then take() hands out
-    tail(claim) as the reader ran it, on the parts it claimed from the
-    back, or None if it claimed none. With no reader, run(None, None)
-    reads the job whole.
-    """
-
-    run: Callable[[Claim | None, Take | None], object]
-    tail: Callable[[Claim], object]
-    parts: int
-
-
-def _read_whole(read: Take, claim: Claim | None, take: Take | None) -> object:
-    """read(), without claim or where claim() gives the part; else take()."""
-    return take() if claim is not None and claim() is None else read()
-
-
-def whole(read: Take) -> Job:
-    """A job of one part, read() in whichever process claims it."""
-    return Job(partial(_read_whole, read), partial(_read_whole, read, take=lambda: None), 1)
 
 
 class _Claims:
@@ -170,33 +168,16 @@ class _Claims:
         return partial(next, iter(range(self.parts - 1, self.taken - 1, -1)), None)
 
 
-def _read_parts(key: str, path: Path, cuts: list[int], claim: Claim | None, take: Take | None):
-    """The table of the input of this key at path: the rows of the parts
-    claim() gives, read here, joined to the rows take() gives, those of the
-    parts the reader claimed; read whole without claim. If a part or a join
-    raises ValueError or OSError, the input is read whole here, which
-    raises the error, with the line number, that a whole read gives; a
-    ChildProcessError, which names a reader that died, is raised as it is."""
-    parser = PARSERS[key]
-    if claim is not None:
-        try:
-            rows = (_read_claimed(key, path, cuts, False, claim), take())
-            return parser.table(reduce(parser.join, [r for r in rows if r is not None]))
-        except ChildProcessError:
-            raise
-        except (ValueError, OSError):
-            pass
-    return parse_input(path, key)
-
-
-def _read_claimed(key: str, path: Path, cuts: list[int], back: bool, claim: Claim):
+def _read_claimed(job: Job, claim: Claim, back: bool = False) -> list:
     """The rows of the parts that claim() gives, from the front, or, if
     back, from the back, read here and joined in file order as each is
-    read; None if it gives none."""
-    parser, rows = PARSERS[key], None
+    read: [rows], or [] if it gives none."""
+    rows = []  # [the rows of the parts read so far], once one is read
     for i in iter(claim, None):
-        part = parser.part(ingest.Part(path, cuts[i], cuts[i + 1]))
-        rows = part if rows is None else parser.join(part, rows) if back else parser.join(rows, part)
+        part = job.whole() if job.part is None else job.part(i)
+        if rows:
+            part = job.join(part, rows[0]) if back else job.join(rows[0], part)
+        rows = [part]
     return rows
 
 
@@ -204,16 +185,8 @@ def input_jobs(cfg: RunConfig, keys: Iterable[str]) -> dict[str, Job]:
     """A job reading the input of each of these config keys that is set, in
     their order: a part per cut that `ingest.cuts` makes of an input with a
     part reader, one part of any other."""
-    jobs: dict[str, Job] = {}
-    for key in keys:
-        if (path := getattr(cfg, key)) is None:
-            continue
-        if PARSERS[key].part is None or (cuts := ingest.cuts(path)) is None:
-            jobs[key] = whole(partial(parse_input, path, key))
-        else:
-            read = partial(_read_parts, key, path, cuts)
-            jobs[key] = Job(read, partial(_read_claimed, key, path, cuts, True), len(cuts) - 1)
-    return jobs
+    paths = ((key, getattr(cfg, key)) for key in keys)
+    return {key: PARSERS[key].job(path) for key, path in paths if path is not None}
 
 
 def _cpus() -> int:
@@ -225,13 +198,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(jobs: Mapping[str, Take], files: Mapping[str, IO[bytes]], signal_fd: int) -> None:
-    """A forked reader's life: each job's outcome to its file, then a byte; never returns."""
+def _serve(read: Callable[[str], list], files: Mapping[str, IO[bytes]], signal_fd: int) -> None:
+    """A forked reader's life: read(key) of each job to its file, then a byte; never returns."""
     code = 1
     try:
         for key, file in files.items():
             try:
-                outcome = (True, jobs[key]())
+                outcome = (True, read(key))
             except Exception as exc:
                 outcome = (False, exc)
             try:
@@ -289,8 +262,7 @@ class Readers:
         first = next(iter(self._jobs))
         for key, job in self._jobs.items():
             self._claims[key] = _Claims(job.parts, held=int(key == first))
-        jobs = {key: partial(job.tail, self._claims[key].back) for key, job in self._jobs.items()}
-        files = {key: tempfile.TemporaryFile() for key in jobs}
+        files = {key: tempfile.TemporaryFile() for key in self._jobs}
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
@@ -302,30 +274,42 @@ class Readers:
             raise
         if pid == 0:
             os.close(read_fd)
-            _serve(jobs, files, write_fd)
+            jobs, claims = self._jobs, self._claims
+            _serve(lambda key: _read_claimed(jobs[key], claims[key].back, True), files, write_fd)
         os.close(write_fd)
         self._child = _Child(pid, read_fd, files)
 
     def get(self, key: str) -> object:
         """The job's result, or its exception raised: the parts claimed here,
         joined to what the reader read, waited for only if it claimed a part.
-        Asked for again, or with no child, the job is read whole here."""
+        Asked for again, or with no child, the job is read whole here. A job
+        of several parts whose part or join raises ValueError or OSError is
+        read whole here, which gives a whole read's error and line number; a
+        ChildProcessError (a reader died), or a one-part job's error, is
+        raised as it is."""
         job, child = self._jobs[key], self._child
         file = None if child is None else child.files.pop(key, None)
         if file is None:
-            return job.run(None, None)
-        claims = self._claims[key]
+            return job.whole()
         with file:
-            return job.run(claims.front, partial(self._take, key, file))
+            try:
+                rows = _read_claimed(job, self._claims[key].front) + self._take(key, file)
+                return job.table(reduce(job.join, rows))
+            except ChildProcessError:
+                raise
+            except (ValueError, OSError):
+                if job.part is None:
+                    raise
+        return job.whole()
 
-    def _take(self, key: str, file: IO[bytes]) -> object:
+    def _take(self, key: str, file: IO[bytes]) -> list:
         """The child's side of the job of this key, once none is left here:
-        None if it claimed no part, without a wait; else its outcome, in its
-        file: its result, or its exception raised; or, where the child could
-        not write it, tail() on the child's parts, run here."""
+        [] if it claimed no part, without a wait; else its outcome, in its
+        file: its rows, or its exception raised; or, where the child could
+        not write it, the child's parts read here."""
         claims = self._claims[key]
         if claims.taken == claims.parts:
-            return None
+            return []
         child = self._child
         index = list(self._jobs).index(key)
         while len(child.marks) <= index:
@@ -337,7 +321,7 @@ class Readers:
                 )
             child.marks += signals
         if child.marks[index : index + 1] == UNWRITTEN:
-            return self._jobs[key].tail(claims.rest())
+            return _read_claimed(self._jobs[key], claims.rest(), back=True)
         file.seek(0)
         ok, value = pickle.load(file)
         if not ok:

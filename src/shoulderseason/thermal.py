@@ -242,7 +242,10 @@ class _GridBuilder:
             texts = [(lat, lon, t.isoformat(), v) for lat, lon, t, v in rows]
             convert(np.array(texts, _GRID_DTYPE))
 
-        read_csv_chunks(source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row, from_rows)
+        for _ in read_csv_chunks(
+            source, GRID_HEADER, _GRID_DTYPE, convert, _check_grid_row, from_rows
+        ):
+            pass  # convert stores each chunk as it is read
 
     def add(self, lat: np.ndarray, lon: np.ndarray, keys: np.ndarray, values: np.ndarray):
         """Store a chunk of rows, all finite; the index of its first row
@@ -277,11 +280,15 @@ class _GridBuilder:
         return int(hit.min()) if len(hit) else None
 
     def grid(self) -> TemperatureGrid:
+        """The grid of the rows read; ValueError for no rows, a mix of daily
+        and hourly rows, or, failing those, the first repeated (cell, time)."""
         times, cells = self.times.keys, self.cells.keys
         if not len(times):
             raise ValueError("grid file has no data rows")
         if times[0] < _HOURLY <= times[-1]:
             raise ValueError("grid file mixes daily and hourly rows")
+        if self.repeated is not None:
+            raise ValueError(self.repeated)
         lats, lons = _distinct(cells.real), _distinct(cells.imag)
         places = np.empty(len(cells), np.intp)
         places[self.cells.slots] = (
@@ -293,7 +300,7 @@ class _GridBuilder:
 
 
 def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
-    """Read a long-format `lat,lon,date,t2m_c` grid file.
+    """Read a long-format `lat,lon,date,t2m_c` grid file: `read_grid_part(source).grid()`.
 
     Missing (time, cell) combinations become NaN; duplicates are an error.
     The date column holds either calendar dates (daily grid) or naive ISO
@@ -309,27 +316,21 @@ def read_grid_csv(source: IO[str] | Iterable[str]) -> TemperatureGrid:
     outside the feeds' timestamp grammar) is read row by row, which names
     its first bad line or gives the same values.
     """
+    return read_grid_part(source).grid()
+
+
+def read_grid_part(source: IO[str] | Iterable[str] | Part) -> _GridBuilder:
+    """The rows of a grid CSV stream, such as an `ingest.Part` of a file,
+    for `join_grid_parts`; its grid() is the stream's. Each column is then
+    put in time order, with no spare slot to cross a pipe, so parts with
+    the same times have the same slots. A repeated (cell, time) is kept
+    for grid() to raise."""
     builder = _GridBuilder()
     builder.read(source)
-    grid = builder.grid()
-    if builder.repeated is not None:
-        raise ValueError(builder.repeated)
-    return grid
-
-
-def read_grid_part(path: Path | str, start: int, stop: int | None = None) -> _GridBuilder:
-    """The rows of a grid CSV's bytes start to stop (its end if None), read
-    as an `ingest.Part`, for `join_grid_parts`. Each column is then put in
-    time order, with no spare slot to cross a pipe, so parts with the same
-    times have the same slots. A part that gives a (cell, time) twice
-    raises, with no line number."""
-    builder = _GridBuilder()
-    builder.read(Part(path, start, stop))
-    if builder.repeated is not None:
-        raise ValueError(builder.repeated)
     order = builder.times.slots  # the slot of each time, in time order
     if not (order == np.arange(len(order))).all():
-        builder.columns = [column[order] for column in builder.columns]
+        for column in builder.columns:  # in place, so a whole file's grid is not held twice
+            column[: len(order)] = column[order]
         builder.times.slots = np.arange(len(order))
     builder.columns = [column[: len(order)] for column in builder.columns]
     return builder
@@ -345,8 +346,9 @@ def join_grid_parts(head: _GridBuilder, *tails: _GridBuilder) -> _GridBuilder:
     time slots are the joined ones, as in a cell-major file; any other is
     scattered into place. A (cell, time) that two parts give raises, with
     no line number; grid() raises for a file with no rows or one mixing
-    daily and hourly rows.
+    daily and hourly rows, and then for the first repeat within a part.
     """
+    head.repeated = next((p.repeated for p in (head, *tails) if p.repeated is not None), None)
     n_cells = len(head.cells.keys)
     numbered = []
     for tail in tails:

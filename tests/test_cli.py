@@ -362,10 +362,11 @@ class TestPipeline:
 
             monkeypatch.setattr(module, name, counted)
 
-        def grid_part(path, start, *args, _fn=thermal.read_grid_part):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write("grid_head\n" if start == 0 else "grid_tail\n")
-            return _fn(path, start, *args)
+        def grid_part(source, _fn=thermal.read_grid_part):
+            if isinstance(source, ingest.Part):  # a whole read counts as read_grid_csv
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write("grid_head\n" if source.start == 0 else "grid_tail\n")
+            return _fn(source)
 
         monkeypatch.setattr(thermal, "read_grid_part", grid_part)
 
@@ -1139,12 +1140,12 @@ class TestForkedReaders:
         fake_cpus(2)
         parent, claimed = os.getpid(), tmp_path / "claimed"
 
-        def read_grid_part(path, start, *args, _read=thermal.read_grid_part):
+        def read_grid_part(source, _read=thermal.read_grid_part):
             if os.getpid() != parent:
                 claimed.touch()
                 os._exit(3)
             wait_for(claimed)
-            return _read(path, start, *args)
+            return _read(source)
 
         monkeypatch.setattr(thermal, "read_grid_part", read_grid_part)
         conf, out = str(fixture_dir / "fixture.conf"), str(tmp_path / "out")

@@ -162,7 +162,8 @@ def test_split_read_equals_whole_read(
             want = None
         for split in [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]:
             try:
-                head, tail = read_grid_part(path, 0, split), read_grid_part(path, split)
+                head = read_grid_part(ingest.Part(path, 0, split))
+                tail = read_grid_part(ingest.Part(path, split))
                 got = join_grid_parts(head, tail).grid()
             except ValueError:
                 assert want is None, split  # the whole read then raises its own error
@@ -192,9 +193,12 @@ def test_parts_read_equals_whole_read(tmp_path_factory, text: str, data) -> None
     try:
         head = None
         for start, stop in zip(cuts[:front], cuts[1 : front + 1]):
-            part = read_grid_part(path, start, stop)
+            part = read_grid_part(ingest.Part(path, start, stop))
             head = part if head is None else join_grid_parts(head, part)
-        tails = [read_grid_part(path, a, b) for a, b in zip(cuts[front:-1], cuts[front + 1 :])]
+        tails = [
+            read_grid_part(ingest.Part(path, a, b))
+            for a, b in zip(cuts[front:-1], cuts[front + 1 :])
+        ]
         if len(tails) > 1 and data.draw(st.booleans()):
             tail = tails.pop()
             while tails:  # joined where they were read, from the back, as a reader does
@@ -216,7 +220,8 @@ def test_split_read_keeps_the_heads_signed_zero(tmp_path, head: str, tail: str) 
     path = tmp_path / "grid.csv"
     path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
     split = len(HEADER) + len(rows[0]) + 2
-    got = join_grid_parts(read_grid_part(path, 0, split), read_grid_part(path, split)).grid()
+    parts = ingest.Part(path, 0, split), ingest.Part(path, split)
+    got = join_grid_parts(*map(read_grid_part, parts)).grid()
     want = load_temperature_grid(path)
     assert np.signbit(got.lats[0]) == head.startswith("-")
     assert _grid_bytes(got) == _grid_bytes(want)
@@ -368,6 +373,10 @@ ERROR_CASES = {
     "duplicate cell": (
         [HEADER, OK, "30.00,-98.0, 2020-01-01,11.0"],
         "duplicate grid entry for (30.0, -98.0, 2020-01-01)",
+    ),
+    "repeat and mixed daily and hourly": (
+        [HEADER, OK, OK, "30.0,-98.0,2020-01-02T05:00,11.0"],
+        "grid file mixes daily and hourly rows",
     ),
     "first repeated row wins": (
         [

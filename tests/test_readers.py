@@ -8,30 +8,50 @@ import os
 import pickle
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shoulderseason import readers
-from shoulderseason.readers import Job, whole
+from shoulderseason.readers import Job
 
 
 def _pid_jobs(n: int) -> dict[str, Job]:
-    return {f"job{i}": whole(os.getpid) for i in range(n)}
+    return {f"job{i}": Job(os.getpid) for i in range(n)}
 
 
-def _claimed(claim) -> list[int]:
-    indices = []
-    while (i := claim()) is not None:
-        indices.append(i)
-    return indices
+def _log(path: Path, what: object) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()} {what}\n")
+
+
+def _reads(path: Path) -> dict[int, list[int]]:
+    """The parts each process logged, by pid, in the order it read them."""
+    reads: dict[int, list[int]] = {}
+    for line in path.read_text(encoding="utf-8").splitlines() if path.exists() else []:
+        pid, part = map(int, line.split())
+        reads.setdefault(pid, []).append(part)
+    return reads
+
+
+def _cut(log: Path, parts: int, whole=None, delay: float = 0.0) -> Job:
+    """A job of this many parts, each read as [its index] and logged with
+    the pid of the process that read it; joined, the indices in file order."""
+
+    def part(i: int) -> list[int]:
+        _log(log, i)
+        time.sleep(delay)
+        return [i]
+
+    return Job(whole or (lambda: list(range(parts))), part, parts)
 
 
 @contextlib.contextmanager
 def _after_the_reader(jobs: dict[str, Job], tmp_path, wait_for):
     """share_out(jobs), entered once the reader has gone through every job."""
     done = tmp_path / "reader-done"
-    with readers.share_out({**jobs, "done": whole(done.touch)}) as inputs:
+    with readers.share_out({**jobs, "done": Job(done.touch)}) as inputs:
         wait_for(done)
         yield inputs
 
@@ -60,7 +80,7 @@ def test_a_job_the_reader_has_not_begun_is_read_in_process_at_once(
         wait_for(go)
         return os.getpid()
 
-    jobs = {**_pid_jobs(4), "job1": whole(blocked)}
+    jobs = {**_pid_jobs(4), "job1": Job(blocked)}
     with readers.share_out(jobs) as inputs:
         wait_for(started)  # the reader is in the second job
         start = time.perf_counter()
@@ -81,7 +101,7 @@ def test_one_job_forks_nothing(fake_cpus) -> None:
 def test_results_come_back_whole(fake_cpus, tmp_path, wait_for) -> None:
     fake_cpus(2)
     table = {"hours": np.arange(100_000).astype("datetime64[h]"), "mw": np.linspace(0.0, 1.0, 7)}
-    jobs = {"first": whole(lambda: None), "table": whole(lambda: table)}
+    jobs = {"first": Job(lambda: None), "table": Job(lambda: table)}
     with _after_the_reader(jobs, tmp_path, wait_for) as inputs:
         got = inputs.get("table")
     assert got is not table  # it came through the reader's file
@@ -99,7 +119,7 @@ def test_an_error_keeps_its_type_and_text(fake_cpus, tmp_path, wait_for) -> None
     def missing():
         return open(tmp_path / "missing.csv", encoding="utf-8")
 
-    jobs = {"in_process": whole(bad_value), "forked": whole(bad_value), "forked2": whole(missing)}
+    jobs = {"in_process": Job(bad_value), "forked": Job(bad_value), "forked2": Job(missing)}
     with _after_the_reader(jobs, tmp_path, wait_for) as inputs:
         for key in ("in_process", "forked"):
             with pytest.raises(ValueError, match=r"^line 3: bad load_mw value 'oops'$"):
@@ -123,7 +143,7 @@ def test_a_reader_that_dies_names_its_job(fake_cpus, tmp_path, wait_for) -> None
         claimed.touch()
         os._exit(3)
 
-    with readers.share_out({"mine": whole(os.getpid), "outage_csv": whole(dies)}) as inputs:
+    with readers.share_out({"mine": Job(os.getpid), "outage_csv": Job(dies)}) as inputs:
         wait_for(claimed)
         message = r"^outage_csv: its reader process exited without a result \(exit code 3\)$"
         with pytest.raises(ChildProcessError, match=message):
@@ -145,7 +165,7 @@ def test_a_result_the_reader_cannot_write_is_parsed_in_process(
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(pickle, "dump", no_room)  # the reader inherits the patch
-    jobs = {"mine": whole(os.getpid), "forked": whole(job), "forked2": whole(job)}
+    jobs = {"mine": Job(os.getpid), "forked": Job(job), "forked2": Job(job)}
     with _after_the_reader(jobs, tmp_path, wait_for) as inputs:
         assert inputs.get("forked") == os.getpid()
         assert inputs.get("forked2") == os.getpid()
@@ -168,7 +188,7 @@ def test_a_reader_still_running_is_killed(fake_cpus, fail) -> None:
     # The autouse guard in conftest checks that it is reaped too.
     fake_cpus(2)
     start = time.perf_counter()
-    jobs = {"mine": whole(os.getpid), "slow": whole(lambda: time.sleep(60))}
+    jobs = {"mine": Job(os.getpid), "slow": Job(lambda: time.sleep(60))}
     with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
         with readers.share_out(jobs):
             if fail:
@@ -194,31 +214,17 @@ def test_jobs_run_in_process_when_no_reader_can_be_forked(fake_cpus, monkeypatch
         assert [inputs.get(f"job{i}") for i in range(3)] == [os.getpid()] * 3
 
 
-def _tail_then_touch(done, wait_for):
-    """A job's tail that claims every part it can, then touches done, and a
-    run that waits for done before it claims."""
-
-    def tail(claim):
-        indices = _claimed(claim)
-        done.touch()
-        return os.getpid(), indices
-
-    def run(claim, take):
-        wait_for(done)
-        return _claimed(claim), take()
-
-    return run, tail
-
-
 def test_a_reader_that_reaches_a_shared_job_first_claims_every_part(
     fake_cpus, tmp_path, wait_for
 ) -> None:
     fake_cpus(2)
-    run, tail = _tail_then_touch(tmp_path / "claimed", wait_for)
-    with readers.share_out({"job0": whole(os.getpid), "shared": Job(run, tail, 5)}) as inputs:
-        mine, (pid, theirs) = inputs.get("shared")
+    log = tmp_path / "reads"
+    jobs = {"job0": Job(os.getpid), "shared": _cut(log, 5)}
+    with _after_the_reader(jobs, tmp_path, wait_for) as inputs:
+        got = inputs.get("shared")
         first = inputs.get("job0")
-    assert (mine, theirs) == ([], [4, 3, 2, 1, 0])
+    [(pid, theirs)] = _reads(log).items()
+    assert (got, theirs) == ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0])
     # The process holds the first job: the reader went past it.
     assert first == os.getpid() != pid
 
@@ -227,82 +233,121 @@ def test_a_first_job_of_several_parts_is_shared_but_its_first_part(
     fake_cpus, tmp_path, wait_for
 ) -> None:
     fake_cpus(2)
-    run, tail = _tail_then_touch(tmp_path / "claimed", wait_for)
-    with readers.share_out({"shared": Job(run, tail, 5)}) as inputs:
-        mine, (pid, theirs) = inputs.get("shared")
-    assert (mine, theirs) == ([0], [4, 3, 2, 1])
-    assert pid != os.getpid()
+    log = tmp_path / "reads"
+    with _after_the_reader({"shared": _cut(log, 5)}, tmp_path, wait_for) as inputs:
+        got = inputs.get("shared")
+    reads = _reads(log)
+    mine = reads.pop(os.getpid())
+    [theirs] = reads.values()
+    assert (got, mine, theirs) == ([0, 1, 2, 3, 4], [0], [4, 3, 2, 1])
 
 
 def test_a_shared_job_does_not_wait_for_a_reader_that_claimed_no_part(
     fake_cpus, tmp_path, wait_for
 ) -> None:
     fake_cpus(2)
-    go = tmp_path / "go"
+    go, log = tmp_path / "go", tmp_path / "reads"
 
     # The reader reaches the shared job only once the process has asked for it.
-    shared = Job(lambda claim, take: (_claimed(claim), take()), _claimed, 3)
-    jobs = {"job0": whole(os.getpid), "job1": whole(lambda: wait_for(go)), "shared": shared}
+    jobs = {"job0": Job(os.getpid), "job1": Job(lambda: wait_for(go)), "shared": _cut(log, 3)}
     with readers.share_out(jobs) as inputs:
         start = time.perf_counter()
         got = inputs.get("shared")
         waited = time.perf_counter() - start
         go.touch()
         inputs.get("job1")
-    assert got == ([0, 1, 2], None)
+    assert (got, _reads(log)) == ([0, 1, 2], {os.getpid(): [0, 1, 2]})
     assert waited < 5
 
 
-def test_shared_parts_are_each_claimed_once_from_both_ends(fake_cpus) -> None:
+def test_shared_parts_are_each_claimed_once_from_both_ends(fake_cpus, tmp_path) -> None:
     fake_cpus(2)
-
-    def tail(claim):
-        indices = []
-        while (i := claim()) is not None:
-            indices.append(i)
-            time.sleep(0.001)
-        return indices
-
-    def run(claim, take):
-        time.sleep(0.01)
-        return tail(claim), take() or []
-
     for _ in range(5):
-        with readers.share_out({"shared": Job(run, tail, 40)}) as inputs:
-            mine, theirs = inputs.get("shared")
+        log = tmp_path / "reads"
+        log.unlink(missing_ok=True)
+        with readers.share_out({"shared": _cut(log, 40, delay=0.001)}) as inputs:
+            time.sleep(0.01)
+            assert inputs.get("shared") == list(range(40))
+        reads = _reads(log)
+        mine, theirs = reads.pop(os.getpid()), [i for part in reads.values() for i in part]
         # The process's from the front, the reader's from the back.
         assert mine + theirs[::-1] == list(range(40))
 
 
 @pytest.mark.parametrize("n_cpus, parts", [(1, 3), (8, 1)], ids=["one-cpu", "one-part"])
-def test_a_shared_job_without_a_reader_runs_whole(fake_cpus, n_cpus, parts) -> None:
+def test_a_shared_job_without_a_reader_runs_whole(fake_cpus, tmp_path, n_cpus, parts) -> None:
     forks = fake_cpus(n_cpus)
-    shared = Job(lambda claim, take: (claim, take), _claimed, parts)
-    with readers.share_out({"shared": shared}) as inputs:
-        assert inputs.get("shared") == (None, None)
-    assert forks == []
+    log = tmp_path / "reads"
+    with readers.share_out({"shared": _cut(log, parts, whole=lambda: "whole")}) as inputs:
+        assert inputs.get("shared") == "whole"
+    assert (forks, _reads(log)) == ([], {})
 
 
 def test_a_shared_side_the_reader_cannot_write_is_read_in_process(
     fake_cpus, monkeypatch, tmp_path, wait_for
 ) -> None:
     fake_cpus(2)
-    run, tail = _tail_then_touch(tmp_path / "claimed", wait_for)
+    log = tmp_path / "reads"
 
     def no_room(*args, **kwargs):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(pickle, "dump", no_room)  # the reader inherits the patch
-    with readers.share_out({"shared": Job(run, tail, 4)}) as inputs:
-        # The reader's parts are read again here, from the back.
-        assert inputs.get("shared") == ([0], (os.getpid(), [3, 2, 1]))
+    with _after_the_reader({"shared": _cut(log, 4)}, tmp_path, wait_for) as inputs:
+        assert inputs.get("shared") == [0, 1, 2, 3]
+    # The reader's parts are read again here, from the back.
+    reads = _reads(log)
+    mine = reads.pop(os.getpid())
+    [theirs] = reads.values()
+    assert (mine, theirs) == ([0, 3, 2, 1], [3, 2, 1])
+
+
+def test_a_one_part_job_that_raises_in_the_reader_is_not_read_again(
+    fake_cpus, tmp_path, wait_for
+) -> None:
+    fake_cpus(2)
+    log = tmp_path / "reads"
+
+    def bad_value():
+        _log(log, 0)
+        raise ValueError("line 3: bad load_mw value 'oops'")
+
+    jobs = {"mine": Job(os.getpid), "bad": Job(bad_value)}
+    with _after_the_reader(jobs, tmp_path, wait_for) as inputs:
+        with pytest.raises(ValueError, match=r"^line 3: bad load_mw value 'oops'$"):
+            inputs.get("bad")
+    # Read once, by the reader; its error is raised here as it is.
+    [(pid, reads)] = _reads(log).items()
+    assert pid != os.getpid() and reads == [0]
+
+
+def test_a_cut_job_whose_part_raises_in_the_reader_is_read_whole_here_once(
+    fake_cpus, tmp_path, wait_for
+) -> None:
+    fake_cpus(2)
+    parent, log, wholes = os.getpid(), tmp_path / "reads", tmp_path / "wholes"
+
+    def whole():
+        _log(wholes, -1)
+        raise ValueError("line 9: bad hour '25'")
+
+    job = _cut(log, 3, whole=whole)
+
+    def part(i: int) -> list[int]:
+        if os.getpid() != parent:
+            raise ValueError("a part's own error")
+        return job.part(i)
+
+    with _after_the_reader({"cut": job._replace(part=part)}, tmp_path, wait_for) as inputs:
+        with pytest.raises(ValueError, match=r"^line 9: bad hour '25'$"):
+            inputs.get("cut")
+    assert _reads(wholes) == {parent: [-1]}
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_share_out_leaves_no_pipe_or_file_open(fake_cpus) -> None:
     forks = fake_cpus(2)
-    shared = Job(lambda claim, take: (_claimed(claim), take()), _claimed, 4)
-    jobs = {**_pid_jobs(3), "shared": shared}
+    jobs = {**_pid_jobs(3), "shared": Job(lambda: None, lambda i: [i], 4)}
     before = set(os.listdir("/proc/self/fd"))
     for asked in ([], ["job0", "job2"], list(jobs)):
         with readers.share_out(jobs) as inputs:
