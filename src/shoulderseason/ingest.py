@@ -685,8 +685,7 @@ def join_fuel_mix(*parts: Iterable[MixPart]) -> FuelMix:
             raise ValueError("timestamps not increasing across a seam")
         rows = chunk.first if rows is None else [np.concatenate(p) for p in zip(rows, chunk.first)]
         if len(chunk.last[0]):  # the chunk has a later hour than rows has
-            # One table of rows' hours and the chunk's, so that a chunk adds one table.
-            tables.append([np.concatenate(p) for p in zip(_hourly_means(*rows), chunk[:2])])
+            tables += [_hourly_means(*rows), chunk[:2]]
             rows = chunk.last
     tables.append(_hourly_means(*rows))
     return _joined(FuelMix, tables)
