@@ -685,6 +685,7 @@ def join_fuel_mix(*parts: Iterable[MixPart]) -> FuelMix:
             raise ValueError("timestamps not increasing across a seam")
         rows = chunk.first if rows is None else [np.concatenate(p) for p in zip(rows, chunk.first)]
         if len(chunk.last[0]):  # the chunk has a later hour than rows has
+            # A table of its own: a chunk's table, still held by the caller, is not copied.
             tables += [_hourly_means(*rows), chunk[:2]]
             rows = chunk.last
     tables.append(_hourly_means(*rows))
